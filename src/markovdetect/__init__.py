@@ -8,7 +8,8 @@ The package is organized bottom-up:
 - :mod:`markovdetect.infometrics` — entropies, divergences, divergence rates,
   and continuity profiles of sources;
 - :mod:`markovdetect.transport` — exact per-letter transport distances via a
-  transportation-problem solver with dual certificates;
+  min-cost flow on the Hamming graph or a transportation simplex, both with
+  dual certificates;
 - :mod:`markovdetect.hypotest` — calibrated likelihood-ratio tests, miss
   probabilities, error-exponent fits, Bayes error;
 - :mod:`markovdetect.bounds_lab` — bound evaluation and inequality probes on

@@ -7,7 +7,8 @@ built-in defaults, writes the resolved settings next to its outputs as
 
 Exit codes: 0 success; 2 bad arguments or bad values; 3 I/O failure;
 4 data-contract violation (malformed inputs, unseen contexts, atom budgets);
-5 numerical failure (non-convergence or an inapplicable bound).
+5 numerical failure (non-convergence, an inapplicable bound, or a decay fit
+with too few informative grid points).
 """
 from __future__ import annotations
 
@@ -367,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fit Markov text models and measure how fast statistical "
                     "tests can tell two of them apart.",
         epilog="Exit codes: 2 bad arguments, 3 I/O, 4 data contract, "
-               "5 numerical failure.",
+               "5 numerical failure (non-convergence, inapplicable bound, "
+               "too few informative grid points).",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -41,6 +41,12 @@ class BoundInapplicableError(MarkovDetectError):
     exit_code = 5
 
 
+class UninformativeFitError(MarkovDetectError):
+    """Too few grid points carried a nonzero estimate to fit a decay slope."""
+
+    exit_code = 5
+
+
 class SupportViolationWarning(UserWarning):
     """A divergence was evaluated where the second argument has zero mass."""
 

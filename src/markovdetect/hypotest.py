@@ -31,6 +31,7 @@ from scipy.stats import beta as beta_dist
 from .errors import (
     DegenerateStatisticWarning,
     MarkovDetectError,
+    UninformativeFitError,
     UnseenContextError,
 )
 from .infometrics import chernoff, kl_rate
@@ -503,7 +504,7 @@ def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
         used_n.append(n)
         ys.append(-outcome.log_beta)
     if len(used_n) < 3:
-        raise MarkovDetectError(
+        raise UninformativeFitError(
             f"only {len(used_n)} informative grid points; add trials or shrink n"
         )
     xs = np.asarray(used_n, dtype=float)

@@ -132,8 +132,30 @@ def test_dbar_worked_example(tmp_path):
     rec = load_json(out / "dbar.json")
     # coupling artifacts store floats as 17-digit strings for byte stability
     assert float(rec["value"]) == pytest.approx(0.4, abs=1e-9)
+    assert rec["engine"] == "simplex"
     csv = (out / "coupling.csv").read_text(encoding="utf-8")
     assert csv.splitlines()[0] == "atom_x,atom_y,mass"
+    first = snapshot(out)
+    assert main(args) == 0
+    assert snapshot(out) == first
+
+
+def test_dbar_flow_engine_above_sixteen_atoms(tmp_path):
+    # five fair-coin letters against five (0.9, 0.1) letters: 32 atoms
+    fair = [1 / 32] * 32
+    biased = [0.9 ** (5 - bin(i).count("1")) * 0.1 ** bin(i).count("1") for i in range(32)]
+    (tmp_path / "mu.json").write_text(json.dumps(fair), encoding="utf-8")
+    (tmp_path / "nu.json").write_text(json.dumps(biased), encoding="utf-8")
+    out = tmp_path / "dbar"
+    args = ["dbar", "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
+            "--window", "5", "--out", str(out)]
+    assert main(args) == 0
+    rec = load_json(out / "dbar.json")
+    assert rec["engine"] == "hamming-flow"
+    assert float(rec["value"]) == pytest.approx(0.4, abs=1e-9)
+    assert float(rec["dual_value"]) == pytest.approx(float(rec["value"]), abs=1e-9)
+    rows = (out / "coupling.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert sum(float(r.split(",")[2]) for r in rows) == pytest.approx(1.0, abs=1e-9)
     first = snapshot(out)
     assert main(args) == 0
     assert snapshot(out) == first
@@ -254,6 +276,15 @@ def test_exit_code_numerical(tmp_path, capsys):
                  "--train-len", "10000", "--rate-exponent", "0.9",
                  "--tail-exponent", "0.25", "--out", str(tmp_path / "x")]) == 5
     assert capsys.readouterr().err
+
+
+def test_exit_code_uninformative_exponent_fit(trained, tmp_path, capsys):
+    # at these lengths 1000 Monte Carlo trials see no miss at any grid point
+    p_model, q_model = trained
+    assert main(["exponent", "--model-p", str(p_model), "--model-q", str(q_model),
+                 "--epsilon", "0.5", "--n-grid", "400,800,1600", "--method", "mc",
+                 "--trials", "1000", "--out", str(tmp_path / "x")]) == 5
+    assert "informative grid points" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

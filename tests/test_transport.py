@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from markovdetect import transport
+from markovdetect.errors import NonConvergenceError
 from markovdetect.transport import (
     Coupling,
     dbar_between,
@@ -41,6 +43,10 @@ def lp_oracle(supply, demand, cost):
     )
     assert res.status == 0
     return res.fun
+
+
+def _dense_hamming(atoms_x, atoms_y):
+    return (np.asarray(atoms_x)[:, None, :] != np.asarray(atoms_y)[None, :, :]).mean(axis=2)
 
 
 def test_tv_and_l1():
@@ -203,3 +209,130 @@ def test_empirical_converges_to_exact(rng):
     y = (rng.random((20_000, 1)) > q[0]).astype(np.int64)
     est = dbar_empirical(x, y, bootstrap=20, seed=1)
     assert est.estimate == pytest.approx(tv(p, q), abs=0.02)
+
+
+# -- min-cost flow engine ---------------------------------------------------
+
+
+def _assert_certified(coupling, cost):
+    """Plan feasible, duals feasible on the dense cost, and no duality gap."""
+    coupling.validate()
+    assert (cost - coupling.dual_x[:, None] - coupling.dual_y[None, :]).min() >= -1e-9
+    dual_value = coupling.weights_x @ coupling.dual_x + coupling.weights_y @ coupling.dual_y
+    assert dual_value == pytest.approx(coupling.value, abs=1e-9)
+    plan_cost = sum(mass * cost[i, j] for i, j, mass in coupling.entries)
+    assert plan_cost == pytest.approx(coupling.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("alphabet_size, m", [(2, 5), (2, 6), (3, 3)])
+@pytest.mark.parametrize("concentration", [1.0, 0.05])
+def test_flow_matches_simplex_on_dense_hamming_cost(rng, alphabet_size, m, concentration):
+    # Dirichlet(0.05) laws put most atoms near 1e-30: they fail at the
+    # default HiGHS tolerances, so they guard the tightened ones
+    atoms = all_atoms(alphabet_size, m)
+    cost = _dense_hamming(atoms, atoms)
+    for _ in range(4):
+        # floored at 1e-300 so the simplex core (strictly positive masses) takes them too
+        mu = np.maximum(rng.dirichlet(np.full(len(atoms), concentration)), 1e-300)
+        nu = np.maximum(rng.dirichlet(np.full(len(atoms), concentration)), 1e-300)
+        coupling = dbar_exact(mu, nu, m, alphabet_size=alphabet_size)
+        assert coupling.engine == "hamming-flow"
+        simplex_value, _, _, _ = solve_transport(mu, nu, cost)
+        assert coupling.value == pytest.approx(simplex_value, abs=1e-9)
+        _assert_certified(coupling, cost)
+
+
+def test_engine_switches_above_sixteen_atoms(rng):
+    for m, engine in ((4, "simplex"), (5, "hamming-flow")):
+        mu = rng.dirichlet(np.ones(2 ** m))
+        nu = rng.dirichlet(np.ones(2 ** m))
+        coupling = dbar_exact(mu, nu, m)
+        assert coupling.engine == engine
+        assert coupling.to_json()["engine"] == engine
+
+
+def test_flow_product_laws_1024_atoms_equal_tv(rng):
+    for _ in range(2):
+        p = rng.dirichlet(np.ones(2))
+        q = rng.dirichlet(np.ones(2))
+        coupling = dbar_exact(_product_law(p, 10), _product_law(q, 10), 10)
+        assert coupling.engine == "hamming-flow"
+        assert coupling.value == pytest.approx(tv(p, q), abs=1e-9)
+        coupling.validate()
+
+
+def test_flow_ragged_supports_and_zero_mass_atoms(rng):
+    cube = all_atoms(2, 5)
+    for _ in range(5):
+        ix = rng.choice(32, size=int(rng.integers(6, 20)), replace=False)
+        iy = rng.choice(32, size=int(rng.integers(6, 20)), replace=False)
+        atoms_x = [cube[i] for i in ix]
+        atoms_y = [cube[i] for i in iy]
+        wx = rng.dirichlet(np.ones(len(ix)))
+        wy = rng.dirichlet(np.ones(len(iy)))
+        wx[:2] = 0.0   # listed atoms carrying no mass
+        wy[-1] = 0.0
+        wx /= wx.sum()
+        wy /= wy.sum()
+        coupling = dbar_between(atoms_x, wx, atoms_y, wy)
+        assert coupling.engine == "hamming-flow"
+        cost = _dense_hamming(atoms_x, atoms_y)
+        assert coupling.value == pytest.approx(lp_oracle(wx, wy, cost), abs=1e-9)
+        _assert_certified(coupling, cost)
+
+
+def test_flow_at_the_atom_cap(rng):
+    m = 12
+    mu = rng.dirichlet(np.ones(2 ** m))
+    nu = rng.dirichlet(np.ones(2 ** m))
+    coupling = dbar_exact(mu, nu, m)
+    assert coupling.engine == "hamming-flow"
+    coupling.validate()
+    record = coupling.to_json()
+    assert float(record["dual_value"]) == pytest.approx(coupling.value, abs=1e-9)
+    atoms = np.asarray(coupling.atoms_x)
+    i, j, mass = (np.array(col) for col in zip(*coupling.entries))
+    plan_cost = float(mass @ (atoms[i] != atoms[j]).mean(axis=1))
+    assert plan_cost == pytest.approx(coupling.value, abs=1e-9)
+    # dual feasibility on a sample of the 2^24 atom pairs
+    x, y = rng.integers(0, 2 ** m, size=(2, 20_000))
+    slack = (atoms[x] != atoms[y]).mean(axis=1) - coupling.dual_x[x] - coupling.dual_y[y]
+    assert slack.min() >= -1e-9
+
+
+def test_empirical_flow_engine_matches_lp_oracle(rng):
+    x = rng.integers(0, 2, size=(400, 5))
+    y = (rng.random((400, 5)) < 0.3).astype(np.int64)
+    est = dbar_empirical(x, y, bootstrap=10, seed=3)
+    assert est.engine == "hamming-flow"
+    atoms_x, counts_x = np.unique(x, axis=0, return_counts=True)
+    atoms_y, counts_y = np.unique(y, axis=0, return_counts=True)
+    want = lp_oracle(counts_x / 400, counts_y / 400, _dense_hamming(atoms_x, atoms_y))
+    assert est.estimate == pytest.approx(want, abs=1e-9)
+    assert est.ci_low <= est.estimate <= est.ci_high
+
+
+def test_empirical_certifies_every_solve(rng, monkeypatch):
+    small = rng.integers(0, 2, size=(100, 3))   # 8-atom cube: simplex
+    large = rng.integers(0, 2, size=(100, 5))   # 32-atom cube: flow
+    real_simplex = transport.solve_transport
+    real_flow = transport._hamming_flow
+    calls = {"simplex": 0, "flow": 0}
+
+    def off_simplex(*args, **kwargs):
+        calls["simplex"] += 1
+        value, alloc, u, v = real_simplex(*args, **kwargs)
+        return (value + 1e-3 if calls["simplex"] > 1 else value), alloc, u, v
+
+    def off_flow(*args):
+        calls["flow"] += 1
+        flow, phi = real_flow(*args)
+        return flow, (phi * 1.01 if calls["flow"] > 1 else phi)
+
+    monkeypatch.setattr(transport, "solve_transport", off_simplex)
+    monkeypatch.setattr(transport, "_hamming_flow", off_flow)
+    # the point solve is exact; the first bootstrap replicate is not
+    with pytest.raises(NonConvergenceError):
+        dbar_empirical(small, small[::-1].copy(), bootstrap=5, seed=0)
+    with pytest.raises(NonConvergenceError):
+        dbar_empirical(large, large[::-1].copy(), bootstrap=5, seed=0)
