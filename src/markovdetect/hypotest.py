@@ -16,7 +16,11 @@ replace sampling whenever they apply, all computed in log space:
   classical count-matrix formula for the number of sequences realizing a
   given transition tally.
 
-Monte Carlo remains the general path and is vectorized across trials.
+Monte Carlo remains the general path and is vectorized across trials.  Its
+Markov walk draws each next symbol by inverse-CDF lookup through a guide
+table (Chen & Asau 1974): an exact search that returns the same symbol as a
+comparison against the whole cumulative row and consumes the same uniforms,
+so statistics and thresholds do not depend on the lookup.
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ from .util import spawn_rng
 SEQ_ATOM_CAP = 4096
 IID_LATTICE_CAP = 400_000
 CHAIN_LATTICE_NMAX = 2048
+GUIDE_CELL_CAP = 1 << 20
 _TIE_TOL = 1e-15
 
 
@@ -332,8 +337,39 @@ def _log_matrix(rows: np.ndarray) -> np.ndarray:
         return np.log(rows)
 
 
+def _guide_size(a: int, n_ctx: int) -> int:
+    """Guide cells per row: the smallest power of two >= ``a``, shrunk so the
+    table keeps at most ``GUIDE_CELL_CAP`` cells."""
+    g = 1 << max(a - 1, 0).bit_length()
+    while g > 1 and n_ctx * g > GUIDE_CELL_CAP:
+        g //= 2
+    return g
+
+
+def _guide_table(cum: np.ndarray, g: int) -> np.ndarray:
+    """``guide[s, b] = #{j : cum[s, j] < b / g}`` for a power of two ``g``.
+
+    ``cum < b / g`` holds exactly when ``floor(cum * g) < b``, and scaling by a
+    power of two is exact, so the table needs no float comparison at the cell
+    edges: each cumulative sum counts toward every cell from
+    ``floor(cum * g) + 1`` on.
+    """
+    n_ctx = len(cum)
+    first = np.minimum(np.floor(cum * g).astype(np.int64) + 1, g)
+    first += (np.arange(n_ctx, dtype=np.int64) * (g + 1))[:, None]
+    hits = np.bincount(first.ravel(), minlength=n_ctx * (g + 1))
+    return np.cumsum(hits.reshape(n_ctx, g + 1)[:, :g], axis=1)
+
+
 def _mc_stats_fast(sample_model, p_model, q_model, n, trials, rng):
-    """Vectorized statistics for same-order models on a shared alphabet."""
+    """Vectorized statistics for same-order models on a shared alphabet.
+
+    Each walk step draws the next symbol of every trial as
+    ``#{j : cum[state, j] < u}`` (clamped to ``a - 1``) from one uniform ``u``
+    per trial.  A guide table gives the count at ``u``'s cell edge, and a short
+    scan over the padded cumulative rows finishes it, so the draws are those
+    of a full comparison against the row.
+    """
     a = sample_model.alphabet.size
     k = sample_model.order
     if k == 0:
@@ -342,15 +378,31 @@ def _mc_stats_fast(sample_model, p_model, q_model, n, trials, rng):
         lq = _log_weighted(counts, _log_matrix(q_model.row(())))
         return _stats_from_ll(lp, lq, n)
     ctxs = sorted(sample_model.transitions)
+    n_ctx = len(ctxs)
     code = {c: i for i, c in enumerate(ctxs)}
     rows = np.stack([sample_model.transitions[c] for c in ctxs])
     cum = np.cumsum(rows, axis=1)
-    wp = np.full((len(ctxs), a), np.nan)
-    wq = np.full((len(ctxs), a), np.nan)
+    g = _guide_size(a, n_ctx)
+    # rows are padded with one column: +inf ends every scan, and the weights
+    # and successor there repeat column a-1, which clamps u > cum[s, a-1]
+    width = a + 1
+    cpad = np.hstack([cum, np.full((n_ctx, 1), np.inf)]).ravel()
+    wp = np.full((n_ctx, width), np.nan)
+    wq = np.full((n_ctx, width), np.nan)
+    # walk states are guide row offsets s * g; -1 marks a context with no row
+    succ = np.full((n_ctx, width), -1, dtype=np.int64)
     for i, c in enumerate(ctxs):
         if c in p_model.transitions and c in q_model.transitions:
-            wp[i] = _log_matrix(p_model.transitions[c])
-            wq[i] = _log_matrix(q_model.transitions[c])
+            wp[i, :a] = _log_matrix(p_model.transitions[c])
+            wq[i, :a] = _log_matrix(q_model.transitions[c])
+        for sym in range(a):
+            nxt = code.get(c[1:] + (sym,))
+            succ[i, sym] = -1 if nxt is None else nxt * g
+    for padded in (wp, wq, succ):
+        padded[:, a] = padded[:, a - 1]
+    wp, wq, succ = wp.ravel(), wq.ravel(), succ.ravel()
+    guide = (_guide_table(cum, g)
+             + (np.arange(n_ctx, dtype=np.int64) * width)[:, None]).ravel()
     init_items = sorted(sample_model.init.items())
     init_atoms = [c for c, _ in init_items]
     init_cum = np.cumsum([p for _, p in init_items])
@@ -360,28 +412,25 @@ def _mc_stats_fast(sample_model, p_model, q_model, n, trials, rng):
     pick = np.minimum(pick, len(init_atoms) - 1)
     lp = atom_lp[pick].astype(float)
     lq = atom_lq[pick].astype(float)
-    missing = np.array([c not in code for c in init_atoms])
-    if missing.any() and missing[pick].any():
+    state = np.array([code.get(c, -1) for c in init_atoms], dtype=np.int64)[pick]
+    if (state < 0).any():
         raise UnseenContextError("sampled initial context has no transition row")
-    state = np.array([code[c] for c in init_atoms], dtype=np.int64)[pick]
-    succ = np.full((len(ctxs), a), -1, dtype=np.int64)
-    for i, c in enumerate(ctxs):
-        for sym in range(a):
-            nxt = code.get(c[1:] + (sym,))
-            succ[i, sym] = -1 if nxt is None else nxt
+    state *= g
     for _ in range(n - k):
         u = rng.random(trials)
-        nxt_sym = (u[:, None] > cum[state]).sum(axis=1)
-        np.minimum(nxt_sym, a - 1, out=nxt_sym)
-        step_p = wp[state, nxt_sym]
-        step_q = wq[state, nxt_sym]
-        if np.isnan(step_p).any() or np.isnan(step_q).any():
-            raise UnseenContextError("walk reached a context one model cannot score")
-        lp = lp + step_p
-        lq = lq + step_q
-        state = succ[state, nxt_sym]
+        idx = guide[state + (u * g).astype(np.int64)]
+        scan = np.flatnonzero(u > cpad[idx])
+        while scan.size:
+            idx[scan] += 1
+            scan = scan[u[scan] > cpad[idx[scan]]]
+        lp += wp[idx]
+        lq += wq[idx]
+        state = succ[idx]
         if (state < 0).any():
             raise UnseenContextError("sampling walked into a context with no row")
+    # an unscorable step leaves nan in its trial's sums
+    if np.isnan(lp).any() or np.isnan(lq).any():
+        raise UnseenContextError("walk reached a context one model cannot score")
     return _stats_from_ll(lp, lq, n)
 
 
@@ -401,7 +450,7 @@ def _stats_from_ll(lp, lq, n):
     return stats
 
 
-def _mc_stats(sample_model, p_model, q_model, n, trials, rng, salt):
+def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
     same = (sample_model.order == p_model.order == q_model.order)
     if same:
         return _mc_stats_fast(sample_model, p_model, q_model, n, trials, rng)
@@ -410,6 +459,43 @@ def _mc_stats(sample_model, p_model, q_model, n, trials, rng, salt):
         seq = sample(sample_model, n, seed=int(rng.integers(2 ** 62)))
         out[t] = lrt_statistic(p_model, q_model, seq)
     return out
+
+
+def _exact_table(p_model, q_model, n, method):
+    """The exact statistic table for ``method``, or None to sample."""
+    if method == "mc":
+        return None
+    table = exact_statistic_table(p_model, q_model, n)
+    if table is None and method == "exact":
+        raise MarkovDetectError("no exact enumeration applies; use method='auto' or 'mc'")
+    return table
+
+
+def _threshold(p_model, q_model, n, epsilon, trials, seed, stream, table):
+    if table is not None:
+        stats, lp, _ = table
+        return _table_threshold(stats, lp, epsilon)
+    rng = spawn_rng(seed, 10, stream)
+    stats = np.sort(_mc_stats(p_model, p_model, q_model, n, trials, rng))
+    if stats[0] == stats[-1]:
+        warnings.warn("all calibration statistics coincide", DegenerateStatisticWarning)
+    return float(stats[int(epsilon * trials)])
+
+
+def _miss(p_model, q_model, n, threshold, trials, seed, epsilon, stream, table):
+    if table is not None:
+        stats, _, lq = table
+        log_beta = _table_log_beta(stats, lq, threshold)
+        beta = math.exp(log_beta) if log_beta > -math.inf else 0.0
+        return TestOutcome(n, epsilon, threshold, beta, log_beta,
+                           beta, beta, 0, "exact")
+    rng = spawn_rng(seed, 11, stream)
+    stats = _mc_stats(q_model, p_model, q_model, n, trials, rng)
+    misses = int((stats >= threshold).sum())
+    beta = misses / trials
+    lo, hi = _clopper_pearson(misses, trials)
+    log_beta = math.log(beta) if misses else -math.inf
+    return TestOutcome(n, epsilon, threshold, beta, log_beta, lo, hi, trials, "mc")
 
 
 def np_threshold(p_model: MarkovModel, q_model: MarkovModel, n: int, epsilon: float,
@@ -422,18 +508,8 @@ def np_threshold(p_model: MarkovModel, q_model: MarkovModel, n: int, epsilon: fl
     empirically over the calibration sample otherwise.
     """
     _check_test_args(n, epsilon, trials, method)
-    if method != "mc":
-        table = exact_statistic_table(p_model, q_model, n)
-        if table is not None:
-            stats, lp, _ = table
-            return _table_threshold(stats, lp, epsilon)
-        if method == "exact":
-            raise MarkovDetectError("no exact enumeration applies; use method='auto' or 'mc'")
-    rng = spawn_rng(seed, 10, stream)
-    stats = np.sort(_mc_stats(p_model, p_model, q_model, n, trials, rng, 10))
-    if stats[0] == stats[-1]:
-        warnings.warn("all calibration statistics coincide", DegenerateStatisticWarning)
-    return float(stats[int(epsilon * trials)])
+    return _threshold(p_model, q_model, n, epsilon, trials, seed, stream,
+                      _exact_table(p_model, q_model, n, method))
 
 
 def miss_probability(p_model: MarkovModel, q_model: MarkovModel, n: int,
@@ -442,23 +518,8 @@ def miss_probability(p_model: MarkovModel, q_model: MarkovModel, n: int,
                      stream: int = 0) -> TestOutcome:
     """Probability that alternative-model text still looks null at the threshold."""
     _check_test_args(n, epsilon if epsilon is not None else 0.5, trials, method)
-    if method != "mc":
-        table = exact_statistic_table(p_model, q_model, n)
-        if table is not None:
-            stats, _, lq = table
-            log_beta = _table_log_beta(stats, lq, threshold)
-            beta = math.exp(log_beta) if log_beta > -math.inf else 0.0
-            return TestOutcome(n, epsilon, threshold, beta, log_beta,
-                               beta, beta, 0, "exact")
-        if method == "exact":
-            raise MarkovDetectError("no exact enumeration applies; use method='auto' or 'mc'")
-    rng = spawn_rng(seed, 11, stream)
-    stats = _mc_stats(q_model, p_model, q_model, n, trials, rng, 11)
-    misses = int((stats >= threshold).sum())
-    beta = misses / trials
-    lo, hi = _clopper_pearson(misses, trials)
-    log_beta = math.log(beta) if misses else -math.inf
-    return TestOutcome(n, epsilon, threshold, beta, log_beta, lo, hi, trials, "mc")
+    return _miss(p_model, q_model, n, threshold, trials, seed, epsilon, stream,
+                 _exact_table(p_model, q_model, n, method))
 
 
 def _clopper_pearson(k: int, n: int, conf: float = 0.95):
@@ -487,17 +548,22 @@ def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
     Grid points whose miss estimate is exactly zero carry no information and
     are excluded (and reported); at least three informative points remain or
     the fit refuses to run.  ``theory`` is the divergence rate of the pair.
+    ``method`` is ``"exact"`` when every grid point, excluded ones included,
+    was answered by an exact table, ``"mc"`` when none was and ``"mixed"``
+    otherwise.
     """
     n_grid = sorted(int(n) for n in n_grid)
     if len(set(n_grid)) != len(n_grid):
         raise ValueError("grid lengths must be distinct")
-    used_n, ys, thresholds, excluded = [], [], [], []
+    used_n, ys, thresholds, excluded, methods = [], [], [], [], set()
     for n in n_grid:
-        thr = np_threshold(p_model, q_model, n, epsilon, trials, seed,
-                           method=method, stream=n)
-        outcome = miss_probability(p_model, q_model, n, thr, trials, seed,
-                                   epsilon=epsilon, method=method, stream=n)
+        _check_test_args(n, epsilon, trials, method)
+        table = _exact_table(p_model, q_model, n, method)
+        thr = _threshold(p_model, q_model, n, epsilon, trials, seed, n, table)
+        outcome = _miss(p_model, q_model, n, thr, trials, seed, epsilon, n, table)
+        del table  # free it before the next point builds its own
         thresholds.append(thr)
+        methods.add(outcome.method)
         if outcome.log_beta == -math.inf:
             excluded.append(n)
             continue
@@ -515,8 +581,6 @@ def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
     resid = yv - (ybar + slope * (xs - xbar))
     dof = len(xs) - 2
     stderr = float(math.sqrt(max(float((resid ** 2).sum()), 0.0) / dof / sxx)) if dof else math.nan
-    outcome_method = "exact" if exact_statistic_table(p_model, q_model, n_grid[0]) is not None \
-        and method != "mc" else "mc"
     return ExponentFit(
         epsilon=epsilon,
         n_grid=tuple(used_n),
@@ -526,7 +590,7 @@ def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
         slope_stderr=stderr,
         theory=kl_rate(p_model, q_model),
         excluded=tuple(excluded),
-        method=outcome_method,
+        method=methods.pop() if len(methods) == 1 else "mixed",
     )
 
 
@@ -556,8 +620,8 @@ def bayes_error(p_model: MarkovModel, q_model: MarkovModel, n: int,
         t_q = max(1, trials - t_p)
         rng_p = spawn_rng(seed, 12, 0)
         rng_q = spawn_rng(seed, 12, 1)
-        stats_p = _mc_stats(p_model, p_model, q_model, n, t_p, rng_p, 12)
-        stats_q = _mc_stats(q_model, p_model, q_model, n, t_q, rng_q, 13)
+        stats_p = _mc_stats(p_model, p_model, q_model, n, t_p, rng_p)
+        stats_q = _mc_stats(q_model, p_model, q_model, n, t_q, rng_q)
         margin = (log_pi1 - log_pi0) / n
         err_p = float((stats_p < margin).mean())      # null text called generated
         err_q = float((stats_q >= margin).mean())     # generated text called null

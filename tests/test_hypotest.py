@@ -4,9 +4,20 @@ import warnings
 import numpy as np
 import pytest
 
-from markovdetect.corpus import TokenSeq
-from markovdetect.errors import DegenerateStatisticWarning, MarkovDetectError
+from markovdetect import hypotest
+from markovdetect.corpus import Alphabet, TokenSeq
+from markovdetect.errors import (
+    DegenerateStatisticWarning,
+    MarkovDetectError,
+    UnseenContextError,
+)
 from markovdetect.hypotest import (
+    CHAIN_LATTICE_NMAX,
+    _guide_table,
+    _init_log,
+    _log_matrix,
+    _mc_stats_fast,
+    _stats_from_ll,
     _table_binary_chain,
     _table_iid,
     _table_sequences,
@@ -18,7 +29,7 @@ from markovdetect.hypotest import (
     np_threshold,
 )
 from markovdetect.infometrics import chernoff, kl_rate
-from markovdetect.markov import chain_model, iid_model, sample
+from markovdetect.markov import MarkovModel, chain_model, fit_empirical, iid_model, sample
 
 
 def _aggregate(table):
@@ -192,6 +203,150 @@ def test_invalid_arguments(fair_vs_biased):
         np_threshold(p, q, 10, 0.1, trials=10, method="mc")
 
 
+# -- Monte Carlo walk -------------------------------------------------------
+
+
+def _comparison_walk(sample_model, p_model, q_model, n, trials, rng):
+    """Reference walk for order >= 1: each symbol is ``#{j : cum[state, j] < u}``
+    counted by comparing ``u`` against the whole cumulative row."""
+    a = sample_model.alphabet.size
+    k = sample_model.order
+    ctxs = sorted(sample_model.transitions)
+    code = {c: i for i, c in enumerate(ctxs)}
+    cum = np.cumsum(np.stack([sample_model.transitions[c] for c in ctxs]), axis=1)
+    wp = np.full((len(ctxs), a), np.nan)
+    wq = np.full((len(ctxs), a), np.nan)
+    for i, c in enumerate(ctxs):
+        if c in p_model.transitions and c in q_model.transitions:
+            wp[i] = _log_matrix(p_model.transitions[c])
+            wq[i] = _log_matrix(q_model.transitions[c])
+    init_items = sorted(sample_model.init.items())
+    init_atoms = [c for c, _ in init_items]
+    init_cum = np.cumsum([p for _, p in init_items])
+    atom_lp = np.array([_init_log(p_model, c) for c in init_atoms])
+    atom_lq = np.array([_init_log(q_model, c) for c in init_atoms])
+    pick = np.searchsorted(init_cum, rng.random(trials) * init_cum[-1])
+    pick = np.minimum(pick, len(init_atoms) - 1)
+    lp = atom_lp[pick].astype(float)
+    lq = atom_lq[pick].astype(float)
+    state = np.array([code[c] for c in init_atoms], dtype=np.int64)[pick]
+    succ = np.full((len(ctxs), a), -1, dtype=np.int64)
+    for i, c in enumerate(ctxs):
+        for sym in range(a):
+            succ[i, sym] = code.get(c[1:] + (sym,), -1)
+    for _ in range(n - k):
+        u = rng.random(trials)
+        nxt_sym = (u[:, None] > cum[state]).sum(axis=1)
+        np.minimum(nxt_sym, a - 1, out=nxt_sym)
+        step_p = wp[state, nxt_sym]
+        step_q = wq[state, nxt_sym]
+        assert not (np.isnan(step_p).any() or np.isnan(step_q).any())
+        lp = lp + step_p
+        lq = lq + step_q
+        state = succ[state, nxt_sym]
+        assert (state >= 0).all()
+    return _stats_from_ll(lp, lq, n)
+
+
+class _EdgeRng:
+    """Uniforms in which every third draw is the largest double below 1 and
+    every third is 0.5, a cumulative sum that ties with ``u``."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        u = self._rng.random(size)
+        u[::3] = np.nextafter(1.0, 0.0)
+        u[1::3] = 0.5
+        return u
+
+
+def _alphabet(a):
+    return Alphabet(tuple(f"s{i}" for i in range(a)))
+
+
+def _cyclic_fit(rng, a, length, smoothing):
+    """Order-1 fit on text holding every symbol that repeats its first token
+    at the end, so every context has a row."""
+    toks = np.concatenate([np.arange(a), rng.choice(a, size=length)])
+    toks = np.concatenate([toks, toks[:1]])
+    return fit_empirical(TokenSeq(toks), 1, _alphabet(a), smoothing=smoothing)
+
+
+def _walk_cases():
+    rng = np.random.default_rng(77)
+    text = rng.choice(17, size=30_000, p=rng.dirichlet(np.ones(17)))
+    smoothed_p = fit_empirical(TokenSeq(text), 2, _alphabet(17), smoothing=0.01)
+    smoothed_q = fit_empirical(TokenSeq(text), 2, _alphabet(17), smoothing=0.5)
+    sparse_p = _cyclic_fit(rng, 5, 40, 0.0)
+    sparse_q = _cyclic_fit(rng, 5, 3000, 0.1)
+    binary_p = chain_model(np.array([[0.7, 0.3], [0.4, 0.6]]))
+    binary_q = chain_model(np.array([[0.3, 0.7], [0.6, 0.4]]))
+    dirichlet = {a: [chain_model(rng.dirichlet(np.full(a, 0.1), size=a)) for _ in range(2)]
+                 for a in (3, 40)}
+    # rows within the model's 1e-9 tolerance of a distribution, cumulative
+    # sums ending below 1, so the edge uniforms overshoot the last column
+    short = MarkovModel(1, _alphabet(3), {
+        (0,): np.array([0.2, 0.3, 0.5 - 4e-10]),
+        (1,): np.array([0.6, 0.0, 0.4 - 4e-10]),
+        (2,): np.array([0.1, 0.0, 0.9 - 4e-10]),
+    }, {(0,): 0.5, (2,): 0.5})
+    short_q = chain_model(np.array([[0.3, 0.3, 0.4], [0.5, 0.2, 0.3], [0.2, 0.2, 0.6]]))
+    return {
+        "17-symbol order-2 smoothed": (smoothed_p, smoothed_q, 60, np.random.default_rng),
+        "unsmoothed with zeros": (sparse_p, sparse_q, 80, np.random.default_rng),
+        "binary order-1": (binary_p, binary_q, 50, np.random.default_rng),
+        "a=3 sparse": (*dirichlet[3], 40, np.random.default_rng),
+        "a=40 sparse": (*dirichlet[40], 30, np.random.default_rng),
+        "rows ending below 1": (short, short_q, 40, _EdgeRng),
+    }
+
+
+@pytest.mark.parametrize("guide_cap", [hypotest.GUIDE_CELL_CAP, 1])
+def test_guide_walk_matches_comparison_walk(monkeypatch, guide_cap):
+    """The guide-table walk returns bit-identical statistics to the full
+    comparison walk from the same uniforms, whatever the guide size."""
+    monkeypatch.setattr(hypotest, "GUIDE_CELL_CAP", guide_cap)
+    for name, (p, q, n, make_rng) in _walk_cases().items():
+        for sample_model in (p, q):
+            got = _mc_stats_fast(sample_model, p, q, n, 2000, make_rng(5))
+            want = _comparison_walk(sample_model, p, q, n, 2000, make_rng(5))
+            assert np.array_equal(got, want), name
+
+
+def test_guide_table_counts_cell_edges():
+    cum = np.cumsum([[0.25, 0.25, 0.5], [0.0, 0.375, 0.625], [0.1, 0.2, 0.7]], axis=1)
+    for g in (1, 2, 4, 8):
+        edges = np.arange(g) / g
+        want = (cum[:, None, :] < edges[None, :, None]).sum(axis=2)
+        assert np.array_equal(_guide_table(cum, g), want)
+
+
+def test_walk_refuses_context_the_alternative_cannot_score():
+    p = chain_model(np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]))
+    q = MarkovModel(1, p.alphabet, {(0,): np.array([0.4, 0.4, 0.2]),
+                                    (1,): np.array([0.3, 0.3, 0.4])},
+                    {(0,): 0.5, (1,): 0.5})
+    with pytest.raises(UnseenContextError, match="cannot score"):
+        np_threshold(p, q, 50, 0.1, trials=1000, method="mc")
+
+
+def test_walk_ignores_unsampled_initial_context_without_row():
+    rows = {(0,): np.array([0.6, 0.4, 0.0]), (1,): np.array([0.3, 0.7, 0.0])}
+    p = MarkovModel(1, _alphabet(3), rows, {(0,): 0.5, (1,): 0.5, (2,): 1e-12})
+    q = MarkovModel(1, _alphabet(3), rows, {(0,): 0.5, (1,): 0.5})
+    stats = _mc_stats_fast(p, p, q, 20, 1000, np.random.default_rng(0))
+    assert np.array_equal(stats, np.zeros(1000))
+
+
+def test_walk_refuses_successor_without_row():
+    rows = {(0,): np.array([0.5, 0.5, 0.0]), (1,): np.array([0.0, 0.5, 0.5])}
+    p = MarkovModel(1, _alphabet(3), rows, {(0,): 1.0})
+    with pytest.raises(UnseenContextError, match="no row"):
+        np_threshold(p, p, 50, 0.1, trials=1000, method="mc")
+
+
 # -- exponent fits ----------------------------------------------------------
 
 
@@ -233,6 +388,19 @@ def test_exponent_fit_reports_grid(fair_vs_biased):
     assert len(fit.thresholds) == 3
     assert fit.excluded == ()
     assert all(y > 0 for y in fit.neg_log_beta)
+
+
+def test_exponent_fit_labels_grid_straddling_chain_lattice():
+    """A binary order-1 grid on both sides of the chain lattice's reach mixes
+    exact and Monte Carlo points, and its label says so."""
+    p = chain_model(np.array([[0.51, 0.49], [0.485, 0.515]]))
+    q = chain_model(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    grid = [200, CHAIN_LATTICE_NMAX + 1, CHAIN_LATTICE_NMAX + 200]
+    fit = exponent_fit(p, q, 0.5, grid, trials=1000)
+    assert fit.n_grid == tuple(grid)
+    assert fit.method == "mixed"
+    assert exponent_fit(p, q, 0.5, [200, 400, 800], trials=1000).method == "exact"
+    assert exponent_fit(p, q, 0.5, grid, trials=1000, method="mc").method == "mc"
 
 
 def test_exponent_fit_needs_three_points(fair_vs_biased):
