@@ -37,7 +37,7 @@ from .markov import (
     log_likelihood,
 )
 from .transport import dbar_empirical, dbar_exact, l1_distance, tv
-from .util import config_hash, spawn_rng
+from .util import JsonRecord, config_hash, spawn_rng
 
 PROBE_ATOM_CAP = 4096
 _SLACK = 1e-12
@@ -118,38 +118,33 @@ def _close_gaps(model: MarkovModel) -> tuple[MarkovModel, int]:
     completion is reported so its size can be checked against train_len.
     """
     a = model.alphabet.size
-    uniform = np.full(a, 1.0 / a)
-    transitions = dict(model.transitions)
-    added = 0
-    frontier = list(model.init)
-    seen = set(frontier)
-    while frontier:
-        ctx = frontier.pop()
-        if ctx not in transitions:
-            transitions[ctx] = uniform.copy()
-            added += 1
-        row = transitions[ctx]
-        for sym in range(a):
-            if row[sym] > 0:
-                nxt = ctx[1:] + (sym,)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    if not added:
+    seen = frontier = model.init_codes
+    missing = []
+    while len(frontier):
+        index = model.lookup(frontier)
+        live = np.ones((len(frontier), a), dtype=bool)  # a missing row becomes uniform
+        live[index >= 0] = model.rows[index[index >= 0]] > 0
+        missing.append(frontier[index < 0])
+        frontier = np.setdiff1d(model.successors(frontier)[live], seen)
+        seen = np.union1d(seen, frontier)
+    missing = np.concatenate(missing)
+    if not len(missing):
         return model, 0
     closed = MarkovModel(
         order=model.order,
         alphabet=model.alphabet,
-        transitions=transitions,
-        init=dict(model.init),
+        codes=np.concatenate([model.codes, missing]),
+        rows=np.vstack([model.rows, np.full((len(missing), a), 1.0 / a)]),
+        init_codes=model.init_codes,
+        init_probs=model.init_probs,
         scheme=model.scheme,
         smoothing=model.smoothing,
     )
-    return closed, added
+    return closed, len(missing)
 
 
 @dataclass
-class ApproxRow:
+class ApproxRow(JsonRecord):
     train_len: int
     order: int
     dbar_estimate: float
@@ -158,18 +153,6 @@ class ApproxRow:
     bound: float
     violation: bool
     completed_rows: int
-
-    def to_json(self) -> dict:
-        return {
-            "train_len": self.train_len,
-            "order": self.order,
-            "dbar_estimate": self.dbar_estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "bound": self.bound,
-            "violation": self.violation,
-            "completed_rows": self.completed_rows,
-        }
 
 
 @dataclass
@@ -280,14 +263,11 @@ def _model_windows(model: MarkovModel, n_windows: int, width: int, seed: int) ->
 
 
 @dataclass
-class InequalityCheck:
+class InequalityCheck(JsonRecord):
     lhs: float
     rhs: float
     holds: bool
     note: str = ""
-
-    def to_json(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds, "note": self.note}
 
 
 def transport_vs_divergence_check(mu, nu, m: int, slack_constant: float = 0.0) -> InequalityCheck:
@@ -345,25 +325,16 @@ def forward_pinsker_holds(p, q) -> bool:
 
 
 @dataclass
-class ProbePoint:
+class ProbePoint(JsonRecord):
     index: int
     qmin: float
     dbar: float
     divergence: float
     ratio: float
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "qmin": self.qmin,
-            "dbar": self.dbar,
-            "divergence": self.divergence,
-            "ratio": self.ratio,
-        }
-
 
 @dataclass
-class ProbeReport:
+class ProbeReport(JsonRecord):
     """Evidence record for the divergence-vs-squared-transport ratio."""
 
     alphabet_size: int
@@ -381,21 +352,6 @@ class ProbeReport:
     def __post_init__(self):
         if self.sup_ratio < 0:
             raise ValueError("sup ratio cannot be negative")
-
-    def to_json(self) -> dict:
-        return {
-            "alphabet_size": self.alphabet_size,
-            "window": self.window,
-            "sampler": self.sampler,
-            "seed": self.seed,
-            "instance_count": self.instance_count,
-            "excluded": self.excluded,
-            "violations": self.violations,
-            "sup_ratio": self.sup_ratio,
-            "argmax": self.argmax,
-            "points": [p.to_json() for p in self.points],
-            "config_digest": self.config_digest,
-        }
 
     def scatter_csv(self) -> str:
         lines = ["qmin,dbar,kl,ratio"]
@@ -477,7 +433,7 @@ def divergence_transport_probe(
 
 
 @dataclass
-class FittedDivergenceResult:
+class FittedDivergenceResult(JsonRecord):
     train_len: int
     order: int
     constant: float
@@ -488,20 +444,6 @@ class FittedDivergenceResult:
     infinite_flag: bool
     consistent: bool
     completed_rows: int
-
-    def to_json(self) -> dict:
-        return {
-            "train_len": self.train_len,
-            "order": self.order,
-            "constant": self.constant,
-            "rhs": self.rhs,
-            "d_estimate": self.d_estimate,
-            "window": self.window,
-            "n_windows": self.n_windows,
-            "infinite_flag": self.infinite_flag,
-            "consistent": self.consistent,
-            "completed_rows": self.completed_rows,
-        }
 
 
 def fitted_divergence_eval(

@@ -137,13 +137,13 @@ def cmd_train(args) -> int:
         "alphabet_size": alphabet.size,
         "order": cfg["order"],
         "scheme": cfg["scheme"],
-        "distinct_contexts": len(model.transitions),
+        "distinct_contexts": len(model.codes),
         "smoothing": cfg["smoothing"],
     }
     dump_json(out / "train_summary.json", summary)
     _write_run_files(out, "train", cfg)
     print(f"trained order-{cfg['order']} model on {len(seq)} tokens "
-          f"({alphabet.size} symbols, {len(model.transitions)} contexts) -> {out / 'model.json'}")
+          f"({alphabet.size} symbols, {len(model.codes)} contexts) -> {out / 'model.json'}")
     return 0
 
 
@@ -301,7 +301,7 @@ def cmd_ct_bound(args) -> int:
 def cmd_probe(args) -> int:
     cfg = _resolve(args, {
         "alphabet_size": 2, "window": 1, "instances": 1000,
-        "sampler": "dirichlet-uniform", "seed": 0, "workers": None, "out": None,
+        "sampler": "dirichlet-uniform", "seed": 0, "out": None,
     })
     out = _out_dir(cfg)
     report = divergence_transport_probe(
@@ -379,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON file of settings (flags win)")
         p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or ./runs)")
-        p.add_argument("--workers", type=int,
-                       help="parallelism cap; results never depend on it")
         return p
 
     p = add("train", cmd_train, "fit an empirical Markov model on a text file")

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .infometrics import chernoff, kl_rate
 from .markov import MarkovModel, log_likelihood, sample, sequence_distribution
-from .util import spawn_rng
+from .util import JsonRecord, spawn_rng
 
 SEQ_ATOM_CAP = 4096
 IID_LATTICE_CAP = 400_000
@@ -67,7 +67,7 @@ def lrt_statistic(p_model: MarkovModel, q_model: MarkovModel, seq) -> float:
 
 
 @dataclass
-class TestOutcome:
+class TestOutcome(JsonRecord):
     """Result of one calibrated miss-probability evaluation."""
 
     n: int
@@ -85,22 +85,9 @@ class TestOutcome:
                 and self.beta_hat <= self.ci_high + 1e-12 and self.ci_high <= 1.0 + 1e-12):
             raise ValueError("confidence bounds must bracket the estimate")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "threshold": self.threshold,
-            "beta_hat": self.beta_hat,
-            "log_beta": self.log_beta,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "trials": self.trials,
-            "method": self.method,
-        }
-
 
 @dataclass
-class ExponentFit:
+class ExponentFit(JsonRecord):
     """Least-squares slope of -ln(miss) against n, with the theory value."""
 
     epsilon: float
@@ -113,22 +100,9 @@ class ExponentFit:
     excluded: tuple[int, ...]
     method: str
 
-    def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "n_grid": list(self.n_grid),
-            "neg_log_beta": list(self.neg_log_beta),
-            "thresholds": list(self.thresholds),
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "theory": self.theory,
-            "excluded": list(self.excluded),
-            "method": self.method,
-        }
-
 
 @dataclass
-class BayesErrorEstimate:
+class BayesErrorEstimate(JsonRecord):
     n: int
     prior: float
     estimate: float
@@ -136,18 +110,19 @@ class BayesErrorEstimate:
     exponent_bound: float | None
     method: str
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "prior": self.prior,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "exponent_bound": self.exponent_bound,
-            "method": self.method,
-        }
-
 
 # -- exact statistic tables -------------------------------------------------
+
+
+def _llr_stats(lp, lq, n):
+    """Per-token statistic (lp - lq) / n: +inf where only lq is -inf, -inf
+    where only lp is, and nan where both are."""
+    stats = np.full(len(lp), np.nan)
+    fp, fq = np.isfinite(lp), np.isfinite(lq)
+    stats[fp & fq] = (lp[fp & fq] - lq[fp & fq]) / n
+    stats[fp & ~fq] = np.inf
+    stats[~fp & fq] = -np.inf
+    return stats
 
 
 def _clean_table(stats, lp, lq):
@@ -162,18 +137,12 @@ def _clean_table(stats, lp, lq):
 
 
 def _table_sequences(p_model, q_model, n, cap=SEQ_ATOM_CAP):
-    a = p_model.alphabet.size
     vec_p = sequence_distribution(p_model, n, atom_cap=cap)
     vec_q = sequence_distribution(q_model, n, atom_cap=cap)
     with np.errstate(divide="ignore"):
         lp = np.log(vec_p)
         lq = np.log(vec_q)
-    stats = np.full(a ** n, np.nan)
-    both = np.isfinite(lp) & np.isfinite(lq)
-    stats[both] = (lp[both] - lq[both]) / n
-    stats[np.isfinite(lp) & ~np.isfinite(lq)] = np.inf
-    stats[~np.isfinite(lp) & np.isfinite(lq)] = -np.inf
-    return _clean_table(stats, lp, lq)
+    return _clean_table(_llr_stats(lp, lq, n), lp, lq)
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -208,16 +177,9 @@ def _table_iid(p_model, q_model, n, cap=IID_LATTICE_CAP):
     with np.errstate(divide="ignore"):
         lp_sym = np.log(p_model.row(()))
         lq_sym = np.log(q_model.row(()))
-    lp = log_coef + _log_weighted(counts, lp_sym)
-    lq = log_coef + _log_weighted(counts, lq_sym)
     num_p = _log_weighted(counts, lp_sym)
     num_q = _log_weighted(counts, lq_sym)
-    stats = np.full(len(counts), np.nan)
-    both = np.isfinite(num_p) & np.isfinite(num_q)
-    stats[both] = (num_p[both] - num_q[both]) / n
-    stats[np.isfinite(num_p) & ~np.isfinite(num_q)] = np.inf
-    stats[~np.isfinite(num_p) & np.isfinite(num_q)] = -np.inf
-    return _clean_table(stats, lp, lq)
+    return _clean_table(_llr_stats(num_p, num_q, n), log_coef + num_p, log_coef + num_q)
 
 
 def _lift_binary(model: MarkovModel):
@@ -225,9 +187,7 @@ def _lift_binary(model: MarkovModel):
     if model.order == 0:
         row = model.row(())
         return row.copy(), np.stack([row, row])
-    init = np.array([model.init.get((0,), 0.0), model.init.get((1,), 0.0)])
-    rows = np.stack([model.row((0,)), model.row((1,))])
-    return init, rows
+    return model.init_mass([0, 1]), model.rows_at([0, 1])
 
 
 def _table_binary_chain(p_model, q_model, n):
@@ -284,12 +244,7 @@ def _table_binary_chain(p_model, q_model, n):
 
             tp = model_terms(li_p, lr_p)
             tq = model_terms(li_q, lr_q)
-            stats = np.full(len(tp), np.nan)
-            both = np.isfinite(tp) & np.isfinite(tq)
-            stats[both] = (tp[both] - tq[both]) / n
-            stats[np.isfinite(tp) & ~np.isfinite(tq)] = np.inf
-            stats[~np.isfinite(tp) & np.isfinite(tq)] = -np.inf
-            parts.append((stats, log_count + tp, log_count + tq))
+            parts.append((_llr_stats(tp, tq, n), log_count + tp, log_count + tq))
     stats = np.concatenate([p[0] for p in parts])
     lp = np.concatenate([p[1] for p in parts])
     lq = np.concatenate([p[2] for p in parts])
@@ -376,12 +331,10 @@ def _mc_stats_fast(sample_model, p_model, q_model, n, trials, rng):
         counts = rng.multinomial(n, sample_model.row(()), size=trials)
         lp = _log_weighted(counts, _log_matrix(p_model.row(())))
         lq = _log_weighted(counts, _log_matrix(q_model.row(())))
-        return _stats_from_ll(lp, lq, n)
-    ctxs = sorted(sample_model.transitions)
+        return _sampled_stats(lp, lq, n)
+    ctxs = sample_model.codes
     n_ctx = len(ctxs)
-    code = {c: i for i, c in enumerate(ctxs)}
-    rows = np.stack([sample_model.transitions[c] for c in ctxs])
-    cum = np.cumsum(rows, axis=1)
+    cum = np.cumsum(sample_model.rows, axis=1)
     g = _guide_size(a, n_ctx)
     # rows are padded with one column: +inf ends every scan, and the weights
     # and successor there repeat column a-1, which clamps u > cum[s, a-1]
@@ -389,30 +342,28 @@ def _mc_stats_fast(sample_model, p_model, q_model, n, trials, rng):
     cpad = np.hstack([cum, np.full((n_ctx, 1), np.inf)]).ravel()
     wp = np.full((n_ctx, width), np.nan)
     wq = np.full((n_ctx, width), np.nan)
+    in_p, in_q = p_model.lookup(ctxs), q_model.lookup(ctxs)
+    both = (in_p >= 0) & (in_q >= 0)
+    wp[both, :a] = _log_matrix(p_model.rows[in_p[both]])
+    wq[both, :a] = _log_matrix(q_model.rows[in_q[both]])
     # walk states are guide row offsets s * g; -1 marks a context with no row
     succ = np.full((n_ctx, width), -1, dtype=np.int64)
-    for i, c in enumerate(ctxs):
-        if c in p_model.transitions and c in q_model.transitions:
-            wp[i, :a] = _log_matrix(p_model.transitions[c])
-            wq[i, :a] = _log_matrix(q_model.transitions[c])
-        for sym in range(a):
-            nxt = code.get(c[1:] + (sym,))
-            succ[i, sym] = -1 if nxt is None else nxt * g
+    nxt = sample_model.lookup(sample_model.successors(ctxs))
+    succ[:, :a] = np.where(nxt < 0, -1, nxt * g)
     for padded in (wp, wq, succ):
         padded[:, a] = padded[:, a - 1]
     wp, wq, succ = wp.ravel(), wq.ravel(), succ.ravel()
     guide = (_guide_table(cum, g)
              + (np.arange(n_ctx, dtype=np.int64) * width)[:, None]).ravel()
-    init_items = sorted(sample_model.init.items())
-    init_atoms = [c for c, _ in init_items]
-    init_cum = np.cumsum([p for _, p in init_items])
-    atom_lp = np.array([_init_log(p_model, c) for c in init_atoms])
-    atom_lq = np.array([_init_log(q_model, c) for c in init_atoms])
+    init_codes = sample_model.init_codes
+    init_cum = np.cumsum(sample_model.init_probs)
+    atom_lp = _init_log(p_model, init_codes)
+    atom_lq = _init_log(q_model, init_codes)
     pick = np.searchsorted(init_cum, rng.random(trials) * init_cum[-1])
-    pick = np.minimum(pick, len(init_atoms) - 1)
-    lp = atom_lp[pick].astype(float)
-    lq = atom_lq[pick].astype(float)
-    state = np.array([code.get(c, -1) for c in init_atoms], dtype=np.int64)[pick]
+    pick = np.minimum(pick, len(init_codes) - 1)
+    lp = atom_lp[pick]
+    lq = atom_lq[pick]
+    state = sample_model.lookup(init_codes)[pick]
     if (state < 0).any():
         raise UnseenContextError("sampled initial context has no transition row")
     state *= g
@@ -431,20 +382,17 @@ def _mc_stats_fast(sample_model, p_model, q_model, n, trials, rng):
     # an unscorable step leaves nan in its trial's sums
     if np.isnan(lp).any() or np.isnan(lq).any():
         raise UnseenContextError("walk reached a context one model cannot score")
-    return _stats_from_ll(lp, lq, n)
+    return _sampled_stats(lp, lq, n)
 
 
-def _init_log(model: MarkovModel, atom) -> float:
-    p = model.init.get(atom, 0.0)
-    return math.log(p) if p > 0 else -math.inf
+def _init_log(model: MarkovModel, codes) -> np.ndarray:
+    """Log initial probability of each k-gram code, -inf where it is 0."""
+    return np.array([math.log(p) if p > 0 else -math.inf
+                     for p in model.init_mass(codes).tolist()])
 
 
-def _stats_from_ll(lp, lq, n):
-    stats = np.full(len(lp), np.nan)
-    both = np.isfinite(lp) & np.isfinite(lq)
-    stats[both] = (lp[both] - lq[both]) / n
-    stats[np.isfinite(lp) & ~np.isfinite(lq)] = np.inf
-    stats[~np.isfinite(lp) & np.isfinite(lq)] = -np.inf
+def _sampled_stats(lp, lq, n):
+    stats = _llr_stats(lp, lq, n)
     if np.isnan(stats).any():
         raise ValueError("a sampled sequence is impossible under both models")
     return stats

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import AtomBudgetError, BoundInapplicableError, SupportViolationWarning
-from .markov import HiddenMarkovSource, MarkovModel, stationary
+from .markov import HiddenMarkovSource, MarkovModel, stationary, window_law
+from .util import decode
 
 PROB_TOL = 1e-12
 
@@ -128,57 +129,30 @@ def chernoff(p, q, tol: float = 1e-6) -> ChernoffInfo:
     return ChernoffInfo(-g(w), w)
 
 
-def _stationary_windows(model: MarkovModel, length: int, atom_cap: int, pi=None):
-    """(window, mass) pairs for the stationary law of ``length`` consecutive symbols."""
-    if pi is None:
-        pi = stationary(model)
-    k = model.order
-    if length < k:
-        raise ValueError("window shorter than model order")
-    out: list[tuple[tuple[int, ...], float]] = []
-
-    def extend(window: tuple[int, ...], mass: float):
-        if len(out) > atom_cap:
-            raise AtomBudgetError(f"stationary window enumeration exceeds cap {atom_cap}")
-        if len(window) == length:
-            out.append((window, mass))
-            return
-        row = model.row(window[-k:] if k else ())
-        for sym, pr in enumerate(row):
-            if pr > 0:
-                extend(window + (sym,), mass * pr)
-
-    for ctx, mass in pi.items():
-        if mass > 0:
-            extend(ctx, mass)
-    return out
-
-
 def kl_rate(p_model: MarkovModel, q_model: MarkovModel, atom_cap: int = 65536) -> float:
     """Per-token divergence rate of stationary chain p_model from q_model.
 
     Both conditionals are read off the longest context either model needs, and
-    averaged under p_model's stationary window law.  Equals ``kl`` of the rows
-    for order-0 pairs; +inf when q_model misses mass somewhere p_model walks.
+    averaged under p_model's stationary window law (:func:`window_law`).
+    Equals ``kl`` of the rows for order-0 pairs; +inf when q_model misses mass
+    somewhere p_model walks.
     """
     if p_model.alphabet.size != q_model.alphabet.size:
         raise ValueError("models must share an alphabet")
-    kp, kq = p_model.order, q_model.order
+    a, kp, kq = p_model.alphabet.size, p_model.order, q_model.order
     span = max(kp, kq)
-    total = 0.0
-    for window, mass in _stationary_windows(p_model, span, atom_cap):
-        row_p = p_model.row(window[span - kp:] if kp else ())
-        row_q = q_model.row(window[span - kq:] if kq else ())
-        for sym in range(p_model.alphabet.size):
-            pp = row_p[sym]
-            if pp > 0:
-                qq = row_q[sym]
-                if qq <= 0:
-                    warnings.warn("q_model assigns zero mass on p_model's support",
-                                  SupportViolationWarning)
-                    return math.inf
-                total += mass * pp * math.log(pp / qq)
-    return total
+    windows, mass = window_law(p_model, span, (p_model.codes, stationary(p_model)), atom_cap)
+    rows_p = p_model.rows_at(windows % a ** kp)
+    rows_q = q_model.rows_at(windows % a ** kq)
+    live = rows_p > 0
+    pp, qq = rows_p[live], rows_q[live]
+    if (qq <= 0).any():
+        warnings.warn("q_model assigns zero mass on p_model's support",
+                      SupportViolationWarning)
+        return math.inf
+    terms = np.broadcast_to(mass[:, None], live.shape)[live] * pp * np.log(pp / qq)
+    # cumsum adds the terms one by one in window-then-symbol order, like a loop
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 # -- continuity structure of a stationary source ---------------------------
@@ -285,25 +259,20 @@ def _conditional_table(source, m: int, pi=None) -> dict[tuple[int, ...], np.ndar
         return table
 
     if isinstance(source, MarkovModel):
-        k = source.order
+        a, k = source.alphabet.size, source.order
         if pi is None:
             pi = stationary(source)
+        codes, mass = window_law(source, max(m, k), (source.codes, pi), atom_cap=4 ** 12)
         if m >= k:
-            table = {}
-            for window, mass in _stationary_windows(source, m, atom_cap=4 ** 12, pi=pi):
-                if mass > 0:
-                    table[window] = source.row(window[m - k:] if k else ())
-            return table
-        groups: dict[tuple[int, ...], np.ndarray] = {}
-        weights: dict[tuple[int, ...], float] = {}
-        for ctx, mass in pi.items():
-            if mass <= 0:
-                continue
-            suffix = ctx[k - m:]
-            groups.setdefault(suffix, np.zeros(source.alphabet.size))
-            groups[suffix] += mass * source.transitions[ctx]
-            weights[suffix] = weights.get(suffix, 0.0) + mass
-        return {s: groups[s] / weights[s] for s in groups}
+            codes = codes[mass > 0]
+            rows = source.rows_at(codes % a ** k)
+        else:  # average the rows of the contexts that end in each length-m suffix
+            weighted = mass[:, None] * source.rows_at(codes)
+            codes, group = np.unique(codes % a ** m, return_inverse=True)
+            rows = np.zeros((len(codes), a))
+            np.add.at(rows, group, weighted)
+            rows /= np.bincount(group, weights=mass)[:, None]
+        return dict(zip(map(tuple, decode(codes, a, m).tolist()), rows))
 
     raise TypeError(f"unsupported source type {type(source).__name__}")
 

@@ -1,5 +1,16 @@
 """Finite-order Markov models and a hidden-Markov "genuine source" stand-in.
 
+A model of order ``k`` over ``a`` symbols holds one representation of its
+chain.  Contexts are int64 base-``a`` codes, first symbol most significant,
+so numeric order of codes equals lexicographic order of the context words.
+The model keeps the sorted codes of the contexts it has rows for, a dense
+``(n_contexts, a)`` matrix of transition rows in that order, and its initial
+k-gram law as sorted codes with their probabilities.
+:func:`markovdetect.util.encode` and :func:`markovdetect.util.decode` are the
+only conversions between codes and symbol tuples.  Codes must fit int64, so
+``a ** k <= 2 ** 63``: order at most 63 for two symbols, 15 for 17 and 7 for
+the 256-symbol byte scheme; longer orders raise :class:`AtomBudgetError`.
+
 The empirical estimator for a context of length ``k`` divides the count of
 ``context+symbol`` windows in the full sample by the count of ``context``
 windows in the sample minus its last position.  That denominator convention
@@ -13,78 +24,142 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Alphabet, TokenSeq, count_windows
+from .corpus import Alphabet, TokenSeq
 from .errors import AtomBudgetError, NonConvergenceError, UnseenContextError
-from .util import atom_to_index, dump_json, fmt17, load_json, spawn_rng
+from .util import check_code_length, decode, dump_json, encode, fmt17, load_json, spawn_rng
 
 DEFAULT_ATOM_CAP = 65536
 STATIONARY_TOL = 1e-10
 STATIONARY_MAX_ITER = 10 ** 6
 
 
-@dataclass
+def _find(keys: np.ndarray, codes) -> np.ndarray:
+    """Position of each code in the sorted ``keys``, -1 where it is absent."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if not len(keys):
+        return np.full(codes.shape, -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+    return np.where(keys[pos] == codes, pos, -1)
+
+
+def _by_code(codes, values):
+    """Codes as a sorted int64 vector, with ``values`` reordered to match."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1)
+    if (np.diff(codes) < 0).any():
+        order = np.argsort(codes, kind="stable")
+        return codes[order], values[order]
+    return codes, values
+
+
+@dataclass(eq=False)
 class MarkovModel:
-    """Order-``k`` chain: sparse transition rows plus an initial k-gram law."""
+    """Order-``k`` chain: transition rows for sorted context codes plus an
+    initial k-gram law (see the module docstring)."""
 
     order: int
     alphabet: Alphabet
-    transitions: dict[tuple[int, ...], np.ndarray]
-    init: dict[tuple[int, ...], float]
+    codes: np.ndarray  # (n_contexts,) sorted context codes
+    rows: np.ndarray  # (n_contexts, a) transition rows, in code order
+    init_codes: np.ndarray  # sorted k-gram codes of the initial law
+    init_probs: np.ndarray
     scheme: str | None = None
     smoothing: float = 0.0
 
     def __post_init__(self):
-        a = self.alphabet.size
-        for ctx, row in self.transitions.items():
-            row = np.asarray(row, dtype=float)
-            self.transitions[ctx] = row
-            if len(ctx) != self.order or row.shape != (a,):
-                raise ValueError("malformed transition row")
-            if row.min() < 0 or abs(row.sum() - 1.0) > 1e-9:
-                raise ValueError(f"transition row for {ctx} is not a distribution")
-        total = sum(self.init.values())
-        if abs(total - 1.0) > 1e-9:
+        a, k = self.alphabet.size, self.order
+        check_code_length(a, k)
+        n = np.size(self.codes)
+        self.codes, self.rows = _by_code(
+            self.codes, np.asarray(self.rows, dtype=float).reshape(n, a))
+        self.init_codes, self.init_probs = _by_code(
+            self.init_codes,
+            np.asarray(self.init_probs, dtype=float).reshape(np.size(self.init_codes)))
+        for codes in (self.codes, self.init_codes):
+            if len(codes) and (codes[0] < 0 or codes[-1] >= a ** k or (np.diff(codes) == 0).any()):
+                raise ValueError("context codes must be distinct and below alphabet_size**order")
+        if n:
+            bad = np.flatnonzero((self.rows.min(axis=1) < 0)
+                                 | (np.abs(self.rows.sum(axis=1) - 1.0) > 1e-9))
+            if len(bad):
+                raise ValueError(f"transition row for {self.context(self.codes[bad[0]])} "
+                                 "is not a distribution")
+        if abs(self.init_probs.sum() - 1.0) > 1e-9:
             raise ValueError("initial distribution does not sum to 1")
 
-    def row(self, context: tuple[int, ...]) -> np.ndarray:
-        try:
-            return self.transitions[context]
-        except KeyError:
-            raise UnseenContextError(
-                f"no transition row for context {context}; "
-                "refit with smoothing or more data"
-            ) from None
+    def context(self, code) -> tuple[int, ...]:
+        """The symbol tuple of one context code."""
+        return tuple(decode(code, self.alphabet.size, self.order).tolist())
 
-    def contexts(self) -> list[tuple[int, ...]]:
-        return sorted(self.transitions)
+    def lookup(self, codes) -> np.ndarray:
+        """Row index of each context code, -1 where the model has no row."""
+        return _find(self.codes, codes)
+
+    def rows_at(self, codes) -> np.ndarray:
+        """Transition rows of the given context codes; every one must have a row."""
+        index = self.lookup(codes)
+        if (index < 0).any():
+            missing = np.asarray(codes).reshape(-1)[np.argmax(index.reshape(-1) < 0)]
+            raise UnseenContextError(
+                f"no transition row for context {self.context(missing)}; "
+                "refit with smoothing or more data"
+            )
+        return self.rows[index]
+
+    def row(self, context: tuple[int, ...]) -> np.ndarray:
+        return self.rows_at(encode(context, self.alphabet.size))
+
+    def init_mass(self, codes) -> np.ndarray:
+        """Initial probability of each k-gram code, 0 where the law has no atom."""
+        index = _find(self.init_codes, codes)
+        return np.where(index >= 0, self.init_probs[index], 0.0)
+
+    def successors(self, codes) -> np.ndarray:
+        """(..., a) codes of the context each context moves to on each symbol."""
+        a, k = self.alphabet.size, self.order
+        codes = np.asarray(codes, dtype=np.int64)[..., None]
+        if k == 0:
+            return np.zeros(codes.shape[:-1] + (a,), dtype=np.int64)
+        return codes % a ** (k - 1) * a + np.arange(a)
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
+        a, k = self.alphabet.size, self.order
         return {
             "format": "markovdetect-model",
-            "order": self.order,
+            "order": k,
             "alphabet": self.alphabet.to_json(),
             "scheme": self.scheme,
             "smoothing": fmt17(self.smoothing),
-            "transitions": sorted(
-                [list(ctx), [fmt17(p) for p in row]]
-                for ctx, row in self.transitions.items()
-            ),
-            "init": sorted([list(ctx), fmt17(p)] for ctx, p in self.init.items()),
+            "transitions": [
+                [ctx, [fmt17(p) for p in row]]
+                for ctx, row in zip(decode(self.codes, a, k).tolist(), self.rows.tolist())
+            ],
+            "init": [
+                [ctx, fmt17(p)]
+                for ctx, p in zip(decode(self.init_codes, a, k).tolist(),
+                                  self.init_probs.tolist())
+            ],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "MarkovModel":
+        alphabet = Alphabet.from_json(obj["alphabet"])
+        k = obj["order"]
+
+        def codes(pairs):
+            ctxs = np.array([ctx for ctx, _ in pairs], dtype=np.int64)
+            return encode(ctxs.reshape(len(pairs), k), alphabet.size)
+
         return cls(
-            order=obj["order"],
-            alphabet=Alphabet.from_json(obj["alphabet"]),
-            transitions={
-                tuple(ctx): np.array([float(p) for p in row])
-                for ctx, row in obj["transitions"]
-            },
-            init={tuple(ctx): float(p) for ctx, p in obj["init"]},
+            order=k,
+            alphabet=alphabet,
+            codes=codes(obj["transitions"]),
+            rows=[[float(p) for p in row] for _, row in obj["transitions"]],
+            init_codes=codes(obj["init"]),
+            init_probs=[float(p) for _, p in obj["init"]],
             scheme=obj.get("scheme"),
             smoothing=float(obj.get("smoothing", 0.0)),
         )
@@ -102,7 +177,7 @@ def iid_model(probs, alphabet: Alphabet | None = None) -> MarkovModel:
     probs = np.asarray(probs, dtype=float)
     if alphabet is None:
         alphabet = Alphabet(tuple(f"s{i}" for i in range(len(probs))))
-    return MarkovModel(0, alphabet, {(): probs}, {(): 1.0})
+    return MarkovModel(0, alphabet, [0], probs[None, :], [0], [1.0])
 
 
 def chain_model(rows, init=None, alphabet: Alphabet | None = None) -> MarkovModel:
@@ -115,12 +190,12 @@ def chain_model(rows, init=None, alphabet: Alphabet | None = None) -> MarkovMode
     a = rows.shape[0]
     if alphabet is None:
         alphabet = Alphabet(tuple(f"s{i}" for i in range(a)))
-    transitions = {(i,): rows[i] for i in range(a)}
-    model = MarkovModel(1, alphabet, transitions, {(0,): 1.0} if init is None else
-                        {(i,): float(p) for i, p in enumerate(init)})
-    if init is None:
-        pi = stationary(model)
-        model.init = {ctx: p for ctx, p in pi.items() if p > 0}
+    codes = np.arange(a)
+    if init is not None:
+        return MarkovModel(1, alphabet, codes, rows, codes, init)
+    model = MarkovModel(1, alphabet, codes, rows, [0], [1.0])
+    pi = stationary(model)
+    model.init_codes, model.init_probs = codes[pi > 0], pi[pi > 0]
     return model
 
 
@@ -144,23 +219,17 @@ def fit_empirical(
         raise ValueError("smoothing must lie in [0, 1]")
     seq.validate(alphabet.size)
     a = alphabet.size
-    full = count_windows(seq, k + 1)
-    prefix = TokenSeq(seq.tokens[: m - 1])
-    ctx_counts = count_windows(prefix, k)
-
-    transitions: dict[tuple[int, ...], np.ndarray] = {}
-    for ctx, denom in ctx_counts.items():
-        row = np.zeros(a)
-        for sym in range(a):
-            row[sym] = full.get(ctx + (sym,), 0)
-        if smoothing > 0:
-            row = (row + smoothing) / (denom + smoothing * a)
-        else:
-            row = row / denom
-        transitions[ctx] = row
-    total = m - k
-    init = {ctx: cnt / total for ctx, cnt in ctx_counts.items()}
-    return MarkovModel(k, alphabet, transitions, init, scheme=scheme, smoothing=smoothing)
+    # the context of every position that starts a transition, then its symbol
+    contexts = encode(sliding_window_view(seq.tokens[: m - 1], k), a)
+    codes, which, denom = np.unique(contexts, return_inverse=True, return_counts=True)
+    counts = np.bincount(which * a + seq.tokens[k:], minlength=len(codes) * a)
+    counts = counts.reshape(len(codes), a)
+    if smoothing > 0:
+        rows = (counts + smoothing) / (denom + smoothing * a)[:, None]
+    else:
+        rows = counts / denom[:, None]
+    return MarkovModel(k, alphabet, codes, rows, codes, denom / (m - k),
+                       scheme=scheme, smoothing=smoothing)
 
 
 def log_likelihood(model: MarkovModel, seq: TokenSeq) -> float:
@@ -168,27 +237,35 @@ def log_likelihood(model: MarkovModel, seq: TokenSeq) -> float:
 
     Contexts with no fitted row raise :class:`UnseenContextError`; a zero
     probability inside an existing row (or an initial k-gram the model never
-    saw) is a legitimate value and yields ``-inf``.
+    saw) is a legitimate value and yields ``-inf``.  Whichever of the two
+    comes first in the sequence decides.  The logs are summed in sequence
+    order.
     """
-    k = model.order
-    toks = seq.tokens.tolist()
+    k, a = model.order, model.alphabet.size
+    toks = seq.tokens
     m = len(toks)
     if m == 0:
         raise ValueError("cannot score an empty sequence")
     if m < k:
-        mass = sum(p for ctx, p in model.init.items() if ctx[:m] == tuple(toks))
+        prefix = model.init_codes // a ** (k - m)
+        mass = float(model.init_probs[prefix == encode(toks, a)].sum())
         return math.log(mass) if mass > 0 else -math.inf
-    start = model.init.get(tuple(toks[:k]), 0.0)
+    start = float(model.init_mass(encode(toks[:k], a)))
     if start == 0.0:
         return -math.inf
-    total = math.log(start)
-    for i in range(k, m):
-        row = model.row(tuple(toks[i - k : i]))
-        p = row[toks[i]]
-        if p <= 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total
+    if m == k:
+        return math.log(start)
+    contexts = encode(sliding_window_view(toks[:-1], k), a)
+    index = model.lookup(contexts)
+    unseen = np.flatnonzero(index < 0)
+    scored = unseen[0] if len(unseen) else len(index)
+    probs = model.rows[index[:scored], toks[k:k + scored]]
+    if (probs <= 0.0).any():
+        return -math.inf
+    if len(unseen):
+        model.rows_at(contexts[scored])  # raises for the unseen context
+    logs = np.concatenate([[math.log(start)], np.log(probs)])
+    return float(np.cumsum(logs)[-1])
 
 
 def sample(model: MarkovModel, n: int, seed: int) -> TokenSeq:
@@ -196,62 +273,55 @@ def sample(model: MarkovModel, n: int, seed: int) -> TokenSeq:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = spawn_rng(seed, 0)
-    k = model.order
-    init_items = sorted(model.init.items())
-    init_cum = np.cumsum([p for _, p in init_items])
+    k, a = model.order, model.alphabet.size
+    init_cum = np.cumsum(model.init_probs)
     pick = bisect.bisect_right(init_cum.tolist(), rng.random() * init_cum[-1])
-    out = list(init_items[min(pick, len(init_items) - 1)][0])
+    code = int(model.init_codes[min(pick, len(init_cum) - 1)])
+    out = decode(code, a, k).tolist()
     if n <= k:
         return TokenSeq(np.array(out[:n], dtype=np.int64))
-    cums: dict[tuple[int, ...], list[float]] = {}
-    us = rng.random(n - k)
-    for i in range(n - k):
-        ctx = tuple(out[-k:]) if k else ()
-        cum = cums.get(ctx)
+    row_of = dict(zip(model.codes.tolist(), range(len(model.codes))))
+    cums: dict[int, list[float]] = {}
+    for u in rng.random(n - k).tolist():
+        cum = cums.get(code)
         if cum is None:
-            cum = np.cumsum(model.row(ctx)).tolist()
-            cums[ctx] = cum
-        out.append(min(bisect.bisect_right(cum, us[i] * cum[-1]), model.alphabet.size - 1))
+            if code not in row_of:
+                model.rows_at(code)  # raises: the context has no row
+            cum = np.cumsum(model.rows[row_of[code]]).tolist()
+            cums[code] = cum
+        sym = min(bisect.bisect_right(cum, u * cum[-1]), a - 1)
+        out.append(sym)
+        code = (code * a + sym) % a ** k
     return TokenSeq(np.array(out, dtype=np.int64))
 
 
-def stationary(model: MarkovModel) -> dict[tuple[int, ...], float]:
-    """Stationary law of the context chain, by power iteration.
+def stationary(model: MarkovModel) -> np.ndarray:
+    """Stationary law of the context chain, by power iteration, aligned with
+    ``model.codes``.
 
     Requires the chain restricted to fitted contexts to be closed, irreducible
     and aperiodic; failure to converge within the cap raises
     :class:`NonConvergenceError`.
     """
-    k = model.order
-    if k == 0:
-        return {(): 1.0}
-    ctxs = model.contexts()
-    index = {c: i for i, c in enumerate(ctxs)}
-    a = model.alphabet.size
-    n = len(ctxs)
+    if model.order == 0:
+        return np.ones(1)
+    n = len(model.codes)
+    live = model.rows > 0
+    succ = model.lookup(model.successors(model.codes))
+    open_ = np.argwhere(live & (succ < 0))
+    if len(open_):
+        i, sym = open_[0]
+        ctx = model.context(model.codes[i])
+        raise UnseenContextError(
+            f"context chain is not closed: {ctx} -> {ctx[1:] + (int(sym),)} has no row"
+        )
     # successor context and probability for every (context, symbol)
-    succ = np.zeros((n, a), dtype=np.int64)
-    prob = np.zeros((n, a))
-    for i, ctx in enumerate(ctxs):
-        row = model.transitions[ctx]
-        for sym in range(a):
-            if row[sym] <= 0:
-                succ[i, sym] = 0
-                continue
-            nxt = ctx[1:] + (sym,)
-            j = index.get(nxt)
-            if j is None:
-                raise UnseenContextError(
-                    f"context chain is not closed: {ctx} -> {nxt} has no row"
-                )
-            succ[i, sym] = j
-            prob[i, sym] = row[sym]
+    flat_succ = np.where(live, succ, 0).reshape(-1)
+    prob = np.where(live, model.rows, 0.0)
     x = np.full(n, 1.0 / n)
-    flat_succ = succ.reshape(-1)
     for _ in range(STATIONARY_MAX_ITER):
         contrib = (x[:, None] * prob).reshape(-1)
-        nxt = np.zeros(n)
-        np.add.at(nxt, flat_succ, contrib)
+        nxt = np.bincount(flat_succ, weights=contrib, minlength=n)
         if np.abs(nxt - x).sum() < STATIONARY_TOL:
             x = nxt
             break
@@ -260,8 +330,39 @@ def stationary(model: MarkovModel) -> dict[tuple[int, ...], float]:
         raise NonConvergenceError(
             "power iteration did not converge; chain may be reducible or periodic"
         )
-    x = x / x.sum()
-    return {ctx: float(x[i]) for i, ctx in enumerate(ctxs)}
+    return x / x.sum()
+
+
+def window_law(model: MarkovModel, length: int, start,
+               atom_cap: int = DEFAULT_ATOM_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """Law of the first ``length`` symbols of the chain started from ``start``.
+
+    ``start`` is a ``(codes, probs)`` law over the model's k-grams, such as
+    its initial law or ``(model.codes, stationary(model))``.  Windows are
+    extended one symbol at a time along positive transitions, so the result
+    is the sorted codes of the positive-mass windows and their masses.  A
+    window shorter than the order gets the marginal of ``start`` on its first
+    ``length`` symbols.  More than ``atom_cap`` windows raise
+    :class:`AtomBudgetError`.
+    """
+    a, k = model.alphabet.size, model.order
+    if length < 0:
+        raise ValueError("window length must be >= 0")
+    check_code_length(a, length)
+    codes = np.asarray(start[0], dtype=np.int64)
+    probs = np.asarray(start[1], dtype=float)
+    codes, probs = codes[probs > 0], probs[probs > 0]
+    if length < k:
+        prefix, which = np.unique(codes // a ** (k - length), return_inverse=True)
+        return prefix, np.bincount(which, weights=probs, minlength=len(prefix))
+    for _ in range(length - k):
+        rows = model.rows_at(codes % a ** k)
+        live = rows > 0
+        probs = (probs[:, None] * rows)[live]
+        codes = (codes[:, None] * a + np.arange(a))[live]
+        if len(codes) > atom_cap:
+            raise AtomBudgetError(f"window law of length {length} exceeds cap {atom_cap}")
+    return codes, probs
 
 
 def sequence_distribution(
@@ -269,34 +370,18 @@ def sequence_distribution(
 ) -> np.ndarray:
     """Exact law of length-``m`` sequences as a dense vector.
 
-    Atoms are ordered lexicographically (symbol 0 varies last); the index of a
-    tuple is its base-``|alphabet|`` value.  Raises when ``|alphabet|**m``
-    exceeds ``atom_cap``.
+    The dense view of :func:`window_law` from the initial law: the index of
+    a sequence is its base-``|alphabet|`` code, so atoms are ordered
+    lexicographically.  Raises when ``|alphabet|**m`` exceeds ``atom_cap``.
     """
     a = model.alphabet.size
     if m < 1:
         raise ValueError("sequence length must be >= 1")
     if a ** m > atom_cap:
         raise AtomBudgetError(f"{a}**{m} atoms exceed cap {atom_cap}")
-    k = model.order
+    codes, probs = window_law(model, m, (model.init_codes, model.init_probs), atom_cap)
     out = np.zeros(a ** m)
-    if m < k:
-        for ctx, p in model.init.items():
-            out[atom_to_index(ctx[:m], a)] += p
-        return out
-
-    def walk(prefix: tuple[int, ...], logless_p: float) -> None:
-        if len(prefix) == m:
-            out[atom_to_index(prefix, a)] += logless_p
-            return
-        row = model.row(prefix[-k:] if k else ())
-        for sym in range(a):
-            if row[sym] > 0:
-                walk(prefix + (sym,), logless_p * row[sym])
-
-    for ctx, p in model.init.items():
-        if p > 0:
-            walk(ctx, p)
+    out[codes] = probs
     return out
 
 
@@ -306,20 +391,15 @@ def markov_conditional(model: MarkovModel, context: tuple[int, ...]) -> np.ndarr
     For contexts at least as long as the order this is a plain row lookup; for
     shorter ones the hidden part is averaged under the stationary law.
     """
-    k = model.order
+    k, a = model.order, model.alphabet.size
     if len(context) >= k:
-        return model.row(context[len(context) - k :] if k else ())
+        return model.row(context[len(context) - k:])
     pi = stationary(model)
-    L = len(context)
-    acc = np.zeros(model.alphabet.size)
-    mass = 0.0
-    for ctx, p in pi.items():
-        if p > 0 and (L == 0 or ctx[k - L :] == context):
-            acc += p * model.transitions[ctx]
-            mass += p
+    match = (pi > 0) & (model.codes % a ** len(context) == encode(context, a))
+    mass = pi[match].sum()
     if mass <= 0:
         raise UnseenContextError(f"context {context} has probability 0 under the model")
-    return acc / mass
+    return (pi[match, None] * model.rows[match]).sum(axis=0) / mass
 
 
 @dataclass

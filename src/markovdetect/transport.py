@@ -37,7 +37,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_matrix
 
 from .errors import AtomBudgetError, NonConvergenceError
-from .util import all_atoms, fmt17, spawn_rng
+from .util import JsonRecord, decode, encode, fmt17, spawn_rng
 
 DBAR_ATOM_CAP = 4096
 _SIMPLEX_MAX_ATOMS = 16  # cubes this small stay on the simplex: one HiGHS call costs more
@@ -77,8 +77,8 @@ def _cost_matrix(atoms_x: np.ndarray, atoms_y: np.ndarray) -> np.ndarray:
 class Coupling:
     """Optimal transport plan plus the dual prices certifying it."""
 
-    atoms_x: list[tuple[int, ...]]
-    atoms_y: list[tuple[int, ...]]
+    atoms_x: np.ndarray  # (n, m) int64 words
+    atoms_y: np.ndarray
     weights_x: np.ndarray
     weights_y: np.ndarray
     entries: list[tuple[int, int, float]]  # (ix, iy, mass), mass > 0
@@ -115,10 +115,12 @@ class Coupling:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["atom_x", "atom_y", "mass"])
+            words_x = self.atoms_x.tolist()
+            words_y = self.atoms_y.tolist()
             for i, j, mass in sorted(self.entries):
                 writer.writerow([
-                    "".join(map(str, self.atoms_x[i])),
-                    "".join(map(str, self.atoms_y[j])),
+                    "".join(map(str, words_x[i])),
+                    "".join(map(str, words_y[j])),
                     fmt17(mass),
                 ])
 
@@ -305,9 +307,8 @@ def _embed(ax: np.ndarray, ay: np.ndarray):
     # size test first: small cubes, the common case, skip the other scans
     if not _SIMPLEX_MAX_ATOMS < a ** m <= DBAR_ATOM_CAP or min(ax.min(), ay.min()) < 0:
         return None
-    place = a ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    nodes_x = ax @ place
-    nodes_y = ay @ place
+    nodes_x = encode(ax, a)
+    nodes_y = encode(ay, a)
     if len(np.unique(nodes_x)) < len(nodes_x) or len(np.unique(nodes_y)) < len(nodes_y):
         return None
     return a, nodes_x, nodes_y
@@ -476,7 +477,7 @@ def dbar_exact(mu, nu, m: int, alphabet_size: int | None = None,
         alphabet_size = round(len(mu) ** (1.0 / m))
     if alphabet_size ** m != len(mu):
         raise ValueError("atom count is not alphabet_size ** m")
-    atoms = all_atoms(alphabet_size, m)
+    atoms = decode(np.arange(len(mu)), alphabet_size, m)
     return dbar_between(atoms, mu, atoms, nu)
 
 
@@ -497,8 +498,8 @@ def dbar_between(atoms_x, weights_x, atoms_y, weights_y) -> Coupling:
         value, entries, u, v = _flow_coupling(ax, wx, ay, wy, *embedded)
         engine = "hamming-flow"
     coupling = Coupling(
-        atoms_x=[tuple(map(int, row)) for row in ax],
-        atoms_y=[tuple(map(int, row)) for row in ay],
+        atoms_x=ax,
+        atoms_y=ay,
         weights_x=wx,
         weights_y=wy,
         entries=entries,
@@ -512,7 +513,7 @@ def dbar_between(atoms_x, weights_x, atoms_y, weights_y) -> Coupling:
 
 
 @dataclass
-class EmpiricalTransport:
+class EmpiricalTransport(JsonRecord):
     """Plug-in transport distance between two window samples, with bootstrap CI."""
 
     estimate: float
@@ -524,19 +525,6 @@ class EmpiricalTransport:
     support_y: int
     bootstrap: int
     engine: str  # "simplex" or "hamming-flow"
-
-    def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_x": self.n_x,
-            "n_y": self.n_y,
-            "support_x": self.support_x,
-            "support_y": self.support_y,
-            "bootstrap": self.bootstrap,
-            "engine": self.engine,
-        }
 
 
 def _empirical(rows: np.ndarray):

@@ -1,11 +1,14 @@
-"""Small shared helpers: seeding, canonical JSON, atom indexing."""
+"""Small shared helpers: seeding, canonical JSON, base-a word codes."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
+
+from .errors import AtomBudgetError
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
@@ -34,6 +37,13 @@ def config_hash(obj) -> str:
     return hashlib.sha1(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+class JsonRecord:
+    """Mixin for plain dataclass records whose JSON form is their fields."""
+
+    def to_json(self) -> dict:
+        return dataclasses.asdict(self)
+
+
 def dump_json(path: str | Path, obj) -> None:
     """Write JSON deterministically: sorted keys, fixed layout, trailing newline."""
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
@@ -43,25 +53,32 @@ def load_json(path: str | Path):
     return json.loads(Path(path).read_text())
 
 
-def atom_count(alphabet_size: int, length: int) -> int:
-    return alphabet_size ** length
+def check_code_length(alphabet_size: int, length: int) -> None:
+    """Refuse words whose base-``alphabet_size`` codes would overflow int64."""
+    if alphabet_size ** length - 1 > np.iinfo(np.int64).max:
+        raise AtomBudgetError(
+            f"{alphabet_size}**{length} codes overflow int64; use a shorter length"
+        )
 
 
-def index_to_atom(index: int, alphabet_size: int, length: int) -> tuple[int, ...]:
-    """Inverse of :func:`atom_to_index` (atoms ordered lexicographically)."""
-    out = []
-    for _ in range(length):
-        out.append(index % alphabet_size)
-        index //= alphabet_size
-    return tuple(reversed(out))
+def encode(atoms, alphabet_size: int) -> np.ndarray:
+    """Base-``alphabet_size`` codes of words along the last axis.
+
+    The first symbol is the most significant digit, so numeric order of codes
+    equals lexicographic order of the words.  A single word gives a 0-d array.
+    """
+    atoms = np.asarray(atoms, dtype=np.int64)
+    check_code_length(alphabet_size, atoms.shape[-1])
+    codes = np.zeros(atoms.shape[:-1], dtype=np.int64)
+    for j in range(atoms.shape[-1]):
+        codes = codes * alphabet_size + atoms[..., j]
+    return codes
 
 
-def atom_to_index(atom, alphabet_size: int) -> int:
-    index = 0
-    for a in atom:
-        index = index * alphabet_size + int(a)
-    return index
-
-
-def all_atoms(alphabet_size: int, length: int) -> list[tuple[int, ...]]:
-    return [index_to_atom(i, alphabet_size, length) for i in range(alphabet_size ** length)]
+def decode(codes, alphabet_size: int, length: int) -> np.ndarray:
+    """Inverse of :func:`encode`: words of ``length`` symbols along a new last axis."""
+    codes = np.asarray(codes, dtype=np.int64)
+    out = np.empty(codes.shape + (length,), dtype=np.int64)
+    for j in range(length - 1, -1, -1):
+        codes, out[..., j] = np.divmod(codes, alphabet_size)
+    return out

@@ -45,7 +45,7 @@ from markovdetect.markov import (
     sample,
 )
 from markovdetect.transport import dbar_exact, tv
-from markovdetect.util import all_atoms, spawn_rng
+from markovdetect.util import decode, spawn_rng
 
 
 def test_c1_divergence_identities(accept):
@@ -141,21 +141,20 @@ def test_c5_empirical_fit_accuracy(accept):
     row-wise, and the tiny worked example reproduces its exact count ratios."""
     rng = spawn_rng(5, 0)
     abc = Alphabet(("a", "b", "c"))
-    truth_rows = {ctx: rng.dirichlet(np.ones(3)) for ctx in all_atoms(3, 2)}
-    truth = MarkovModel(2, abc, truth_rows,
-                        {ctx: 1.0 / 9.0 for ctx in all_atoms(3, 2)})
+    contexts = np.arange(9)  # the codes of all 9 pairs, in lexicographic order
+    truth_rows = np.array([rng.dirichlet(np.ones(3)) for _ in contexts])
+    truth = MarkovModel(2, abc, contexts, truth_rows, contexts, np.full(9, 1.0 / 9.0))
     seq = sample(truth, 1_000_000, seed=42)
     fitted = fit_empirical(seq, 2, abc)
-    covered = set(truth_rows) <= set(fitted.transitions)
-    linf = max(float(np.abs(fitted.transitions[ctx] - truth_rows[ctx]).max())
-               for ctx in truth_rows)
+    covered = bool((fitted.lookup(contexts) >= 0).all())
+    linf = float(np.abs(fitted.rows_at(contexts) - truth_rows).max()) if covered else 1.0
     seq2, ab = tokenize("aabab", "char")
     small = fit_empirical(seq2, 1, ab)
     pairs = count_windows(seq2, 2)
     hand_ok = (
         pairs == {(0, 0): 1, (0, 1): 2, (1, 0): 1}
-        and np.allclose(small.transitions[(0,)], [1 / 3, 2 / 3], atol=0)
-        and np.allclose(small.transitions[(1,)], [1.0, 0.0], atol=0)
+        and np.allclose(small.row((0,)), [1 / 3, 2 / 3], atol=0)
+        and np.allclose(small.row((1,)), [1.0, 0.0], atol=0)
     )
     passed = covered and linf <= 0.02 and hand_ok
     accept("C5 empirical estimation", passed,
@@ -195,7 +194,7 @@ def test_c6_transport_solver_oracle(accept):
     worst = 0.0
     for _ in range(100):
         m = int(rng.integers(1, 6))
-        atoms = all_atoms(2, m)
+        atoms = decode(np.arange(2 ** m), 2, m)
         wx = rng.dirichlet(np.ones(len(atoms)))
         wy = rng.dirichlet(np.ones(len(atoms)))
         value = dbar_exact(wx, wy, m).value

@@ -297,3 +297,14 @@ def test_version_flag(capsys):
 def test_missing_required_setting(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "x")]) == 4
     assert "needs --input" in capsys.readouterr().err
+
+
+def test_train_byte_order_beyond_int64_codes_exits_4(tmp_path, capsys):
+    """Byte-scheme contexts of 8 symbols would need codes up to 256**8 - 1,
+    beyond int64, so training refuses them with AtomBudgetError (exit 4)."""
+    text = tmp_path / "t.txt"
+    text.write_text("context codes of eight bytes overflow", encoding="utf-8")
+    argv = ["train", "--input", str(text), "--scheme", "byte", "--out", str(tmp_path / "o")]
+    assert main(argv + ["--order", "7"]) == 0
+    assert main(argv + ["--order", "8"]) == 4
+    assert "overflow int64" in capsys.readouterr().err

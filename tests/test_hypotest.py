@@ -15,9 +15,9 @@ from markovdetect.hypotest import (
     CHAIN_LATTICE_NMAX,
     _guide_table,
     _init_log,
+    _llr_stats,
     _log_matrix,
     _mc_stats_fast,
-    _stats_from_ll,
     _table_binary_chain,
     _table_iid,
     _table_sequences,
@@ -29,7 +29,8 @@ from markovdetect.hypotest import (
     np_threshold,
 )
 from markovdetect.infometrics import chernoff, kl_rate
-from markovdetect.markov import MarkovModel, chain_model, fit_empirical, iid_model, sample
+from markovdetect.markov import chain_model, fit_empirical, iid_model, sample
+from oracles import model_from_dicts
 
 
 def _aggregate(table):
@@ -211,29 +212,29 @@ def _comparison_walk(sample_model, p_model, q_model, n, trials, rng):
     counted by comparing ``u`` against the whole cumulative row."""
     a = sample_model.alphabet.size
     k = sample_model.order
-    ctxs = sorted(sample_model.transitions)
+    ctxs = sample_model.codes.tolist()
     code = {c: i for i, c in enumerate(ctxs)}
-    cum = np.cumsum(np.stack([sample_model.transitions[c] for c in ctxs]), axis=1)
+    cum = np.cumsum(sample_model.rows, axis=1)
     wp = np.full((len(ctxs), a), np.nan)
     wq = np.full((len(ctxs), a), np.nan)
     for i, c in enumerate(ctxs):
-        if c in p_model.transitions and c in q_model.transitions:
-            wp[i] = _log_matrix(p_model.transitions[c])
-            wq[i] = _log_matrix(q_model.transitions[c])
-    init_items = sorted(sample_model.init.items())
-    init_atoms = [c for c, _ in init_items]
-    init_cum = np.cumsum([p for _, p in init_items])
-    atom_lp = np.array([_init_log(p_model, c) for c in init_atoms])
-    atom_lq = np.array([_init_log(q_model, c) for c in init_atoms])
+        ip, iq = int(p_model.lookup(c)), int(q_model.lookup(c))
+        if ip >= 0 and iq >= 0:
+            wp[i] = _log_matrix(p_model.rows[ip])
+            wq[i] = _log_matrix(q_model.rows[iq])
+    init_atoms = sample_model.init_codes
+    init_cum = np.cumsum(sample_model.init_probs)
+    atom_lp = _init_log(p_model, init_atoms)
+    atom_lq = _init_log(q_model, init_atoms)
     pick = np.searchsorted(init_cum, rng.random(trials) * init_cum[-1])
     pick = np.minimum(pick, len(init_atoms) - 1)
     lp = atom_lp[pick].astype(float)
     lq = atom_lq[pick].astype(float)
-    state = np.array([code[c] for c in init_atoms], dtype=np.int64)[pick]
+    state = np.array([code[c] for c in init_atoms.tolist()], dtype=np.int64)[pick]
     succ = np.full((len(ctxs), a), -1, dtype=np.int64)
     for i, c in enumerate(ctxs):
         for sym in range(a):
-            succ[i, sym] = code.get(c[1:] + (sym,), -1)
+            succ[i, sym] = code.get(c % a ** (k - 1) * a + sym, -1)
     for _ in range(n - k):
         u = rng.random(trials)
         nxt_sym = (u[:, None] > cum[state]).sum(axis=1)
@@ -245,7 +246,7 @@ def _comparison_walk(sample_model, p_model, q_model, n, trials, rng):
         lq = lq + step_q
         state = succ[state, nxt_sym]
         assert (state >= 0).all()
-    return _stats_from_ll(lp, lq, n)
+    return _llr_stats(lp, lq, n)
 
 
 class _EdgeRng:
@@ -287,7 +288,7 @@ def _walk_cases():
                  for a in (3, 40)}
     # rows within the model's 1e-9 tolerance of a distribution, cumulative
     # sums ending below 1, so the edge uniforms overshoot the last column
-    short = MarkovModel(1, _alphabet(3), {
+    short = model_from_dicts(1, _alphabet(3), {
         (0,): np.array([0.2, 0.3, 0.5 - 4e-10]),
         (1,): np.array([0.6, 0.0, 0.4 - 4e-10]),
         (2,): np.array([0.1, 0.0, 0.9 - 4e-10]),
@@ -325,7 +326,7 @@ def test_guide_table_counts_cell_edges():
 
 def test_walk_refuses_context_the_alternative_cannot_score():
     p = chain_model(np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]))
-    q = MarkovModel(1, p.alphabet, {(0,): np.array([0.4, 0.4, 0.2]),
+    q = model_from_dicts(1, p.alphabet, {(0,): np.array([0.4, 0.4, 0.2]),
                                     (1,): np.array([0.3, 0.3, 0.4])},
                     {(0,): 0.5, (1,): 0.5})
     with pytest.raises(UnseenContextError, match="cannot score"):
@@ -334,15 +335,15 @@ def test_walk_refuses_context_the_alternative_cannot_score():
 
 def test_walk_ignores_unsampled_initial_context_without_row():
     rows = {(0,): np.array([0.6, 0.4, 0.0]), (1,): np.array([0.3, 0.7, 0.0])}
-    p = MarkovModel(1, _alphabet(3), rows, {(0,): 0.5, (1,): 0.5, (2,): 1e-12})
-    q = MarkovModel(1, _alphabet(3), rows, {(0,): 0.5, (1,): 0.5})
+    p = model_from_dicts(1, _alphabet(3), rows, {(0,): 0.5, (1,): 0.5, (2,): 1e-12})
+    q = model_from_dicts(1, _alphabet(3), rows, {(0,): 0.5, (1,): 0.5})
     stats = _mc_stats_fast(p, p, q, 20, 1000, np.random.default_rng(0))
     assert np.array_equal(stats, np.zeros(1000))
 
 
 def test_walk_refuses_successor_without_row():
     rows = {(0,): np.array([0.5, 0.5, 0.0]), (1,): np.array([0.0, 0.5, 0.5])}
-    p = MarkovModel(1, _alphabet(3), rows, {(0,): 1.0})
+    p = model_from_dicts(1, _alphabet(3), rows, {(0,): 1.0})
     with pytest.raises(UnseenContextError, match="no row"):
         np_threshold(p, p, 50, 0.1, trials=1000, method="mc")
 

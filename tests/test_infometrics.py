@@ -141,7 +141,7 @@ def test_kl_rate_markov_matches_stationary_sum(rng):
     q = chain_model(rows_q)
     pi = stationary(p)
     expect = sum(
-        pi[(s,)] * rows_p[s, a] * math.log(rows_p[s, a] / rows_q[s, a])
+        pi[s] * rows_p[s, a] * math.log(rows_p[s, a] / rows_q[s, a])
         for s in range(2)
         for a in range(2)
     )
@@ -156,7 +156,7 @@ def test_kl_rate_mixed_orders(rng):
     q = iid_model(qvec)
     pi = stationary(p)
     expect = sum(
-        pi[(s,)] * rows_p[s, a] * math.log(rows_p[s, a] / qvec[a])
+        pi[s] * rows_p[s, a] * math.log(rows_p[s, a] / qvec[a])
         for s in range(2)
         for a in range(2)
     )

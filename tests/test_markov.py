@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovdetect.corpus import Alphabet, TokenSeq, tokenize
-from markovdetect.errors import NonConvergenceError, UnseenContextError
+from markovdetect.errors import AtomBudgetError, NonConvergenceError, UnseenContextError
+from oracles import (
+    counter_fit_json,
+    loop_log_likelihood,
+    model_from_dicts,
+    recursive_sequence_distribution,
+    recursive_stationary_windows,
+)
+
 from markovdetect.markov import (
     HiddenMarkovSource,
     MarkovModel,
@@ -23,7 +31,9 @@ from markovdetect.markov import (
     sample,
     sequence_distribution,
     stationary,
+    window_law,
 )
+from markovdetect.util import decode, encode
 
 
 @pytest.fixture
@@ -34,8 +44,8 @@ def aabab_model(ab_alphabet):
 
 def test_fit_hand_counts(aabab_model):
     m = aabab_model
-    assert m.init[(0,)] == pytest.approx(0.75)
-    assert m.init[(1,)] == pytest.approx(0.25)
+    assert m.init_mass(0) == pytest.approx(0.75)
+    assert m.init_mass(1) == pytest.approx(0.25)
     np.testing.assert_allclose(m.row((0,)), [1 / 3, 2 / 3])
     np.testing.assert_allclose(m.row((1,)), [1.0, 0.0])
 
@@ -58,7 +68,7 @@ def test_score_zero_transition_is_minus_inf(aabab_model):
 
 
 def test_score_unseen_context_raises(ab_alphabet):
-    model = MarkovModel(
+    model = model_from_dicts(
         order=1,
         alphabet=ab_alphabet,
         transitions={(0,): np.array([0.5, 0.5])},
@@ -70,7 +80,7 @@ def test_score_unseen_context_raises(ab_alphabet):
 
 
 def test_score_shorter_than_order_marginalizes(ab_alphabet):
-    model = MarkovModel(
+    model = model_from_dicts(
         order=2,
         alphabet=ab_alphabet,
         transitions={},
@@ -95,7 +105,7 @@ def test_smoothing_fills_row_zeros(ab_alphabet):
 
 def test_row_sums_validated(ab_alphabet):
     with pytest.raises(ValueError):
-        MarkovModel(
+        model_from_dicts(
             order=0,
             alphabet=ab_alphabet,
             transitions={(): np.array([0.6, 0.6])},
@@ -105,20 +115,20 @@ def test_row_sums_validated(ab_alphabet):
 
 def test_stationary_hand_value(aabab_model):
     pi = stationary(aabab_model)
-    assert pi[(0,)] == pytest.approx(0.6, abs=1e-9)
-    assert pi[(1,)] == pytest.approx(0.4, abs=1e-9)
+    assert pi[0] == pytest.approx(0.6, abs=1e-9)
+    assert pi[1] == pytest.approx(0.4, abs=1e-9)
 
 
 def test_stationary_is_fixed_point(rng):
     rows = rng.dirichlet(np.ones(3), size=3)
     model = chain_model(rows)
     pi = stationary(model)
-    vec = np.array([pi[(s,)] for s in range(3)])
+    vec = np.array([pi[s] for s in range(3)])
     np.testing.assert_allclose(vec @ rows, vec, atol=1e-9)
 
 
 def test_stationary_not_closed_raises(ab_alphabet):
-    model = MarkovModel(
+    model = model_from_dicts(
         order=1,
         alphabet=ab_alphabet,
         transitions={(0,): np.array([0.5, 0.5])},
@@ -131,7 +141,7 @@ def test_stationary_not_closed_raises(ab_alphabet):
 def test_chain_model_defaults_to_stationary_init():
     rows = np.array([[1 / 3, 2 / 3], [1.0, 0.0]])
     model = chain_model(rows)
-    assert model.init[(0,)] == pytest.approx(0.6, abs=1e-9)
+    assert model.init_mass(0) == pytest.approx(0.6, abs=1e-9)
 
 
 # -- sampling ---------------------------------------------------------------
@@ -180,7 +190,7 @@ def test_markov_conditional_short_context_mixes(aabab_model):
     # contexts compatible with the suffix -- here the empty context
     full = markov_conditional(aabab_model, ())
     pi = stationary(aabab_model)
-    expect = pi[(0,)] * aabab_model.row((0,)) + pi[(1,)] * aabab_model.row((1,))
+    expect = pi[0] * aabab_model.row((0,)) + pi[1] * aabab_model.row((1,))
     np.testing.assert_allclose(full, expect, atol=1e-9)
 
 
@@ -194,10 +204,9 @@ def test_model_round_trip_is_exact(tmp_path, rng):
     model.save(path)
     again = MarkovModel.load(path)
     assert again.order == model.order
-    for ctx in model.transitions:
-        assert (again.row(ctx) == model.row(ctx)).all()
-    for atom in model.init:
-        assert again.init[atom] == model.init[atom]
+    assert (again.codes == model.codes).all() and (again.rows == model.rows).all()
+    assert (again.init_codes == model.init_codes).all()
+    assert (again.init_probs == model.init_probs).all()
     model.save(tmp_path / "model2.json")
     assert path.read_bytes() == (tmp_path / "model2.json").read_bytes()
 
@@ -274,3 +283,102 @@ def test_hmm_window_frequencies_match_law(two_state_hmm):
     for idx, (a, b) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
         law = math.exp(hmm_window_log_prob(two_state_hmm, [a, b]))
         assert abs(emp[idx] - law) < 0.01
+
+
+# -- integer context codes against the tuple oracles -----------------------
+
+
+@st.composite
+def _words(draw):
+    a = draw(st.integers(2, 300))
+    length = draw(st.integers(0, 7))
+    if a ** length > 2 ** 63:
+        length = int(63 // math.log2(a))
+    rows = draw(st.lists(st.lists(st.integers(0, a - 1), min_size=length, max_size=length),
+                         min_size=1, max_size=20))
+    return a, length, rows
+
+
+@given(_words())
+@settings(max_examples=100, deadline=None)
+def test_decode_inverts_encode_in_lexicographic_order(case):
+    a, length, rows = case
+    words = np.array(rows, dtype=np.int64).reshape(len(rows), length)
+    codes = encode(words, a)
+    assert (decode(codes, a, length) == words).all()
+    order = sorted(range(len(rows)), key=lambda i: (rows[i], i))
+    assert (np.argsort(codes, kind="stable") == order).all()
+
+
+def test_encode_refuses_codes_beyond_int64():
+    assert int(encode((255,) * 7, 256)) == 256 ** 7 - 1
+    with pytest.raises(AtomBudgetError):
+        encode((0,) * 8, 256)
+
+
+@given(st.sampled_from([2, 3, 17]), st.integers(0, 3), st.sampled_from([0.0, 0.01]),
+       st.integers(0, 2 ** 32 - 1), st.integers(5, 400))
+@settings(max_examples=60, deadline=None)
+def test_fit_matches_counter_oracle(a, k, smoothing, seed, length):
+    """The code-based fit writes the same model JSON as a fit on tuple counters."""
+    rng = np.random.default_rng(seed)
+    # skewed symbol laws leave contexts unseen and row entries zero
+    toks = rng.choice(a, size=length, p=rng.dirichlet(np.full(a, 0.5)))
+    seq = TokenSeq(toks)
+    alphabet = Alphabet(tuple(f"s{i}" for i in range(a)))
+    got = fit_empirical(seq, k, alphabet, smoothing=smoothing, scheme="char")
+    assert got.to_json() == counter_fit_json(seq, k, alphabet, smoothing, "char")
+
+
+def _random_chain(rng, a, k):
+    """Order-k chain with a row for every context, about a third of the
+    entries zero, and a start law with zeros."""
+    n = a ** k
+    rows = rng.dirichlet(np.ones(a), size=n) * (rng.random((n, a)) > 0.33)
+    rows[rows.sum(axis=1) == 0, 0] = 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    start = rng.random(n) * (rng.random(n) > 0.25)
+    start[0] += 0.1
+    start /= start.sum()
+    codes = np.arange(n)
+    return MarkovModel(k, Alphabet(tuple(f"s{i}" for i in range(a))), codes, rows,
+                       codes, start)
+
+
+@given(st.sampled_from([2, 3]), st.integers(0, 2), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_window_law_matches_recursions_bit_for_bit(a, k, m, seed):
+    model = _random_chain(np.random.default_rng(seed), a, k)
+    assert np.array_equal(sequence_distribution(model, m),
+                          recursive_sequence_distribution(model, m))
+    if m >= k:
+        start = model.init_probs[::-1]  # any law over the contexts
+        codes, mass = window_law(model, m, (model.codes, start))
+        want = recursive_stationary_windows(model, m, start)
+        assert [tuple(w) for w in decode(codes, a, m).tolist()] == [w for w, _ in want]
+        assert np.array_equal(mass, [p for _, p in want])
+
+
+@given(st.sampled_from([2, 3, 17]), st.integers(0, 3), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 300))
+@settings(max_examples=60, deadline=None)
+def test_log_likelihood_matches_token_loop(a, k, seed, length):
+    """Same value as the math.log loop up to one rounding per token (np.log and
+    math.log may differ in the last bit), the same -inf and the same refusals."""
+    rng = np.random.default_rng(seed)
+    law = rng.dirichlet(np.full(a, 0.5))
+    alphabet = Alphabet(tuple(f"s{i}" for i in range(a)))
+    model = fit_empirical(TokenSeq(rng.choice(a, size=200 + k, p=law)), k, alphabet)
+    seq = TokenSeq(rng.choice(a, size=max(length, k), p=law))
+    try:
+        want = loop_log_likelihood(model, seq)
+    except UnseenContextError:
+        with pytest.raises(UnseenContextError):
+            log_likelihood(model, seq)
+        return
+    got = log_likelihood(model, seq)
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=len(seq) * 4e-16, abs=1e-300)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -19,7 +21,7 @@ from markovdetect.transport import (
     solve_transport,
     tv,
 )
-from markovdetect.util import all_atoms
+from markovdetect.util import decode
 
 
 def lp_oracle(supply, demand, cost):
@@ -43,6 +45,10 @@ def lp_oracle(supply, demand, cost):
     )
     assert res.status == 0
     return res.fun
+
+
+def _cube(alphabet_size, m):
+    return [tuple(w) for w in decode(np.arange(alphabet_size ** m), alphabet_size, m).tolist()]
 
 
 def _dense_hamming(atoms_x, atoms_y):
@@ -77,7 +83,7 @@ def test_dbar_exact_matches_lp_oracle_binary_windows(rng):
         mu = rng.dirichlet(np.ones(n))
         nu = rng.dirichlet(np.ones(n))
         coupling = dbar_exact(mu, nu, m)
-        atoms = all_atoms(2, m)
+        atoms = _cube(2, m)
         cost = np.array([[hamming_cost(x, y) for y in atoms] for x in atoms])
         assert coupling.value == pytest.approx(lp_oracle(mu, nu, cost), abs=1e-9)
 
@@ -229,7 +235,7 @@ def _assert_certified(coupling, cost):
 def test_flow_matches_simplex_on_dense_hamming_cost(rng, alphabet_size, m, concentration):
     # Dirichlet(0.05) laws put most atoms near 1e-30: they fail at the
     # default HiGHS tolerances, so they guard the tightened ones
-    atoms = all_atoms(alphabet_size, m)
+    atoms = _cube(alphabet_size, m)
     cost = _dense_hamming(atoms, atoms)
     for _ in range(4):
         # floored at 1e-300 so the simplex core (strictly positive masses) takes them too
@@ -262,7 +268,7 @@ def test_flow_product_laws_1024_atoms_equal_tv(rng):
 
 
 def test_flow_ragged_supports_and_zero_mass_atoms(rng):
-    cube = all_atoms(2, 5)
+    cube = _cube(2, 5)
     for _ in range(5):
         ix = rng.choice(32, size=int(rng.integers(6, 20)), replace=False)
         iy = rng.choice(32, size=int(rng.integers(6, 20)), replace=False)
@@ -336,3 +342,64 @@ def test_empirical_certifies_every_solve(rng, monkeypatch):
         dbar_empirical(small, small[::-1].copy(), bootstrap=5, seed=0)
     with pytest.raises(NonConvergenceError):
         dbar_empirical(large, large[::-1].copy(), bootstrap=5, seed=0)
+
+
+# -- golden artifact bytes ----------------------------------------------------
+
+_GOLDEN_SIMPLEX_DBAR = """{
+  "dual_value": "0.30000000000000004",
+  "dual_x": [
+    "0",
+    "0.5",
+    "0.5",
+    "1"
+  ],
+  "dual_y": [
+    "0",
+    "-0.5",
+    "-0.5",
+    "-1"
+  ],
+  "engine": "simplex",
+  "support_x": 4,
+  "support_y": 4,
+  "value": "0.30000000000000004"
+}
+"""
+_GOLDEN_SIMPLEX_CSV = (
+    "atom_x,atom_y,mass\r\n"
+    "00,00,0.10000000000000001\r\n"
+    "01,00,5.5511151231257827e-17\r\n"
+    "01,01,0.19999999999999996\r\n"
+    "10,00,0.29999999999999999\r\n"
+    "11,01,0.10000000000000003\r\n"
+    "11,10,0.20000000000000001\r\n"
+    "11,11,0.099999999999999978\r\n"
+)
+
+
+def _dbar_artifacts(tmp_path, mu, nu, m):
+    from markovdetect.cli import main
+    (tmp_path / "mu.json").write_text(json.dumps(mu))
+    (tmp_path / "nu.json").write_text(json.dumps(nu))
+    assert main(["dbar", "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
+                 "--window", str(m), "--alphabet-size", "2", "--out", str(tmp_path / "out")]) == 0
+    return [(tmp_path / "out" / name).read_bytes() for name in ("dbar.json", "coupling.csv")]
+
+
+def test_dbar_artifact_bytes_simplex_pair(tmp_path):
+    """dbar.json and coupling.csv of a 4-atom pair, byte for byte."""
+    dbar, csv_bytes = _dbar_artifacts(tmp_path, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], 2)
+    assert dbar.decode() == _GOLDEN_SIMPLEX_DBAR
+    assert csv_bytes.decode() == _GOLDEN_SIMPLEX_CSV
+
+
+def test_dbar_artifact_bytes_flow_pair(tmp_path):
+    """dbar.json and coupling.csv of a 32-atom hamming-flow pair, by digest."""
+    nu = [float((32 - i) ** 2) for i in range(32)]
+    dbar, csv_bytes = _dbar_artifacts(
+        tmp_path, [float(i + 1) / 528 for i in range(32)], [x / sum(nu) for x in nu], 5)
+    assert hashlib.sha256(dbar).hexdigest() == (
+        "71160649d7052a75b1685ad4b46ec5e4d570ae2b711afead3185790b4fb46fe4")
+    assert hashlib.sha256(csv_bytes).hexdigest() == (
+        "3e93868586b08a3fa1b4019ad361de1089d863053c98374f059a915b0c5c851a")
