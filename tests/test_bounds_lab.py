@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +198,16 @@ def test_probe_report_fields():
     assert csv.splitlines()[0] == "qmin,dbar,kl,ratio"
     assert len(csv.splitlines()) == 1 + len(rep.points)
     assert rep.config_digest
+
+
+def test_ratio_probe_sweep_script(tmp_path):
+    """The sweep script writes one scatter file per window and sampler."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "ratio_probe_sweep.py"
+    subprocess.run([sys.executable, str(script), "--windows", "1,2", "--instances", "100",
+                    "--out-dir", str(tmp_path)], check=True, capture_output=True)
+    for m in (1, 2):
+        for sampler in ("dirichlet_uniform", "boundary_biased"):
+            assert (tmp_path / f"scatter_w{m}_{sampler}.csv").is_file()
 
 
 def test_probe_argument_validation():

@@ -140,6 +140,18 @@ def test_dbar_worked_example(tmp_path):
     assert snapshot(out) == first
 
 
+def test_dbar_rejects_nan_weights(tmp_path, capsys):
+    mu = tmp_path / "mu.json"
+    nu = tmp_path / "nu.json"
+    mu.write_text("[NaN, 0.5, 0.25, 0.25]", encoding="utf-8")
+    nu.write_text(json.dumps([0.25] * 4), encoding="utf-8")
+    out = tmp_path / "dbar"
+    assert main(["dbar", "--mu", str(mu), "--nu", str(nu), "--window", "2",
+                 "--alphabet-size", "2", "--out", str(out)]) == 2
+    assert "mu must be a probability vector" in capsys.readouterr().err
+    assert not (out / "dbar.json").exists()
+
+
 def test_dbar_flow_engine_above_sixteen_atoms(tmp_path):
     # five fair-coin letters against five (0.9, 0.1) letters: 32 atoms
     fair = [1 / 32] * 32

@@ -22,6 +22,7 @@ from markovdetect.transport import (
     tv,
 )
 from markovdetect.util import decode
+from oracles import dict_solve_transport, dict_solve_with_zeros
 
 
 def lp_oracle(supply, demand, cost):
@@ -65,14 +66,15 @@ def test_hamming_cost_counts_mismatches():
     assert hamming_cost((0, 1), (0, 1)) == 0.0
 
 
-def test_solver_matches_lp_oracle(rng):
+@pytest.mark.parametrize("rule", ["dantzig", "bland"])
+def test_solver_matches_lp_oracle(rng, rule):
     for trial in range(100):
         nr = int(rng.integers(2, 9))
         nc = int(rng.integers(2, 9))
         supply = rng.dirichlet(np.ones(nr))
         demand = rng.dirichlet(np.ones(nc))
         cost = rng.random((nr, nc))
-        value, _, _, _ = solve_transport(supply, demand, cost)
+        value, _, _, _ = solve_transport(supply, demand, cost, rule=rule)
         assert value == pytest.approx(lp_oracle(supply, demand, cost), abs=1e-9)
 
 
@@ -179,6 +181,112 @@ def test_degenerate_point_masses(code):
     vec_y[0] = 1.0
     value = dbar_exact(vec_x, vec_y, 3).value
     assert value == pytest.approx(sum(x) / 3, abs=1e-12)
+
+
+# -- the parent-pointer simplex against the dict-adjacency oracle ----------
+
+
+def _assert_same_solve(supply, demand, cost, rule):
+    """Same value, same allocation items in the same order, same duals."""
+    value, alloc, u, v = solve_transport(supply, demand, cost, rule=rule)
+    want_value, want_alloc, want_u, want_v = dict_solve_transport(supply, demand, cost, rule=rule)
+    assert value == want_value
+    assert list(alloc.items()) == list(want_alloc.items())
+    assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["dantzig", "bland"]), st.sampled_from([1.0, 1e6]))
+@settings(max_examples=150, deadline=None)
+def test_simplex_equals_oracle_dense_costs(nr, nc, seed, rule, scale):
+    # at scale 1e6 the rounding of u_i + v_j on basic cells exceeds the
+    # pivot tolerance, so only zeroing their reduced costs keeps them out
+    gen = np.random.default_rng(seed)
+    _assert_same_solve(gen.dirichlet(np.ones(nr)), gen.dirichlet(np.ones(nc)),
+                       gen.random((nr, nc)) * scale, rule)
+
+
+_SMALL_CUBES = [(a, m) for a in (2, 3, 4, 16) for m in (1, 2, 3, 4) if a ** m <= 16]
+
+
+@given(st.sampled_from(_SMALL_CUBES), st.sampled_from([1.0, 0.05]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(["dantzig", "bland"]))
+@settings(max_examples=150, deadline=None)
+def test_simplex_equals_oracle_hamming_cubes(cube, concentration, seed, rule):
+    alphabet_size, m = cube
+    atoms = _cube(alphabet_size, m)
+    cost = _dense_hamming(atoms, atoms)
+    gen = np.random.default_rng(seed)
+    # floored so the strictly-positive solver core takes Dirichlet(0.05) laws
+    mu = np.maximum(gen.dirichlet(np.full(len(atoms), concentration)), 1e-300)
+    nu = np.maximum(gen.dirichlet(np.full(len(atoms), concentration)), 1e-300)
+    _assert_same_solve(mu, nu, cost, rule)
+    _assert_same_solve(mu, mu, cost, rule)
+
+
+@given(st.sampled_from(_SMALL_CUBES), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_dbar_exact_zero_mass_atoms_equal_oracle(cube, seed):
+    alphabet_size, m = cube
+    n = alphabet_size ** m
+    gen = np.random.default_rng(seed)
+    mu = gen.dirichlet(np.ones(n)) * (gen.random(n) < 0.6)
+    nu = gen.dirichlet(np.ones(n)) * (gen.random(n) < 0.6)
+    mu[gen.integers(n)] += 1.0   # at least one atom keeps mass
+    nu[gen.integers(n)] += 1.0
+    mu /= mu.sum()
+    nu /= nu.sum()
+    coupling = dbar_exact(mu, nu, m, alphabet_size=alphabet_size)
+    assert coupling.engine == "simplex"
+    atoms = _cube(alphabet_size, m)
+    value, entries, u, v = dict_solve_with_zeros(mu, nu, _dense_hamming(atoms, atoms))
+    assert coupling.value == value
+    assert coupling.entries == entries
+    assert np.array_equal(coupling.dual_x, u) and np.array_equal(coupling.dual_y, v)
+
+
+def test_dbar_exact_rejects_nan_weights():
+    mu = np.array([np.nan, 0.5, 0.25, 0.25])
+    with pytest.raises(ValueError, match="probability vector"):
+        dbar_exact(mu, np.full(4, 0.25), 2)
+    with pytest.raises(ValueError, match="probability vector"):
+        dbar_exact(np.full(4, 0.25), mu, 2)
+
+
+def test_certificates_reject_nan_duals(rng):
+    mu = rng.dirichlet(np.ones(4))
+    nu = rng.dirichlet(np.ones(4))
+    atoms = _cube(2, 2)
+    cost = _dense_hamming(atoms, atoms)
+    value, entries, u, v = transport._solve_with_zeros(mu, nu, cost)
+    transport._certify(cost, mu, nu, entries, u, v, value)
+    bad_u = u.copy()
+    bad_u[1] = np.nan
+    bad_v = v.copy()
+    bad_v[1] = np.nan
+    for duals in ((bad_u, v), (u, bad_v)):
+        with pytest.raises(NonConvergenceError):
+            transport._certify(cost, mu, nu, entries, *duals, value)
+    with pytest.raises(NonConvergenceError):
+        transport._certify(cost, mu, nu, entries, u, v, np.nan)
+
+    m = 5
+    mu = rng.dirichlet(np.ones(2 ** m))
+    nu = rng.dirichlet(np.ones(2 ** m))
+    flow, phi = transport._hamming_flow(mu - nu, 2, m)
+    value = float(flow.sum()) / m
+    transport._certify_flow(phi, mu - nu, value, 2, m)
+    phi[3] = np.nan
+    with pytest.raises(NonConvergenceError):
+        transport._certify_flow(phi, mu - nu, value, 2, m)
+
+
+def test_validate_rejects_nan_mass(rng):
+    coupling = dbar_exact(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)), 2)
+    i, j, _ = coupling.entries[0]
+    coupling.entries[0] = (i, j, np.nan)
+    with pytest.raises(ValueError, match="marginals"):
+        coupling.validate()
 
 
 # -- empirical estimator ----------------------------------------------------
@@ -403,3 +511,15 @@ def test_dbar_artifact_bytes_flow_pair(tmp_path):
         "71160649d7052a75b1685ad4b46ec5e4d570ae2b711afead3185790b4fb46fe4")
     assert hashlib.sha256(csv_bytes).hexdigest() == (
         "3e93868586b08a3fa1b4019ad361de1089d863053c98374f059a915b0c5c851a")
+
+
+def test_probe_artifact_bytes(tmp_path):
+    """probe.json and probe_scatter.csv of 100 boundary-biased 8-atom pairs, by digest."""
+    from markovdetect.cli import main
+    out = tmp_path / "probe"
+    assert main(["probe", "--alphabet-size", "2", "--window", "3", "--instances", "100",
+                 "--sampler", "boundary-biased", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "probe.json").read_bytes()).hexdigest() == (
+        "4a7a732ffd4f59aa6c5234d54ab724533cc17ab3ddbc66cf4d45d9bda33a4020")
+    assert hashlib.sha256((out / "probe_scatter.csv").read_bytes()).hexdigest() == (
+        "2eb42a8cfc223a516d5ef91227e2265e49645ffb60f9acc2a45b4decfa409a28")
