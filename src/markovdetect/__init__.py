@@ -2,7 +2,7 @@
 
 The package is organized bottom-up:
 
-- :mod:`markovdetect.corpus` — tokenization and n-gram counting;
+- :mod:`markovdetect.corpus` — tokenization and window counting;
 - :mod:`markovdetect.markov` — Markov models, empirical fits, hidden-Markov
   sources, sampling and scoring;
 - :mod:`markovdetect.infometrics` — entropies, divergences, divergence rates,
@@ -16,7 +16,7 @@ The package is organized bottom-up:
   synthetic sources;
 - :mod:`markovdetect.cli` — the ``markovdetect`` command.
 """
-from .corpus import Alphabet, NgramCounts, TokenSeq, count_ngrams, count_windows, tokenize
+from .corpus import Alphabet, TokenSeq, count_windows, tokenize
 from .hypotest import (
     BayesErrorEstimate,
     ExponentFit,
@@ -53,7 +53,7 @@ from .transport import Coupling, dbar_between, dbar_empirical, dbar_exact, l1_di
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "NgramCounts", "TokenSeq", "count_ngrams", "count_windows", "tokenize",
+    "Alphabet", "TokenSeq", "count_windows", "tokenize",
     "BayesErrorEstimate", "ExponentFit", "TestOutcome", "bayes_error", "exponent_fit",
     "lrt_statistic", "miss_probability", "np_threshold",
     "ContinuityProfile", "chernoff", "cross_entropy", "entropy", "estimate_profile",

@@ -1,4 +1,4 @@
-"""Tokenization and n-gram counting.
+"""Tokenization and window counting.
 
 Symbols are always handled as integer codes into an :class:`Alphabet`; the
 rest of the package never sees raw text.  Three schemes are supported:
@@ -12,12 +12,13 @@ rest of the package never sees raw text.  Three schemes are supported:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TokenizerError
-from .util import dump_json, load_json
+from .util import decode, encode
 
 OOV_SYMBOL = "<oov>"
 SCHEMES = ("byte", "char", "word")
@@ -159,67 +160,16 @@ def count_windows(seq: TokenSeq, length: int) -> dict[tuple[int, ...], int]:
     """Counts of fully contained windows of the given length.
 
     A length-``m`` sequence has ``m - length + 1`` such windows (``m + 1`` for
-    length 0, all of them the empty tuple).
+    length 0, all of them the empty tuple).  Windows are counted as base-``a``
+    codes, ``a`` one more than the largest token, so ``a ** length`` must fit
+    int64 (else :class:`AtomBudgetError`); negative tokens raise ValueError.
     """
     if length < 0:
         raise ValueError("window length must be >= 0")
-    m = len(seq)
-    if length == 0:
-        return {(): m + 1}
-    if length > m:
+    if length > len(seq):
         return {}
-    toks = seq.tokens
-    counts: Counter = Counter()
-    if length == 1:
-        vals, cnts = np.unique(toks, return_counts=True)
-        return {(int(v),): int(c) for v, c in zip(vals, cnts)}
-    windows = np.lib.stride_tricks.sliding_window_view(toks, length)
-    for row in map(tuple, windows.tolist()):
-        counts[row] += 1
-    return dict(counts)
-
-
-@dataclass
-class NgramCounts:
-    """Sparse table of (k+1)-gram counts: context length ``k`` plus next symbol."""
-
-    k: int
-    table: dict[tuple[int, ...], int]
-    total_positions: int
-    alphabet: Alphabet | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("context length must be >= 0")
-        if sum(self.table.values()) != self.total_positions:
-            raise ValueError("counts do not sum to the number of window positions")
-
-    def to_json(self) -> dict:
-        obj = {
-            "k": self.k,
-            "total_positions": self.total_positions,
-            "entries": sorted([list(t), c] for t, c in self.table.items()),
-        }
-        if self.alphabet is not None:
-            obj["alphabet"] = self.alphabet.to_json()
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NgramCounts":
-        table = {tuple(t): int(c) for t, c in obj["entries"]}
-        alphabet = Alphabet.from_json(obj["alphabet"]) if "alphabet" in obj else None
-        return cls(obj["k"], table, obj["total_positions"], alphabet)
-
-    def save(self, path) -> None:
-        dump_json(path, self.to_json())
-
-    @classmethod
-    def load(cls, path) -> "NgramCounts":
-        return cls.from_json(load_json(path))
-
-
-def count_ngrams(seq: TokenSeq, k: int, alphabet: Alphabet | None = None) -> NgramCounts:
-    """Count windows of length ``k + 1`` (context of ``k`` symbols plus the next one)."""
-    table = count_windows(seq, k + 1)
-    total = max(len(seq) - k, 0)
-    return NgramCounts(k, table, total, alphabet)
+    a = int(seq.tokens.max(initial=0)) + 1
+    seq.validate(a)
+    codes, counts = np.unique(encode(sliding_window_view(seq.tokens, length), a),
+                              return_counts=True)
+    return dict(zip(map(tuple, decode(codes, a, length).tolist()), counts.tolist()))

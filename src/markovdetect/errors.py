@@ -30,7 +30,7 @@ class AtomBudgetError(DataContractError):
 
 
 class NonConvergenceError(MarkovDetectError):
-    """An iterative solve hit its cap; usually a reducible or periodic chain."""
+    """An iterative solve hit its cap, or a chain has no unique stationary law."""
 
     exit_code = 5
 

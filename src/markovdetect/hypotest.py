@@ -411,6 +411,8 @@ def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
 
 def _exact_table(p_model, q_model, n, method):
     """The exact statistic table for ``method``, or None to sample."""
+    if method not in ("auto", "mc", "exact"):
+        raise ValueError("method must be auto, mc or exact")
     if method == "mc":
         return None
     table = exact_statistic_table(p_model, q_model, n)
@@ -484,8 +486,6 @@ def _check_test_args(n, epsilon, trials, method):
         raise ValueError("epsilon must lie strictly between 0 and 1")
     if method == "mc" and trials < 1000:
         raise ValueError("Monte Carlo calibration needs at least 1000 trials")
-    if method not in ("auto", "mc", "exact"):
-        raise ValueError("method must be auto, mc or exact")
 
 
 def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
@@ -554,16 +554,12 @@ def bayes_error(p_model: MarkovModel, q_model: MarkovModel, n: int,
     if not 0.0 < prior < 1.0:
         raise ValueError("prior must lie strictly between 0 and 1")
     log_pi0, log_pi1 = math.log(prior), math.log(1.0 - prior)
-    estimate = stderr = None
-    if method != "mc":
-        table = exact_statistic_table(p_model, q_model, n)
-        if table is not None:
-            _, lp, lq = table
-            joint = np.minimum(log_pi0 + lp, log_pi1 + lq)
-            estimate, stderr, used = float(np.exp(logsumexp(joint))), 0.0, "exact"
-        elif method == "exact":
-            raise MarkovDetectError("no exact enumeration applies; use method='auto' or 'mc'")
-    if estimate is None:
+    table = _exact_table(p_model, q_model, n, method)
+    if table is not None:
+        _, lp, lq = table
+        joint = np.minimum(log_pi0 + lp, log_pi1 + lq)
+        estimate, stderr, used = float(np.exp(logsumexp(joint))), 0.0, "exact"
+    else:
         t_p = max(1, round(prior * trials))
         t_q = max(1, trials - t_p)
         rng_p = spawn_rng(seed, 12, 0)

@@ -25,7 +25,7 @@ def _as_prob(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("expected a 1-d probability vector")
-    if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
+    if not (p.min() >= 0 and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails both
         raise ValueError("entries must be >= 0 and sum to 1")
     return p
 

@@ -31,7 +31,9 @@ from .errors import AtomBudgetError, NonConvergenceError, UnseenContextError
 from .util import check_code_length, decode, dump_json, encode, fmt17, load_json, spawn_rng
 
 DEFAULT_ATOM_CAP = 65536
-STATIONARY_TOL = 1e-10
+STATIONARY_TOL = 1e-15
+STATIONARY_STALL_TOL = 1e-10
+STATIONARY_STALL_SWEEPS = 64
 STATIONARY_MAX_ITER = 10 ** 6
 
 
@@ -295,17 +297,68 @@ def sample(model: MarkovModel, n: int, seed: int) -> TokenSeq:
     return TokenSeq(np.array(out, dtype=np.int64))
 
 
-def stationary(model: MarkovModel) -> np.ndarray:
-    """Stationary law of the context chain, by power iteration, aligned with
-    ``model.codes``.
+def _stationary_law(succ: np.ndarray, prob: np.ndarray, name) -> np.ndarray:
+    """Stationary law of the chain moving from state ``i`` to ``succ[i, j]``
+    with probability ``prob[i, j]``, by power iteration from the uniform law.
 
-    Requires the chain restricted to fitted contexts to be closed, irreducible
-    and aperiodic; failure to converge within the cap raises
-    :class:`NonConvergenceError`.
+    Sweeps stop once one moves the law by less than ``STATIONARY_TOL`` in L1
+    norm, or once the step, below ``STATIONARY_STALL_TOL``, has made no new
+    low for ``STATIONARY_STALL_SWEEPS`` sweeps: rounding then keeps it from
+    shrinking, as on nearly periodic chains whose iterates end in a cycle of
+    floats.  The limit must be the only stationary law: every state must
+    reach the state of largest mass along positive transitions, else
+    :class:`NonConvergenceError` names (``name(i)``) the first that cannot.
+    """
+    n = len(succ)
+    live = prob > 0
+    flat_succ = np.where(live, succ, 0).reshape(-1)
+    prob = np.where(live, prob, 0.0)
+    x = np.full(n, 1.0 / n)
+    low, since_low = math.inf, 0
+    for _ in range(STATIONARY_MAX_ITER):
+        nxt = np.bincount(flat_succ, weights=(x[:, None] * prob).reshape(-1), minlength=n)
+        step = np.abs(nxt - x).sum()
+        x = nxt
+        low, since_low = (step, 0) if step < low else (low, since_low + 1)
+        if step < STATIONARY_TOL or (low < STATIONARY_STALL_TOL
+                                     and since_low >= STATIONARY_STALL_SWEEPS):
+            break
+    else:
+        raise NonConvergenceError(
+            "power iteration did not converge; chain may be periodic or mix too slowly"
+        )
+    # backward reachability of the heaviest state along positive transitions
+    reach = np.zeros(n, dtype=bool)
+    reach[np.argmax(x)] = True
+    while True:
+        grown = reach | (live & reach[succ]).any(axis=1)
+        if (grown == reach).all():
+            break
+        reach = grown
+    if not reach.all():
+        raise NonConvergenceError(
+            f"chain is reducible: {name(int(np.argmin(reach)))} cannot reach "
+            f"{name(int(np.argmax(x)))}, so the stationary law is not unique"
+        )
+    return x / x.sum()
+
+
+def stationary(model: MarkovModel) -> np.ndarray:
+    """Stationary law of the context chain, aligned with ``model.codes``.
+
+    Power iteration until a sweep moves the law by less than
+    ``STATIONARY_TOL`` = 1e-15 in L1 norm (the rounding floor of a sweep is a
+    few 1e-17 on well-mixing chains), so the law is within about
+    1e-15 * |l2| / (1 - |l2|) of the exact one, l2 the second eigenvalue.
+    The chain on the fitted contexts must be closed, else
+    :class:`UnseenContextError`, and must have a single closed class that
+    every context reaches, else :class:`NonConvergenceError` names a context
+    that does not; transient contexts end with mass near 1e-15 or less.
+    Periodic chains, and chains too slow to converge within
+    ``STATIONARY_MAX_ITER`` sweeps, raise :class:`NonConvergenceError`.
     """
     if model.order == 0:
         return np.ones(1)
-    n = len(model.codes)
     live = model.rows > 0
     succ = model.lookup(model.successors(model.codes))
     open_ = np.argwhere(live & (succ < 0))
@@ -315,22 +368,8 @@ def stationary(model: MarkovModel) -> np.ndarray:
         raise UnseenContextError(
             f"context chain is not closed: {ctx} -> {ctx[1:] + (int(sym),)} has no row"
         )
-    # successor context and probability for every (context, symbol)
-    flat_succ = np.where(live, succ, 0).reshape(-1)
-    prob = np.where(live, model.rows, 0.0)
-    x = np.full(n, 1.0 / n)
-    for _ in range(STATIONARY_MAX_ITER):
-        contrib = (x[:, None] * prob).reshape(-1)
-        nxt = np.bincount(flat_succ, weights=contrib, minlength=n)
-        if np.abs(nxt - x).sum() < STATIONARY_TOL:
-            x = nxt
-            break
-        x = nxt
-    else:
-        raise NonConvergenceError(
-            "power iteration did not converge; chain may be reducible or periodic"
-        )
-    return x / x.sum()
+    return _stationary_law(succ, model.rows,
+                           lambda i: f"context {model.context(model.codes[i])}")
 
 
 def window_law(model: MarkovModel, length: int, start,
@@ -430,18 +469,13 @@ class HiddenMarkovSource:
 
     @classmethod
     def with_stationary_start(cls, transition, emission) -> "HiddenMarkovSource":
+        """Source started from the stationary law of its state chain."""
         transition = np.asarray(transition, dtype=float)
-        vals, vecs = np.linalg.eig(transition.T)
-        i = int(np.argmin(np.abs(vals - 1.0)))
-        pi = np.real(vecs[:, i])
-        pi = np.abs(pi) / np.abs(pi).sum()
-        # polish with a few fixed-point steps for clean float accuracy
-        for _ in range(200):
-            nxt = pi @ transition
-            if np.abs(nxt - pi).sum() < 1e-15:
-                break
-            pi = nxt
-        return cls(transition, emission, pi)
+        n = len(transition)
+        source = cls(transition, emission, np.full(n, 1.0 / n))
+        source.start = _stationary_law(np.broadcast_to(np.arange(n), (n, n)),
+                                       source.transition, lambda i: f"state {i}")
+        return source
 
 
 def hmm_filter(source: HiddenMarkovSource, context) -> tuple[np.ndarray, float]:
@@ -509,11 +543,3 @@ def hmm_sample_windows(source: HiddenMarkovSource, n_windows: int, width: int, s
         out[:, t] = (u[:, None] > cum).sum(axis=1)
     return out
 
-
-def process_conditional(source, context) -> np.ndarray:
-    """Next-symbol law for either source type, given the trailing context."""
-    if isinstance(source, HiddenMarkovSource):
-        return hmm_conditional(source, context)
-    if isinstance(source, MarkovModel):
-        return markov_conditional(source, tuple(context))
-    raise TypeError(f"unsupported source type {type(source).__name__}")

@@ -1,9 +1,10 @@
-"""Reference implementations on tuple-keyed dicts.
+"""Reference implementations the package's routines are held to.
 
 The package keeps a chain as sorted integer context codes and dense row
-matrices, and the transportation simplex's basis tree in parent pointers.
-These are the straightforward loops over symbol tuples and dict adjacencies
-that those routines replaced; the tests hold the routines to them.
+matrices, the transportation simplex's basis tree in parent pointers, and
+one power iteration for every stationary law.  These are the straightforward
+loops over symbol tuples and dict adjacencies, and the dense eigenvector and
+linear-solve stationary laws, that those routines replaced or stand for.
 """
 import math
 from collections import Counter
@@ -114,6 +115,39 @@ def recursive_stationary_windows(model, length, pi):
         if mass > 0:
             extend(model.context(code), mass)
     return out
+
+
+def eig_stationary(transition):
+    """Stationary law of a state chain: the eigenvector of eigenvalue 1,
+    polished by up to 200 fixed-point steps."""
+    transition = np.asarray(transition, dtype=float)
+    vals, vecs = np.linalg.eig(transition.T)
+    i = int(np.argmin(np.abs(vals - 1.0)))
+    pi = np.real(vecs[:, i])
+    pi = np.abs(pi) / np.abs(pi).sum()
+    for _ in range(200):
+        nxt = pi @ transition
+        if np.abs(nxt - pi).sum() < 1e-15:
+            break
+        pi = nxt
+    return pi
+
+
+def dense_stationary(model):
+    """Stationary law of a closed, irreducible context chain by one dense
+    solve of pi (P - I) = 0 with sum(pi) = 1."""
+    n, a = model.rows.shape
+    succ = model.lookup(model.successors(model.codes))
+    transition = np.zeros((n, n))
+    for i in range(n):
+        for sym in range(a):
+            if model.rows[i, sym] > 0:
+                transition[i, succ[i, sym]] += model.rows[i, sym]
+    lhs = transition.T - np.eye(n)
+    lhs[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    return np.linalg.solve(lhs, rhs)
 
 
 def loop_log_likelihood(model, seq):

@@ -155,7 +155,7 @@ def test_forward_pinsker_sweep(rng):
     for _ in range(2_000):
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(4))
-        assert forward_pinsker_holds(p, q)
+        assert forward_pinsker_holds(p, q, kl(p, q))
 
 
 # -- probes -----------------------------------------------------------------

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +6,13 @@ from hypothesis import strategies as st
 from markovdetect.corpus import (
     OOV_SYMBOL,
     Alphabet,
-    NgramCounts,
     TokenSeq,
-    count_ngrams,
     count_windows,
     detokenize,
     tokenize,
 )
-from markovdetect.errors import TokenizerError
+from markovdetect.errors import AtomBudgetError, TokenizerError
+from oracles import tuple_windows
 
 
 def test_char_round_trip():
@@ -130,37 +127,24 @@ def test_window_marginalization(tokens, k):
     assert marginal == prefix
 
 
-@given(tokens=st.lists(st.integers(0, 1), min_size=1, max_size=50), length=st.integers(1, 6))
-@settings(max_examples=150, deadline=None)
+@given(tokens=st.lists(st.integers(0, 4), min_size=0, max_size=50), length=st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
 def test_window_total(tokens, length):
-    seq = TokenSeq(np.array(tokens))
+    seq = TokenSeq(np.array(tokens, dtype=np.int64))
     counts = count_windows(seq, length)
     expect = max(len(tokens) - length + 1, 0)
     assert sum(counts.values()) == expect
+    assert counts == tuple_windows(tokens, length)
 
 
-# -- ngram counts artifact --------------------------------------------------
-
-
-def test_ngram_counts_round_trip(tmp_path):
-    seq, alphabet = tokenize("aababba", "char")
-    counts = count_ngrams(seq, 1, alphabet)
-    path = tmp_path / "counts.json"
-    counts.save(path)
-    again = NgramCounts.load(path)
-    assert again.k == counts.k
-    assert again.table == counts.table
-    assert again.total_positions == counts.total_positions
-    # file itself is deterministic
-    counts.save(tmp_path / "counts2.json")
-    assert path.read_bytes() == (tmp_path / "counts2.json").read_bytes()
-
-
-def test_ngram_counts_total_positions():
-    seq, alphabet = tokenize("aababba", "char")
-    counts = count_ngrams(seq, 2, alphabet)
-    assert counts.total_positions == len(seq) - 2
-    assert sum(counts.table.values()) == counts.total_positions
+def test_count_windows_refusals():
+    with pytest.raises(ValueError):
+        count_windows(TokenSeq(np.array([0, 1])), -1)
+    with pytest.raises(ValueError):
+        count_windows(TokenSeq(np.array([0, -1, 1])), 2)
+    # 256 ** 8 window codes overflow int64
+    with pytest.raises(AtomBudgetError):
+        count_windows(TokenSeq(np.arange(256)), 8)
 
 
 def test_token_seq_validation():

@@ -447,6 +447,12 @@ def test_bayes_error_validates_prior(fair_vs_biased):
         bayes_error(p, q, 10, prior=0.0)
 
 
+def test_bayes_error_rejects_unknown_method(fair_vs_biased):
+    p, q = fair_vs_biased
+    with pytest.raises(ValueError, match="method"):
+        bayes_error(p, q, 10, method="bogus")
+
+
 def test_whittle_runtime_allows_long_sequences(fair_vs_biased):
     # the count-lattice path keeps exact evaluation cheap well past
     # enumeration range

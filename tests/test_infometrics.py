@@ -119,6 +119,17 @@ def test_chernoff_agrees_with_dense_grid(rng):
         assert chernoff(p, q).value == pytest.approx(grid.max(), abs=1e-5)
 
 
+@pytest.mark.parametrize("func", [kl, entropy, cross_entropy, chernoff])
+def test_nan_entry_rejected(func):
+    bad = [math.nan, 0.5, 0.25, 0.25]
+    args = (bad,) if func is entropy else (bad, [0.25] * 4)
+    with pytest.raises(ValueError):
+        func(*args)
+    if func is not entropy:
+        with pytest.raises(ValueError):
+            func([0.25] * 4, bad)
+
+
 def test_golden_section_finds_quadratic_min():
     x = golden_section_min(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0, tol=1e-9)
     assert x == pytest.approx(0.3, abs=1e-6)

@@ -9,12 +9,16 @@ from markovdetect.corpus import Alphabet, TokenSeq, tokenize
 from markovdetect.errors import AtomBudgetError, NonConvergenceError, UnseenContextError
 from oracles import (
     counter_fit_json,
+    dense_stationary,
+    eig_stationary,
     loop_log_likelihood,
     model_from_dicts,
     recursive_sequence_distribution,
     recursive_stationary_windows,
 )
 
+from markovdetect import markov
+from markovdetect.infometrics import kl_rate
 from markovdetect.markov import (
     HiddenMarkovSource,
     MarkovModel,
@@ -144,6 +148,57 @@ def test_chain_model_defaults_to_stationary_init():
     assert model.init_mass(0) == pytest.approx(0.6, abs=1e-9)
 
 
+def test_reducible_chain_has_no_stationary_law():
+    # two closed classes: power iteration alone would return a start-dependent mix
+    rows = np.array([[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.3, 0.7], [0, 0, 0.6, 0.4]])
+    codes = np.arange(4)
+    alphabet = Alphabet(("s0", "s1", "s2", "s3"))
+    with pytest.raises(NonConvergenceError, match=r"context \(0,\) cannot reach"):
+        stationary(MarkovModel(1, alphabet, codes, rows, [0], [1.0]))
+    with pytest.raises(NonConvergenceError):
+        chain_model(rows)
+    p = chain_model(rows, init=np.full(4, 0.25))
+    q = chain_model(np.full((4, 4), 0.25))
+    with pytest.raises(NonConvergenceError):
+        kl_rate(p, q)
+
+
+def test_transient_contexts_get_no_mass():
+    # context 0 leaks into the closed class {1, 2} and is never entered again
+    rows = np.array([[0.5, 0.25, 0.25], [0.0, 0.4, 0.6], [0.0, 0.7, 0.3]])
+    pi = stationary(chain_model(rows))
+    assert pi[0] <= 1e-14
+    np.testing.assert_allclose(pi[1:], [0.7 / 1.3, 0.6 / 1.3], rtol=0, atol=1e-14)
+
+
+def test_stationary_stops_at_the_rounding_floor(monkeypatch):
+    # nearly periodic: the iterates end in a two-cycle of floats whose L1 step
+    # stays above STATIONARY_TOL, so only the stall rule ends the sweeps
+    rows = np.array([[0.06, 0.94], [0.97, 0.03]])
+    monkeypatch.setattr(markov, "STATIONARY_MAX_ITER", 5000)
+    monkeypatch.setattr(markov, "STATIONARY_STALL_SWEEPS", 10 ** 9)
+    with pytest.raises(NonConvergenceError):
+        chain_model(rows)
+    monkeypatch.undo()
+    pi = stationary(chain_model(rows))
+    np.testing.assert_allclose(pi, [0.97 / 1.91, 0.94 / 1.91], rtol=0, atol=1e-15)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), a=st.integers(2, 4), k=st.integers(1, 2),
+       smoothing=st.sampled_from([0.01, 0.1, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_stationary_matches_dense_solve(seed, a, k, smoothing):
+    rng = np.random.default_rng(seed)
+    truth = chain_model(0.7 * rng.dirichlet(np.full(a, 0.5), size=a) + 0.3 / a)
+    seq = sample(truth, 60 * a ** k, seed)
+    model = fit_empirical(seq, k, Alphabet(tuple(f"s{i}" for i in range(a))), smoothing)
+    try:
+        pi = stationary(model)
+    except UnseenContextError:  # a k-gram never seen before the last token
+        return
+    np.testing.assert_allclose(pi, dense_stationary(model), rtol=0, atol=1e-13)
+
+
 # -- sampling ---------------------------------------------------------------
 
 
@@ -233,6 +288,23 @@ def test_hmm_rows_validated():
 def test_hmm_stationary_start_is_fixed_point(two_state_hmm):
     start = two_state_hmm.start
     np.testing.assert_allclose(start @ two_state_hmm.transition, start, atol=1e-12)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6))
+@settings(max_examples=100, deadline=None)
+def test_hmm_stationary_start_matches_eig(seed, n):
+    # half of every row uniform keeps the chain mixing at rate <= 1/2, where
+    # the power-iteration law is within ~STATIONARY_TOL of the eigenvector
+    rng = np.random.default_rng(seed)
+    transition = 0.5 * rng.dirichlet(np.ones(n), size=n) + 0.5 / n
+    emission = rng.dirichlet(np.ones(3), size=n)
+    start = HiddenMarkovSource.with_stationary_start(transition, emission).start
+    np.testing.assert_allclose(start, eig_stationary(transition), rtol=0, atol=1e-14)
+
+
+def test_hmm_stationary_start_validates_first():
+    with pytest.raises(ValueError):
+        HiddenMarkovSource.with_stationary_start([[0.5, 0.6], [0.5, 0.5]], np.eye(2))
 
 
 def test_hmm_window_law_normalizes(two_state_hmm):
