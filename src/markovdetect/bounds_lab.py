@@ -31,9 +31,9 @@ from .markov import (
     HiddenMarkovSource,
     MarkovModel,
     fit_empirical,
+    hmm_forward,
     hmm_sample,
     hmm_sample_windows,
-    hmm_window_log_prob,
     log_likelihood,
 )
 from .transport import dbar_empirical, dbar_exact, l1_distance, tv
@@ -85,7 +85,12 @@ class ApproxBoundInputs:
 
     @property
     def order(self) -> int:
-        return round(self.rate_exponent * math.log(self.train_len))
+        return _resolved_order(self.train_len, self.rate_exponent)
+
+
+def _resolved_order(train_len: int, rate_exponent: float) -> int:
+    """The fitted order round(rate_exponent * ln(train_len))."""
+    return round(rate_exponent * math.log(train_len))
 
 
 def approx_bound(inputs: ApproxBoundInputs) -> float:
@@ -198,11 +203,9 @@ def approx_experiment(
             f"window {window} over {a} symbols exceeds the exact-transport cap"
         )
     m_grid = sorted(int(m) for m in m_grid)
-    orders = [ApproxBoundInputs(m, rate_exponent, tail_exponent,
-                                _placeholder_profile()).order for m in m_grid]
     if profile is None:
-        profile = estimate_profile(source, k_max=max(max(orders), 1) + 1,
-                                   m_max=max(max(orders), 1) + 2)
+        k = max(max(_resolved_order(m, rate_exponent) for m in m_grid), 1)
+        profile = estimate_profile(source, k_max=k + 1, m_max=k + 2)
     alphabet = digit_alphabet(a)
     rows = []
     for m in m_grid:
@@ -238,12 +241,6 @@ def approx_experiment(
         "seed": seed,
     })
     return ApproxExperiment(rows, window, n_windows, seed, profile, digest)
-
-
-def _placeholder_profile() -> ContinuityProfile:
-    # admissibility of (rate_exponent, tail_exponent) against the real profile
-    # is rechecked per grid point; this one only resolves the order.
-    return ContinuityProfile(rates=(0.0,), floor=0.5, alphabet_size=2)
 
 
 def _mix(seed: int, tag: int, m: int) -> int:
@@ -468,9 +465,7 @@ def fitted_divergence_eval(
     if constant <= 0:
         raise ValueError("constant must be positive")
     a = source.emission.shape[1]
-    inputs = ApproxBoundInputs(train_len, rate_exponent, tail_exponent,
-                               _placeholder_profile())
-    k = inputs.order
+    k = _resolved_order(train_len, rate_exponent)
     if profile is None:
         profile = estimate_profile(source, k_max=max(k, 1) + 1, m_max=max(k, 1) + 2)
     inputs = ApproxBoundInputs(train_len, rate_exponent, tail_exponent, profile)
@@ -479,11 +474,8 @@ def fitted_divergence_eval(
     model, added = _close_gaps(model)
     windows = hmm_sample_windows(source, n_windows, window,
                                  seed=_mix(seed, 41, train_len))
-    gaps = np.empty(n_windows)
-    for i, win in enumerate(windows):
-        ls = hmm_window_log_prob(source, win)
-        lm = log_likelihood(model, TokenSeq(win))
-        gaps[i] = ls - lm
+    _, log_source = hmm_forward(source, windows)
+    gaps = log_source - np.array([log_likelihood(model, TokenSeq(win)) for win in windows])
     infinite = bool(np.isinf(gaps).any())
     d_estimate = float("inf") if infinite else float(gaps.mean())
     rhs = constant * approx_bound(inputs) ** 2

@@ -12,9 +12,12 @@ replace sampling whenever they apply, all computed in log space:
 * full sequence enumeration when ``alphabet ** n`` fits the atom cap;
 * the symbol-count lattice for i.i.d. models at any n (the statistic only
   depends on counts, whose law is multinomial);
-* the transition-count lattice for binary order-<=1 models, using the
-  classical count-matrix formula for the number of sequences realizing a
-  given transition tally.
+* the transition-count lattice for binary order-<=1 models.  A binary
+  sequence is a string of runs: with first symbol x and s switches it has
+  floor(s/2) + 1 runs of x and ceil(s/2) runs of the other symbol o, and
+  its n_xx (n_oo) stays are spread over the runs of x (o), so the number of
+  sequences with a given first symbol and transition tally is
+  C(n_xx + runs_x - 1, runs_x - 1) * C(n_oo + runs_o - 1, runs_o - 1).
 
 Monte Carlo remains the general path and is vectorized across trials.  Its
 Markov walk draws each next symbol by inverse-CDF lookup through a guide
@@ -191,63 +194,45 @@ def _lift_binary(model: MarkovModel):
 
 
 def _table_binary_chain(p_model, q_model, n):
-    """Exact statistic law via transition-count enumeration (binary, order <= 1).
+    """Exact statistic law via transition-count classes (binary, order <= 1).
 
-    Sequences sharing (first symbol, last symbol, transition counts) share
-    both likelihoods; the class size is the count-matrix formula
-    ``prod_a rowsum_a! / prod_ab N_ab! * cofactor`` validated against brute
-    force in the tests.
+    Sequences sharing their first symbol x and their transition counts share
+    both likelihoods.  A sequence with s switches has s + 1 runs, alternately
+    of x and of the other symbol o: runs_x = floor(s/2) + 1 and
+    runs_o = ceil(s/2), which also fixes the counts of x->o and o->x
+    switches.  Its stay_x = n_xx and stay_o = n_oo stays are spread over the
+    runs of their symbol, any number to a run, so the class holds
+    ``C(stay_x + runs_x - 1, runs_x - 1) * C(stay_o + runs_o - 1, runs_o - 1)``
+    sequences (1 for the second factor when s = 0 and so stay_o = 0).  The
+    classes of both first symbols share one array of (s, stay_x, stay_o).
     """
     init_p, rows_p = _lift_binary(p_model)
     init_q, rows_q = _lift_binary(q_model)
     with np.errstate(divide="ignore"):
-        li_p, lr_p = np.log(init_p), np.log(rows_p)
-        li_q, lr_q = np.log(init_q), np.log(rows_q)
-    parts = []
-    for x1 in (0, 1):
-        for xn in (0, 1):
-            d = (1 if x1 == 0 else 0) - (1 if xn == 0 else 0)
-            n00, n11 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            n00, n11 = n00.ravel(), n11.ravel()
-            rest = n - 1 - n00 - n11
-            ok = (rest >= 0) & (((rest + d) % 2) == 0)
-            n00, n11, rest = n00[ok], n11[ok], rest[ok]
-            n01 = (rest + d) // 2
-            n10 = (rest - d) // 2
-            ok = (n01 >= 0) & (n10 >= 0)
-            n00, n11, n01, n10 = n00[ok], n11[ok], n01[ok], n10[ok]
-            r0, r1 = n00 + n01, n10 + n11
-            c0, c1 = n00 + n10, n01 + n11
-            ok = (r0 - c0 == (x1 == 0) - (xn == 0)) & (r1 - c1 == (x1 == 1) - (xn == 1))
-            n00, n11, n01, n10, r0, r1 = (
-                n00[ok], n11[ok], n01[ok], n10[ok], r0[ok], r1[ok])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                m00 = np.where(r0 > 0, 1 - n00 / np.maximum(r0, 1), 1.0)
-                m10 = np.where(r1 > 0, -n10 / np.maximum(r1, 1), 0.0)
-                m01 = np.where(r0 > 0, -n01 / np.maximum(r0, 1), 0.0)
-                m11 = np.where(r1 > 0, 1 - n11 / np.maximum(r1, 1), 1.0)
-            minor = np.choose(2 * (1 - xn) + (1 - x1),
-                              [m00, m01, m10, m11])
-            cof = ((-1) ** (x1 + xn)) * minor
-            pos = cof > 1e-14
-            n00, n11, n01, n10, r0, r1, cof = (
-                n00[pos], n11[pos], n01[pos], n10[pos], r0[pos], r1[pos], cof[pos])
-            log_count = (gammaln(r0 + 1) + gammaln(r1 + 1)
-                         - gammaln(n00 + 1) - gammaln(n01 + 1)
-                         - gammaln(n10 + 1) - gammaln(n11 + 1)
-                         + np.log(cof))
-            counts = np.stack([n00, n01, n10, n11], axis=1)
-
-            def model_terms(li, lr):
-                log_rows = np.array([lr[0, 0], lr[0, 1], lr[1, 0], lr[1, 1]])
-                return li[x1] + _log_weighted(counts, log_rows)
-
-            tp = model_terms(li_p, lr_p)
-            tq = model_terms(li_q, lr_q)
-            parts.append((_llr_stats(tp, tq, n), log_count + tp, log_count + tq))
-    stats = np.concatenate([p[0] for p in parts])
-    lp = np.concatenate([p[1] for p in parts])
-    lq = np.concatenate([p[2] for p in parts])
+        li_p, lr_p = np.log(init_p), np.log(rows_p).ravel()
+        li_q, lr_q = np.log(init_q), np.log(rows_q).ravel()
+    s, stays = np.triu_indices(n)  # stays = stay_x + s <= n - 1
+    stay_o = n - 1 - stays
+    keep = (s > 0) | (stay_o == 0)  # stays of o need a run of o
+    s, stay_o = s[keep], stay_o[keep]
+    stay_x = n - 1 - s - stay_o
+    runs_x, runs_o = s // 2 + 1, (s + 1) // 2
+    some_o = np.maximum(runs_o, 1)
+    log_count = (gammaln(stay_x + runs_x) - gammaln(stay_x + 1) - gammaln(runs_x)
+                 + gammaln(stay_o + some_o) - gammaln(stay_o + 1) - gammaln(some_o))
+    # (n00, n01, n10, n11) for x = 0; reversed, the same columns serve x = 1
+    counts = np.stack([stay_x, runs_o, runs_x - 1, stay_o], axis=1)
+    # free the class arrays before the outputs are allocated: it lowers peak memory
+    del s, stays, keep, stay_x, stay_o, runs_x, runs_o, some_o
+    size = len(log_count)
+    stats, lp, lq = np.empty(2 * size), np.empty(2 * size), np.empty(2 * size)
+    for x, by_x in ((0, counts), (1, counts[:, ::-1])):
+        tp = li_p[x] + _log_weighted(by_x, lr_p)
+        tq = li_q[x] + _log_weighted(by_x, lr_q)
+        half = slice(x * size, (x + 1) * size)
+        stats[half] = _llr_stats(tp, tq, n)
+        lp[half] = log_count + tp
+        lq[half] = log_count + tq
     return _clean_table(stats, lp, lq)
 
 

@@ -3,6 +3,13 @@
 Everything is in nats.  Single-letter functions take plain probability
 vectors; process-level ones take the model/source types from
 :mod:`markovdetect.markov`.
+
+:func:`estimate_profile` is the one entry point to the continuity structure
+of a source.  For a hidden-Markov source it scores every word of each
+context length with one :func:`markovdetect.markov.hmm_forward` call; for a
+chain it reads rows off the stationary :func:`markovdetect.markov.window_law`.
+Both give sorted int64 context codes plus a row matrix, and the rates group
+those rows by their last k symbols.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import AtomBudgetError, BoundInapplicableError, SupportViolationWarning
-from .markov import HiddenMarkovSource, MarkovModel, stationary, window_law
+from .markov import HiddenMarkovSource, MarkovModel, hmm_forward, stationary, window_law
 from .util import decode
 
 PROB_TOL = 1e-12
@@ -238,25 +245,14 @@ def estimation_coefficient(profile: ContinuityProfile, k: int) -> float:
     return (1.0 - (1.0 - a * rk) ** k) / (k * rk * prod)
 
 
-def _conditional_table(source, m: int, pi=None) -> dict[tuple[int, ...], np.ndarray]:
-    """Exact next-symbol conditionals for every positive-probability length-m context."""
+def _conditional_table(source, m: int, pi=None) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted codes of the positive-probability length-``m`` contexts and the
+    exact next-symbol law after each, one row per code."""
     if isinstance(source, HiddenMarkovSource):
-        a = source.alphabet_size
-        table: dict[tuple[int, ...], np.ndarray] = {}
-
-        def walk(ctx: tuple[int, ...], belief: np.ndarray):
-            if len(ctx) == m:
-                table[ctx] = (belief @ source.transition) @ source.emission
-                return
-            prop = belief @ source.transition if ctx else source.start
-            for sym in range(a):
-                nxt = prop * source.emission[:, sym]
-                z = nxt.sum()
-                if z > 0:
-                    walk(ctx + (sym,), nxt / z)
-
-        walk((), source.start)
-        return table
+        codes = np.arange(source.alphabet_size ** m)
+        belief, log_prob = hmm_forward(source, decode(codes, source.alphabet_size, m))
+        live = np.isfinite(log_prob)
+        return codes[live], (belief[live] @ source.transition) @ source.emission
 
     if isinstance(source, MarkovModel):
         a, k = source.alphabet.size, source.order
@@ -272,63 +268,32 @@ def _conditional_table(source, m: int, pi=None) -> dict[tuple[int, ...], np.ndar
             rows = np.zeros((len(codes), a))
             np.add.at(rows, group, weighted)
             rows /= np.bincount(group, weights=mass)[:, None]
-        return dict(zip(map(tuple, decode(codes, a, m).tolist()), rows))
+        return codes, rows
 
     raise TypeError(f"unsupported source type {type(source).__name__}")
 
 
-def continuity_rate(source, k: int, m_max: int, atom_cap: int = 65536) -> float:
-    """Largest conditional-probability gap between histories sharing their last k symbols.
-
-    Exhausts all context lengths m in [k, m_max]; exact within that horizon.
-    """
-    if k < 1 or m_max < k:
-        raise ValueError("need 1 <= k <= m_max")
-    a = _alphabet_size(source)
-    if a ** m_max > atom_cap:
-        raise AtomBudgetError(f"{a}**{m_max} contexts exceed cap {atom_cap}")
-    worst = 0.0
-    pi = stationary(source) if isinstance(source, MarkovModel) else None
-    for m in range(k, m_max + 1):
-        table = _conditional_table(source, m, pi)
-        worst = max(worst, _suffix_spread(table, k))
-    return worst
-
-
-def _suffix_spread(table: dict[tuple[int, ...], np.ndarray], k: int) -> float:
-    hi: dict[tuple[int, ...], np.ndarray] = {}
-    lo: dict[tuple[int, ...], np.ndarray] = {}
-    for ctx, dist in table.items():
-        sfx = ctx[len(ctx) - k:]
-        if sfx in hi:
-            hi[sfx] = np.maximum(hi[sfx], dist)
-            lo[sfx] = np.minimum(lo[sfx], dist)
-        else:
-            hi[sfx] = dist.copy()
-            lo[sfx] = dist.copy()
-    return max((float((hi[s] - lo[s]).max()) for s in hi), default=0.0)
-
-
-def smoothing_floor(source, m_max: int, atom_cap: int = 65536) -> float:
-    """Smallest next-symbol probability over all positive contexts up to m_max."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    a = _alphabet_size(source)
-    if a ** m_max > atom_cap:
-        raise AtomBudgetError(f"{a}**{m_max} contexts exceed cap {atom_cap}")
-    pi = stationary(source) if isinstance(source, MarkovModel) else None
-    floor = 1.0
-    for m in range(1, m_max + 1):
-        for dist in _conditional_table(source, m, pi).values():
-            floor = min(floor, float(dist.min()))
-    return floor
+def _suffix_spread(codes: np.ndarray, rows: np.ndarray, a: int, k: int) -> float:
+    """Largest gap in any symbol's probability between the rows of two
+    contexts that end in the same ``k`` symbols."""
+    suffix = codes % a ** k
+    order = np.argsort(suffix, kind="stable")
+    suffix, rows = suffix[order], rows[order]
+    starts = np.flatnonzero(np.concatenate([[True], suffix[1:] != suffix[:-1]]))
+    spread = np.maximum.reduceat(rows, starts) - np.minimum.reduceat(rows, starts)
+    return float(spread.max())
 
 
 def estimate_profile(source, k_max: int, m_max: int, atom_cap: int = 65536) -> ContinuityProfile:
     """Profile with exact rates for overlap depths 1..k_max within horizon m_max.
 
-    Rates are truncated at m_max: deeper history dependence, if any, is
-    assumed to have decayed to zero beyond it.
+    For each context length m <= m_max the next-symbol laws of all
+    positive-probability contexts come as sorted codes plus a row matrix.
+    ``rates[k - 1]`` is the largest gap between the laws after two contexts
+    of a length in [k, m_max] that share their last k symbols, found by
+    grouping rows on ``code % a**k``; ``floor`` is the smallest probability
+    in any of those laws.  Rates are truncated at m_max: deeper history
+    dependence, if any, is assumed to have decayed to zero beyond it.
     """
     if not 1 <= k_max <= m_max:
         raise ValueError("need 1 <= k_max <= m_max")
@@ -339,11 +304,10 @@ def estimate_profile(source, k_max: int, m_max: int, atom_cap: int = 65536) -> C
     rates = [0.0] * k_max
     floor = 1.0
     for m in range(1, m_max + 1):
-        table = _conditional_table(source, m, pi)
-        for dist in table.values():
-            floor = min(floor, float(dist.min()))
+        codes, rows = _conditional_table(source, m, pi)
+        floor = min(floor, float(rows.min()))
         for k in range(1, min(m, k_max) + 1):
-            rates[k - 1] = max(rates[k - 1], _suffix_spread(table, k))
+            rates[k - 1] = max(rates[k - 1], _suffix_spread(codes, rows, a, k))
     if floor <= 0:
         raise BoundInapplicableError("source assigns a zero conditional; no positive floor")
     return ContinuityProfile(tuple(rates), floor, a)

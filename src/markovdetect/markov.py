@@ -16,6 +16,13 @@ The empirical estimator for a context of length ``k`` divides the count of
 windows in the sample minus its last position.  That denominator convention
 makes every fitted row sum to exactly one: the final ``k``-gram of the sample
 starts no transition, so it is excluded from context counts.
+
+A :class:`HiddenMarkovSource` stands in for a stationary source that is not
+Markov of any order.  :func:`hmm_forward` is its one likelihood routine: the
+forward recursion run across an ``(n, m)`` array of windows at once, giving
+each window's log-probability and the state law after it, from which the
+next-symbol law is ``belief @ transition @ emission``.  Constructors reject
+negative and NaN masses.
 """
 from __future__ import annotations
 
@@ -81,14 +88,15 @@ class MarkovModel:
         for codes in (self.codes, self.init_codes):
             if len(codes) and (codes[0] < 0 or codes[-1] >= a ** k or (np.diff(codes) == 0).any()):
                 raise ValueError("context codes must be distinct and below alphabet_size**order")
-        if n:
-            bad = np.flatnonzero((self.rows.min(axis=1) < 0)
-                                 | (np.abs(self.rows.sum(axis=1) - 1.0) > 1e-9))
+        if n:  # written as not (ok) so that NaN fails
+            bad = np.flatnonzero(~((self.rows.min(axis=1) >= 0)
+                                   & (np.abs(self.rows.sum(axis=1) - 1.0) <= 1e-9)))
             if len(bad):
                 raise ValueError(f"transition row for {self.context(self.codes[bad[0]])} "
                                  "is not a distribution")
-        if abs(self.init_probs.sum() - 1.0) > 1e-9:
-            raise ValueError("initial distribution does not sum to 1")
+        if not (self.init_probs.min(initial=0.0) >= 0
+                and abs(self.init_probs.sum() - 1.0) <= 1e-9):
+            raise ValueError("initial probabilities must be >= 0 and sum to 1")
 
     def context(self, code) -> tuple[int, ...]:
         """The symbol tuple of one context code."""
@@ -424,23 +432,6 @@ def sequence_distribution(
     return out
 
 
-def markov_conditional(model: MarkovModel, context: tuple[int, ...]) -> np.ndarray:
-    """Next-symbol law of the stationary chain given the last ``len(context)`` symbols.
-
-    For contexts at least as long as the order this is a plain row lookup; for
-    shorter ones the hidden part is averaged under the stationary law.
-    """
-    k, a = model.order, model.alphabet.size
-    if len(context) >= k:
-        return model.row(context[len(context) - k:])
-    pi = stationary(model)
-    match = (pi > 0) & (model.codes % a ** len(context) == encode(context, a))
-    mass = pi[match].sum()
-    if mass <= 0:
-        raise UnseenContextError(f"context {context} has probability 0 under the model")
-    return (pi[match, None] * model.rows[match]).sum(axis=0) / mass
-
-
 @dataclass
 class HiddenMarkovSource:
     """Stationary-friendly hidden-Markov process emitting alphabet symbols."""
@@ -454,10 +445,10 @@ class HiddenMarkovSource:
         self.emission = np.asarray(self.emission, dtype=float)
         self.start = np.asarray(self.start, dtype=float)
         for name, mat in (("transition", self.transition), ("emission", self.emission)):
-            if mat.ndim != 2 or mat.min() < 0 or np.abs(mat.sum(1) - 1).max() > 1e-9:
+            if mat.ndim != 2 or not (mat.min() >= 0 and np.abs(mat.sum(1) - 1).max() <= 1e-9):
                 raise ValueError(f"{name} matrix rows must be distributions")
-        if abs(self.start.sum() - 1) > 1e-9 or self.start.min() < 0:
-            raise ValueError("start distribution must sum to 1")
+        if not (self.start.min() >= 0 and abs(self.start.sum() - 1) <= 1e-9):
+            raise ValueError("start distribution must be >= 0 and sum to 1")
 
     @property
     def n_states(self) -> int:
@@ -478,35 +469,33 @@ class HiddenMarkovSource:
         return source
 
 
-def hmm_filter(source: HiddenMarkovSource, context) -> tuple[np.ndarray, float]:
-    """Normalized state belief after observing ``context`` plus log P(context)."""
-    belief = source.start.copy()
-    log_prob = 0.0
-    for t, sym in enumerate(context):
+def hmm_forward(source: HiddenMarkovSource, windows) -> tuple[np.ndarray, np.ndarray]:
+    """Forward recursion (Rabiner 1989) run across the rows of an ``(n, m)``
+    array of windows at once.
+
+    Returns the normalized state law after each window's last symbol, shape
+    ``(n, S)`` (the start law when ``m = 0``), and log P(window), shape ``(n,)``.
+    The belief is renormalized at every symbol and the logs of the
+    normalizers are summed in window order.  An impossible window gets
+    log-probability ``-inf`` and an all-zero belief.
+    """
+    windows = np.asarray(windows, dtype=np.int64)
+    if windows.ndim != 2:
+        raise ValueError("windows must be an (n, m) array")
+    if windows.size and not (windows.min() >= 0 and windows.max() < source.alphabet_size):
+        raise ValueError("window symbols must lie in [0, alphabet_size)")
+    n, m = windows.shape
+    belief = np.repeat(source.start[None, :], n, axis=0)
+    log_prob = np.zeros(n)
+    for t in range(m):
         if t > 0:
             belief = belief @ source.transition
-        belief = belief * source.emission[:, sym]
-        z = belief.sum()
-        if z <= 0.0:
-            raise UnseenContextError(f"context {tuple(context)} has probability 0 under the source")
-        belief /= z
-        log_prob += math.log(z)
+        belief *= source.emission[:, windows[:, t]].T
+        z = belief.sum(axis=1)
+        with np.errstate(divide="ignore"):
+            log_prob += np.log(z)
+        belief /= np.where(z > 0, z, 1.0)[:, None]
     return belief, log_prob
-
-
-def hmm_conditional(source: HiddenMarkovSource, context) -> np.ndarray:
-    """Exact next-symbol law given an observed context (empty context allowed)."""
-    context = tuple(context)
-    if not context:
-        return source.start @ source.emission
-    belief, _ = hmm_filter(source, context)
-    return (belief @ source.transition) @ source.emission
-
-
-def hmm_window_log_prob(source: HiddenMarkovSource, window) -> float:
-    """log P(window) under the source (forward recursion)."""
-    _, lp = hmm_filter(source, tuple(window))
-    return lp
 
 
 def hmm_sample(source: HiddenMarkovSource, n: int, seed: int) -> TokenSeq:

@@ -1,19 +1,24 @@
 """Reference implementations the package's routines are held to.
 
 The package keeps a chain as sorted integer context codes and dense row
-matrices, the transportation simplex's basis tree in parent pointers, and
-one power iteration for every stationary law.  These are the straightforward
-loops over symbol tuples and dict adjacencies, and the dense eigenvector and
-linear-solve stationary laws, that those routines replaced or stand for.
+matrices, the transportation simplex's basis tree in parent pointers, one
+power iteration for every stationary law, one batched forward recursion for
+hidden-Markov sources and run counts for the binary-chain statistic classes.
+These are the straightforward loops over symbol tuples and dict adjacencies,
+the dense eigenvector and linear-solve stationary laws, the per-context
+forward filter with its depth-first context walk, and Whittle's cofactor
+formula, that those routines replaced or stand for.
 """
 import math
 from collections import Counter
 
 import numpy as np
+from scipy.special import gammaln
 
-from markovdetect.errors import NonConvergenceError
-from markovdetect.markov import MarkovModel
-from markovdetect.util import encode, fmt17
+from markovdetect.errors import NonConvergenceError, UnseenContextError
+from markovdetect.hypotest import _clean_table, _lift_binary, _llr_stats, _log_weighted
+from markovdetect.markov import HiddenMarkovSource, MarkovModel, stationary, window_law
+from markovdetect.util import decode, encode, fmt17
 
 
 def model_from_dicts(order, alphabet, transitions, init, scheme=None, smoothing=0.0):
@@ -148,6 +153,177 @@ def dense_stationary(model):
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     return np.linalg.solve(lhs, rhs)
+
+
+def markov_conditional(model, context):
+    """Next-symbol law of the stationary chain given the last ``len(context)``
+    symbols: a row lookup, or for contexts shorter than the order the rows
+    of the matching contexts averaged under the stationary law."""
+    k, a = model.order, model.alphabet.size
+    if len(context) >= k:
+        return model.row(tuple(context[len(context) - k:]))
+    pi = stationary(model)
+    match = (pi > 0) & (model.codes % a ** len(context) == encode(context, a))
+    mass = pi[match].sum()
+    if mass <= 0:
+        raise UnseenContextError(f"context {context} has probability 0 under the model")
+    return (pi[match, None] * model.rows[match]).sum(axis=0) / mass
+
+
+# -- hidden-Markov sources, one context at a time ------------------------------
+
+
+def hmm_filter(source, context):
+    """Normalized state belief after observing ``context`` plus log P(context)."""
+    belief = source.start.copy()
+    log_prob = 0.0
+    for t, sym in enumerate(context):
+        if t > 0:
+            belief = belief @ source.transition
+        belief = belief * source.emission[:, sym]
+        z = belief.sum()
+        if z <= 0.0:
+            raise UnseenContextError(
+                f"context {tuple(context)} has probability 0 under the source")
+        belief /= z
+        log_prob += math.log(z)
+    return belief, log_prob
+
+
+def hmm_conditional(source, context):
+    """Exact next-symbol law given an observed context (empty context allowed)."""
+    context = tuple(context)
+    if not context:
+        return source.start @ source.emission
+    belief, _ = hmm_filter(source, context)
+    return (belief @ source.transition) @ source.emission
+
+
+def hmm_window_log_prob(source, window):
+    """log P(window) under the source (forward recursion)."""
+    _, lp = hmm_filter(source, tuple(window))
+    return lp
+
+
+def dfs_conditional_table(source, m, pi=None):
+    """``{context tuple: next-symbol law}`` for every positive-probability
+    length-m context: a depth-first walk of the forward filter for a
+    hidden-Markov source, the stationary window law for a chain."""
+    if isinstance(source, HiddenMarkovSource):
+        a = source.alphabet_size
+        table = {}
+
+        def walk(ctx, belief):
+            if len(ctx) == m:
+                table[ctx] = (belief @ source.transition) @ source.emission
+                return
+            prop = belief @ source.transition if ctx else source.start
+            for sym in range(a):
+                nxt = prop * source.emission[:, sym]
+                z = nxt.sum()
+                if z > 0:
+                    walk(ctx + (sym,), nxt / z)
+
+        walk((), source.start)
+        return table
+    a, k = source.alphabet.size, source.order
+    if pi is None:
+        pi = stationary(source)
+    codes, mass = window_law(source, max(m, k), (source.codes, pi), atom_cap=4 ** 12)
+    if m >= k:
+        codes = codes[mass > 0]
+        rows = source.rows_at(codes % a ** k)
+    else:
+        weighted = mass[:, None] * source.rows_at(codes)
+        codes, group = np.unique(codes % a ** m, return_inverse=True)
+        rows = np.zeros((len(codes), a))
+        np.add.at(rows, group, weighted)
+        rows /= np.bincount(group, weights=mass)[:, None]
+    return dict(zip(map(tuple, decode(codes, a, m).tolist()), rows))
+
+
+def dict_suffix_spread(table, k):
+    """Largest gap between the laws of two contexts sharing their last k symbols."""
+    hi, lo = {}, {}
+    for ctx, dist in table.items():
+        sfx = ctx[len(ctx) - k:]
+        if sfx in hi:
+            hi[sfx] = np.maximum(hi[sfx], dist)
+            lo[sfx] = np.minimum(lo[sfx], dist)
+        else:
+            hi[sfx] = dist.copy()
+            lo[sfx] = dist.copy()
+    return max((float((hi[s] - lo[s]).max()) for s in hi), default=0.0)
+
+
+def dict_profile(source, k_max, m_max):
+    """(rates, floor) of the continuity profile from the dict tables."""
+    pi = stationary(source) if isinstance(source, MarkovModel) else None
+    rates = [0.0] * k_max
+    floor = 1.0
+    for m in range(1, m_max + 1):
+        table = dfs_conditional_table(source, m, pi)
+        for dist in table.values():
+            floor = min(floor, float(dist.min()))
+        for k in range(1, min(m, k_max) + 1):
+            rates[k - 1] = max(rates[k - 1], dict_suffix_spread(table, k))
+    return rates, floor
+
+
+# -- binary-chain statistic classes by Whittle's cofactor ---------------------
+
+
+def whittle_binary_chain_table(p_model, q_model, n):
+    """(stats, log P, log Q) per (first symbol, transition counts) class, with
+    class sizes ``prod_a rowsum_a! / prod_ab N_ab! * cofactor`` from four
+    (first, last symbol) passes over an n x n grid of (n00, n11)."""
+    init_p, rows_p = _lift_binary(p_model)
+    init_q, rows_q = _lift_binary(q_model)
+    with np.errstate(divide="ignore"):
+        li_p, lr_p = np.log(init_p), np.log(rows_p)
+        li_q, lr_q = np.log(init_q), np.log(rows_q)
+    parts = []
+    for x1 in (0, 1):
+        for xn in (0, 1):
+            d = (1 if x1 == 0 else 0) - (1 if xn == 0 else 0)
+            n00, n11 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+            n00, n11 = n00.ravel(), n11.ravel()
+            rest = n - 1 - n00 - n11
+            ok = (rest >= 0) & (((rest + d) % 2) == 0)
+            n00, n11, rest = n00[ok], n11[ok], rest[ok]
+            n01 = (rest + d) // 2
+            n10 = (rest - d) // 2
+            ok = (n01 >= 0) & (n10 >= 0)
+            n00, n11, n01, n10 = n00[ok], n11[ok], n01[ok], n10[ok]
+            r0, r1 = n00 + n01, n10 + n11
+            c0, c1 = n00 + n10, n01 + n11
+            ok = (r0 - c0 == (x1 == 0) - (xn == 0)) & (r1 - c1 == (x1 == 1) - (xn == 1))
+            n00, n11, n01, n10, r0, r1 = (
+                n00[ok], n11[ok], n01[ok], n10[ok], r0[ok], r1[ok])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                m00 = np.where(r0 > 0, 1 - n00 / np.maximum(r0, 1), 1.0)
+                m10 = np.where(r1 > 0, -n10 / np.maximum(r1, 1), 0.0)
+                m01 = np.where(r0 > 0, -n01 / np.maximum(r0, 1), 0.0)
+                m11 = np.where(r1 > 0, 1 - n11 / np.maximum(r1, 1), 1.0)
+            minor = np.choose(2 * (1 - xn) + (1 - x1), [m00, m01, m10, m11])
+            cof = ((-1) ** (x1 + xn)) * minor
+            pos = cof > 1e-14
+            n00, n11, n01, n10, r0, r1, cof = (
+                n00[pos], n11[pos], n01[pos], n10[pos], r0[pos], r1[pos], cof[pos])
+            log_count = (gammaln(r0 + 1) + gammaln(r1 + 1)
+                         - gammaln(n00 + 1) - gammaln(n01 + 1)
+                         - gammaln(n10 + 1) - gammaln(n11 + 1)
+                         + np.log(cof))
+            counts = np.stack([n00, n01, n10, n11], axis=1)
+            log_rows_p = np.array([lr_p[0, 0], lr_p[0, 1], lr_p[1, 0], lr_p[1, 1]])
+            log_rows_q = np.array([lr_q[0, 0], lr_q[0, 1], lr_q[1, 0], lr_q[1, 1]])
+            tp = li_p[x1] + _log_weighted(counts, log_rows_p)
+            tq = li_q[x1] + _log_weighted(counts, log_rows_q)
+            parts.append((_llr_stats(tp, tq, n), log_count + tp, log_count + tq))
+    stats = np.concatenate([p[0] for p in parts])
+    lp = np.concatenate([p[1] for p in parts])
+    lq = np.concatenate([p[2] for p in parts])
+    return _clean_table(stats, lp, lq)
 
 
 def loop_log_likelihood(model, seq):

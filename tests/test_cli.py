@@ -258,6 +258,23 @@ def test_exit_code_bad_value(trained, texts, tmp_path, monkeypatch, capsys):
     assert "bad value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["score", "detect"])
+def test_exit_code_nan_in_model(trained, texts, tmp_path, capsys, command):
+    # a NaN mass is not a distribution: the model fails to load, exit 2
+    p_model, q_model = trained
+    _, _, sample = texts
+    obj = load_json(p_model)
+    obj["transitions"][0][1][0] = "nan"
+    bad = tmp_path / "nan_model.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / command
+    argv = (["score", "--model", str(bad)] if command == "score"
+            else ["detect", "--model-p", str(bad), "--model-q", str(q_model)])
+    assert main(argv + ["--text", str(sample), "--out", str(out)]) == 2
+    assert "not a distribution" in capsys.readouterr().err
+    assert not (out / f"{command}.json").exists()
+
+
 def test_exit_code_io_failure(tmp_path, capsys):
     assert main(["score", "--model", str(tmp_path / "nope.json"),
                  "--text", str(tmp_path / "also-nope.txt")]) == 3

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from markovdetect import hypotest
 from markovdetect.corpus import Alphabet, TokenSeq
@@ -30,7 +31,7 @@ from markovdetect.hypotest import (
 )
 from markovdetect.infometrics import chernoff, kl_rate
 from markovdetect.markov import chain_model, fit_empirical, iid_model, sample
-from oracles import model_from_dicts
+from oracles import model_from_dicts, whittle_binary_chain_table
 
 
 def _aggregate(table):
@@ -72,6 +73,43 @@ def test_chain_table_handles_hard_zeros():
     q = chain_model(np.array([[0.5, 0.5], [0.2, 0.8]]))
     _tables_agree(_table_binary_chain(p, q, 7), _table_sequences(p, q, 7))
     _tables_agree(_table_binary_chain(q, p, 7), _table_sequences(q, p, 7))
+
+
+def _grouped_log_mass(stats, log_mass):
+    """log of the summed mass of each distinct statistic of a sorted table."""
+    starts = np.flatnonzero(np.concatenate([[True], stats[1:] != stats[:-1]]))
+    top = np.maximum.reduceat(log_mass, starts)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        shifted = np.exp(log_mass - np.repeat(top, np.diff(np.append(starts, len(stats)))))
+        return np.log(np.add.reduceat(shifted, starts)) + top
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_chain_table_matches_whittle_cofactor(rng, n):
+    """Run counts give the classes, statistics and thresholds of the
+    cofactor formula, and its grouped log-masses to rounding."""
+    for trial in range(6):
+        models = []
+        for _ in range(2):
+            if rng.random() < 0.3:
+                models.append(iid_model(rng.dirichlet(np.ones(2))))
+            else:
+                models.append(chain_model(rng.dirichlet(np.ones(2), size=2)))
+        p, q = models
+        got, want = _table_binary_chain(p, q, n), whittle_binary_chain_table(p, q, n)
+        np.testing.assert_array_equal(got[0], want[0])
+        for col in (1, 2):
+            g, w = _grouped_log_mass(got[0], got[col]), _grouped_log_mass(want[0], want[col])
+            np.testing.assert_array_equal(np.isfinite(g), np.isfinite(w))
+            fin = np.isfinite(g)
+            # log class sizes are sums of six gammaln values up to
+            # gammaln(n + 1), each off by a few ulps in either formula
+            np.testing.assert_allclose(g[fin], w[fin], rtol=0,
+                                       atol=1e-14 * float(gammaln(n + 1)))
+        for eps in (0.1, 0.5):
+            assert (hypotest._table_threshold(got[0], got[1], eps)
+                    == hypotest._table_threshold(want[0], want[1], eps))
 
 
 def test_iid_lattice_matches_enumeration(rng):

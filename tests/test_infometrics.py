@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovdetect.corpus import Alphabet
 from markovdetect.errors import BoundInapplicableError, SupportViolationWarning
 from markovdetect.infometrics import (
     ContinuityProfile,
     amplification_factor,
     chernoff,
-    continuity_rate,
     cross_entropy,
     entropy,
     estimate_profile,
@@ -22,9 +22,9 @@ from markovdetect.infometrics import (
     kl_rate,
     perplexity,
     perplexity_ratio,
-    smoothing_floor,
 )
-from markovdetect.markov import chain_model, iid_model, stationary
+from markovdetect.markov import HiddenMarkovSource, MarkovModel, chain_model, iid_model, stationary
+from oracles import dict_profile, hmm_conditional
 
 probs = st.integers(1, 50)
 
@@ -218,8 +218,6 @@ def test_estimation_coefficient_requires_applicable_rate():
 def _brute_conditional_spread(source, k, m):
     """Independent oracle: max over symbols and context pairs agreeing on the
     last k symbols of the gap in conditional probability, contexts length m."""
-    from markovdetect.markov import hmm_conditional
-
     conds = {}
     for code in range(2 ** m):
         ctx = [(code >> (m - 1 - i)) & 1 for i in range(m)]
@@ -237,10 +235,10 @@ def _brute_conditional_spread(source, k, m):
 
 
 def test_continuity_rate_matches_brute_force(two_state_hmm):
+    rates = estimate_profile(two_state_hmm, k_max=2, m_max=4).rates
     for k in (1, 2):
-        got = continuity_rate(two_state_hmm, k, m_max=4)
         brute = max(_brute_conditional_spread(two_state_hmm, k, m) for m in range(k, 5))
-        assert got == pytest.approx(brute, abs=1e-12)
+        assert rates[k - 1] == pytest.approx(brute, abs=1e-12)
 
 
 def test_continuity_rates_nonincreasing(two_state_hmm):
@@ -249,8 +247,45 @@ def test_continuity_rates_nonincreasing(two_state_hmm):
 
 
 def test_smoothing_floor_positive(two_state_hmm):
-    floor = smoothing_floor(two_state_hmm, m_max=4)
+    floor = estimate_profile(two_state_hmm, k_max=1, m_max=4).floor
     assert 0.0 < floor < 0.5
+    brute = min(float(hmm_conditional(two_state_hmm, [(code >> (m - 1 - i)) & 1
+                                                      for i in range(m)]).min())
+                for m in range(1, 5) for code in range(2 ** m))
+    assert floor == pytest.approx(brute, abs=1e-15)
+
+
+def test_order_one_chain_profile_is_flat(rng):
+    # the next symbol depends on the last one only, so any shared suffix pins it
+    rows = rng.dirichlet(np.ones(3), size=3)
+    prof = estimate_profile(chain_model(rows), k_max=3, m_max=4)
+    assert prof.rates == (0.0, 0.0, 0.0)
+    assert prof.floor == rows.min()
+
+
+@st.composite
+def _sources(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        return HiddenMarkovSource.with_stationary_start(
+            0.5 * rng.dirichlet(np.ones(n), size=n) + 0.5 / n,
+            rng.dirichlet(np.ones(a), size=n))
+    k = draw(st.integers(0, 2))
+    codes = np.arange(a ** k)
+    rows = 0.5 * rng.dirichlet(np.ones(a), size=len(codes)) + 0.5 / a
+    model = MarkovModel(k, Alphabet(tuple("abc"[:a])), codes, rows, [0], [1.0])
+    return MarkovModel(k, model.alphabet, codes, rows, codes, stationary(model))
+
+
+@given(_sources(), st.integers(1, 3), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_profile_matches_dict_oracle(source, k_max, extra):
+    prof = estimate_profile(source, k_max=k_max, m_max=k_max + extra)
+    rates, floor = dict_profile(source, k_max, k_max + extra)
+    np.testing.assert_allclose(prof.rates, rates, rtol=0, atol=1e-15)
+    assert abs(prof.floor - floor) <= 1e-15
 
 
 def test_profile_json_round_trip(two_state_hmm):

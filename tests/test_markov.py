@@ -11,27 +11,28 @@ from oracles import (
     counter_fit_json,
     dense_stationary,
     eig_stationary,
+    hmm_conditional,
+    hmm_filter,
+    hmm_window_log_prob,
     loop_log_likelihood,
+    markov_conditional,
     model_from_dicts,
     recursive_sequence_distribution,
     recursive_stationary_windows,
 )
 
 from markovdetect import markov
-from markovdetect.infometrics import kl_rate
+from markovdetect.infometrics import _conditional_table, kl_rate
 from markovdetect.markov import (
     HiddenMarkovSource,
     MarkovModel,
     chain_model,
     fit_empirical,
-    hmm_conditional,
-    hmm_filter,
+    hmm_forward,
     hmm_sample,
     hmm_sample_windows,
-    hmm_window_log_prob,
     iid_model,
     log_likelihood,
-    markov_conditional,
     sample,
     sequence_distribution,
     stationary,
@@ -240,13 +241,21 @@ def test_sequence_distribution_matches_scoring(rng):
         assert math.log(vec[idx]) == pytest.approx(log_likelihood(model, seq), abs=1e-10)
 
 
-def test_markov_conditional_short_context_mixes(aabab_model):
+def test_markov_conditional_short_context_mixes(aabab_model, rng):
     # context shorter than the order: weight rows by the stationary law of
     # contexts compatible with the suffix -- here the empty context
     full = markov_conditional(aabab_model, ())
     pi = stationary(aabab_model)
     expect = pi[0] * aabab_model.row((0,)) + pi[1] * aabab_model.row((1,))
     np.testing.assert_allclose(full, expect, atol=1e-9)
+    # the profile's table of an order-2 chain on length-1 contexts mixes the same way
+    codes = encode(np.array([[i, j] for i in range(3) for j in range(3)]), 3)
+    model = MarkovModel(2, Alphabet(tuple("abc")), codes, rng.dirichlet(np.ones(3), size=9),
+                        [0], [1.0])
+    table_codes, rows = _conditional_table(model, 1)
+    assert table_codes.tolist() == [0, 1, 2]
+    for code, row in zip(table_codes.tolist(), rows):
+        np.testing.assert_allclose(row, markov_conditional(model, (code,)), rtol=0, atol=1e-15)
 
 
 # -- serialization ----------------------------------------------------------
@@ -273,6 +282,17 @@ def test_sample_seed_stability(seed):
     assert (sample(model, 10, seed=seed).tokens == sample(model, 10, seed=seed).tokens).all()
 
 
+def test_nan_and_negative_masses_rejected(ab_alphabet):
+    with pytest.raises(ValueError):
+        iid_model([math.nan, 0.5, 0.5])
+    with pytest.raises(ValueError):
+        chain_model([[0.5, 0.5], [math.nan, 1.0]], init=[0.5, 0.5])
+    with pytest.raises(ValueError):
+        MarkovModel(1, ab_alphabet, [0, 1], np.full((2, 2), 0.5), [0, 1], [-0.5, 1.5])
+    with pytest.raises(ValueError):
+        MarkovModel(1, ab_alphabet, [0, 1], np.full((2, 2), 0.5), [0, 1], [math.nan, 1.0])
+
+
 # -- hidden-Markov sources --------------------------------------------------
 
 
@@ -283,6 +303,15 @@ def test_hmm_rows_validated():
             emission=np.eye(2),
             start=np.array([0.5, 0.5]),
         )
+
+
+@pytest.mark.parametrize("field", ["transition", "emission", "start"])
+def test_hmm_nan_masses_rejected(field):
+    arrays = {"transition": np.full((2, 2), 0.5), "emission": np.eye(2),
+              "start": np.array([0.5, 0.5])}
+    arrays[field].flat[0] = math.nan
+    with pytest.raises(ValueError):
+        HiddenMarkovSource(**arrays)
 
 
 def test_hmm_stationary_start_is_fixed_point(two_state_hmm):
@@ -308,29 +337,63 @@ def test_hmm_stationary_start_validates_first():
 
 
 def test_hmm_window_law_normalizes(two_state_hmm):
-    total = 0.0
-    for w in range(8):
-        window = [(w >> 2) & 1, (w >> 1) & 1, w & 1]
-        total += math.exp(hmm_window_log_prob(two_state_hmm, window))
-    assert total == pytest.approx(1.0, abs=1e-12)
+    _, log_p = hmm_forward(two_state_hmm, decode(np.arange(8), 2, 3))
+    assert np.exp(log_p).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hmm_filter_belief_normalizes(two_state_hmm):
-    belief, log_p = hmm_filter(two_state_hmm, [0, 1, 1, 0])
-    assert belief.sum() == pytest.approx(1.0, abs=1e-12)
-    assert log_p == pytest.approx(hmm_window_log_prob(two_state_hmm, [0, 1, 1, 0]))
+    belief, log_p = hmm_forward(two_state_hmm, [[0, 1, 1, 0], [1, 1, 0, 0]])
+    np.testing.assert_allclose(belief.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    for row, window in zip(belief, ([0, 1, 1, 0], [1, 1, 0, 0])):
+        np.testing.assert_array_equal(row, hmm_filter(two_state_hmm, window)[0])
+    assert log_p[0] == pytest.approx(hmm_window_log_prob(two_state_hmm, [0, 1, 1, 0]))
 
 
 def test_hmm_conditional_matches_ratio(two_state_hmm):
     # conditional next-symbol law = window(ctx+sym) / window(ctx)
     ctx = [0, 1, 0]
-    cond = hmm_conditional(two_state_hmm, ctx)
-    for sym in (0, 1):
-        ratio = math.exp(
-            hmm_window_log_prob(two_state_hmm, ctx + [sym])
-            - hmm_window_log_prob(two_state_hmm, ctx)
-        )
-        assert cond[sym] == pytest.approx(ratio, abs=1e-12)
+    belief, log_ctx = hmm_forward(two_state_hmm, [ctx])
+    cond = (belief[0] @ two_state_hmm.transition) @ two_state_hmm.emission
+    np.testing.assert_allclose(cond, hmm_conditional(two_state_hmm, ctx), rtol=0, atol=1e-15)
+    _, log_next = hmm_forward(two_state_hmm, [ctx + [0], ctx + [1]])
+    np.testing.assert_allclose(cond, np.exp(log_next - log_ctx[0]), rtol=0, atol=1e-12)
+
+
+def test_hmm_forward_matches_filter_on_sampled_windows(two_state_hmm):
+    # the source of acceptance criterion C8, at the width fitted_divergence_eval uses
+    windows = hmm_sample_windows(two_state_hmm, 2000, 12, seed=3)
+    belief, log_p = hmm_forward(two_state_hmm, windows)
+    np.testing.assert_array_equal(log_p, [hmm_window_log_prob(two_state_hmm, w) for w in windows])
+    np.testing.assert_array_equal(belief, [hmm_filter(two_state_hmm, w)[0] for w in windows])
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), states=st.integers(1, 4), a=st.integers(2, 4),
+       width=st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_hmm_forward_matches_filter(seed, states, a, width):
+    rng = np.random.default_rng(seed)
+    # zeroed entries make some windows impossible
+    emission = rng.dirichlet(np.ones(a), size=states) * (rng.random((states, a)) < 0.8)
+    emission[:, 0] += 1e-3
+    source = HiddenMarkovSource.with_stationary_start(
+        0.5 * rng.dirichlet(np.ones(states), size=states) + 0.5 / states,
+        emission / emission.sum(axis=1, keepdims=True))
+    windows = rng.integers(0, a, size=(30, width))
+    belief, log_p = hmm_forward(source, windows)
+    for row, lp, window in zip(belief, log_p, windows):
+        try:
+            want_belief, want_lp = hmm_filter(source, window)
+        except UnseenContextError:
+            assert lp == -np.inf and not row.any()
+            continue
+        np.testing.assert_allclose(row, want_belief, rtol=1e-13, atol=1e-15)
+        assert lp == pytest.approx(want_lp, rel=1e-13, abs=1e-13)
+
+
+def test_hmm_forward_refuses_bad_windows(two_state_hmm):
+    for bad in ([0, 1], [[0, 2]], [[-1, 0]]):
+        with pytest.raises(ValueError):
+            hmm_forward(two_state_hmm, bad)
 
 
 def test_hmm_sampling_deterministic(two_state_hmm):
@@ -352,9 +415,8 @@ def test_hmm_window_frequencies_match_law(two_state_hmm):
     for a, b in wins:
         emp[2 * a + b] += 1
     emp /= len(wins)
-    for idx, (a, b) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-        law = math.exp(hmm_window_log_prob(two_state_hmm, [a, b]))
-        assert abs(emp[idx] - law) < 0.01
+    _, log_p = hmm_forward(two_state_hmm, decode(np.arange(4), 2, 2))
+    assert np.abs(emp - np.exp(log_p)).max() < 0.01
 
 
 # -- integer context codes against the tuple oracles -----------------------
