@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Alphabet, TokenSeq
+from .corpus import Alphabet
 from .errors import BoundInapplicableError
 from .infometrics import (
     ContinuityProfile,
@@ -34,7 +34,7 @@ from .markov import (
     hmm_forward,
     hmm_sample,
     hmm_sample_windows,
-    log_likelihood,
+    window_log_likelihood,
 )
 from .transport import dbar_empirical, dbar_exact, l1_distance, tv
 from .util import JsonRecord, config_hash, spawn_rng
@@ -475,7 +475,7 @@ def fitted_divergence_eval(
     windows = hmm_sample_windows(source, n_windows, window,
                                  seed=_mix(seed, 41, train_len))
     _, log_source = hmm_forward(source, windows)
-    gaps = log_source - np.array([log_likelihood(model, TokenSeq(win)) for win in windows])
+    gaps = log_source - window_log_likelihood(model, windows)
     infinite = bool(np.isinf(gaps).any())
     d_estimate = float("inf") if infinite else float(gaps.mean())
     rhs = constant * approx_bound(inputs) ** 2

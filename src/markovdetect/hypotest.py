@@ -19,11 +19,11 @@ replace sampling whenever they apply, all computed in log space:
   sequences with a given first symbol and transition tally is
   C(n_xx + runs_x - 1, runs_x - 1) * C(n_oo + runs_o - 1, runs_o - 1).
 
-Monte Carlo remains the general path and is vectorized across trials.  Its
-Markov walk draws each next symbol by inverse-CDF lookup through a guide
-table (Chen & Asau 1974): an exact search that returns the same symbol as a
-comparison against the whole cumulative row and consumes the same uniforms,
-so statistics and thresholds do not depend on the lookup.
+Monte Carlo is the general path: one walk, vectorized across trials, for any
+pair of orders, whose statistics equal :func:`lrt_statistic` of the sampled
+sequences.  It draws each symbol by inverse-CDF lookup through a guide table
+(Chen & Asau 1974): an exact search that returns the same symbol as a
+comparison against the whole cumulative row and consumes the same uniforms.
 """
 from __future__ import annotations
 
@@ -32,8 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv, gammaln, logsumexp
 
 from .errors import (
     DegenerateStatisticWarning,
@@ -42,8 +41,9 @@ from .errors import (
     UnseenContextError,
 )
 from .infometrics import chernoff, kl_rate
-from .markov import MarkovModel, log_likelihood, sample, sequence_distribution
-from .util import JsonRecord, spawn_rng
+from .markov import (MarkovModel, log_likelihood, sequence_distribution, window_law,
+                     window_log_likelihood)
+from .util import JsonRecord, decode, spawn_rng
 
 SEQ_ATOM_CAP = 4096
 IID_LATTICE_CAP = 400_000
@@ -60,13 +60,7 @@ def lrt_statistic(p_model: MarkovModel, q_model: MarkovModel, seq) -> float:
     """
     lp = log_likelihood(p_model, seq)
     lq = log_likelihood(q_model, seq)
-    if math.isinf(lp) and math.isinf(lq):
-        raise ValueError("sequence has probability 0 under both models")
-    if math.isinf(lp):
-        return -math.inf
-    if math.isinf(lq):
-        return math.inf
-    return (lp - lq) / len(seq)
+    return float(_checked_stats(np.array([lp]), np.array([lq]), len(seq))[0])
 
 
 @dataclass
@@ -185,14 +179,6 @@ def _table_iid(p_model, q_model, n, cap=IID_LATTICE_CAP):
     return _clean_table(_llr_stats(num_p, num_q, n), log_coef + num_p, log_coef + num_q)
 
 
-def _lift_binary(model: MarkovModel):
-    """(init over symbols, 2x2 rows) view of a binary order-<=1 model."""
-    if model.order == 0:
-        row = model.row(())
-        return row.copy(), np.stack([row, row])
-    return model.init_mass([0, 1]), model.rows_at([0, 1])
-
-
 def _table_binary_chain(p_model, q_model, n):
     """Exact statistic law via transition-count classes (binary, order <= 1).
 
@@ -206,11 +192,13 @@ def _table_binary_chain(p_model, q_model, n):
     sequences (1 for the second factor when s = 0 and so stay_o = 0).  The
     classes of both first symbols share one array of (s, stay_x, stay_o).
     """
-    init_p, rows_p = _lift_binary(p_model)
-    init_q, rows_q = _lift_binary(q_model)
-    with np.errstate(divide="ignore"):
-        li_p, lr_p = np.log(init_p), np.log(rows_p).ravel()
-        li_q, lr_q = np.log(init_q), np.log(rows_q).ravel()
+    logs = []
+    for model in (p_model, q_model):
+        codes, probs = window_law(model, 1, (model.init_codes, model.init_probs))
+        rows = model.rows_at(np.arange(2) % 2 ** model.order)
+        with np.errstate(divide="ignore"):
+            logs.append((np.log(np.bincount(codes, probs, 2)), np.log(rows).ravel()))
+    (li_p, lr_p), (li_q, lr_q) = logs
     s, stays = np.triu_indices(n)  # stays = stay_x + s <= n - 1
     stay_o = n - 1 - stays
     keep = (s > 0) | (stay_o == 0)  # stays of o need a run of o
@@ -301,97 +289,112 @@ def _guide_table(cum: np.ndarray, g: int) -> np.ndarray:
     return np.cumsum(hits.reshape(n_ctx, g + 1)[:, :g], axis=1)
 
 
-def _mc_stats_fast(sample_model, p_model, q_model, n, trials, rng):
-    """Vectorized statistics for same-order models on a shared alphabet.
+def _checked_stats(lp, lq, n):
+    """:func:`_llr_stats`, refusing a sequence impossible under both models."""
+    stats = _llr_stats(lp, lq, n)
+    if np.isnan(stats).any():
+        raise ValueError("sequence has probability 0 under both models")
+    return stats
 
-    Each walk step draws the next symbol of every trial as
-    ``#{j : cum[state, j] < u}`` (clamped to ``a - 1``) from one uniform ``u``
-    per trial.  A guide table gives the count at ``u``'s cell edge, and a short
-    scan over the padded cumulative rows finishes it, so the draws are those
-    of a full comparison against the row.
+
+def _step_reader(model: MarkovModel, sample_model: MarkovModel, drawn: np.ndarray):
+    """``(read, gaps)``: ``read(idx)`` is the log-probability under ``model``
+    of each step at ``idx`` in the sample model's padded rows, NaN (only if
+    ``gaps``) at a context ``model`` has no row for.  A model of order at most
+    the sample model's reads the suffix ``code % a**k`` of its context; a
+    higher-order one walks its own contexts from the suffix of ``drawn``.
     """
-    a = sample_model.alphabet.size
-    k = sample_model.order
-    if k == 0:
+    a, k = model.alphabet.size, model.order
+    # index -1, a context with no row, reads the appended row of NaN
+    w = np.vstack([_log_matrix(model.rows), np.full(a, np.nan)])
+    if k <= sample_model.order:
+        w = w[model.lookup(sample_model.codes % a ** k)]
+        w = np.hstack([w, w[:, -1:]]).ravel()
+        return (lambda idx: w[idx]), bool(np.isnan(w).any())
+    w = w.ravel()
+    succ = np.vstack([model.lookup(model.successors(model.codes)),
+                      np.full(a, -1, dtype=np.int64)]).ravel()
+    state = model.lookup(drawn % a ** k)
+
+    def read(idx):
+        nonlocal state
+        j = state * a + np.minimum(idx % (a + 1), a - 1)
+        state = succ[j]
+        return w[j]
+    return read, True
+
+
+def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
+    """Statistics of ``trials`` length-``n`` sequences from ``sample_model``,
+    each bit for bit :func:`lrt_statistic` of its sequence.
+
+    After the initial k-gram each symbol is ``#{j : cum[ctx, j] < u}``
+    (clamped to ``a - 1``) for one uniform ``u`` per trial: a guide table
+    gives the count at ``u``'s cell edge and a short scan over the padded
+    cumulative rows finishes it.  The first min(n, K) symbols, K the largest
+    order, are scored by :func:`window_log_likelihood`, each later one by
+    :func:`_step_reader` rows, in sequence order; a step without a row keeps
+    a -inf sum and raises on a finite one.  All-order-0 models draw counts.
+    """
+    a, k = sample_model.alphabet.size, sample_model.order
+    big_k = max(k, p_model.order, q_model.order)
+    if big_k == 0:
         counts = rng.multinomial(n, sample_model.row(()), size=trials)
         lp = _log_weighted(counts, _log_matrix(p_model.row(())))
         lq = _log_weighted(counts, _log_matrix(q_model.row(())))
-        return _sampled_stats(lp, lq, n)
-    ctxs = sample_model.codes
-    n_ctx = len(ctxs)
+        return _checked_stats(lp, lq, n)
+    n_ctx = len(sample_model.codes)
     cum = np.cumsum(sample_model.rows, axis=1)
     g = _guide_size(a, n_ctx)
-    # rows are padded with one column: +inf ends every scan, and the weights
-    # and successor there repeat column a-1, which clamps u > cum[s, a-1]
+    # rows are padded with one column: +inf ends every scan, and the
+    # successor there repeats column a-1, which clamps u > cum[s, a-1]
     width = a + 1
     cpad = np.hstack([cum, np.full((n_ctx, 1), np.inf)]).ravel()
-    wp = np.full((n_ctx, width), np.nan)
-    wq = np.full((n_ctx, width), np.nan)
-    in_p, in_q = p_model.lookup(ctxs), q_model.lookup(ctxs)
-    both = (in_p >= 0) & (in_q >= 0)
-    wp[both, :a] = _log_matrix(p_model.rows[in_p[both]])
-    wq[both, :a] = _log_matrix(q_model.rows[in_q[both]])
-    # walk states are guide row offsets s * g; -1 marks a context with no row
-    succ = np.full((n_ctx, width), -1, dtype=np.int64)
-    nxt = sample_model.lookup(sample_model.successors(ctxs))
-    succ[:, :a] = np.where(nxt < 0, -1, nxt * g)
-    for padded in (wp, wq, succ):
-        padded[:, a] = padded[:, a - 1]
-    wp, wq, succ = wp.ravel(), wq.ravel(), succ.ravel()
+    # walk states are row indices, -1 for a context with no row
+    succ = sample_model.lookup(sample_model.successors(sample_model.codes))
+    succ = np.hstack([succ, succ[:, -1:]]).ravel()
     guide = (_guide_table(cum, g)
              + (np.arange(n_ctx, dtype=np.int64) * width)[:, None]).ravel()
-    init_codes = sample_model.init_codes
-    init_cum = np.cumsum(sample_model.init_probs)
-    atom_lp = _init_log(p_model, init_codes)
-    atom_lq = _init_log(q_model, init_codes)
-    pick = np.searchsorted(init_cum, rng.random(trials) * init_cum[-1])
-    pick = np.minimum(pick, len(init_codes) - 1)
-    lp = atom_lp[pick]
-    lq = atom_lq[pick]
-    state = sample_model.lookup(init_codes)[pick]
-    if (state < 0).any():
-        raise UnseenContextError("sampled initial context has no transition row")
-    state *= g
-    for _ in range(n - k):
+
+    def draw(state):
+        if (state < 0).any():
+            raise UnseenContextError("sampling walked into a context with no row")
         u = rng.random(trials)
-        idx = guide[state + (u * g).astype(np.int64)]
+        idx = guide[state * g + (u * g).astype(np.int64)]
         scan = np.flatnonzero(u > cpad[idx])
         while scan.size:
             idx[scan] += 1
             scan = scan[u[scan] > cpad[idx[scan]]]
-        lp += wp[idx]
-        lq += wq[idx]
+        return idx
+
+    init_cum = np.cumsum(sample_model.init_probs)
+    pick = np.searchsorted(init_cum, rng.random(trials) * init_cum[-1])
+    drawn = sample_model.init_codes[np.minimum(pick, len(init_cum) - 1)]
+    state = sample_model.lookup(drawn)
+    length = min(n, big_k)
+    drawn = drawn // a ** max(k - length, 0)
+    for _ in range(length - k):
+        idx = draw(state)
+        drawn = drawn * a + np.minimum(idx % width, a - 1)
         state = succ[idx]
-        if (state < 0).any():
-            raise UnseenContextError("sampling walked into a context with no row")
-    # an unscorable step leaves nan in its trial's sums
+    codes, which = np.unique(drawn, return_inverse=True)
+    windows = decode(codes, a, length)
+    lp = window_log_likelihood(p_model, windows)[which]
+    lq = window_log_likelihood(q_model, windows)[which]
+    readers = [(acc, *_step_reader(model, sample_model, drawn))
+               for acc, model in ((lp, p_model), (lq, q_model))]
+    for _ in range(n - length):
+        idx = draw(state)
+        for acc, read, gaps in readers:
+            step = read(idx)
+            if gaps:  # a zero factor that came first decides
+                step[np.isneginf(acc)] = 0.0
+            acc += step
+        state = succ[idx]
+    # a step scored at a context with no row leaves nan in its trial's sum
     if np.isnan(lp).any() or np.isnan(lq).any():
         raise UnseenContextError("walk reached a context one model cannot score")
-    return _sampled_stats(lp, lq, n)
-
-
-def _init_log(model: MarkovModel, codes) -> np.ndarray:
-    """Log initial probability of each k-gram code, -inf where it is 0."""
-    return np.array([math.log(p) if p > 0 else -math.inf
-                     for p in model.init_mass(codes).tolist()])
-
-
-def _sampled_stats(lp, lq, n):
-    stats = _llr_stats(lp, lq, n)
-    if np.isnan(stats).any():
-        raise ValueError("a sampled sequence is impossible under both models")
-    return stats
-
-
-def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
-    same = (sample_model.order == p_model.order == q_model.order)
-    if same:
-        return _mc_stats_fast(sample_model, p_model, q_model, n, trials, rng)
-    out = np.empty(trials)
-    for t in range(trials):
-        seq = sample(sample_model, n, seed=int(rng.integers(2 ** 62)))
-        out[t] = lrt_statistic(p_model, q_model, seq)
-    return out
+    return _checked_stats(lp, lq, n)
 
 
 def _exact_table(p_model, q_model, n, method):
@@ -459,8 +462,8 @@ def miss_probability(p_model: MarkovModel, q_model: MarkovModel, n: int,
 
 def _clopper_pearson(k: int, n: int, conf: float = 0.95):
     alpha = 1.0 - conf
-    lo = 0.0 if k == 0 else float(beta_dist.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta_dist.ppf(1 - alpha / 2, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
 
 

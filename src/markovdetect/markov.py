@@ -10,6 +10,8 @@ k-gram law as sorted codes with their probabilities.
 only conversions between codes and symbol tuples.  Codes must fit int64, so
 ``a ** k <= 2 ** 63``: order at most 63 for two symbols, 15 for 17 and 7 for
 the 256-symbol byte scheme; longer orders raise :class:`AtomBudgetError`.
+:func:`window_log_likelihood` scores every row of an ``(n, m)`` token array;
+:func:`log_likelihood` is its one-window case.
 
 The empirical estimator for a context of length ``k`` divides the count of
 ``context+symbol`` windows in the full sample by the count of ``context``
@@ -242,40 +244,44 @@ def fit_empirical(
                        scheme=scheme, smoothing=smoothing)
 
 
-def log_likelihood(model: MarkovModel, seq: TokenSeq) -> float:
-    """Natural-log probability of ``seq``; ``-inf`` when a factor is zero.
+def window_log_likelihood(model: MarkovModel, windows) -> np.ndarray:
+    """Natural-log probability of each row of an ``(n, m)`` token array.
 
-    Contexts with no fitted row raise :class:`UnseenContextError`; a zero
-    probability inside an existing row (or an initial k-gram the model never
-    saw) is a legitimate value and yields ``-inf``.  Whichever of the two
-    comes first in the sequence decides.  The logs are summed in sequence
-    order.
+    The initial k-gram is scored by the initial law (a row shorter than the
+    order by its :func:`window_law` marginal) with ``math.log``, each later
+    token by its context's row with ``np.log``, summed in order by
+    ``np.cumsum``.  A zero factor gives ``-inf`` and a context with no row
+    raises :class:`UnseenContextError`, whichever comes first in the row.
     """
+    windows = np.asarray(windows, dtype=np.int64)
+    if windows.ndim != 2 or windows.shape[1] == 0:
+        raise ValueError("cannot score an empty sequence or a non-(n, m) array")
+    n, m = windows.shape
     k, a = model.order, model.alphabet.size
-    toks = seq.tokens
-    m = len(toks)
-    if m == 0:
-        raise ValueError("cannot score an empty sequence")
-    if m < k:
-        prefix = model.init_codes // a ** (k - m)
-        mass = float(model.init_probs[prefix == encode(toks, a)].sum())
-        return math.log(mass) if mass > 0 else -math.inf
-    start = float(model.init_mass(encode(toks[:k], a)))
-    if start == 0.0:
-        return -math.inf
-    if m == k:
-        return math.log(start)
-    contexts = encode(sliding_window_view(toks[:-1], k), a)
-    index = model.lookup(contexts)
-    unseen = np.flatnonzero(index < 0)
-    scored = unseen[0] if len(unseen) else len(index)
-    probs = model.rows[index[:scored], toks[k:k + scored]]
-    if (probs <= 0.0).any():
-        return -math.inf
-    if len(unseen):
-        model.rows_at(contexts[scored])  # raises for the unseen context
-    logs = np.concatenate([[math.log(start)], np.log(probs)])
-    return float(np.cumsum(logs)[-1])
+    codes, probs = window_law(model, min(m, k), (model.init_codes, model.init_probs))
+    at = _find(codes, encode(windows[:, :k], a))
+    start = np.where(at >= 0, probs[at], 0.0)
+    logs = np.empty((n, max(m - k, 0) + 1))
+    logs[:, 0] = [math.log(p) if p > 0 else -math.inf for p in start.tolist()]
+    if m <= k:
+        return logs[:, 0]
+    contexts = encode(sliding_window_view(windows[:, :-1], k, axis=1), a)
+    # index -1, a context with no row, reads the appended row of NaN
+    probs = np.vstack([model.rows, np.full(a, np.nan)])[model.lookup(contexts), windows[:, k:]]
+    # the first factor that is not positive decides: NaN raises, 0 gives -inf
+    first = np.argmax(~(probs > 0), axis=1)
+    fails = (start > 0) & np.isnan(probs[np.arange(n), first])
+    model.rows_at(contexts[fails, first[fails]])  # raises for an unseen context
+    with np.errstate(divide="ignore"):
+        logs[:, 1:] = np.log(probs)
+    out = np.cumsum(logs, axis=1)[:, -1]
+    out[(start == 0) | (probs <= 0).any(axis=1)] = -math.inf
+    return out
+
+
+def log_likelihood(model: MarkovModel, seq: TokenSeq) -> float:
+    """Natural-log probability of ``seq``, by :func:`window_log_likelihood`."""
+    return float(window_log_likelihood(model, seq.tokens[None, :])[0])
 
 
 def sample(model: MarkovModel, n: int, seed: int) -> TokenSeq:
@@ -518,17 +524,18 @@ def hmm_sample(source: HiddenMarkovSource, n: int, seed: int) -> TokenSeq:
 
 
 def hmm_sample_windows(source: HiddenMarkovSource, n_windows: int, width: int, seed: int) -> np.ndarray:
-    """Independent stationary windows, vectorized across windows."""
+    """Independent stationary windows, vectorized across windows; draws are
+    clamped to the last state or symbol, as in :func:`hmm_sample`."""
     rng = spawn_rng(seed, 2)
+    t_cum = np.cumsum(source.transition, axis=1)
+    e_cum = np.cumsum(source.emission, axis=1)
     states = rng.choice(source.n_states, size=n_windows, p=source.start)
     out = np.empty((n_windows, width), dtype=np.int64)
     for t in range(width):
         if t > 0:
             u = rng.random(n_windows)
-            cum = np.cumsum(source.transition, axis=1)[states]
-            states = (u[:, None] > cum).sum(axis=1)
+            states = np.minimum((u[:, None] > t_cum[states]).sum(axis=1), source.n_states - 1)
         u = rng.random(n_windows)
-        cum = np.cumsum(source.emission, axis=1)[states]
-        out[:, t] = (u[:, None] > cum).sum(axis=1)
+        out[:, t] = np.minimum((u[:, None] > e_cum[states]).sum(axis=1), source.alphabet_size - 1)
     return out
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from markovdetect.errors import NonConvergenceError, UnseenContextError
-from markovdetect.hypotest import _clean_table, _lift_binary, _llr_stats, _log_weighted
+from markovdetect.hypotest import _clean_table, _llr_stats, _log_weighted
 from markovdetect.markov import HiddenMarkovSource, MarkovModel, stationary, window_law
 from markovdetect.util import decode, encode, fmt17
 
@@ -273,12 +273,20 @@ def dict_profile(source, k_max, m_max):
 # -- binary-chain statistic classes by Whittle's cofactor ---------------------
 
 
+def lift_binary(model):
+    """(init over symbols, 2x2 rows) view of a binary order-<=1 model."""
+    if model.order == 0:
+        row = model.row(())
+        return row.copy(), np.stack([row, row])
+    return model.init_mass([0, 1]), model.rows_at([0, 1])
+
+
 def whittle_binary_chain_table(p_model, q_model, n):
     """(stats, log P, log Q) per (first symbol, transition counts) class, with
     class sizes ``prod_a rowsum_a! / prod_ab N_ab! * cofactor`` from four
     (first, last symbol) passes over an n x n grid of (n00, n11)."""
-    init_p, rows_p = _lift_binary(p_model)
-    init_q, rows_q = _lift_binary(q_model)
+    init_p, rows_p = lift_binary(p_model)
+    init_q, rows_q = lift_binary(q_model)
     with np.errstate(divide="ignore"):
         li_p, lr_p = np.log(init_p), np.log(rows_p)
         li_q, lr_q = np.log(init_q), np.log(rows_q)
@@ -327,9 +335,17 @@ def whittle_binary_chain_table(p_model, q_model, n):
 
 
 def loop_log_likelihood(model, seq):
-    """Log-probability of ``seq`` one token at a time, with math.log."""
+    """Log-probability of ``seq`` one token at a time, with math.log; a
+    sequence shorter than the order sums the initial masses of the k-grams it
+    begins, in code order."""
     k = model.order
     toks = seq.tokens.tolist()
+    if len(toks) < k:
+        mass = 0.0
+        for ctx, p in _init_items(model):
+            if ctx[:len(toks)] == tuple(toks):
+                mass += p
+        return math.log(mass) if mass > 0 else -math.inf
     start = float(model.init_mass(encode(toks[:k], model.alphabet.size)))
     if start == 0.0:
         return -math.inf

@@ -1,6 +1,10 @@
 """End-to-end command tests: each one drives ``cli.main`` in-process."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -337,3 +341,15 @@ def test_train_byte_order_beyond_int64_codes_exits_4(tmp_path, capsys):
     assert main(argv + ["--order", "7"]) == 0
     assert main(argv + ["--order", "8"]) == 4
     assert "overflow int64" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """scipy.stats costs about half a second to import and the package
+    needs none of it."""
+    code = "import sys, markovdetect.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -14,11 +14,11 @@ from markovdetect.errors import (
 )
 from markovdetect.hypotest import (
     CHAIN_LATTICE_NMAX,
+    _clopper_pearson,
     _guide_table,
-    _init_log,
     _llr_stats,
     _log_matrix,
-    _mc_stats_fast,
+    _mc_stats,
     _table_binary_chain,
     _table_iid,
     _table_sequences,
@@ -30,8 +30,9 @@ from markovdetect.hypotest import (
     np_threshold,
 )
 from markovdetect.infometrics import chernoff, kl_rate
-from markovdetect.markov import chain_model, fit_empirical, iid_model, sample
-from oracles import model_from_dicts, whittle_binary_chain_table
+from markovdetect.markov import MarkovModel, chain_model, fit_empirical, iid_model
+from markovdetect.util import decode, encode
+from oracles import loop_log_likelihood, model_from_dicts, whittle_binary_chain_table
 
 
 def _aggregate(table):
@@ -245,46 +246,54 @@ def test_invalid_arguments(fair_vs_biased):
 # -- Monte Carlo walk -------------------------------------------------------
 
 
-def _comparison_walk(sample_model, p_model, q_model, n, trials, rng):
-    """Reference walk for order >= 1: each symbol is ``#{j : cum[state, j] < u}``
-    counted by comparing ``u`` against the whole cumulative row."""
-    a = sample_model.alphabet.size
-    k = sample_model.order
-    ctxs = sample_model.codes.tolist()
-    code = {c: i for i, c in enumerate(ctxs)}
-    cum = np.cumsum(sample_model.rows, axis=1)
-    wp = np.full((len(ctxs), a), np.nan)
-    wq = np.full((len(ctxs), a), np.nan)
-    for i, c in enumerate(ctxs):
-        ip, iq = int(p_model.lookup(c)), int(q_model.lookup(c))
-        if ip >= 0 and iq >= 0:
-            wp[i] = _log_matrix(p_model.rows[ip])
-            wq[i] = _log_matrix(q_model.rows[iq])
-    init_atoms = sample_model.init_codes
+def _comparison_start(model, window):
+    """log P(window) token by token: the initial mass (or, for a window
+    shorter than the order, its marginal) by ``math.log``, then each row
+    entry by ``np.log``, added in order."""
+    k = model.order
+    total = loop_log_likelihood(model, TokenSeq(window[:k]))
+    for i in range(k, len(window)):
+        total += _log_matrix(model.row(tuple(window[i - k:i].tolist())))[window[i]]
+    return total
+
+
+def _comparison_draws(sample_model, n, trials, rng):
+    """Reference draws: the initial k-gram (cut to ``n`` symbols) from the
+    sample model's initial law, then each symbol ``#{j : cum[ctx, j] < u}``
+    counted by comparing ``u`` against the whole cumulative row of its
+    context, the last ``k`` symbols.  Returns the ``(trials, n)`` symbols."""
+    a, k = sample_model.alphabet.size, sample_model.order
     init_cum = np.cumsum(sample_model.init_probs)
-    atom_lp = _init_log(p_model, init_atoms)
-    atom_lq = _init_log(q_model, init_atoms)
     pick = np.searchsorted(init_cum, rng.random(trials) * init_cum[-1])
-    pick = np.minimum(pick, len(init_atoms) - 1)
-    lp = atom_lp[pick].astype(float)
-    lq = atom_lq[pick].astype(float)
-    state = np.array([code[c] for c in init_atoms.tolist()], dtype=np.int64)[pick]
-    succ = np.full((len(ctxs), a), -1, dtype=np.int64)
-    for i, c in enumerate(ctxs):
-        for sym in range(a):
-            succ[i, sym] = code.get(c % a ** (k - 1) * a + sym, -1)
-    for _ in range(n - k):
+    pick = np.minimum(pick, len(init_cum) - 1)
+    seqs = np.empty((trials, n), dtype=np.int64)
+    seqs[:, :min(n, k)] = decode(sample_model.init_codes[pick], a, k)[:, :n]
+    for t in range(k, n):
         u = rng.random(trials)
-        nxt_sym = (u[:, None] > cum[state]).sum(axis=1)
-        np.minimum(nxt_sym, a - 1, out=nxt_sym)
-        step_p = wp[state, nxt_sym]
-        step_q = wq[state, nxt_sym]
-        assert not (np.isnan(step_p).any() or np.isnan(step_q).any())
-        lp = lp + step_p
-        lq = lq + step_q
-        state = succ[state, nxt_sym]
-        assert (state >= 0).all()
-    return _llr_stats(lp, lq, n)
+        rows = sample_model.rows_at(encode(seqs[:, t - k:t], a))
+        nxt_sym = (u[:, None] > np.cumsum(rows, axis=1)).sum(axis=1)
+        seqs[:, t] = np.minimum(nxt_sym, a - 1)
+    return seqs
+
+
+def _comparison_walk(sample_model, p_model, q_model, n, trials, rng):
+    """Reference walk for models of any orders, not all 0, where every
+    context passed through has a row: the :func:`_comparison_draws`, their
+    first L = min(n, K) symbols, K the largest order, scored by
+    :func:`_comparison_start` and each later symbol by its row.  Returns the
+    statistics and the symbols drawn."""
+    big_k = max(sample_model.order, p_model.order, q_model.order)
+    length = min(n, big_k)
+    seqs = _comparison_draws(sample_model, n, trials, rng)
+    lp = np.array([_comparison_start(p_model, w) for w in seqs[:, :length]])
+    lq = np.array([_comparison_start(q_model, w) for w in seqs[:, :length]])
+    every = np.arange(trials)
+    a = sample_model.alphabet.size
+    for t in range(length, n):
+        for model, acc in ((p_model, lp), (q_model, lq)):
+            ctx = encode(seqs[:, t - model.order:t], a)
+            acc += _log_matrix(model.rows_at(ctx))[every, seqs[:, t]]
+    return _llr_stats(lp, lq, n), seqs
 
 
 class _EdgeRng:
@@ -349,9 +358,137 @@ def test_guide_walk_matches_comparison_walk(monkeypatch, guide_cap):
     monkeypatch.setattr(hypotest, "GUIDE_CELL_CAP", guide_cap)
     for name, (p, q, n, make_rng) in _walk_cases().items():
         for sample_model in (p, q):
-            got = _mc_stats_fast(sample_model, p, q, n, 2000, make_rng(5))
-            want = _comparison_walk(sample_model, p, q, n, 2000, make_rng(5))
+            got = _mc_stats(sample_model, p, q, n, 2000, make_rng(5))
+            want, _ = _comparison_walk(sample_model, p, q, n, 2000, make_rng(5))
             assert np.array_equal(got, want), name
+
+
+def _mixed_order_cases():
+    """Pairs of 3-symbol fits of every order pair in 0-2 but (0, 0), plus an
+    order-0 alternative that never emits symbol 2, so some statistics are
+    +inf."""
+    rng = np.random.default_rng(41)
+    texts = [TokenSeq(rng.choice(3, size=4000, p=rng.dirichlet(np.full(3, 5.0))))
+             for _ in range(2)]
+    fits = [[fit_empirical(text, k, _alphabet(3), smoothing=0.05) for k in range(3)]
+            for text in texts]
+    cases = {f"orders {kp}/{kq}": (fits[0][kp], fits[1][kq])
+             for kp in range(3) for kq in range(3) if kp or kq}
+    cases["order 2 vs one-sided order 0"] = (fits[0][2], iid_model([0.6, 0.4, 0.0],
+                                                                  _alphabet(3)))
+    return cases
+
+
+def test_mixed_order_walk_matches_comparison_walk_and_lrt_statistic():
+    """For any orders, and lengths below, at and above the largest order, the
+    walk's statistics are bit for bit those of the reference walk and of
+    lrt_statistic on each sequence the reference drew."""
+    cases = _mixed_order_cases()
+    for name, (p, q) in cases.items():
+        for sample_model in (p, q):
+            for n in (1, 2, 3, 25):
+                got = _mc_stats(sample_model, p, q, n, 100, np.random.default_rng(n))
+                want, seqs = _comparison_walk(sample_model, p, q, n, 100,
+                                              np.random.default_rng(n))
+                assert np.array_equal(got, want), (name, n)
+                direct = [lrt_statistic(p, q, TokenSeq(seq)) for seq in seqs]
+                assert np.array_equal(got, direct), (name, n)
+    p, q = cases["order 2 vs one-sided order 0"]
+    assert np.isinf(_mc_stats(p, p, q, 25, 300, np.random.default_rng(0))).any()
+
+
+def test_unsmoothed_mixed_order_walk_matches_lrt_statistic():
+    """Short unsmoothed fits of orders 1/2 and 2/1, where one model lacks the
+    rows and initial k-grams of what the other samples: the walk gives
+    lrt_statistic of each reference sequence bit for bit (-inf where a zero
+    factor or an unseen initial k-gram comes before a context without a row,
+    also in the first and last positions) and raises where it raises."""
+    rng = np.random.default_rng(8)
+    full = TokenSeq(np.concatenate([[0, 1, 2, 0, 0, 2, 2, 1, 1], rng.choice(3, 25), [0, 1]]))
+    binary = TokenSeq(np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1]))
+    open_text = TokenSeq(np.array([0, 1, 0, 0, 1, 1, 0, 1, 2, 2]))
+    fits = {name: [fit_empirical(text, k, _alphabet(3)) for k in range(3)]
+            for name, text in (("full", full), ("binary", binary), ("open", open_text))}
+    values = raises = 0
+    for kp, kq in ((1, 2), (2, 1)):
+        for q_name in ("binary", "open"):
+            p, q = fits["full"][kp], fits[q_name][kq]
+            # the open fit's chain ends in a context with no row, so it only scores
+            for sample_model in (p, q) if q_name == "binary" else (p,):
+                for n in (3, 25):
+                    seqs = _comparison_draws(sample_model, n, 300, np.random.default_rng(n))
+                    try:
+                        want = [lrt_statistic(p, q, TokenSeq(seq)) for seq in seqs]
+                    except UnseenContextError:
+                        raises += 1
+                        with pytest.raises(UnseenContextError):
+                            _mc_stats(sample_model, p, q, n, 300, np.random.default_rng(n))
+                        continue
+                    values += 1
+                    got = _mc_stats(sample_model, p, q, n, 300, np.random.default_rng(n))
+                    assert np.array_equal(got, want), (kp, kq, q_name, n)
+    assert values >= 8 and raises >= 1, (values, raises)
+
+
+def test_mixed_order_walk_draws_start_symbol_by_symbol():
+    """A sample model below the largest order draws the symbols up to that
+    order one at a time: a chain that walks into a context with no row
+    raises only when it must draw from it, and no window law is enumerated,
+    so 17**4 start windows are no obstacle."""
+    rows = {(0,): np.array([0.5, 0.5, 0.0]), (1,): np.array([0.0, 0.5, 0.5])}
+    open_q = model_from_dicts(1, _alphabet(3), rows, {(0,): 1.0})  # (2,) has no row
+    p = MarkovModel(4, _alphabet(3), [0], [np.full(3, 1 / 3)], [0], [1.0])
+    with pytest.raises(UnseenContextError, match="no row"):
+        miss_probability(p, open_q, 10, 0.0, trials=1000, method="mc")
+    # (0,) -> 0 or 1 -> 1 or 2 never needs a row for (2,) within 3 symbols
+    assert np.isfinite(_mc_stats(open_q, open_q, open_q, 3, 100,
+                                 np.random.default_rng(0))).all()
+    wide_p = MarkovModel(4, _alphabet(17), [0], [np.full(17, 1 / 17)], [0], [1.0])
+    uniform = iid_model(np.full(17, 1 / 17), _alphabet(17))
+    stats = _mc_stats(uniform, wide_p, uniform, 10, 200, np.random.default_rng(0))
+    assert np.array_equal(stats, np.full(200, -np.inf))
+
+
+def test_mixed_binary_mc_agrees_with_exact_lattice():
+    """Random binary order-0/order-1 mixes: the exact false-alarm mass around
+    the Monte Carlo threshold brackets epsilon, and the exact miss just below
+    the exact threshold lies in the Monte Carlo miss's Clopper-Pearson
+    interval (at 1 - 1e-4, so that twelve pairs rarely miss by chance)."""
+    rng = np.random.default_rng(2024)
+    trials, eps, n = 40_000, 0.2, 30
+    sigma = math.sqrt(eps * (1 - eps) / trials)
+    for pair in range(12):
+        chain = chain_model(rng.dirichlet(np.ones(2), size=2))
+        iid = iid_model(rng.dirichlet(np.ones(2)))
+        p, q = (chain, iid) if pair % 2 else (iid, chain)
+        stats, lp, lq = exact_statistic_table(p, q, n)
+        t_mc = np_threshold(p, q, n, eps, trials=trials, seed=pair, method="mc")
+        # walk and lattice add the same logs in different orders
+        assert np.exp(lp[stats < t_mc - 1e-9]).sum() <= eps + 4 * sigma
+        assert np.exp(lp[stats <= t_mc + 1e-9]).sum() >= eps - 4 * sigma
+        # walk and lattice round a class's statistic differently, so compare
+        # midway below the exact threshold, where no class sits
+        t = np_threshold(p, q, n, eps)
+        t = (t + stats[stats < t - 1e-9].max()) / 2
+        exact = miss_probability(p, q, n, t, epsilon=eps).beta_hat
+        mc = miss_probability(p, q, n, t, trials=trials, seed=pair, epsilon=eps, method="mc")
+        lo, hi = _clopper_pearson(round(mc.beta_hat * trials), trials, conf=1 - 1e-4)
+        assert lo <= exact <= hi, pair
+
+
+def test_mc_below_largest_order_matches_exact():
+    """With fewer symbols than the largest order, every statistic is a point
+    of the exact support and the calibrated threshold is the exact one."""
+    cases = _mixed_order_cases()
+    for name in ("orders 2/2", "orders 2/1", "orders 1/2"):
+        p, q = cases[name]
+        stats = exact_statistic_table(p, q, 1)[0]
+        for sample_model in (p, q):
+            got = _mc_stats(sample_model, p, q, 1, 5000, np.random.default_rng(3))
+            # math.log and np.log of one mass may differ in the last bit
+            assert np.abs(got[:, None] - stats[None, :]).min(axis=1).max() <= 1e-12, name
+        mc = np_threshold(p, q, 1, 0.1, trials=20_000, method="mc")
+        assert mc == pytest.approx(np_threshold(p, q, 1, 0.1, method="exact"), rel=1e-12)
 
 
 def test_guide_table_counts_cell_edges():
@@ -375,7 +512,7 @@ def test_walk_ignores_unsampled_initial_context_without_row():
     rows = {(0,): np.array([0.6, 0.4, 0.0]), (1,): np.array([0.3, 0.7, 0.0])}
     p = model_from_dicts(1, _alphabet(3), rows, {(0,): 0.5, (1,): 0.5, (2,): 1e-12})
     q = model_from_dicts(1, _alphabet(3), rows, {(0,): 0.5, (1,): 0.5})
-    stats = _mc_stats_fast(p, p, q, 20, 1000, np.random.default_rng(0))
+    stats = _mc_stats(p, p, q, 20, 1000, np.random.default_rng(0))
     assert np.array_equal(stats, np.zeros(1000))
 
 

@@ -37,6 +37,7 @@ from markovdetect.markov import (
     sequence_distribution,
     stationary,
     window_law,
+    window_log_likelihood,
 )
 from markovdetect.util import decode, encode
 
@@ -409,6 +410,26 @@ def test_hmm_sample_windows_shape_and_determinism(two_state_hmm):
     assert (w1 == w2).all()
 
 
+def test_hmm_sample_windows_clamps_draws(monkeypatch):
+    """Rows summing to just under one: a uniform above a row's last
+    cumulative sum draws the last state or symbol, as in hmm_sample."""
+    source = HiddenMarkovSource(
+        transition=np.array([[0.5, 0.5 - 4e-10], [0.3, 0.7 - 4e-10]]),
+        emission=np.array([[0.2, 0.3, 0.5 - 4e-10], [0.6, 0.1, 0.3 - 4e-10]]),
+        start=np.array([1.0, 0.0]),
+    )
+
+    class TopRng:
+        def choice(self, n, size, p):
+            return np.zeros(size, dtype=np.int64)
+
+        def random(self, size):
+            return np.full(size, np.nextafter(1.0, 0.0))
+
+    monkeypatch.setattr(markov, "spawn_rng", lambda seed, *key: TopRng())
+    assert np.array_equal(hmm_sample_windows(source, 5, 4, seed=0), np.full((5, 4), 2))
+
+
 def test_hmm_window_frequencies_match_law(two_state_hmm):
     wins = hmm_sample_windows(two_state_hmm, 30_000, 2, seed=21)
     emp = np.zeros(4)
@@ -516,3 +537,45 @@ def test_log_likelihood_matches_token_loop(a, k, seed, length):
         assert got == want
     else:
         assert got == pytest.approx(want, rel=len(seq) * 4e-16, abs=1e-300)
+
+
+@given(st.sampled_from([2, 3]), st.integers(0, 3), st.integers(1, 8),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_window_log_likelihood_matches_token_loop_per_row(a, k, m, seed):
+    """Each row, shorter than the order or not, gets the loop's value up to
+    one rounding per token, the same -inf and the same refusal; the batch
+    refuses when a row does and otherwise returns the rows' values."""
+    rng = np.random.default_rng(seed)
+    alphabet = Alphabet(tuple(f"s{i}" for i in range(a)))
+    # a short unsmoothed fit leaves zeros, unseen contexts and missing k-grams
+    model = fit_empirical(TokenSeq(rng.choice(a, size=k + 10)), k, alphabet)
+    windows = rng.choice(a, size=(6, m))
+    refused, rows = False, []
+    for window in windows:
+        try:
+            want = loop_log_likelihood(model, TokenSeq(window))
+        except UnseenContextError:
+            refused = True
+            with pytest.raises(UnseenContextError):
+                window_log_likelihood(model, window[None, :])
+            continue
+        got = window_log_likelihood(model, window[None, :])
+        assert got.shape == (1,)
+        rows.append(got[0])
+        if math.isinf(want):
+            assert got[0] == want
+        else:
+            assert got[0] == pytest.approx(want, rel=m * 4e-16, abs=1e-300)
+    if refused:
+        with pytest.raises(UnseenContextError):
+            window_log_likelihood(model, windows)
+    else:
+        assert np.array_equal(window_log_likelihood(model, windows), rows)
+
+
+def test_window_log_likelihood_refuses_bad_shapes(aabab_model):
+    with pytest.raises(ValueError):
+        window_log_likelihood(aabab_model, [0, 1])
+    with pytest.raises(ValueError, match="empty"):
+        window_log_likelihood(aabab_model, np.zeros((3, 0), dtype=np.int64))
