@@ -22,6 +22,7 @@ from .hypotest import (
     ExponentFit,
     TestOutcome,
     bayes_error,
+    class_statistic,
     exponent_fit,
     lrt_statistic,
     miss_probability,
@@ -54,8 +55,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "TokenSeq", "count_windows", "tokenize",
-    "BayesErrorEstimate", "ExponentFit", "TestOutcome", "bayes_error", "exponent_fit",
-    "lrt_statistic", "miss_probability", "np_threshold",
+    "BayesErrorEstimate", "ExponentFit", "TestOutcome", "bayes_error", "class_statistic",
+    "exponent_fit", "lrt_statistic", "miss_probability", "np_threshold",
     "ContinuityProfile", "chernoff", "cross_entropy", "entropy", "estimate_profile",
     "kl", "kl_rate", "perplexity", "perplexity_ratio",
     "HiddenMarkovSource", "MarkovModel", "chain_model", "fit_empirical", "iid_model",

@@ -29,7 +29,7 @@ from .bounds_lab import (
 )
 from .corpus import SCHEMES, tokenize
 from .errors import DataContractError, MarkovDetectError
-from .hypotest import exponent_fit, lrt_statistic, np_threshold
+from .hypotest import class_statistic, exponent_fit, lrt_statistic, np_threshold
 from .infometrics import ContinuityProfile, kl_rate
 from .markov import MarkovModel, fit_empirical, log_likelihood
 from .transport import dbar_exact
@@ -195,7 +195,10 @@ def cmd_detect(args) -> int:
                              method=cfg["method"])
     if math.isinf(stat):
         flags.append("support_violation_" + ("alternative" if stat > 0 else "null"))
-    verdict = "authentic" if stat >= threshold else "generated"
+    # an exact threshold is a class statistic: compare the text's class with it
+    # so that a tie, decided toward the null, is not lost to rounding
+    ranked = class_statistic(p_model, q_model, seq, cfg["method"])
+    verdict = "authentic" if (stat if ranked is None else ranked) >= threshold else "generated"
     record = {
         "tokens": n,
         "epsilon": cfg["epsilon"],

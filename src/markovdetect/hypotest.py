@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, gammaln, logsumexp
 
 from .errors import (
     DegenerateStatisticWarning,
@@ -43,7 +42,7 @@ from .errors import (
 from .infometrics import chernoff, kl_rate
 from .markov import (MarkovModel, log_likelihood, sequence_distribution, window_law,
                      window_log_likelihood)
-from .util import JsonRecord, decode, spawn_rng
+from .util import JsonRecord, decode, encode, spawn_rng
 
 SEQ_ATOM_CAP = 4096
 IID_LATTICE_CAP = 400_000
@@ -85,7 +84,12 @@ class TestOutcome(JsonRecord):
 
 @dataclass
 class ExponentFit(JsonRecord):
-    """Least-squares slope of -ln(miss) against n, with the theory value."""
+    """Least-squares slope of -ln(miss) against n, with the theory value.
+
+    ``thresholds`` and ``point_methods`` (``"exact"`` or ``"mc"``, the engine
+    that answered) follow the sorted input grid, excluded points included;
+    ``n_grid`` and ``neg_log_beta`` hold the informative points only.
+    """
 
     epsilon: float
     n_grid: tuple[int, ...]
@@ -96,6 +100,7 @@ class ExponentFit(JsonRecord):
     theory: float
     excluded: tuple[int, ...]
     method: str
+    point_methods: tuple[str, ...]
 
 
 @dataclass
@@ -133,12 +138,18 @@ def _clean_table(stats, lp, lq):
     return stats[order], lp[order], lq[order]
 
 
-def _table_sequences(p_model, q_model, n, cap=SEQ_ATOM_CAP):
-    vec_p = sequence_distribution(p_model, n, atom_cap=cap)
-    vec_q = sequence_distribution(q_model, n, atom_cap=cap)
+def _log_matrix(rows: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        lp = np.log(vec_p)
-        lq = np.log(vec_q)
+        return np.log(rows)
+
+
+def _sequence_logs(model, n):
+    """Log-probability of every length-``n`` sequence, indexed by its code."""
+    return _log_matrix(sequence_distribution(model, n, atom_cap=SEQ_ATOM_CAP))
+
+
+def _table_sequences(p_model, q_model, n):
+    lp, lq = _sequence_logs(p_model, n), _sequence_logs(q_model, n)
     return _clean_table(_llr_stats(lp, lq, n), lp, lq)
 
 
@@ -165,18 +176,21 @@ def _log_weighted(counts: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _table_iid(p_model, q_model, n, cap=IID_LATTICE_CAP):
-    a = p_model.alphabet.size
-    if math.comb(n + a - 1, a - 1) > cap:
-        return None
-    counts = _compositions(n, a)
+def _table_iid(p_model, q_model, n):
+    from scipy.special import gammaln
+    counts = _compositions(n, p_model.alphabet.size)
     log_coef = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
-    with np.errstate(divide="ignore"):
-        lp_sym = np.log(p_model.row(()))
-        lq_sym = np.log(q_model.row(()))
-    num_p = _log_weighted(counts, lp_sym)
-    num_q = _log_weighted(counts, lq_sym)
+    num_p = _log_weighted(counts, _log_matrix(p_model.row(())))
+    num_q = _log_weighted(counts, _log_matrix(q_model.row(())))
     return _clean_table(_llr_stats(num_p, num_q, n), log_coef + num_p, log_coef + num_q)
+
+
+def _chain_logs(model):
+    """Log-masses of the first symbol and log rows, flat in (00, 01, 10, 11)
+    order, of a binary model of order <= 1."""
+    codes, probs = window_law(model, 1, (model.init_codes, model.init_probs))
+    rows = model.rows_at(np.arange(2) % 2 ** model.order)
+    return _log_matrix(np.bincount(codes, probs, 2)), _log_matrix(rows).ravel()
 
 
 def _table_binary_chain(p_model, q_model, n):
@@ -192,13 +206,8 @@ def _table_binary_chain(p_model, q_model, n):
     sequences (1 for the second factor when s = 0 and so stay_o = 0).  The
     classes of both first symbols share one array of (s, stay_x, stay_o).
     """
-    logs = []
-    for model in (p_model, q_model):
-        codes, probs = window_law(model, 1, (model.init_codes, model.init_probs))
-        rows = model.rows_at(np.arange(2) % 2 ** model.order)
-        with np.errstate(divide="ignore"):
-            logs.append((np.log(np.bincount(codes, probs, 2)), np.log(rows).ravel()))
-    (li_p, lr_p), (li_q, lr_q) = logs
+    from scipy.special import gammaln
+    (li_p, lr_p), (li_q, lr_q) = _chain_logs(p_model), _chain_logs(q_model)
     s, stays = np.triu_indices(n)  # stays = stay_x + s <= n - 1
     stay_o = n - 1 - stays
     keep = (s > 0) | (stay_o == 0)  # stays of o need a run of o
@@ -224,20 +233,58 @@ def _table_binary_chain(p_model, q_model, n):
     return _clean_table(stats, lp, lq)
 
 
-def exact_statistic_table(p_model: MarkovModel, q_model: MarkovModel, n: int):
-    """(sorted stats, log P-mass, log Q-mass) per statistic class, or None."""
+def _table_engine(p_model, q_model, n):
+    """The exact table builder that applies at length ``n``, or None."""
     if p_model.alphabet.size != q_model.alphabet.size:
         raise ValueError("models must share an alphabet")
     a = p_model.alphabet.size
     if a ** n <= SEQ_ATOM_CAP:
-        return _table_sequences(p_model, q_model, n)
-    if p_model.order == 0 and q_model.order == 0:
-        table = _table_iid(p_model, q_model, n)
-        if table is not None:
-            return table
+        return _table_sequences
+    if (p_model.order == 0 and q_model.order == 0
+            and math.comb(n + a - 1, a - 1) <= IID_LATTICE_CAP):
+        return _table_iid
     if a == 2 and p_model.order <= 1 and q_model.order <= 1 and n <= CHAIN_LATTICE_NMAX:
-        return _table_binary_chain(p_model, q_model, n)
+        return _table_binary_chain
     return None
+
+
+def exact_statistic_table(p_model: MarkovModel, q_model: MarkovModel, n: int):
+    """(sorted stats, log P-mass, log Q-mass) per statistic class, or None."""
+    engine = _table_engine(p_model, q_model, n)
+    return None if engine is None else engine(p_model, q_model, n)
+
+
+def class_statistic(p_model: MarkovModel, q_model: MarkovModel, seq,
+                    method: str = "auto") -> float | None:
+    """Statistic of the class of ``seq`` in the exact table that calibrates
+    the threshold at its length, computed as the table computes it; None
+    when ``method`` is ``"mc"`` or no table applies.
+
+    The tables take the log of a sequence's probability, or sum counts times
+    log rows, where :func:`lrt_statistic` sums per-token logs, so the two can
+    differ in the last bits.  Only this value ties with a table threshold
+    exactly, which a verdict needs to send ties to the null.  Monte Carlo
+    statistics are :func:`lrt_statistic`'s own.
+    """
+    n = len(seq)
+    engine = None if method == "mc" else _table_engine(p_model, q_model, n)
+    if engine is None:
+        return None
+    tokens = seq.tokens
+    if engine is _table_sequences:
+        code = encode(tokens, p_model.alphabet.size)
+        lp = _sequence_logs(p_model, n)[code][None]
+        lq = _sequence_logs(q_model, n)[code][None]
+    elif engine is _table_iid:
+        counts = np.bincount(tokens, minlength=p_model.alphabet.size)[None]
+        lp = _log_weighted(counts, _log_matrix(p_model.row(())))
+        lq = _log_weighted(counts, _log_matrix(q_model.row(())))
+    else:
+        counts = np.bincount(2 * tokens[:-1] + tokens[1:], minlength=4)[None]
+        (li_p, lr_p), (li_q, lr_q) = _chain_logs(p_model), _chain_logs(q_model)
+        lp = li_p[tokens[0]] + _log_weighted(counts, lr_p)
+        lq = li_q[tokens[0]] + _log_weighted(counts, lr_q)
+    return float(_checked_stats(lp, lq, n)[0])
 
 
 def _table_threshold(stats, lp, epsilon):
@@ -251,6 +298,7 @@ def _table_threshold(stats, lp, epsilon):
 
 
 def _table_log_beta(stats, lq, threshold):
+    from scipy.special import logsumexp
     mask = stats >= threshold
     if not mask.any():
         return -math.inf
@@ -258,11 +306,6 @@ def _table_log_beta(stats, lq, threshold):
 
 
 # -- Monte Carlo engine -----------------------------------------------------
-
-
-def _log_matrix(rows: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(rows)
 
 
 def _guide_size(a: int, n_ctx: int) -> int:
@@ -461,6 +504,7 @@ def miss_probability(p_model: MarkovModel, q_model: MarkovModel, n: int,
 
 
 def _clopper_pearson(k: int, n: int, conf: float = 0.95):
+    from scipy.special import betaincinv
     alpha = 1.0 - conf
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
@@ -484,14 +528,14 @@ def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
     Grid points whose miss estimate is exactly zero carry no information and
     are excluded (and reported); at least three informative points remain or
     the fit refuses to run.  ``theory`` is the divergence rate of the pair.
-    ``method`` is ``"exact"`` when every grid point, excluded ones included,
-    was answered by an exact table, ``"mc"`` when none was and ``"mixed"``
-    otherwise.
+    ``point_methods`` names the engine of each grid point, excluded ones
+    included; ``method`` is ``"exact"`` when every point was answered by an
+    exact table, ``"mc"`` when none was and ``"mixed"`` otherwise.
     """
     n_grid = sorted(int(n) for n in n_grid)
     if len(set(n_grid)) != len(n_grid):
         raise ValueError("grid lengths must be distinct")
-    used_n, ys, thresholds, excluded, methods = [], [], [], [], set()
+    used_n, ys, thresholds, excluded, methods = [], [], [], [], []
     for n in n_grid:
         _check_test_args(n, epsilon, trials, method)
         table = _exact_table(p_model, q_model, n, method)
@@ -499,7 +543,7 @@ def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
         outcome = _miss(p_model, q_model, n, thr, trials, seed, epsilon, n, table)
         del table  # free it before the next point builds its own
         thresholds.append(thr)
-        methods.add(outcome.method)
+        methods.append(outcome.method)
         if outcome.log_beta == -math.inf:
             excluded.append(n)
             continue
@@ -526,7 +570,8 @@ def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
         slope_stderr=stderr,
         theory=kl_rate(p_model, q_model),
         excluded=tuple(excluded),
-        method=methods.pop() if len(methods) == 1 else "mixed",
+        method=methods[0] if len(set(methods)) == 1 else "mixed",
+        point_methods=tuple(methods),
     )
 
 
@@ -544,6 +589,7 @@ def bayes_error(p_model: MarkovModel, q_model: MarkovModel, n: int,
     log_pi0, log_pi1 = math.log(prior), math.log(1.0 - prior)
     table = _exact_table(p_model, q_model, n, method)
     if table is not None:
+        from scipy.special import logsumexp
         _, lp, lq = table
         joint = np.minimum(log_pi0 + lp, log_pi1 + lq)
         estimate, stderr, used = float(np.exp(logsumexp(joint))), 0.0, "exact"

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import AtomBudgetError, BoundInapplicableError, SupportViolationWarning
 from .markov import HiddenMarkovSource, MarkovModel, hmm_forward, stationary, window_law
@@ -91,6 +90,7 @@ def _chernoff_objective(p, q):
     common = (p > 0) & (q > 0)
     if not np.any(common):
         return None
+    from scipy.special import logsumexp
     lp, lq = np.log(p[common]), np.log(q[common])
 
     def g(lam: float) -> float:

@@ -319,8 +319,11 @@ def _stationary_law(succ: np.ndarray, prob: np.ndarray, name) -> np.ndarray:
     norm, or once the step, below ``STATIONARY_STALL_TOL``, has made no new
     low for ``STATIONARY_STALL_SWEEPS`` sweeps: rounding then keeps it from
     shrinking, as on nearly periodic chains whose iterates end in a cycle of
-    floats.  The limit must be the only stationary law: every state must
-    reach the state of largest mass along positive transitions, else
+    floats.  A step that stalls above ``STATIONARY_STALL_TOL`` instead marks
+    a periodic chain, whose iterates cycle for good: the sweeps then go on
+    with the lazy chain (I + P) / 2, which is aperiodic and has the same
+    stationary laws.  The limit must be the only stationary law: every state
+    must reach the state of largest mass along positive transitions, else
     :class:`NonConvergenceError` names (``name(i)``) the first that cannot.
     """
     n = len(succ)
@@ -328,18 +331,24 @@ def _stationary_law(succ: np.ndarray, prob: np.ndarray, name) -> np.ndarray:
     flat_succ = np.where(live, succ, 0).reshape(-1)
     prob = np.where(live, prob, 0.0)
     x = np.full(n, 1.0 / n)
-    low, since_low = math.inf, 0
+    low, since_low, lazy = math.inf, 0, False
     for _ in range(STATIONARY_MAX_ITER):
         nxt = np.bincount(flat_succ, weights=(x[:, None] * prob).reshape(-1), minlength=n)
+        if lazy:
+            nxt = 0.5 * (x + nxt)
         step = np.abs(nxt - x).sum()
         x = nxt
         low, since_low = (step, 0) if step < low else (low, since_low + 1)
-        if step < STATIONARY_TOL or (low < STATIONARY_STALL_TOL
-                                     and since_low >= STATIONARY_STALL_SWEEPS):
+        if step < STATIONARY_TOL:
             break
+        if since_low >= STATIONARY_STALL_SWEEPS:
+            if low < STATIONARY_STALL_TOL:
+                break
+            if not lazy:
+                low, since_low, lazy = math.inf, 0, True
     else:
         raise NonConvergenceError(
-            "power iteration did not converge; chain may be periodic or mix too slowly"
+            "power iteration did not converge; the chain mixes too slowly"
         )
     # backward reachability of the heaviest state along positive transitions
     reach = np.zeros(n, dtype=bool)
@@ -368,8 +377,9 @@ def stationary(model: MarkovModel) -> np.ndarray:
     :class:`UnseenContextError`, and must have a single closed class that
     every context reaches, else :class:`NonConvergenceError` names a context
     that does not; transient contexts end with mass near 1e-15 or less.
-    Periodic chains, and chains too slow to converge within
-    ``STATIONARY_MAX_ITER`` sweeps, raise :class:`NonConvergenceError`.
+    Periodic chains converge through their lazy chain; chains too slow to
+    converge within ``STATIONARY_MAX_ITER`` sweeps raise
+    :class:`NonConvergenceError`.
     """
     if model.order == 0:
         return np.ones(1)

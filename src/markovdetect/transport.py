@@ -40,8 +40,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_matrix
 
 from .errors import AtomBudgetError, NonConvergenceError
 from .util import JsonRecord, decode, encode, fmt17, spawn_rng
@@ -364,6 +362,7 @@ def _hamming_graph(a: int, m: int):
     incidence matrix (+1 at the tail, -1 at the head) without its last row,
     which the other rows imply because every column sums to zero.
     """
+    from scipy.sparse import csc_matrix
     nodes = np.arange(a ** m)
     tails, heads = [], []
     for i in range(m):
@@ -391,6 +390,7 @@ def _hamming_flow(excess: np.ndarray, a: int, m: int):
     Returns the arc flows, checked feasible, and the node potentials phi that
     HiGHS reports as duals of the conservation rows (phi = 0 on the last node).
     """
+    from scipy.optimize import linprog
     tails, _, incidence = _hamming_graph(a, m)
     res = linprog(np.full(len(tails), 1.0 / m), A_eq=incidence, b_eq=excess[:-1],
                   bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)

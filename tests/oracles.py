@@ -5,9 +5,10 @@ matrices, the transportation simplex's basis tree in parent pointers, one
 power iteration for every stationary law, one batched forward recursion for
 hidden-Markov sources and run counts for the binary-chain statistic classes.
 These are the straightforward loops over symbol tuples and dict adjacencies,
-the dense eigenvector and linear-solve stationary laws, the per-context
-forward filter with its depth-first context walk, and Whittle's cofactor
-formula, that those routines replaced or stand for.
+the dense eigenvector and linear-solve stationary laws, the power iteration
+without lazy sweeps, the per-context forward filter with its depth-first
+context walk, and Whittle's cofactor formula, that those routines replaced or
+stand for.
 """
 import math
 from collections import Counter
@@ -136,6 +137,28 @@ def eig_stationary(transition):
             break
         pi = nxt
     return pi
+
+
+def stall_power_iteration(model, tol=1e-15, stall_tol=1e-10, stall_sweeps=64,
+                          max_iter=10 ** 6):
+    """Stationary law of a context chain by power iteration from the uniform
+    law, stopped by the step tolerance or by a step stalled below
+    ``stall_tol``, with no lazy sweeps: it never stops on a periodic chain."""
+    n = len(model.codes)
+    succ = model.lookup(model.successors(model.codes))
+    live = model.rows > 0
+    flat_succ = np.where(live, succ, 0).reshape(-1)
+    prob = np.where(live, model.rows, 0.0)
+    x = np.full(n, 1.0 / n)
+    low, since_low = math.inf, 0
+    for _ in range(max_iter):
+        nxt = np.bincount(flat_succ, weights=(x[:, None] * prob).reshape(-1), minlength=n)
+        step = np.abs(nxt - x).sum()
+        x = nxt
+        low, since_low = (step, 0) if step < low else (low, since_low + 1)
+        if step < tol or (low < stall_tol and since_low >= stall_sweeps):
+            return x / x.sum()
+    raise NonConvergenceError("power iteration did not converge")
 
 
 def dense_stationary(model):

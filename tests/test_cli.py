@@ -6,9 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from markovdetect.cli import main
+from markovdetect.corpus import Alphabet
+from markovdetect.hypotest import class_statistic, lrt_statistic, np_threshold
+from markovdetect.markov import chain_model, sample
 from markovdetect.util import load_json
 
 PRIMARY = lambda d: sorted(
@@ -343,13 +347,152 @@ def test_train_byte_order_beyond_int64_codes_exits_4(tmp_path, capsys):
     assert "overflow int64" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    """scipy.stats costs about half a second to import and the package
-    needs none of it."""
-    code = "import sys, markovdetect.cli; print('scipy.stats' in sys.modules)"
+def _fresh_python(code, *args):
+    """Stdout of ``code`` run by a fresh interpreter on this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy costs more to import than most commands take to run; the package
+    loads it inside the engines that call it."""
+    code = ("import json, sys\n"
+            "import markovdetect\n"
+            f"print(json.dumps({_SCIPY_LOADED}))\n"
+            "import markovdetect.cli\n"
+            f"print(json.dumps({_SCIPY_LOADED}))\n")
+    assert [json.loads(line) for line in _fresh_python(code).splitlines()] == [[], []]
+
+
+def _run_fresh(*groups):
+    """Run ``main`` on each group of argv lists in turn, in one fresh
+    interpreter; the scipy modules loaded after each group."""
+    code = ("import json, sys\n"
+            "from markovdetect.cli import main\n"
+            "for group in json.loads(sys.argv[1]):\n"
+            "    for argv in group:\n"
+            "        assert main(argv) == 0, argv\n"
+            f"    print('scipy:', json.dumps({_SCIPY_LOADED}))\n")
+    out = _fresh_python(code, json.dumps(groups))
+    return [json.loads(line[len("scipy:"):]) for line in out.splitlines()
+            if line.startswith("scipy:")]
+
+
+def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
+    """train, score, detect on Monte Carlo calibration and a probe at 16
+    atoms or fewer never load scipy; exponent and a dbar above 16 atoms load
+    it on demand and write the bytes an interpreter that imported scipy up
+    front writes."""
+    p_text, q_text = tmp_path / "authentic.txt", tmp_path / "generated.txt"
+    p_text.write_text("abcacbbca" * 40, encoding="utf-8")
+    q_text.write_text("aabbcabcc" * 40, encoding="utf-8")
+    sample = tmp_path / "sample.txt"
+    sample.write_text("abcabcaabbcc" * 3, encoding="utf-8")
+    fair = [1 / 32] * 32
+    biased = [0.9 ** (5 - bin(i).count("1")) * 0.1 ** bin(i).count("1") for i in range(32)]
+    (tmp_path / "mu.json").write_text(json.dumps(fair), encoding="utf-8")
+    (tmp_path / "nu.json").write_text(json.dumps(biased), encoding="utf-8")
+
+    def runs(root):
+        p, q = root / "p", root / "q"
+        light = [
+            ["train", "--input", str(p_text), "--order", "1", "--smoothing", "0.1",
+             "--out", str(p)],
+            ["train", "--input", str(q_text), "--order", "1", "--smoothing", "0.1",
+             "--alphabet-from", str(p / "model.json"), "--out", str(q)],
+            ["score", "--model", str(p / "model.json"), "--text", str(sample),
+             "--out", str(root / "score")],
+            ["detect", "--model-p", str(p / "model.json"), "--model-q", str(q / "model.json"),
+             "--text", str(sample), "--trials", "2000", "--out", str(root / "detect")],
+            ["probe", "--alphabet-size", "2", "--window", "4", "--instances", "100",
+             "--out", str(root / "probe")],
+        ]
+        heavy = [
+            ["exponent", "--model-p", str(p / "model.json"), "--model-q", str(q / "model.json"),
+             "--epsilon", "0.5", "--n-grid", "3,5,7", "--out", str(root / "exponent")],
+            ["dbar", "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
+             "--window", "5", "--out", str(root / "dbar")],
+        ]
+        return light, heavy
+
+    without, loaded = _run_fresh(*runs(tmp_path / "fresh"))
+    assert without == []
+    assert {"scipy.special", "scipy.optimize", "scipy.sparse"} <= set(loaded)
+
+    import scipy.optimize  # noqa: F401  (the in-process runs find scipy loaded)
+    import scipy.special  # noqa: F401
+    for argv in sum(runs(tmp_path / "warm"), []):
+        assert main(argv) == 0
+    for name in ("p", "q", "score", "detect", "probe", "exponent", "dbar"):
+        fresh, warm = snapshot(tmp_path / "fresh" / name), snapshot(tmp_path / "warm" / name)
+        for files in (fresh, warm):  # it records the output path
+            del files["resolved_config.json"]
+        assert fresh == warm, name
+
+
+def _tie_case():
+    """A binary order-1 pair, a length and a sequence of its threshold class
+    whose lrt_statistic lies one rounding below the exact threshold."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        p = chain_model(rng.dirichlet(np.ones(2), size=2))
+        q = chain_model(rng.dirichlet(np.ones(2), size=2))
+        n = int(rng.integers(20, 60))
+        threshold = np_threshold(p, q, n, 0.1)
+        for seed in range(300):
+            seq = sample(q, n, seed)
+            if (class_statistic(p, q, seq) == threshold
+                    and lrt_statistic(p, q, seq) < threshold):
+                return p, q, seq
+    raise AssertionError("no threshold-class sequence below the threshold")
+
+
+def test_detect_sends_a_threshold_class_tie_to_the_null(tmp_path):
+    """The exact binary-chain table computes a class's statistic as counts
+    times log rows and lrt_statistic sums per-token logs, so text of the
+    threshold class can score one rounding below the threshold; detect ranks
+    the text by its class statistic, and the tie goes to the null."""
+    p, q, seq = _tie_case()
+    for name, model in (("p", p), ("q", q)):
+        model.alphabet, model.scheme = Alphabet(("a", "b")), "char"
+        model.save(tmp_path / f"{name}.json")
+    text = tmp_path / "tie.txt"
+    text.write_text("".join("ab"[t] for t in seq.tokens.tolist()), encoding="utf-8")
+    out = tmp_path / "det"
+    assert main(["detect", "--model-p", str(tmp_path / "p.json"),
+                 "--model-q", str(tmp_path / "q.json"), "--text", str(text),
+                 "--epsilon", "0.1", "--out", str(out)]) == 0
+    rec = load_json(out / "detect.json")
+    assert rec["statistic"] < rec["threshold"]
+    assert rec["verdict"] == "authentic"
+
+
+def test_exponent_records_each_grid_point_engine(tmp_path):
+    """Order-1 models on three letters have an exact table only while 3**n
+    fits the enumeration cap: the per-point engines follow the sorted grid,
+    the Monte Carlo point with no miss included."""
+    abc = Alphabet(("a", "b", "c"))
+    for name, stay in (("p", 0.6), ("q", 0.4)):
+        rows = np.full((3, 3), (1 - stay) / 2)
+        np.fill_diagonal(rows, stay)
+        model = chain_model(rows, alphabet=abc)
+        model.scheme = "char"
+        model.save(tmp_path / f"{name}.json")
+    out = tmp_path / "exp"
+    assert main(["exponent", "--model-p", str(tmp_path / "p.json"),
+                 "--model-q", str(tmp_path / "q.json"), "--epsilon", "0.5",
+                 "--n-grid", "400,12,3,7,5", "--trials", "1000", "--out", str(out)]) == 0
+    rec = load_json(out / "exponent.json")
+    assert rec["n_grid"] == [3, 5, 7, 12]
+    assert rec["excluded"] == [400]
+    assert rec["point_methods"] == ["exact", "exact", "exact", "mc", "mc"]
+    assert len(rec["thresholds"]) == 5
+    assert rec["method"] == "mixed"

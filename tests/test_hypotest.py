@@ -23,6 +23,7 @@ from markovdetect.hypotest import (
     _table_iid,
     _table_sequences,
     bayes_error,
+    class_statistic,
     exact_statistic_table,
     exponent_fit,
     lrt_statistic,
@@ -30,7 +31,7 @@ from markovdetect.hypotest import (
     np_threshold,
 )
 from markovdetect.infometrics import chernoff, kl_rate
-from markovdetect.markov import MarkovModel, chain_model, fit_empirical, iid_model
+from markovdetect.markov import MarkovModel, chain_model, fit_empirical, iid_model, sample
 from markovdetect.util import decode, encode
 from oracles import loop_log_likelihood, model_from_dicts, whittle_binary_chain_table
 
@@ -173,6 +174,50 @@ def test_threshold_ties_decide_null(fair_vs_biased):
     # statistic is identically zero: everything ties, everything stays null
     assert t == 0.0
     assert outcome.beta_hat == pytest.approx(1.0)
+
+
+def test_class_statistic_ties_with_the_exact_threshold():
+    """The binary-chain table computes a class's statistic as counts times log
+    rows, where lrt_statistic sums per-token logs, so a sequence of the
+    threshold class can score one rounding below the threshold.  Over random
+    binary order-1 Dirichlet(1) pairs at n = 20..59 and epsilon = 0.1, the
+    class statistic of every sampled sequence is one of the table's
+    statistics bit for bit, and threshold-class sequences that lrt_statistic
+    puts below the threshold compare equal to it."""
+    rng = np.random.default_rng(2024)
+    rescued = 0
+    for _ in range(30):
+        p = chain_model(rng.dirichlet(np.ones(2), size=2))
+        q = chain_model(rng.dirichlet(np.ones(2), size=2))
+        n = int(rng.integers(20, 60))
+        stats = exact_statistic_table(p, q, n)[0]
+        threshold = np_threshold(p, q, n, 0.1)
+        for j in range(100):
+            seq = sample(p if j % 2 else q, n, int(rng.integers(2 ** 31)))
+            ranked = class_statistic(p, q, seq)
+            assert ranked in stats
+            rescued += ranked == threshold and lrt_statistic(p, q, seq) < threshold
+        assert class_statistic(p, q, seq, method="mc") is None
+    assert rescued > 0
+
+
+def test_class_statistic_on_every_table_engine(rng):
+    """Sequence enumeration, the i.i.d. lattice and the chain lattice each
+    rank a sequence by a statistic in their own table; without a table the
+    class statistic is None."""
+    cases = [(chain_model(rng.dirichlet(np.ones(2), size=2)),
+              chain_model(rng.dirichlet(np.ones(2), size=2)), 9),
+             (iid_model(rng.dirichlet(np.ones(3))), iid_model(rng.dirichlet(np.ones(3))), 30),
+             (iid_model([0.5, 0.5]), chain_model(rng.dirichlet(np.ones(2), size=2)), 40)]
+    for p, q, n in cases:
+        stats = exact_statistic_table(p, q, n)[0]
+        for seed in range(40):
+            seq = sample(q, n, seed)
+            ranked = class_statistic(p, q, seq)
+            assert ranked in stats
+            assert ranked == pytest.approx(lrt_statistic(p, q, seq), rel=1e-12, abs=1e-12)
+    p3 = chain_model(rng.dirichlet(np.ones(3), size=3))
+    assert class_statistic(p3, p3, sample(p3, 20, 0)) is None
 
 
 def test_degenerate_statistic_warns(fair_vs_biased):
@@ -575,8 +620,11 @@ def test_exponent_fit_labels_grid_straddling_chain_lattice():
     fit = exponent_fit(p, q, 0.5, grid, trials=1000)
     assert fit.n_grid == tuple(grid)
     assert fit.method == "mixed"
-    assert exponent_fit(p, q, 0.5, [200, 400, 800], trials=1000).method == "exact"
-    assert exponent_fit(p, q, 0.5, grid, trials=1000, method="mc").method == "mc"
+    assert fit.point_methods == ("exact", "mc", "mc")
+    exact = exponent_fit(p, q, 0.5, [200, 400, 800], trials=1000)
+    assert (exact.method, exact.point_methods) == ("exact", ("exact",) * 3)
+    mc = exponent_fit(p, q, 0.5, grid, trials=1000, method="mc")
+    assert (mc.method, mc.point_methods) == ("mc", ("mc",) * 3)
 
 
 def test_exponent_fit_needs_three_points(fair_vs_biased):

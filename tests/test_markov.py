@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
     model_from_dicts,
     recursive_sequence_distribution,
     recursive_stationary_windows,
+    stall_power_iteration,
 )
 
 from markovdetect import markov
@@ -184,6 +186,51 @@ def test_stationary_stops_at_the_rounding_floor(monkeypatch):
     monkeypatch.undo()
     pi = stationary(chain_model(rows))
     np.testing.assert_allclose(pi, [0.97 / 1.91, 0.94 / 1.91], rtol=0, atol=1e-15)
+
+
+def test_periodic_chain_converges_through_its_lazy_chain():
+    # period 2: from the uniform law the iterates cycle with an L1 step of 2/3
+    # and power iteration alone never stops; (I + P) / 2 mixes in a few sweeps
+    rows = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    with pytest.raises(NonConvergenceError):
+        stall_power_iteration(MarkovModel(1, Alphabet(("a", "b", "c")), np.arange(3),
+                                          rows, [0], [1.0]), max_iter=10 ** 4)
+    start = time.perf_counter()
+    model = chain_model(rows)
+    pi = stationary(model)
+    assert time.perf_counter() - start < 1.0
+    np.testing.assert_allclose(pi, [0.25, 0.5, 0.25], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.init_probs, [0.25, 0.5, 0.25], rtol=0, atol=1e-12)
+    # period 3, and a periodic state chain of a hidden-Markov source
+    np.testing.assert_allclose(stationary(chain_model(np.roll(np.eye(3), 1, axis=1))),
+                               np.full(3, 1 / 3), rtol=0, atol=1e-12)
+    source = HiddenMarkovSource.with_stationary_start(rows, np.eye(3))
+    np.testing.assert_allclose(source.start, [0.25, 0.5, 0.25], rtol=0, atol=1e-12)
+
+
+def _converging_chains():
+    """Chains that power iteration settles without lazy sweeps: dense and
+    sparse random rows, a nearly periodic pair that ends on the stall rule,
+    and fitted order-1 and order-2 text models."""
+    rng = np.random.default_rng(99)
+    for a in (2, 3, 5, 17):
+        yield chain_model(rng.dirichlet(np.ones(a), size=a))
+        rows = rng.dirichlet(np.full(a, 0.2), size=a)
+        rows[rows < 0.05] = 0.0
+        rows[np.arange(a), (np.arange(a) + 1) % a] += 0.05
+        yield MarkovModel(1, Alphabet(tuple(f"s{i}" for i in range(a))), np.arange(a),
+                          rows / rows.sum(axis=1, keepdims=True), [0], [1.0])
+    yield MarkovModel(1, Alphabet(("a", "b")), np.arange(2),
+                      np.array([[0.06, 0.94], [0.97, 0.03]]), [0], [1.0])
+    text = "the quick brown fox jumps over the lazy dog and then naps. " * 40
+    seq, alphabet = tokenize(text, "char")
+    for k in (1, 2):
+        yield fit_empirical(seq, k, alphabet)
+
+
+def test_stationary_bit_identical_on_chains_that_converge_without_lazy_sweeps():
+    for model in _converging_chains():
+        assert np.array_equal(stationary(model), stall_power_iteration(model))
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), a=st.integers(2, 4), k=st.integers(1, 2),
