@@ -28,6 +28,7 @@ from .infometrics import (
     kl,
 )
 from .markov import (
+    ChainWalk,
     HiddenMarkovSource,
     MarkovModel,
     fit_empirical,
@@ -249,11 +250,10 @@ def _mix(seed: int, tag: int, m: int) -> int:
 
 
 def _model_windows(model: MarkovModel, n_windows: int, width: int, seed: int) -> np.ndarray:
-    from .markov import sample
-    out = np.empty((n_windows, width), dtype=np.int64)
-    for i in range(n_windows):
-        out[i] = sample(model, width, seed=_mix(seed, 34, i)).tokens
-    return out
+    """Window ``i`` is ``markov.sample(model, width, seed=_mix(seed, 34, i))``."""
+    draws = 1 + max(width - model.order, 0)
+    us = [spawn_rng(_mix(seed, 34, i), 0).random(draws) for i in range(n_windows)]
+    return ChainWalk.of(model).windows(width, np.array(us).reshape(n_windows, draws))
 
 
 # -- theorem-backed inequality checks ---------------------------------------

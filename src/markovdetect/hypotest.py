@@ -21,9 +21,9 @@ replace sampling whenever they apply, all computed in log space:
 
 Monte Carlo is the general path: one walk, vectorized across trials, for any
 pair of orders, whose statistics equal :func:`lrt_statistic` of the sampled
-sequences.  It draws each symbol by inverse-CDF lookup through a guide table
-(Chen & Asau 1974): an exact search that returns the same symbol as a
-comparison against the whole cumulative row and consumes the same uniforms.
+sequences.  It draws by :class:`markovdetect.markov.ChainWalk`, the guide
+table (Chen & Asau 1974) search that all samplers share: it returns the same
+symbol as a comparison against the whole cumulative row.
 """
 from __future__ import annotations
 
@@ -40,14 +40,12 @@ from .errors import (
     UnseenContextError,
 )
 from .infometrics import chernoff, kl_rate
-from .markov import (MarkovModel, log_likelihood, sequence_distribution, window_law,
-                     window_log_likelihood)
+from .markov import ChainWalk, MarkovModel, log_likelihood, window_law, window_log_likelihood
 from .util import JsonRecord, decode, encode, spawn_rng
 
 SEQ_ATOM_CAP = 4096
 IID_LATTICE_CAP = 400_000
 CHAIN_LATTICE_NMAX = 2048
-GUIDE_CELL_CAP = 1 << 20
 _TIE_TOL = 1e-15
 
 
@@ -143,13 +141,12 @@ def _log_matrix(rows: np.ndarray) -> np.ndarray:
         return np.log(rows)
 
 
-def _sequence_logs(model, n):
-    """Log-probability of every length-``n`` sequence, indexed by its code."""
-    return _log_matrix(sequence_distribution(model, n, atom_cap=SEQ_ATOM_CAP))
-
-
 def _table_sequences(p_model, q_model, n):
-    lp, lq = _sequence_logs(p_model, n), _sequence_logs(q_model, n)
+    """Every length-``n`` sequence, scored as :func:`lrt_statistic` scores it."""
+    a = p_model.alphabet.size
+    windows = decode(np.arange(a ** n), a, n)
+    lp = window_log_likelihood(p_model, windows)
+    lq = window_log_likelihood(q_model, windows)
     return _clean_table(_llr_stats(lp, lq, n), lp, lq)
 
 
@@ -260,22 +257,20 @@ def class_statistic(p_model: MarkovModel, q_model: MarkovModel, seq,
     the threshold at its length, computed as the table computes it; None
     when ``method`` is ``"mc"`` or no table applies.
 
-    The tables take the log of a sequence's probability, or sum counts times
-    log rows, where :func:`lrt_statistic` sums per-token logs, so the two can
-    differ in the last bits.  Only this value ties with a table threshold
-    exactly, which a verdict needs to send ties to the null.  Monte Carlo
-    statistics are :func:`lrt_statistic`'s own.
+    The lattice tables sum counts times log rows, where :func:`lrt_statistic`
+    sums per-token logs, so the two can differ in the last bits.  Only this
+    value ties with a table threshold exactly, which a verdict needs to send
+    ties to the null.  The sequence table and Monte Carlo score each sequence
+    as :func:`lrt_statistic` does.
     """
     n = len(seq)
     engine = None if method == "mc" else _table_engine(p_model, q_model, n)
     if engine is None:
         return None
-    tokens = seq.tokens
     if engine is _table_sequences:
-        code = encode(tokens, p_model.alphabet.size)
-        lp = _sequence_logs(p_model, n)[code][None]
-        lq = _sequence_logs(q_model, n)[code][None]
-    elif engine is _table_iid:
+        return lrt_statistic(p_model, q_model, seq)
+    tokens = seq.tokens
+    if engine is _table_iid:
         counts = np.bincount(tokens, minlength=p_model.alphabet.size)[None]
         lp = _log_weighted(counts, _log_matrix(p_model.row(())))
         lq = _log_weighted(counts, _log_matrix(q_model.row(())))
@@ -308,30 +303,6 @@ def _table_log_beta(stats, lq, threshold):
 # -- Monte Carlo engine -----------------------------------------------------
 
 
-def _guide_size(a: int, n_ctx: int) -> int:
-    """Guide cells per row: the smallest power of two >= ``a``, shrunk so the
-    table keeps at most ``GUIDE_CELL_CAP`` cells."""
-    g = 1 << max(a - 1, 0).bit_length()
-    while g > 1 and n_ctx * g > GUIDE_CELL_CAP:
-        g //= 2
-    return g
-
-
-def _guide_table(cum: np.ndarray, g: int) -> np.ndarray:
-    """``guide[s, b] = #{j : cum[s, j] < b / g}`` for a power of two ``g``.
-
-    ``cum < b / g`` holds exactly when ``floor(cum * g) < b``, and scaling by a
-    power of two is exact, so the table needs no float comparison at the cell
-    edges: each cumulative sum counts toward every cell from
-    ``floor(cum * g) + 1`` on.
-    """
-    n_ctx = len(cum)
-    first = np.minimum(np.floor(cum * g).astype(np.int64) + 1, g)
-    first += (np.arange(n_ctx, dtype=np.int64) * (g + 1))[:, None]
-    hits = np.bincount(first.ravel(), minlength=n_ctx * (g + 1))
-    return np.cumsum(hits.reshape(n_ctx, g + 1)[:, :g], axis=1)
-
-
 def _checked_stats(lp, lq, n):
     """:func:`_llr_stats`, refusing a sequence impossible under both models."""
     stats = _llr_stats(lp, lq, n)
@@ -341,27 +312,26 @@ def _checked_stats(lp, lq, n):
 
 
 def _step_reader(model: MarkovModel, sample_model: MarkovModel, drawn: np.ndarray):
-    """``(read, gaps)``: ``read(idx)`` is the log-probability under ``model``
-    of each step at ``idx`` in the sample model's padded rows, NaN (only if
-    ``gaps``) at a context ``model`` has no row for.  A model of order at most
-    the sample model's reads the suffix ``code % a**k`` of its context; a
-    higher-order one walks its own contexts from the suffix of ``drawn``.
+    """``(read, gaps)``: ``read(flat)`` is the log-probability under ``model``
+    of each step drawn at ``flat = row * a + symbol`` of the sample model,
+    NaN (only if ``gaps``) at a context ``model`` has no row for.  A model of
+    order at most the sample model's reads the suffix ``code % a**k`` of its
+    context; a higher-order one walks its own contexts from ``drawn``.
     """
     a, k = model.alphabet.size, model.order
     # index -1, a context with no row, reads the appended row of NaN
     w = np.vstack([_log_matrix(model.rows), np.full(a, np.nan)])
     if k <= sample_model.order:
-        w = w[model.lookup(sample_model.codes % a ** k)]
-        w = np.hstack([w, w[:, -1:]]).ravel()
-        return (lambda idx: w[idx]), bool(np.isnan(w).any())
+        w = w[model.lookup(sample_model.codes % a ** k)].ravel()
+        return (lambda flat: w[flat]), bool(np.isnan(w).any())
     w = w.ravel()
     succ = np.vstack([model.lookup(model.successors(model.codes)),
                       np.full(a, -1, dtype=np.int64)]).ravel()
     state = model.lookup(drawn % a ** k)
 
-    def read(idx):
+    def read(flat):
         nonlocal state
-        j = state * a + np.minimum(idx % (a + 1), a - 1)
+        j = state * a + flat % a
         state = succ[j]
         return w[j]
     return read, True
@@ -371,13 +341,12 @@ def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
     """Statistics of ``trials`` length-``n`` sequences from ``sample_model``,
     each bit for bit :func:`lrt_statistic` of its sequence.
 
-    After the initial k-gram each symbol is ``#{j : cum[ctx, j] < u}``
-    (clamped to ``a - 1``) for one uniform ``u`` per trial: a guide table
-    gives the count at ``u``'s cell edge and a short scan over the padded
-    cumulative rows finishes it.  The first min(n, K) symbols, K the largest
-    order, are scored by :func:`window_log_likelihood`, each later one by
-    :func:`_step_reader` rows, in sequence order; a step without a row keeps
-    a -inf sum and raises on a finite one.  All-order-0 models draw counts.
+    A :class:`ChainWalk` draws the initial k-gram and then each symbol, one
+    ``rng.random(trials)`` per step.  The first min(n, K) symbols, K the
+    largest order, are drawn as windows and scored by
+    :func:`window_log_likelihood`, each later one by :func:`_step_reader`
+    rows, in sequence order; a step without a row keeps a -inf sum and
+    raises on a finite one.  All-order-0 models draw counts.
     """
     a, k = sample_model.alphabet.size, sample_model.order
     big_k = max(k, p_model.order, q_model.order)
@@ -386,40 +355,11 @@ def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
         lp = _log_weighted(counts, _log_matrix(p_model.row(())))
         lq = _log_weighted(counts, _log_matrix(q_model.row(())))
         return _checked_stats(lp, lq, n)
-    n_ctx = len(sample_model.codes)
-    cum = np.cumsum(sample_model.rows, axis=1)
-    g = _guide_size(a, n_ctx)
-    # rows are padded with one column: +inf ends every scan, and the
-    # successor there repeats column a-1, which clamps u > cum[s, a-1]
-    width = a + 1
-    cpad = np.hstack([cum, np.full((n_ctx, 1), np.inf)]).ravel()
-    # walk states are row indices, -1 for a context with no row
-    succ = sample_model.lookup(sample_model.successors(sample_model.codes))
-    succ = np.hstack([succ, succ[:, -1:]]).ravel()
-    guide = (_guide_table(cum, g)
-             + (np.arange(n_ctx, dtype=np.int64) * width)[:, None]).ravel()
-
-    def draw(state):
-        if (state < 0).any():
-            raise UnseenContextError("sampling walked into a context with no row")
-        u = rng.random(trials)
-        idx = guide[state * g + (u * g).astype(np.int64)]
-        scan = np.flatnonzero(u > cpad[idx])
-        while scan.size:
-            idx[scan] += 1
-            scan = scan[u[scan] > cpad[idx[scan]]]
-        return idx
-
-    init_cum = np.cumsum(sample_model.init_probs)
-    pick = np.searchsorted(init_cum, rng.random(trials) * init_cum[-1])
-    drawn = sample_model.init_codes[np.minimum(pick, len(init_cum) - 1)]
-    state = sample_model.lookup(drawn)
+    walk = ChainWalk.of(sample_model)
     length = min(n, big_k)
-    drawn = drawn // a ** max(k - length, 0)
-    for _ in range(length - k):
-        idx = draw(state)
-        drawn = drawn * a + np.minimum(idx % width, a - 1)
-        state = succ[idx]
+    u = np.stack([rng.random(trials) for _ in range(1 + max(length - k, 0))], axis=1)
+    drawn = encode(walk.windows(length, u), a)
+    state = sample_model.lookup(drawn % a ** k)
     codes, which = np.unique(drawn, return_inverse=True)
     windows = decode(codes, a, length)
     lp = window_log_likelihood(p_model, windows)[which]
@@ -427,13 +367,12 @@ def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
     readers = [(acc, *_step_reader(model, sample_model, drawn))
                for acc, model in ((lp, p_model), (lq, q_model))]
     for _ in range(n - length):
-        idx = draw(state)
+        flat, state = walk.step(state, rng.random(trials))
         for acc, read, gaps in readers:
-            step = read(idx)
+            step = read(flat)
             if gaps:  # a zero factor that came first decides
                 step[np.isneginf(acc)] = 0.0
             acc += step
-        state = succ[idx]
     # a step scored at a context with no row leaves nan in its trial's sum
     if np.isnan(lp).any() or np.isnan(lq).any():
         raise UnseenContextError("walk reached a context one model cannot score")
@@ -480,8 +419,7 @@ def _miss(p_model, q_model, n, threshold, trials, seed, epsilon, stream, table):
 
 
 def np_threshold(p_model: MarkovModel, q_model: MarkovModel, n: int, epsilon: float,
-                 trials: int = 10_000, seed: int = 0, method: str = "auto",
-                 stream: int = 0) -> float:
+                 trials: int = 10_000, seed: int = 0, method: str = "auto") -> float:
     """Largest threshold keeping null-side false alarms at or below epsilon.
 
     Deciding "null" on statistics >= threshold (ties included) then has
@@ -489,17 +427,16 @@ def np_threshold(p_model: MarkovModel, q_model: MarkovModel, n: int, epsilon: fl
     empirically over the calibration sample otherwise.
     """
     _check_test_args(n, epsilon, trials, method)
-    return _threshold(p_model, q_model, n, epsilon, trials, seed, stream,
+    return _threshold(p_model, q_model, n, epsilon, trials, seed, 0,
                       _exact_table(p_model, q_model, n, method))
 
 
 def miss_probability(p_model: MarkovModel, q_model: MarkovModel, n: int,
                      threshold: float, trials: int = 10_000, seed: int = 0,
-                     epsilon: float | None = None, method: str = "auto",
-                     stream: int = 0) -> TestOutcome:
+                     epsilon: float | None = None, method: str = "auto") -> TestOutcome:
     """Probability that alternative-model text still looks null at the threshold."""
     _check_test_args(n, epsilon if epsilon is not None else 0.5, trials, method)
-    return _miss(p_model, q_model, n, threshold, trials, seed, epsilon, stream,
+    return _miss(p_model, q_model, n, threshold, trials, seed, epsilon, 0,
                  _exact_table(p_model, q_model, n, method))
 
 

@@ -24,7 +24,12 @@ Markov of any order.  :func:`hmm_forward` is its one likelihood routine: the
 forward recursion run across an ``(n, m)`` array of windows at once, giving
 each window's log-probability and the state law after it, from which the
 next-symbol law is ``belief @ transition @ emission``.  Constructors reject
-negative and NaN masses.
+negative and NaN masses, and a source whose matrices do not fit its states.
+
+Every sampler draws by one inverse-CDF rule, ``cum`` a cumulative law: an
+initial law gives ``#{j : cum[j] < u * cum[-1]}`` for a uniform ``u``, a
+row ``#{j : cum[s, j] < u}``, clamped to the last index.  :class:`ChainWalk`
+walks contexts or hidden states by it, :class:`InverseCDF` draws symbols.
 """
 from __future__ import annotations
 
@@ -44,6 +49,8 @@ STATIONARY_TOL = 1e-15
 STATIONARY_STALL_TOL = 1e-10
 STATIONARY_STALL_SWEEPS = 64
 STATIONARY_MAX_ITER = 10 ** 6
+GUIDE_CELL_CAP = 1 << 20
+_NO_ROW = "sampling walked into a context with no row; refit with smoothing or more data"
 
 
 def _find(keys: np.ndarray, codes) -> np.ndarray:
@@ -284,33 +291,6 @@ def log_likelihood(model: MarkovModel, seq: TokenSeq) -> float:
     return float(window_log_likelihood(model, seq.tokens[None, :])[0])
 
 
-def sample(model: MarkovModel, n: int, seed: int) -> TokenSeq:
-    """Draw ``n`` tokens: initial k-gram from the init law, then transitions."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = spawn_rng(seed, 0)
-    k, a = model.order, model.alphabet.size
-    init_cum = np.cumsum(model.init_probs)
-    pick = bisect.bisect_right(init_cum.tolist(), rng.random() * init_cum[-1])
-    code = int(model.init_codes[min(pick, len(init_cum) - 1)])
-    out = decode(code, a, k).tolist()
-    if n <= k:
-        return TokenSeq(np.array(out[:n], dtype=np.int64))
-    row_of = dict(zip(model.codes.tolist(), range(len(model.codes))))
-    cums: dict[int, list[float]] = {}
-    for u in rng.random(n - k).tolist():
-        cum = cums.get(code)
-        if cum is None:
-            if code not in row_of:
-                model.rows_at(code)  # raises: the context has no row
-            cum = np.cumsum(model.rows[row_of[code]]).tolist()
-            cums[code] = cum
-        sym = min(bisect.bisect_right(cum, u * cum[-1]), a - 1)
-        out.append(sym)
-        code = (code * a + sym) % a ** k
-    return TokenSeq(np.array(out, dtype=np.int64))
-
-
 def _stationary_law(succ: np.ndarray, prob: np.ndarray, name) -> np.ndarray:
     """Stationary law of the chain moving from state ``i`` to ``succ[i, j]``
     with probability ``prob[i, j]``, by power iteration from the uniform law.
@@ -428,26 +408,6 @@ def window_law(model: MarkovModel, length: int, start,
     return codes, probs
 
 
-def sequence_distribution(
-    model: MarkovModel, m: int, atom_cap: int = DEFAULT_ATOM_CAP
-) -> np.ndarray:
-    """Exact law of length-``m`` sequences as a dense vector.
-
-    The dense view of :func:`window_law` from the initial law: the index of
-    a sequence is its base-``|alphabet|`` code, so atoms are ordered
-    lexicographically.  Raises when ``|alphabet|**m`` exceeds ``atom_cap``.
-    """
-    a = model.alphabet.size
-    if m < 1:
-        raise ValueError("sequence length must be >= 1")
-    if a ** m > atom_cap:
-        raise AtomBudgetError(f"{a}**{m} atoms exceed cap {atom_cap}")
-    codes, probs = window_law(model, m, (model.init_codes, model.init_probs), atom_cap)
-    out = np.zeros(a ** m)
-    out[codes] = probs
-    return out
-
-
 @dataclass
 class HiddenMarkovSource:
     """Stationary-friendly hidden-Markov process emitting alphabet symbols."""
@@ -460,15 +420,13 @@ class HiddenMarkovSource:
         self.transition = np.asarray(self.transition, dtype=float)
         self.emission = np.asarray(self.emission, dtype=float)
         self.start = np.asarray(self.start, dtype=float)
-        for name, mat in (("transition", self.transition), ("emission", self.emission)):
+        for name, mat in (("transition", self.transition), ("emission", self.emission),
+                          ("start", self.start[None])):
             if mat.ndim != 2 or not (mat.min() >= 0 and np.abs(mat.sum(1) - 1).max() <= 1e-9):
-                raise ValueError(f"{name} matrix rows must be distributions")
-        if not (self.start.min() >= 0 and abs(self.start.sum() - 1) <= 1e-9):
-            raise ValueError("start distribution must be >= 0 and sum to 1")
-
-    @property
-    def n_states(self) -> int:
-        return self.transition.shape[0]
+                raise ValueError(f"{name} rows must be distributions")
+        s = len(self.transition)
+        if self.transition.shape != (s, s) or len(self.emission) != s or self.start.shape != (s,):
+            raise ValueError("transition must be (S, S), emission (S, A) and start (S,)")
 
     @property
     def alphabet_size(self) -> int:
@@ -514,38 +472,151 @@ def hmm_forward(source: HiddenMarkovSource, windows) -> tuple[np.ndarray, np.nda
     return belief, log_prob
 
 
-def hmm_sample(source: HiddenMarkovSource, n: int, seed: int) -> TokenSeq:
+# -- sampling ---------------------------------------------------------------
+
+
+def _guide_table(cum: np.ndarray, g: int) -> np.ndarray:
+    """``guide[s, b] = #{j : cum[s, j] < b / g}`` for ``b = 0..g`` and a power
+    of two ``g``; cell ``g`` serves the values from 1 up to a total just
+    above 1, which an initial law's scaled uniforms reach.
+
+    ``cum < b / g`` holds exactly when ``floor(cum * g) < b``, and scaling by a
+    power of two is exact, so the table needs no float comparison at the cell
+    edges: each cumulative sum counts toward every cell from
+    ``floor(cum * g) + 1`` on.
+    """
+    n_rows = len(cum)
+    first = np.minimum(np.floor(cum * g).astype(np.int64) + 1, g + 1)
+    first += (np.arange(n_rows, dtype=np.int64) * (g + 2))[:, None]
+    hits = np.bincount(first.ravel(), minlength=n_rows * (g + 2))
+    return np.cumsum(hits.reshape(n_rows, g + 2)[:, :g + 1], axis=1)
+
+
+class InverseCDF:
+    """Vectorized inverse-CDF draws from the rows of an ``(n, a)`` matrix.
+
+    ``draw(row, u)`` is the flat index ``row * a + j`` of
+    ``j = #{j : cum[row, j] < u}`` clamped to ``a - 1``: a guide table (Chen &
+    Asau 1974), shrunk toward ``GUIDE_CELL_CAP`` cells, gives the count at
+    the edge of ``u``'s cell and a short scan finishes it.  ``cum`` holds the
+    cumulative rows flat, the last column +inf (the clamp), and ``total``
+    each row's true last sum.
+    """
+
+    def __init__(self, rows):
+        cum = np.cumsum(rows, axis=1)
+        n, a = cum.shape
+        self.total = cum[:, -1].copy()
+        self.g = 1 << max(a - 1, 0).bit_length()  # the least power of two >= a
+        while self.g > 1 and n * self.g > GUIDE_CELL_CAP:
+            self.g //= 2
+        offsets = np.arange(n, dtype=np.int64) * a
+        self.guide = (np.minimum(_guide_table(cum, self.g), a - 1) + offsets[:, None]).ravel()
+        cum[:, -1] = np.inf
+        self.cum = cum.ravel()
+
+    def __call__(self, row, u) -> np.ndarray:
+        idx = self.guide[row * (self.g + 1) + (u * self.g).astype(np.int64)]
+        scan = np.flatnonzero(u > self.cum[idx])
+        while scan.size:
+            idx[scan] += 1
+            scan = scan[u[scan] > self.cum[idx[scan]]]
+        return idx
+
+
+class ChainWalk:
+    """Paths over the rows of a matrix.  The start atom drawn from
+    ``start_probs`` gives the first tokens (its row of ``start_tokens``) and
+    row ``start_rows[atom]``; each column ``j`` then drawn from row ``s`` is a
+    token and moves the walk to row ``succ[s, j]``.  A draw from row -1, a
+    context with no row, raises :class:`UnseenContextError`.
+    """
+
+    def __init__(self, rows, succ, start_probs, start_rows, start_tokens):
+        self.law = InverseCDF(start_probs[None])
+        self.starts, self.tokens = start_rows, start_tokens
+        self.draw = InverseCDF(rows)
+        self.succ = succ.ravel()
+        self.a = rows.shape[1]
+
+    @classmethod
+    def of(cls, model: MarkovModel) -> "ChainWalk":
+        """The walk of a model's contexts, whose tokens are its symbols."""
+        a, k = model.alphabet.size, model.order
+        return cls(model.rows, model.lookup(model.successors(model.codes)), model.init_probs,
+                   model.lookup(model.init_codes), decode(model.init_codes, a, k))
+
+    def step(self, state, u) -> tuple[np.ndarray, np.ndarray]:
+        """Flat draws ``state * a + token`` and the states they move to."""
+        if (state < 0).any():
+            raise UnseenContextError(_NO_ROW)
+        flat = self.draw(state, u)
+        return flat, self.succ[flat]
+
+    def windows(self, width: int, u) -> np.ndarray:
+        """``(len(u), width)`` tokens: ``u[i, 0]`` draws row ``i``'s start
+        tokens (cut to ``width``), each later ``u[i, j]`` one more token."""
+        k = self.tokens.shape[1]
+        pick = self.law(0, u[:, 0] * self.law.total[0])
+        state = self.starts[pick]
+        out = np.empty((len(u), width), dtype=np.int64)
+        out[:, :k] = self.tokens[pick][:, :width]
+        for t in range(k, width):
+            flat, state = self.step(state, u[:, 1 + t - k])
+            out[:, t] = flat % self.a
+        return out
+
+    def path(self, n: int, u) -> np.ndarray:
+        """The ``n`` tokens :meth:`windows` draws from the values ``u``."""
+        a = self.a
+        pick = bisect.bisect_left(self.law.cum.tolist(), u[0] * self.law.total[0])
+        out = self.tokens[pick][:n].tolist()
+        state = int(self.starts[pick])
+        seen: dict[int, tuple[list[float], list[int]]] = {}
+        for v in u[1:].tolist():
+            if state < 0:
+                raise UnseenContextError(_NO_ROW)
+            row = seen.get(state)
+            if row is None:
+                at = slice(state * a, (state + 1) * a)
+                row = seen[state] = (self.draw.cum[at].tolist(), self.succ[at].tolist())
+            sym = bisect.bisect_left(row[0], v)
+            out.append(sym)
+            state = row[1][sym]
+        return np.array(out, dtype=np.int64)
+
+
+def sample(model: MarkovModel, n: int, seed: int) -> TokenSeq:
+    """Draw ``n`` tokens: initial k-gram from the init law, then transitions."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = spawn_rng(seed, 1)
-    t_cum = np.cumsum(source.transition, axis=1)
-    e_cum = np.cumsum(source.emission, axis=1)
-    us = rng.random(2 * n)
-    state = int(np.searchsorted(np.cumsum(source.start), us[0] * source.start.sum()))
-    state = min(state, source.n_states - 1)
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        if i > 0:
-            state = int(np.searchsorted(t_cum[state], us[2 * i] * t_cum[state, -1]))
-            state = min(state, source.n_states - 1)
-        sym = int(np.searchsorted(e_cum[state], us[2 * i + 1] * e_cum[state, -1]))
-        out[i] = min(sym, source.alphabet_size - 1)
-    return TokenSeq(out)
+    u = spawn_rng(seed, 0).random(1 + max(n - model.order, 0))
+    return TokenSeq(ChainWalk.of(model).path(n, u))
+
+
+def _state_walk(source: HiddenMarkovSource) -> ChainWalk:
+    """The walk of the hidden states, whose tokens are the states."""
+    states = np.arange(len(source.start))
+    return ChainWalk(source.transition, np.broadcast_to(states, source.transition.shape),
+                     source.start, states, states[:, None])
+
+
+def hmm_sample(source: HiddenMarkovSource, n: int, seed: int) -> TokenSeq:
+    """``n`` symbols of one path.  The uniforms draw the start state, then
+    alternate between the current state's symbol and the next state."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    u = spawn_rng(seed, 1).random(2 * n)
+    states = _state_walk(source).path(n, u[0::2])
+    return TokenSeq(InverseCDF(source.emission)(states, u[1::2]) % source.alphabet_size)
 
 
 def hmm_sample_windows(source: HiddenMarkovSource, n_windows: int, width: int, seed: int) -> np.ndarray:
-    """Independent stationary windows, vectorized across windows; draws are
-    clamped to the last state or symbol, as in :func:`hmm_sample`."""
-    rng = spawn_rng(seed, 2)
-    t_cum = np.cumsum(source.transition, axis=1)
-    e_cum = np.cumsum(source.emission, axis=1)
-    states = rng.choice(source.n_states, size=n_windows, p=source.start)
-    out = np.empty((n_windows, width), dtype=np.int64)
-    for t in range(width):
-        if t > 0:
-            u = rng.random(n_windows)
-            states = np.minimum((u[:, None] > t_cum[states]).sum(axis=1), source.n_states - 1)
-        u = rng.random(n_windows)
-        out[:, t] = np.minimum((u[:, None] > e_cum[states]).sum(axis=1), source.alphabet_size - 1)
-    return out
-
+    """Independent windows: row ``2t`` of the uniforms draws each window's
+    state at ``t`` and row ``2t + 1`` its symbol, as in :func:`hmm_sample`."""
+    if not width:
+        return np.empty((n_windows, 0), dtype=np.int64)
+    u = spawn_rng(seed, 2).random((2 * width, n_windows))
+    states = _state_walk(source).windows(width, u[0::2].T)
+    syms = InverseCDF(source.emission)(states.ravel(), u[1::2].T.ravel())
+    return syms.reshape(n_windows, width) % source.alphabet_size

@@ -10,16 +10,19 @@ without lazy sweeps, the per-context forward filter with its depth-first
 context walk, and Whittle's cofactor formula, that those routines replaced or
 stand for.
 """
+import bisect
 import math
 from collections import Counter
 
 import numpy as np
 from scipy.special import gammaln
 
+from markovdetect.bounds_lab import _mix
+from markovdetect.corpus import TokenSeq
 from markovdetect.errors import NonConvergenceError, UnseenContextError
 from markovdetect.hypotest import _clean_table, _llr_stats, _log_weighted
 from markovdetect.markov import HiddenMarkovSource, MarkovModel, stationary, window_law
-from markovdetect.util import decode, encode, fmt17
+from markovdetect.util import decode, encode, fmt17, spawn_rng
 
 
 def model_from_dicts(order, alphabet, transitions, init, scheme=None, smoothing=0.0):
@@ -379,6 +382,80 @@ def loop_log_likelihood(model, seq):
             return -math.inf
         total += math.log(p)
     return total
+
+
+# -- samplers, one symbol at a time --------------------------------------------
+
+
+def bisect_sample(model, n, seed):
+    """``n`` tokens with ``bisect_right`` of ``u * cum[-1]`` on the initial
+    law and on each transition row, one ``float`` at a time."""
+    rng = spawn_rng(seed, 0)
+    k, a = model.order, model.alphabet.size
+    init_cum = np.cumsum(model.init_probs)
+    pick = bisect.bisect_right(init_cum.tolist(), rng.random() * init_cum[-1])
+    code = int(model.init_codes[min(pick, len(init_cum) - 1)])
+    out = decode(code, a, k).tolist()
+    if n <= k:
+        return TokenSeq(np.array(out[:n], dtype=np.int64))
+    row_of = dict(zip(model.codes.tolist(), range(len(model.codes))))
+    cums = {}
+    for u in rng.random(n - k).tolist():
+        cum = cums.get(code)
+        if cum is None:
+            if code not in row_of:
+                model.rows_at(code)  # raises: the context has no row
+            cum = np.cumsum(model.rows[row_of[code]]).tolist()
+            cums[code] = cum
+        sym = min(bisect.bisect_right(cum, u * cum[-1]), a - 1)
+        out.append(sym)
+        code = (code * a + sym) % a ** k
+    return TokenSeq(np.array(out, dtype=np.int64))
+
+
+def searchsorted_hmm_sample(source, n, seed):
+    """``n`` symbols of one hidden-Markov path with one ``np.searchsorted`` of
+    ``u * cum[-1]`` per state and per symbol, uniforms in the order start,
+    emission 0, transition 1, emission 1, ..."""
+    rng = spawn_rng(seed, 1)
+    t_cum = np.cumsum(source.transition, axis=1)
+    e_cum = np.cumsum(source.emission, axis=1)
+    us = rng.random(2 * n)
+    state = int(np.searchsorted(np.cumsum(source.start), us[0] * source.start.sum()))
+    state = min(state, len(source.start) - 1)
+    out = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        if i > 0:
+            state = int(np.searchsorted(t_cum[state], us[2 * i] * t_cum[state, -1]))
+            state = min(state, len(source.start) - 1)
+        sym = int(np.searchsorted(e_cum[state], us[2 * i + 1] * e_cum[state, -1]))
+        out[i] = min(sym, source.alphabet_size - 1)
+    return TokenSeq(out)
+
+
+def comparison_hmm_sample_windows(source, n_windows, width, seed):
+    """Windows with start states from ``rng.choice`` and each later state and
+    symbol ``#{j : cum[s, j] < u}`` counted against the whole row."""
+    rng = spawn_rng(seed, 2)
+    t_cum = np.cumsum(source.transition, axis=1)
+    e_cum = np.cumsum(source.emission, axis=1)
+    states = rng.choice(len(source.start), size=n_windows, p=source.start)
+    out = np.empty((n_windows, width), dtype=np.int64)
+    for t in range(width):
+        if t > 0:
+            u = rng.random(n_windows)
+            states = np.minimum((u[:, None] > t_cum[states]).sum(axis=1), len(source.start) - 1)
+        u = rng.random(n_windows)
+        out[:, t] = np.minimum((u[:, None] > e_cum[states]).sum(axis=1), source.alphabet_size - 1)
+    return out
+
+
+def per_window_model_windows(model, n_windows, width, seed):
+    """Model windows by one :func:`bisect_sample` call per window."""
+    out = np.empty((n_windows, width), dtype=np.int64)
+    for i in range(n_windows):
+        out[i] = bisect_sample(model, width, seed=_mix(seed, 34, i)).tokens
+    return out
 
 
 # -- transportation simplex on a dict-keyed basis ------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from markovdetect import hypotest
+from markovdetect import hypotest, markov
 from markovdetect.corpus import Alphabet, TokenSeq
 from markovdetect.errors import (
     DegenerateStatisticWarning,
@@ -15,7 +15,6 @@ from markovdetect.errors import (
 from markovdetect.hypotest import (
     CHAIN_LATTICE_NMAX,
     _clopper_pearson,
-    _guide_table,
     _llr_stats,
     _log_matrix,
     _mc_stats,
@@ -31,7 +30,8 @@ from markovdetect.hypotest import (
     np_threshold,
 )
 from markovdetect.infometrics import chernoff, kl_rate
-from markovdetect.markov import MarkovModel, chain_model, fit_empirical, iid_model, sample
+from markovdetect.markov import (MarkovModel, _guide_table, chain_model, fit_empirical,
+                                 iid_model, sample)
 from markovdetect.util import decode, encode
 from oracles import loop_log_likelihood, model_from_dicts, whittle_binary_chain_table
 
@@ -396,11 +396,11 @@ def _walk_cases():
     }
 
 
-@pytest.mark.parametrize("guide_cap", [hypotest.GUIDE_CELL_CAP, 1])
+@pytest.mark.parametrize("guide_cap", [markov.GUIDE_CELL_CAP, 1])
 def test_guide_walk_matches_comparison_walk(monkeypatch, guide_cap):
     """The guide-table walk returns bit-identical statistics to the full
     comparison walk from the same uniforms, whatever the guide size."""
-    monkeypatch.setattr(hypotest, "GUIDE_CELL_CAP", guide_cap)
+    monkeypatch.setattr(markov, "GUIDE_CELL_CAP", guide_cap)
     for name, (p, q, n, make_rng) in _walk_cases().items():
         for sample_model in (p, q):
             got = _mc_stats(sample_model, p, q, n, 2000, make_rng(5))
@@ -537,9 +537,11 @@ def test_mc_below_largest_order_matches_exact():
 
 
 def test_guide_table_counts_cell_edges():
-    cum = np.cumsum([[0.25, 0.25, 0.5], [0.0, 0.375, 0.625], [0.1, 0.2, 0.7]], axis=1)
+    # the last row ends just above 1, as an initial law within tolerance may
+    cum = np.cumsum([[0.25, 0.25, 0.5], [0.0, 0.375, 0.625], [0.1, 0.2, 0.7],
+                     [0.5, 0.5 - 2e-10, 4e-10]], axis=1)
     for g in (1, 2, 4, 8):
-        edges = np.arange(g) / g
+        edges = np.arange(g + 1) / g
         want = (cum[:, None, :] < edges[None, :, None]).sum(axis=2)
         assert np.array_equal(_guide_table(cum, g), want)
 

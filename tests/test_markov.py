@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from markovdetect.corpus import Alphabet, TokenSeq, tokenize
 from markovdetect.errors import AtomBudgetError, NonConvergenceError, UnseenContextError
 from oracles import (
+    bisect_sample,
+    comparison_hmm_sample_windows,
     counter_fit_json,
     dense_stationary,
     eig_stationary,
@@ -18,15 +20,20 @@ from oracles import (
     loop_log_likelihood,
     markov_conditional,
     model_from_dicts,
+    per_window_model_windows,
     recursive_sequence_distribution,
     recursive_stationary_windows,
+    searchsorted_hmm_sample,
     stall_power_iteration,
 )
 
 from markovdetect import markov
+from markovdetect.bounds_lab import _close_gaps, _mix, _model_windows
 from markovdetect.infometrics import _conditional_table, kl_rate
 from markovdetect.markov import (
+    ChainWalk,
     HiddenMarkovSource,
+    InverseCDF,
     MarkovModel,
     chain_model,
     fit_empirical,
@@ -36,7 +43,6 @@ from markovdetect.markov import (
     iid_model,
     log_likelihood,
     sample,
-    sequence_distribution,
     stationary,
     window_law,
     window_log_likelihood,
@@ -48,6 +54,15 @@ from markovdetect.util import decode, encode
 def aabab_model(ab_alphabet):
     seq, _ = tokenize("aabab", "char")
     return fit_empirical(seq, 1, ab_alphabet)
+
+
+def _dense_law(model, m):
+    """The window law of length ``m`` from the initial law, scattered into a
+    vector indexed by sequence code."""
+    codes, probs = window_law(model, m, (model.init_codes, model.init_probs))
+    out = np.zeros(model.alphabet.size ** m)
+    out[codes] = probs
+    return out
 
 
 def test_fit_hand_counts(aabab_model):
@@ -276,14 +291,14 @@ def test_sample_frequencies_converge():
 
 def test_sequence_distribution_sums_to_one(aabab_model):
     for n in (1, 2, 5):
-        vec = sequence_distribution(aabab_model, n)
+        vec = _dense_law(aabab_model, n)
         assert vec.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sequence_distribution_matches_scoring(rng):
     rows = rng.dirichlet(np.ones(2), size=2)
     model = chain_model(rows)
-    vec = sequence_distribution(model, 6)
+    vec = _dense_law(model, 6)
     for idx in range(0, 64, 7):
         seq = TokenSeq(np.array([(idx >> (5 - i)) & 1 for i in range(6)]))
         assert math.log(vec[idx]) == pytest.approx(log_likelihood(model, seq), abs=1e-10)
@@ -467,14 +482,145 @@ def test_hmm_sample_windows_clamps_draws(monkeypatch):
     )
 
     class TopRng:
-        def choice(self, n, size, p):
-            return np.zeros(size, dtype=np.int64)
-
         def random(self, size):
             return np.full(size, np.nextafter(1.0, 0.0))
 
     monkeypatch.setattr(markov, "spawn_rng", lambda seed, *key: TopRng())
     assert np.array_equal(hmm_sample_windows(source, 5, 4, seed=0), np.full((5, 4), 2))
+
+
+def test_hidden_markov_source_refuses_mismatched_shapes():
+    """A transition that is not square, an emission without one row per
+    state and a start law without one mass per state are refused, not
+    clamped by the samplers or broadcast by the forward recursion."""
+    square = np.array([[0.9, 0.1], [0.2, 0.8]])
+    emission = np.array([[0.8, 0.2], [0.3, 0.7]])
+    for transition, emit, start in ((np.full((2, 3), 1 / 3), emission, [0.5, 0.5]),
+                                    (square, np.full((3, 2), 0.5), [0.5, 0.5]),
+                                    (square, emission, np.full(3, 1 / 3)),
+                                    (square, emission, [[0.5, 0.5]])):
+        with pytest.raises(ValueError, match="must be"):
+            HiddenMarkovSource(transition, emit, start)
+    assert HiddenMarkovSource(square, np.full((2, 3), 1 / 3), [0.5, 0.5]).alphabet_size == 3
+
+
+def _c8_source():
+    return HiddenMarkovSource.with_stationary_start(
+        transition=np.array([[0.9, 0.1], [0.2, 0.8]]),
+        emission=np.array([[0.8, 0.2], [0.3, 0.7]]))
+
+
+def _dirichlet_sources(count):
+    """Random sources of 1-4 states (one state is an i.i.d. source) and 2-4
+    symbols."""
+    rng = np.random.default_rng(2025)
+    for _ in range(count):
+        s, a = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        yield HiddenMarkovSource(rng.dirichlet(np.ones(s), size=s),
+                                 rng.dirichlet(np.ones(a), size=s), rng.dirichlet(np.ones(s)))
+
+
+def test_hmm_samplers_match_per_symbol_oracles():
+    """hmm_sample and hmm_sample_windows draw what the per-symbol searches
+    drew, bit for bit: on the C8 source with the seeds approx_experiment and
+    fitted_divergence_eval derive, and on random Dirichlet sources."""
+    source = _c8_source()
+    for m in (1_000, 10_000, 100_000):
+        for tag in (30, 40):
+            seed = _mix(0, tag, m)
+            assert np.array_equal(hmm_sample(source, m, seed).tokens,
+                                  searchsorted_hmm_sample(source, m, seed).tokens), (m, tag)
+        for tag in (31, 41):
+            seed = _mix(0, tag, m)
+            assert np.array_equal(hmm_sample_windows(source, 1000, 6, seed),
+                                  comparison_hmm_sample_windows(source, 1000, 6, seed))
+    for i, source in enumerate(_dirichlet_sources(100)):
+        assert np.array_equal(hmm_sample(source, 300, i).tokens,
+                              searchsorted_hmm_sample(source, 300, i).tokens), i
+        for width in (0, 1, 5):
+            assert np.array_equal(hmm_sample_windows(source, 40, width, i),
+                                  comparison_hmm_sample_windows(source, 40, width, i)), i
+
+
+def test_model_windows_match_per_window_samples_on_c8_fits():
+    """The one-walk model windows equal one bisect sample per window, bit for
+    bit, for the closed fits of orders 0-3 on C8 training paths and widths
+    below, at and above the order."""
+    source = _c8_source()
+    for m in (1_000, 10_000, 100_000):
+        train = hmm_sample(source, m, _mix(0, 30, m))
+        for k in range(4):
+            model, _ = _close_gaps(fit_empirical(train, k, Alphabet(("0", "1"))))
+            for width in (1, 2, 3, 6):
+                seed = _mix(0, 32, m)
+                assert np.array_equal(_model_windows(model, 200, width, seed),
+                                      per_window_model_windows(model, 200, width, seed))
+
+
+def _chain_draws_or_refusal(draw):
+    try:
+        return draw()
+    except UnseenContextError:
+        return UnseenContextError
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+def test_chain_samplers_match_bisect_oracle(k, smoothing):
+    """sample and the vectorized window walk draw the bisect oracle's tokens
+    for fitted 3-symbol chains at lengths below, at and above the order, and
+    refuse where it refuses: a text whose last symbol occurs nowhere else
+    leaves the contexts that end in it without rows."""
+    rng = np.random.default_rng(10 * k + int(10 * smoothing))
+    alphabet = Alphabet(("a", "b", "c"))
+    refused = 0
+    for text in (np.concatenate([rng.choice(2, size=11), [2]]),
+                 rng.choice(3, size=400, p=[0.5, 0.3, 0.2])):
+        model = fit_empirical(TokenSeq(text), k, alphabet, smoothing)
+        for n in (1, 2, 3, 40):
+            want = [_chain_draws_or_refusal(lambda: bisect_sample(model, n, seed).tokens)
+                    for seed in range(30)]
+            got = [_chain_draws_or_refusal(lambda: sample(model, n, seed).tokens)
+                   for seed in range(30)]
+            for g, w in zip(got, want):
+                assert g is w if w is UnseenContextError else np.array_equal(g, w), (n, g, w)
+            refused += sum(w is UnseenContextError for w in want)
+            windows = _chain_draws_or_refusal(lambda: _model_windows(model, 30, n, 5))
+            oracle = _chain_draws_or_refusal(lambda: per_window_model_windows(model, 30, n, 5))
+            if oracle is UnseenContextError:
+                assert windows is UnseenContextError
+            else:
+                assert np.array_equal(windows, oracle)
+    if k:
+        assert refused > 0
+
+
+def test_inverse_cdf_draws_equal_full_comparisons():
+    """Rows with zeros, ties with the uniform, sums just below and above 1,
+    and values scaled past 1 by an initial law's total: every draw is the
+    count of cumulative sums below the value, clamped to the last column."""
+    rows = np.array([[0.25, 0.0, 0.25, 0.5], [0.0, 0.0, 1.0, 0.0],
+                     [0.1, 0.2, 0.3, 0.4 - 4e-10], [0.5, 0.5 - 2e-10, 4e-10, 0.0]])
+    cum = np.cumsum(rows, axis=1)
+    draw = InverseCDF(rows)
+    u = np.concatenate([np.random.default_rng(0).random(4000), [0.0, 0.25, 0.5, 0.75],
+                        np.full(4, np.nextafter(1.0, 0.0))])
+    for row in range(4):
+        for values in (u, u * draw.total[row]):
+            want = np.minimum((values[:, None] > cum[row]).sum(axis=1), 3)
+            assert np.array_equal(draw(np.full(len(values), row), values) - 4 * row, want)
+
+
+def test_chain_walk_refuses_to_draw_from_a_context_without_row():
+    rows = {(0,): np.array([0.5, 0.5, 0.0]), (1,): np.array([0.0, 0.5, 0.5])}
+    model = model_from_dicts(1, Alphabet(("a", "b", "c")), rows, {(0,): 1.0})
+    walk = ChainWalk.of(model)
+    # (0,) -> 0 or 1 -> 1 or 2: three symbols never draw from (2,)
+    assert walk.windows(3, np.random.default_rng(0).random((50, 3))).shape == (50, 3)
+    with pytest.raises(UnseenContextError, match="no row"):
+        walk.windows(10, np.random.default_rng(0).random((50, 10)))
+    with pytest.raises(UnseenContextError, match="no row"):
+        sample(model, 200, seed=0)
 
 
 def test_hmm_window_frequencies_match_law(two_state_hmm):
@@ -552,7 +698,7 @@ def _random_chain(rng, a, k):
 @settings(max_examples=60, deadline=None)
 def test_window_law_matches_recursions_bit_for_bit(a, k, m, seed):
     model = _random_chain(np.random.default_rng(seed), a, k)
-    assert np.array_equal(sequence_distribution(model, m),
+    assert np.array_equal(_dense_law(model, m),
                           recursive_sequence_distribution(model, m))
     if m >= k:
         start = model.init_probs[::-1]  # any law over the contexts
