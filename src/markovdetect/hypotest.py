@@ -10,8 +10,9 @@ plain Monte Carlo can see at realistic lengths.  Three exact engines therefore
 replace sampling whenever they apply, all computed in log space:
 
 * full sequence enumeration when ``alphabet ** n`` fits the atom cap;
-* the symbol-count lattice for i.i.d. models at any n (the statistic only
-  depends on counts, whose law is multinomial);
+* the symbol-count lattice for i.i.d. models while its C(n + a - 1, a - 1)
+  type classes fit ``IID_LATTICE_CAP`` (the statistic only depends on
+  counts, whose law is multinomial);
 * the transition-count lattice for binary order-<=1 models.  A binary
   sequence is a string of runs: with first symbol x and s switches it has
   floor(s/2) + 1 runs of x and ceil(s/2) runs of the other symbol o, and
@@ -151,14 +152,20 @@ def _table_sequences(p_model, q_model, n):
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        col = np.full((len(rest), 1), first, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    return np.vstack(blocks)
+    """Every way to write ``total`` as ``parts`` ordered counts >= 0, one row
+    each, in lexicographic order: the C(total + parts - 1, parts - 1) classes
+    of stars and bars.  Columns are filled left to right, each row so far
+    repeated once for every value its next count can take, 0 up to what it
+    has left; the last count takes the rest."""
+    rows = np.empty((1, 0), dtype=np.int64)
+    rest = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        reps = rest + 1
+        prefix = np.repeat(np.arange(len(rest)), reps)
+        first = np.arange(len(prefix)) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack([rows[prefix], first])
+        rest = rest[prefix] - first
+    return np.column_stack([rows, rest])
 
 
 def _log_weighted(counts: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
@@ -283,21 +290,23 @@ def class_statistic(p_model: MarkovModel, q_model: MarkovModel, seq,
 
 
 def _table_threshold(stats, lp, epsilon):
-    uniq, first = np.unique(stats, return_index=True)
+    """Largest statistic value whose classes below it carry P-mass <= epsilon;
+    ``stats`` is sorted, so each value's classes form one run."""
+    first = np.flatnonzero(np.concatenate([[True], stats[1:] != stats[:-1]]))
     cum = np.concatenate([[-np.inf], np.logaddexp.accumulate(lp)[:-1]])
     below = np.exp(cum[first])
     valid = np.flatnonzero(below <= epsilon + _TIE_TOL)
-    if len(uniq) == 1:
+    if len(first) == 1:
         warnings.warn("all statistic classes coincide", DegenerateStatisticWarning)
-    return float(uniq[valid[-1]])
+    return float(stats[first[valid[-1]]])
 
 
 def _table_log_beta(stats, lq, threshold):
     from scipy.special import logsumexp
-    mask = stats >= threshold
-    if not mask.any():
+    start = np.searchsorted(stats, threshold)  # stats is sorted: its tail is >= threshold
+    if start == len(stats):
         return -math.inf
-    return float(logsumexp(lq[mask]))
+    return float(logsumexp(lq[start:]))
 
 
 # -- Monte Carlo engine -----------------------------------------------------

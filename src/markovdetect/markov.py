@@ -28,8 +28,10 @@ negative and NaN masses, and a source whose matrices do not fit its states.
 
 Every sampler draws by one inverse-CDF rule, ``cum`` a cumulative law: an
 initial law gives ``#{j : cum[j] < u * cum[-1]}`` for a uniform ``u``, a
-row ``#{j : cum[s, j] < u}``, clamped to the last index.  :class:`ChainWalk`
-walks contexts or hidden states by it, :class:`InverseCDF` draws symbols.
+row ``#{j : cum[s, j] < u}``, clamped to the last index; sums of 0 count
+too, so a uniform of exactly 0 skips the leading zero-mass columns.
+:class:`ChainWalk` walks contexts or hidden states by it, :class:`InverseCDF`
+draws symbols.
 """
 from __future__ import annotations
 
@@ -50,6 +52,7 @@ STATIONARY_STALL_TOL = 1e-10
 STATIONARY_STALL_SWEEPS = 64
 STATIONARY_MAX_ITER = 10 ** 6
 GUIDE_CELL_CAP = 1 << 20
+_LEAST_POSITIVE = np.finfo(float).smallest_subnormal
 _NO_ROW = "sampling walked into a context with no row; refit with smoothing or more data"
 
 
@@ -476,17 +479,19 @@ def hmm_forward(source: HiddenMarkovSource, windows) -> tuple[np.ndarray, np.nda
 
 
 def _guide_table(cum: np.ndarray, g: int) -> np.ndarray:
-    """``guide[s, b] = #{j : cum[s, j] < b / g}`` for ``b = 0..g`` and a power
-    of two ``g``; cell ``g`` serves the values from 1 up to a total just
-    above 1, which an initial law's scaled uniforms reach.
+    """``guide[s, b] = #{j : cum[s, j] < b / g or cum[s, j] <= 0}`` for
+    ``b = 0..g`` and a power of two ``g``; cell ``g`` serves the values from 1
+    up to a total just above 1, which an initial law's scaled uniforms reach.
+    Cell 0 counts the leading zero-mass columns, a lower edge for every value
+    in it, so a value of exactly 0 draws the first column with mass.
 
     ``cum < b / g`` holds exactly when ``floor(cum * g) < b``, and scaling by a
     power of two is exact, so the table needs no float comparison at the cell
-    edges: each cumulative sum counts toward every cell from
-    ``floor(cum * g) + 1`` on.
+    edges: each positive cumulative sum counts toward every cell from
+    ``floor(cum * g) + 1`` on, and a sum of 0 from cell 0 on.
     """
     n_rows = len(cum)
-    first = np.minimum(np.floor(cum * g).astype(np.int64) + 1, g + 1)
+    first = np.minimum(np.floor(cum * g).astype(np.int64) + (cum > 0), g + 1)
     first += (np.arange(n_rows, dtype=np.int64) * (g + 2))[:, None]
     hits = np.bincount(first.ravel(), minlength=n_rows * (g + 2))
     return np.cumsum(hits.reshape(n_rows, g + 2)[:, :g + 1], axis=1)
@@ -496,7 +501,8 @@ class InverseCDF:
     """Vectorized inverse-CDF draws from the rows of an ``(n, a)`` matrix.
 
     ``draw(row, u)`` is the flat index ``row * a + j`` of
-    ``j = #{j : cum[row, j] < u}`` clamped to ``a - 1``: a guide table (Chen &
+    ``j = #{j : cum[row, j] < u or cum[row, j] <= 0}`` clamped to ``a - 1``
+    (which differs from ``cum < u`` only at ``u = 0``): a guide table (Chen &
     Asau 1974), shrunk toward ``GUIDE_CELL_CAP`` cells, gives the count at
     the edge of ``u``'s cell and a short scan finishes it.  ``cum`` holds the
     cumulative rows flat, the last column +inf (the clamp), and ``total``
@@ -569,11 +575,13 @@ class ChainWalk:
     def path(self, n: int, u) -> np.ndarray:
         """The ``n`` tokens :meth:`windows` draws from the values ``u``."""
         a = self.a
-        pick = bisect.bisect_left(self.law.cum.tolist(), u[0] * self.law.total[0])
+        pick = int(self.law(0, u[:1] * self.law.total[0])[0])
         out = self.tokens[pick][:n].tolist()
         state = int(self.starts[pick])
         seen: dict[int, tuple[list[float], list[int]]] = {}
-        for v in u[1:].tolist():
+        # bisect_left counts the sums below v; the least positive float in
+        # place of a 0 counts the zero sums too, as the guide's cell 0 does
+        for v in np.maximum(u[1:], _LEAST_POSITIVE).tolist():
             if state < 0:
                 raise UnseenContextError(_NO_ROW)
             row = seen.get(state)

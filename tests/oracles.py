@@ -3,12 +3,13 @@
 The package keeps a chain as sorted integer context codes and dense row
 matrices, the transportation simplex's basis tree in parent pointers, one
 power iteration for every stationary law, one batched forward recursion for
-hidden-Markov sources and run counts for the binary-chain statistic classes.
+hidden-Markov sources, run counts for the binary-chain statistic classes
+and one column-at-a-time enumeration of the i.i.d. type classes.
 These are the straightforward loops over symbol tuples and dict adjacencies,
 the dense eigenvector and linear-solve stationary laws, the power iteration
 without lazy sweeps, the per-context forward filter with its depth-first
-context walk, and Whittle's cofactor formula, that those routines replaced or
-stand for.
+context walk, Whittle's cofactor formula and the recursive composition
+builder, that those routines replaced or stand for.
 """
 import bisect
 import math
@@ -294,6 +295,22 @@ def dict_profile(source, k_max, m_max):
         for k in range(1, min(m, k_max) + 1):
             rates[k - 1] = max(rates[k - 1], dict_suffix_spread(table, k))
     return rates, floor
+
+
+# -- i.i.d. type classes by recursion -----------------------------------------
+
+
+def recursive_compositions(total, parts):
+    """Compositions of ``total`` into ``parts`` counts >= 0 in lexicographic
+    order: each first count in turn, before every composition of the rest."""
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    blocks = []
+    for first in range(total + 1):
+        rest = recursive_compositions(total - first, parts - 1)
+        col = np.full((len(rest), 1), first, dtype=np.int64)
+        blocks.append(np.hstack([col, rest]))
+    return np.vstack(blocks)
 
 
 # -- binary-chain statistic classes by Whittle's cofactor ---------------------

@@ -14,7 +14,9 @@ from markovdetect.errors import (
 )
 from markovdetect.hypotest import (
     CHAIN_LATTICE_NMAX,
+    IID_LATTICE_CAP,
     _clopper_pearson,
+    _compositions,
     _llr_stats,
     _log_matrix,
     _mc_stats,
@@ -33,7 +35,8 @@ from markovdetect.infometrics import chernoff, kl_rate
 from markovdetect.markov import (MarkovModel, _guide_table, chain_model, fit_empirical,
                                  iid_model, sample)
 from markovdetect.util import decode, encode
-from oracles import loop_log_likelihood, model_from_dicts, whittle_binary_chain_table
+from oracles import (loop_log_likelihood, model_from_dicts, recursive_compositions,
+                     whittle_binary_chain_table)
 
 
 def _aggregate(table):
@@ -120,6 +123,30 @@ def test_iid_lattice_matches_enumeration(rng):
         q = iid_model(rng.dirichlet(np.ones(a)))
         n = 7
         _tables_agree(_table_iid(p, q, n), _table_sequences(p, q, n))
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+def test_compositions_match_recursive_reference(parts):
+    """Same rows in the same order as the recursion: the tables' stable sort
+    then sees the same input, bit for bit."""
+    for total in range(9):
+        got = _compositions(total, parts)
+        assert got.dtype == np.int64
+        assert len(got) == math.comb(total + parts - 1, parts - 1)
+        assert np.array_equal(got, recursive_compositions(total, parts))
+
+
+@pytest.mark.parametrize("a, n, classes", [(3, 892, 399_171), (4, 132, 400_995)])
+def test_iid_table_builds_at_the_lattice_cap(a, n, classes):
+    """Lattices at IID_LATTICE_CAP: the largest the engine takes for three
+    symbols, and for four the first one past the cap, built directly."""
+    p = iid_model(np.arange(1, a + 1) / (a * (a + 1) / 2))
+    q = iid_model(np.full(a, 1 / a))
+    assert hypotest._table_engine(p, q, n) is (_table_iid if classes <= IID_LATTICE_CAP else None)
+    stats, lp, lq = _table_iid(p, q, n)
+    assert len(stats) == classes
+    assert np.exp(lp).sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.exp(lq).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_table_masses_sum_to_one(fair_vs_biased):
@@ -542,7 +569,7 @@ def test_guide_table_counts_cell_edges():
                      [0.5, 0.5 - 2e-10, 4e-10]], axis=1)
     for g in (1, 2, 4, 8):
         edges = np.arange(g + 1) / g
-        want = (cum[:, None, :] < edges[None, :, None]).sum(axis=2)
+        want = ((cum[:, None, :] < edges[None, :, None]) | (cum[:, None, :] <= 0)).sum(axis=2)
         assert np.array_equal(_guide_table(cum, g), want)
 
 
@@ -601,6 +628,25 @@ def test_exponent_fit_markov_chains(rng):
     p, q = chain_model(rows_p), chain_model(rows_q)
     fit = exponent_fit(p, q, 0.5, [200, 400, 600, 800])
     assert abs(fit.slope - fit.theory) / fit.theory < 0.1
+
+
+@pytest.mark.parametrize("pair", ["iid", "chain"])
+def test_exact_fits_are_pinned(pair):
+    """The exact fits of the two exponent-exact benchmark pairs at epsilon
+    0.5, bit for bit: a change to the tables' arithmetic or to which classes
+    count as missed (ties go to the null) moves them."""
+    make, p, q, grid, slope, thresholds = {
+        "iid": (iid_model, [0.5, 0.3, 0.2], [0.4, 0.4, 0.2], [50, 100, 150, 200],
+                0.029217630046281355,
+                (0.02526715392157044, 0.02526715392157044, 0.025267153921570678,
+                 0.02529456664824352)),
+        "chain": (chain_model, [[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.5], [0.5, 0.5]],
+                  [128, 256, 512], 0.05730805459798856,
+                  (0.05514210659785046, 0.055404942288167947, 0.05550352787884727)),
+    }[pair]
+    fit = exponent_fit(make(p), make(q), 0.5, grid, method="exact")
+    assert fit.point_methods == ("exact",) * len(grid)
+    assert (fit.slope, fit.thresholds) == (slope, thresholds)
 
 
 def test_exponent_fit_reports_grid(fair_vs_biased):

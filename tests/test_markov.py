@@ -598,7 +598,8 @@ def test_chain_samplers_match_bisect_oracle(k, smoothing):
 def test_inverse_cdf_draws_equal_full_comparisons():
     """Rows with zeros, ties with the uniform, sums just below and above 1,
     and values scaled past 1 by an initial law's total: every draw is the
-    count of cumulative sums below the value, clamped to the last column."""
+    count of cumulative sums below the value or equal to 0, clamped to the
+    last column."""
     rows = np.array([[0.25, 0.0, 0.25, 0.5], [0.0, 0.0, 1.0, 0.0],
                      [0.1, 0.2, 0.3, 0.4 - 4e-10], [0.5, 0.5 - 2e-10, 4e-10, 0.0]])
     cum = np.cumsum(rows, axis=1)
@@ -607,8 +608,23 @@ def test_inverse_cdf_draws_equal_full_comparisons():
                         np.full(4, np.nextafter(1.0, 0.0))])
     for row in range(4):
         for values in (u, u * draw.total[row]):
-            want = np.minimum((values[:, None] > cum[row]).sum(axis=1), 3)
+            want = np.minimum(((values[:, None] > cum[row]) | (cum[row] <= 0)).sum(axis=1), 3)
             assert np.array_equal(draw(np.full(len(values), row), values) - 4 * row, want)
+
+
+def test_zero_uniform_draws_the_first_column_with_mass():
+    """A uniform of exactly 0 skips one or two leading zero-mass columns, in
+    the guide table draw and in a walk's start pick and steps, by path and by
+    windows alike."""
+    rows = np.array([[0.0, 0.0, 1.0], [0.0, 0.5, 0.5], [0.2, 0.0, 0.8]])
+    assert (InverseCDF(rows)(np.arange(3), np.zeros(3)) % 3).tolist() == [2, 1, 0]
+    states = np.arange(3)
+    # from state s a 0 draws column [2, 1, 0][s], which is the next state
+    for start, want in (([0.0, 0.0, 1.0], [2, 0, 2, 0]), ([0.0, 0.3, 0.7], [1, 1, 1, 1])):
+        walk = ChainWalk(rows, np.broadcast_to(states, rows.shape), np.array(start),
+                         states, states[:, None])
+        assert walk.path(4, np.zeros(4)).tolist() == want
+        assert walk.windows(4, np.zeros((3, 4))).tolist() == [want] * 3
 
 
 def test_chain_walk_refuses_to_draw_from_a_context_without_row():
