@@ -37,7 +37,7 @@ from .markov import (
     hmm_sample_windows,
     window_log_likelihood,
 )
-from .transport import dbar_empirical, dbar_exact, l1_distance, tv
+from .transport import dbar_empirical, dbar_exact, dbar_value, l1_distance, tv
 from .util import JsonRecord, config_hash, spawn_rng
 
 PROBE_ATOM_CAP = 4096
@@ -343,6 +343,7 @@ class ProbeReport(JsonRecord):
     violations: int
     sup_ratio: float
     argmax: dict
+    engine: str  # the transport engine that answered every instance
     points: list[ProbePoint] = field(repr=False)
     config_digest: str = ""
 
@@ -383,6 +384,7 @@ def divergence_transport_probe(
     points: list[ProbePoint] = []
     excluded = violations = 0
     sup_ratio, argmax = 0.0, {}
+    engine = ""
     for i in range(n_instances):
         rng = spawn_rng(seed, 20, i)
         mu = rng.dirichlet(np.full(n_atoms, conc))
@@ -390,7 +392,7 @@ def divergence_transport_probe(
         div = kl(mu, nu)
         if not forward_pinsker_holds(mu, nu, div):
             violations += 1
-        value = dbar_exact(mu, nu, window, alphabet_size=alphabet_size).value
+        value, engine = dbar_value(mu, nu, window, alphabet_size=alphabet_size)
         if value < 1e-9 or math.isinf(div):
             excluded += 1
             continue
@@ -424,6 +426,7 @@ def divergence_transport_probe(
         violations=violations,
         sup_ratio=sup_ratio,
         argmax=argmax,
+        engine=engine,
         points=points,
         config_digest=digest,
     )

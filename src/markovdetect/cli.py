@@ -336,7 +336,7 @@ _REPORT_READERS = {
     "ct_bound.json": lambda d: f"bound: {d['bound']} at order {d['order']}",
     "probe.json": lambda d: (
         f"probe: sup ratio {d['sup_ratio']:.6f} over {d['instance_count']} "
-        f"instances ({d['sampler']})"),
+        f"instances ({d['sampler']}, {d.get('engine', 'unrecorded')} engine)"),
 }
 
 

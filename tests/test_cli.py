@@ -387,10 +387,10 @@ def _run_fresh(*groups):
 
 
 def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
-    """train, score, detect on Monte Carlo calibration and a probe at 16
-    atoms or fewer never load scipy; exponent and a dbar above 16 atoms load
-    it on demand and write the bytes an interpreter that imported scipy up
-    front writes."""
+    """train, score, detect on Monte Carlo calibration and probes at 16 atoms
+    or fewer (the simplex at 16, tree enumeration at 8) never load scipy;
+    exponent and a dbar above 16 atoms load it on demand and write the bytes
+    an interpreter that imported scipy up front writes."""
     p_text, q_text = tmp_path / "authentic.txt", tmp_path / "generated.txt"
     p_text.write_text("abcacbbca" * 40, encoding="utf-8")
     q_text.write_text("aabbcabcc" * 40, encoding="utf-8")
@@ -414,6 +414,8 @@ def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
              "--text", str(sample), "--trials", "2000", "--out", str(root / "detect")],
             ["probe", "--alphabet-size", "2", "--window", "4", "--instances", "100",
              "--out", str(root / "probe")],
+            ["probe", "--alphabet-size", "2", "--window", "3", "--instances", "100",
+             "--out", str(root / "probe3")],
         ]
         heavy = [
             ["exponent", "--model-p", str(p / "model.json"), "--model-q", str(q / "model.json"),
@@ -431,7 +433,7 @@ def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
     import scipy.special  # noqa: F401
     for argv in sum(runs(tmp_path / "warm"), []):
         assert main(argv) == 0
-    for name in ("p", "q", "score", "detect", "probe", "exponent", "dbar"):
+    for name in ("p", "q", "score", "detect", "probe", "probe3", "exponent", "dbar"):
         fresh, warm = snapshot(tmp_path / "fresh" / name), snapshot(tmp_path / "warm" / name)
         for files in (fresh, warm):  # it records the output path
             del files["resolved_config.json"]

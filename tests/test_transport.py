@@ -16,6 +16,7 @@ from markovdetect.transport import (
     dbar_between,
     dbar_empirical,
     dbar_exact,
+    dbar_value,
     hamming_cost,
     l1_distance,
     solve_transport,
@@ -25,8 +26,14 @@ from markovdetect.util import decode
 from oracles import dict_solve_transport, dict_solve_with_zeros
 
 
-def lp_oracle(supply, demand, cost):
-    """Reference optimum via scipy's LP solver (independent of our simplex)."""
+def lp_oracle(supply, demand, cost, tight=False):
+    """Reference optimum via scipy's LP solver (independent of our simplex).
+
+    At HiGHS's default 1e-7 tolerances, Dirichlet(0.05) laws come out ~1e-7
+    off.  ``tight`` sets 1e-10 tolerances and drops the last balance row, which
+    the others imply and which a rounding-level imbalance of the two totals
+    otherwise makes infeasible at that tolerance.
+    """
     nr, nc = cost.shape
     a_eq = []
     for i in range(nr):
@@ -37,12 +44,17 @@ def lp_oracle(supply, demand, cost):
         row = np.zeros(nr * nc)
         row[j::nc] = 1.0
         a_eq.append(row)
+    a_eq = np.array(a_eq)
+    b_eq = np.concatenate([supply, demand])
+    if tight:
+        a_eq, b_eq = a_eq[:-1], b_eq[:-1]
     res = linprog(
         cost.ravel(),
-        A_eq=np.array(a_eq),
-        b_eq=np.concatenate([supply, demand]),
+        A_eq=a_eq,
+        b_eq=b_eq,
         bounds=(0, None),
         method="highs",
+        options=transport._HIGHS_OPTIONS if tight else None,
     )
     assert res.status == 0
     return res.fun
@@ -247,10 +259,11 @@ def test_dbar_exact_zero_mass_atoms_equal_oracle(cube, seed):
 
 def test_dbar_exact_rejects_nan_weights():
     mu = np.array([np.nan, 0.5, 0.25, 0.25])
-    with pytest.raises(ValueError, match="probability vector"):
-        dbar_exact(mu, np.full(4, 0.25), 2)
-    with pytest.raises(ValueError, match="probability vector"):
-        dbar_exact(np.full(4, 0.25), mu, 2)
+    for solve in (dbar_exact, dbar_value):
+        with pytest.raises(ValueError, match="probability vector"):
+            solve(mu, np.full(4, 0.25), 2)
+        with pytest.raises(ValueError, match="probability vector"):
+            solve(np.full(4, 0.25), mu, 2)
 
 
 def test_certificates_reject_nan_duals(rng):
@@ -452,6 +465,94 @@ def test_empirical_certifies_every_solve(rng, monkeypatch):
         dbar_empirical(large, large[::-1].copy(), bootstrap=5, seed=0)
 
 
+# -- spanning-tree enumeration on small cubes ---------------------------------
+
+
+def _laws(gen, n, kind):
+    if kind == "zeros":  # Dirichlet(1) with about 40% of the atoms emptied
+        w = gen.dirichlet(np.ones(n)) * (gen.random(n) < 0.6)
+        w[gen.integers(n)] += 1.0
+        return w / w.sum()
+    return gen.dirichlet(np.full(n, {"flat": 1.0, "sparse": 0.05}[kind]))
+
+
+@pytest.mark.parametrize("alphabet_size, m", [(2, 1), (2, 2), (2, 3), (3, 1), (4, 1)])
+@pytest.mark.parametrize("kind", ["flat", "sparse", "zeros"])
+def test_tree_enumeration_matches_simplex_and_oracle(rng, alphabet_size, m, kind):
+    atoms = _cube(alphabet_size, m)
+    cost = _dense_hamming(atoms, atoms)
+    for _ in range(20):
+        mu, nu = _laws(rng, len(atoms), kind), _laws(rng, len(atoms), kind)
+        value, engine = dbar_value(mu, nu, m, alphabet_size=alphabet_size)
+        assert engine == "tree-enumeration"
+        assert value == pytest.approx(transport._solve_with_zeros(mu, nu, cost)[0], abs=1e-12)
+        assert value == pytest.approx(lp_oracle(mu, nu, cost, tight=True), abs=1e-9)
+
+
+def _kirchhoff(alphabet_size, m):
+    """Spanning trees of the cube's Hamming graph: a cofactor of its Laplacian."""
+    n = alphabet_size ** m
+    words = decode(np.arange(n), alphabet_size, m)
+    adjacent = ((words[:, None, :] != words[None, :, :]).sum(axis=2) == 1).astype(float)
+    laplacian = np.diag(adjacent.sum(axis=1)) - adjacent
+    return round(np.linalg.det(laplacian[1:, 1:]))
+
+
+@pytest.mark.parametrize("alphabet_size, m, trees", [
+    (2, 1, 1), (2, 2, 4), (2, 3, 384), (3, 1, 3), (4, 1, 16), (5, 1, 125)])
+def test_tree_table_holds_every_tree_and_lipschitz_potential(alphabet_size, m, trees):
+    table = transport._tree_table(alphabet_size, m)
+    assert len(table.trees) == _kirchhoff(alphabet_size, m) == trees
+    assert transport._spanning_tree_count(alphabet_size, m) == trees
+    tails, heads = transport._hamming_arcs(alphabet_size, m)
+    phi = table.potentials
+    assert (phi[:, 0] == 0).all() and (phi == np.rint(phi)).all()
+    assert np.abs(phi[:, tails] - phi[:, heads]).max() <= 1  # 1/m per arc, in units of 1/m
+    assert len(np.unique(phi, axis=0)) == len(phi)
+
+
+def test_kirchhoff_gate_keeps_larger_cubes_off_enumeration():
+    assert transport._spanning_tree_count(2, 4) == _kirchhoff(2, 4) == 42_467_328
+    assert transport._spanning_tree_count(3, 2) == _kirchhoff(3, 2) == 11_664
+    assert transport._spanning_tree_count(6, 1) == 1296 > transport._TREE_ENUM_MAX
+
+
+def test_larger_cubes_fall_back_without_enumerating(rng, monkeypatch):
+    def refuse(a, m):
+        raise AssertionError(f"enumerated the {a}^{m} cube")
+
+    monkeypatch.setattr(transport, "_tree_table", refuse)
+    transport._cube_solver.cache_clear()
+    try:
+        for alphabet_size, m in ((2, 4), (3, 2)):
+            n = alphabet_size ** m
+            for kind in ("flat", "sparse", "zeros"):
+                mu, nu = _laws(rng, n, kind), _laws(rng, n, kind)
+                value, engine = dbar_value(mu, nu, m, alphabet_size=alphabet_size)
+                assert engine == "simplex"
+                assert value == dbar_exact(mu, nu, m, alphabet_size=alphabet_size).value
+    finally:
+        transport._cube_solver.cache_clear()
+
+
+def test_tree_enumeration_certifies_every_solve(rng, monkeypatch):
+    mu, nu = rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(8))
+    real = transport._tree_flow
+
+    def off_potential(*args):
+        tails, heads, flow, phi = real(*args)
+        return tails, heads, flow, phi * 1.01
+
+    def off_flow(*args):
+        tails, heads, flow, phi = real(*args)
+        return tails, heads, flow + 1e-6 * (np.arange(len(flow)) == 0), phi
+
+    for off in (off_potential, off_flow):
+        monkeypatch.setattr(transport, "_tree_flow", off)
+        with pytest.raises(NonConvergenceError):
+            dbar_value(mu, nu, 3)
+
+
 # -- golden artifact bytes ----------------------------------------------------
 
 _GOLDEN_SIMPLEX_DBAR = """{
@@ -514,12 +615,28 @@ def test_dbar_artifact_bytes_flow_pair(tmp_path):
 
 
 def test_probe_artifact_bytes(tmp_path):
-    """probe.json and probe_scatter.csv of 100 boundary-biased 8-atom pairs, by digest."""
+    """probe.json and probe_scatter.csv of 100 boundary-biased 8-atom pairs, by digest.
+
+    The digests pin the tree-enumeration engine's floats, which may differ
+    from the simplex's in the last bits; every recorded distance stays within
+    1e-12 of ``dbar_exact`` and the summary matches the simplex-era run.
+    """
     from markovdetect.cli import main
+    from markovdetect.util import load_json, spawn_rng
     out = tmp_path / "probe"
     assert main(["probe", "--alphabet-size", "2", "--window", "3", "--instances", "100",
                  "--sampler", "boundary-biased", "--seed", "0", "--out", str(out)]) == 0
+    report = load_json(out / "probe.json")
+    assert report["engine"] == "tree-enumeration"
+    assert (report["excluded"], report["violations"]) == (0, 0)
+    assert report["sup_ratio"] == pytest.approx(1762.418418086017, rel=1e-12)
+    assert len(report["points"]) == 100
+    for point in report["points"]:
+        rng = spawn_rng(0, 20, point["index"])
+        mu = rng.dirichlet(np.full(8, 0.1))
+        nu = rng.dirichlet(np.full(8, 0.1))
+        assert abs(point["dbar"] - dbar_exact(mu, nu, 3).value) <= 1e-12
     assert hashlib.sha256((out / "probe.json").read_bytes()).hexdigest() == (
-        "4a7a732ffd4f59aa6c5234d54ab724533cc17ab3ddbc66cf4d45d9bda33a4020")
+        "a7360fe9573def285c6746ebce736c5bee381fe80c24947b8e8e89cbfc5f50c0")
     assert hashlib.sha256((out / "probe_scatter.csv").read_bytes()).hexdigest() == (
-        "2eb42a8cfc223a516d5ef91227e2265e49645ffb60f9acc2a45b4decfa409a28")
+        "d675aea309deded710304ee6f261e0ed4131fbfa6367746456ebc6beb46f12b4")
