@@ -37,10 +37,9 @@ from .markov import (
     hmm_sample_windows,
     window_log_likelihood,
 )
-from .transport import dbar_empirical, dbar_exact, dbar_value, l1_distance, tv
+from .transport import DBAR_ATOM_CAP, dbar_empirical, dbar_exact, dbar_value, l1_distance, tv
 from .util import JsonRecord, config_hash, spawn_rng
 
-PROBE_ATOM_CAP = 4096
 _SLACK = 1e-12
 
 SAMPLERS = {"dirichlet-uniform": 1.0, "boundary-biased": 0.1}
@@ -199,7 +198,7 @@ def approx_experiment(
     between source windows and model windows and compare with the bound.
     """
     a = source.emission.shape[1]
-    if a ** window > PROBE_ATOM_CAP:
+    if a ** window > DBAR_ATOM_CAP:
         raise BoundInapplicableError(
             f"window {window} over {a} symbols exceeds the exact-transport cap"
         )
@@ -267,21 +266,15 @@ class InequalityCheck(JsonRecord):
     note: str = ""
 
 
-def transport_vs_divergence_check(mu, nu, m: int, slack_constant: float = 0.0) -> InequalityCheck:
-    """Coupling bound: per-letter transport <= (1+c) sqrt(KL / (2m)).
-
-    ``slack_constant`` is the additive constant in the prefactor; 0 is exact
-    for product laws and that is the only case the suite asserts.
-    """
-    if slack_constant < 0:
-        raise ValueError("slack constant must be nonnegative")
+def transport_vs_divergence_check(mu, nu, m: int) -> InequalityCheck:
+    """Coupling bound: per-letter transport <= sqrt(KL / (2m)), exact for product laws."""
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
     div = kl(mu, nu)
     lhs = dbar_exact(mu, nu, m).value
     if math.isinf(div):
         return InequalityCheck(lhs, math.inf, True, "divergence infinite; bound vacuous")
-    rhs = (slack_constant + 1.0) * math.sqrt(div / (2.0 * m))
+    rhs = math.sqrt(div / (2.0 * m))
     return InequalityCheck(lhs, rhs, bool(lhs <= rhs + _SLACK))
 
 
@@ -378,7 +371,7 @@ def divergence_transport_probe(
     if n_instances < 100:
         raise ValueError("at least 100 instances are needed for a meaningful probe")
     n_atoms = alphabet_size ** window
-    if n_atoms > PROBE_ATOM_CAP:
+    if n_atoms > DBAR_ATOM_CAP:
         raise BoundInapplicableError("window too long for exact transport")
     conc = SAMPLERS[sampler]
     points: list[ProbePoint] = []
@@ -456,7 +449,6 @@ def fitted_divergence_eval(
     n_windows: int = 2000,
     smoothing: float = 0.0,
     seed: int = 0,
-    profile: ContinuityProfile | None = None,
 ) -> FittedDivergenceResult:
     """Probe: is the fitted model's divergence below constant * bound^2?
 
@@ -469,8 +461,7 @@ def fitted_divergence_eval(
         raise ValueError("constant must be positive")
     a = source.emission.shape[1]
     k = _resolved_order(train_len, rate_exponent)
-    if profile is None:
-        profile = estimate_profile(source, k_max=max(k, 1) + 1, m_max=max(k, 1) + 2)
+    profile = estimate_profile(source, k_max=max(k, 1) + 1, m_max=max(k, 1) + 2)
     inputs = ApproxBoundInputs(train_len, rate_exponent, tail_exponent, profile)
     train = hmm_sample(source, train_len, seed=_mix(seed, 40, train_len))
     model = fit_empirical(train, k, digit_alphabet(a), smoothing=smoothing)

@@ -22,7 +22,8 @@ replace sampling whenever they apply, all computed in log space:
 
 Monte Carlo is the general path: one walk, vectorized across trials, for any
 pair of orders, whose statistics equal :func:`lrt_statistic` of the sampled
-sequences.  It draws by :class:`markovdetect.markov.ChainWalk`, the guide
+sequences (for all-order-0 pairs, :func:`class_statistic` of their symbol
+counts).  It draws by :class:`markovdetect.markov.ChainWalk`, the guide
 table (Chen & Asau 1974) search that all samplers share: it returns the same
 symbol as a comparison against the whole cumulative row.
 """
@@ -260,32 +261,32 @@ def exact_statistic_table(p_model: MarkovModel, q_model: MarkovModel, n: int):
 
 def class_statistic(p_model: MarkovModel, q_model: MarkovModel, seq,
                     method: str = "auto") -> float | None:
-    """Statistic of the class of ``seq`` in the exact table that calibrates
-    the threshold at its length, computed as the table computes it; None
-    when ``method`` is ``"mc"`` or no table applies.
+    """Statistic of ``seq`` computed as the calibration at its length computes
+    it: by the exact table that applies, else by the Monte Carlo walk; None
+    when that walk scores sequences as :func:`lrt_statistic` does.
 
-    The lattice tables sum counts times log rows, where :func:`lrt_statistic`
-    sums per-token logs, so the two can differ in the last bits.  Only this
-    value ties with a table threshold exactly, which a verdict needs to send
-    ties to the null.  The sequence table and Monte Carlo score each sequence
-    as :func:`lrt_statistic` does.
+    The lattice tables and the all-order-0 walk sum counts times log rows,
+    where :func:`lrt_statistic` sums per-token logs, so the two can differ in
+    the last bits.  Only this value ties with such a threshold exactly, which
+    a verdict needs to send ties to the null.  The sequence table and the
+    walk for other orders score each sequence as :func:`lrt_statistic` does.
     """
     n = len(seq)
     engine = None if method == "mc" else _table_engine(p_model, q_model, n)
-    if engine is None:
+    if engine is None and max(p_model.order, q_model.order) > 0:
         return None
     if engine is _table_sequences:
         return lrt_statistic(p_model, q_model, seq)
     tokens = seq.tokens
-    if engine is _table_iid:
-        counts = np.bincount(tokens, minlength=p_model.alphabet.size)[None]
-        lp = _log_weighted(counts, _log_matrix(p_model.row(())))
-        lq = _log_weighted(counts, _log_matrix(q_model.row(())))
-    else:
+    if engine is _table_binary_chain:
         counts = np.bincount(2 * tokens[:-1] + tokens[1:], minlength=4)[None]
         (li_p, lr_p), (li_q, lr_q) = _chain_logs(p_model), _chain_logs(q_model)
         lp = li_p[tokens[0]] + _log_weighted(counts, lr_p)
         lq = li_q[tokens[0]] + _log_weighted(counts, lr_q)
+    else:  # the i.i.d. lattice or the all-order-0 walk
+        counts = np.bincount(tokens, minlength=p_model.alphabet.size)[None]
+        lp = _log_weighted(counts, _log_matrix(p_model.row(())))
+        lq = _log_weighted(counts, _log_matrix(q_model.row(())))
     return float(_checked_stats(lp, lq, n)[0])
 
 
@@ -347,15 +348,17 @@ def _step_reader(model: MarkovModel, sample_model: MarkovModel, drawn: np.ndarra
 
 
 def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
-    """Statistics of ``trials`` length-``n`` sequences from ``sample_model``,
-    each bit for bit :func:`lrt_statistic` of its sequence.
+    """Statistics of ``trials`` length-``n`` sequences from ``sample_model``.
 
-    A :class:`ChainWalk` draws the initial k-gram and then each symbol, one
-    ``rng.random(trials)`` per step.  The first min(n, K) symbols, K the
-    largest order, are drawn as windows and scored by
-    :func:`window_log_likelihood`, each later one by :func:`_step_reader`
-    rows, in sequence order; a step without a row keeps a -inf sum and
-    raises on a finite one.  All-order-0 models draw counts.
+    All-order-0 models draw multinomial counts and score them as counts
+    times log rows, bit for bit :func:`class_statistic` of a sequence with
+    those counts.  Otherwise each statistic is bit for bit
+    :func:`lrt_statistic` of its sequence: a :class:`ChainWalk` draws the
+    initial k-gram and then each symbol, one ``rng.random(trials)`` per
+    step.  The first min(n, K) symbols, K the largest order, are drawn as
+    windows and scored by :func:`window_log_likelihood`, each later one by
+    :func:`_step_reader` rows, in sequence order; a step without a row keeps
+    a -inf sum and raises on a finite one.
     """
     a, k = sample_model.alphabet.size, sample_model.order
     big_k = max(k, p_model.order, q_model.order)
@@ -532,6 +535,7 @@ def bayes_error(p_model: MarkovModel, q_model: MarkovModel, n: int,
     """
     if not 0.0 < prior < 1.0:
         raise ValueError("prior must lie strictly between 0 and 1")
+    _check_test_args(n, prior, trials, method)
     log_pi0, log_pi1 = math.log(prior), math.log(1.0 - prior)
     table = _exact_table(p_model, q_model, n, method)
     if table is not None:

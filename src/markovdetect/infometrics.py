@@ -21,7 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AtomBudgetError, BoundInapplicableError, SupportViolationWarning
-from .markov import HiddenMarkovSource, MarkovModel, hmm_forward, stationary, window_law
+from .markov import (
+    DEFAULT_ATOM_CAP,
+    HiddenMarkovSource,
+    MarkovModel,
+    hmm_forward,
+    stationary,
+    window_law,
+)
 from .util import decode
 
 PROB_TOL = 1e-12
@@ -99,31 +106,12 @@ def _chernoff_objective(p, q):
     return g
 
 
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Location of the minimum of a unimodal f on [lo, hi] to within tol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def chernoff(p, q, tol: float = 1e-6) -> ChernoffInfo:
+def chernoff(p, q) -> ChernoffInfo:
     """Chernoff information: worst-case Bayes exponent for p against q.
 
-    Minimizes ln sum p^w q^(1-w) over w in [0, 1] by golden section.  Supports
-    are intersected first (flagged when they differ); disjoint supports give
-    +inf.
+    Minimizes ln sum p^w q^(1-w) over w in [0, 1] by scipy's bounded Brent
+    search, to within 1e-6 in w.  Supports are intersected first (flagged
+    when they differ); disjoint supports give +inf.
     """
     p, q = _as_prob(p), _as_prob(q)
     if np.any((p > 0) != (q > 0)):
@@ -132,11 +120,13 @@ def chernoff(p, q, tol: float = 1e-6) -> ChernoffInfo:
     g = _chernoff_objective(p, q)
     if g is None:
         return ChernoffInfo(math.inf, math.nan)
-    w = golden_section_min(g, 0.0, 1.0, tol)
+    from scipy.optimize import minimize_scalar
+    w = float(minimize_scalar(g, bounds=(0.0, 1.0), method="bounded",
+                              options={"xatol": 1e-6}).x)
     return ChernoffInfo(-g(w), w)
 
 
-def kl_rate(p_model: MarkovModel, q_model: MarkovModel, atom_cap: int = 65536) -> float:
+def kl_rate(p_model: MarkovModel, q_model: MarkovModel) -> float:
     """Per-token divergence rate of stationary chain p_model from q_model.
 
     Both conditionals are read off the longest context either model needs, and
@@ -148,7 +138,7 @@ def kl_rate(p_model: MarkovModel, q_model: MarkovModel, atom_cap: int = 65536) -
         raise ValueError("models must share an alphabet")
     a, kp, kq = p_model.alphabet.size, p_model.order, q_model.order
     span = max(kp, kq)
-    windows, mass = window_law(p_model, span, (p_model.codes, stationary(p_model)), atom_cap)
+    windows, mass = window_law(p_model, span, (p_model.codes, stationary(p_model)))
     rows_p = p_model.rows_at(windows % a ** kp)
     rows_q = q_model.rows_at(windows % a ** kq)
     live = rows_p > 0
@@ -193,10 +183,6 @@ class ContinuityProfile:
     @property
     def horizon(self) -> int:
         return len(self.rates)
-
-    @property
-    def rate_sum(self) -> float:
-        return float(sum(self.rates))
 
     def to_json(self) -> dict:
         return {
@@ -284,7 +270,7 @@ def _suffix_spread(codes: np.ndarray, rows: np.ndarray, a: int, k: int) -> float
     return float(spread.max())
 
 
-def estimate_profile(source, k_max: int, m_max: int, atom_cap: int = 65536) -> ContinuityProfile:
+def estimate_profile(source, k_max: int, m_max: int) -> ContinuityProfile:
     """Profile with exact rates for overlap depths 1..k_max within horizon m_max.
 
     For each context length m <= m_max the next-symbol laws of all
@@ -298,8 +284,8 @@ def estimate_profile(source, k_max: int, m_max: int, atom_cap: int = 65536) -> C
     if not 1 <= k_max <= m_max:
         raise ValueError("need 1 <= k_max <= m_max")
     a = _alphabet_size(source)
-    if a ** m_max > atom_cap:
-        raise AtomBudgetError(f"{a}**{m_max} contexts exceed cap {atom_cap}")
+    if a ** m_max > DEFAULT_ATOM_CAP:
+        raise AtomBudgetError(f"{a}**{m_max} contexts exceed cap {DEFAULT_ATOM_CAP}")
     pi = stationary(source) if isinstance(source, MarkovModel) else None
     rates = [0.0] * k_max
     floor = 1.0

@@ -24,19 +24,20 @@ supports embed in (a symbols, window m):
   a tree fixes every dual as one chain of subtractions from u_0 = 0 and has
   one path between two nodes, the results do not depend on the traversal.
 - ``"tree-enumeration"``, value only (``dbar_value``), for whole cubes whose
-  Hamming graph has at most ``_TREE_ENUM_MAX`` spanning trees by the
-  matrix-tree theorem: K_2..K_5, the 4-cycle and the 3-cube.  The flow LP's
-  optimum is the cheapest spanning-tree flow and its dual optimum the best
-  integer 1/m-Lipschitz potential, so both are enumerated once per cube
-  (384 trees and 495 potentials on the 3-cube, built in about 2 ms) and a
-  solve is two small matrix products: about 0.025 ms at 4 atoms and
+  Hamming graph has at most ``_TREE_ENUM_MAX`` edge subsets of the size of a
+  spanning tree: K_2..K_5, the 4-cycle and the 3-cube (792 subsets).  The
+  flow LP's optimum is the cheapest spanning-tree flow and its dual optimum
+  the best integer 1/m-Lipschitz potential, so both are enumerated once per
+  cube (384 trees and 495 potentials on the 3-cube, built in about 2 ms) and
+  a solve is two small matrix products: about 0.025 ms at 4 atoms and
   0.035 ms at 8 atoms, numpy only.  ``dbar_value`` answers every other cube
   through the engine ``dbar_empirical`` would use on it.
 
 Every engine returns dual prices, so optimality is certified rather than
-taken on faith: on the flow paths by a conserving non-negative flow and node
-potentials that are 1/m-Lipschitz on every arc plus a zero duality gap, on
-the simplex path by dual feasibility, complementary slackness and a zero
+taken on faith: both flow engines return one record of arcs, flows and node
+potentials, which ``_certify_flow`` checks for a conserving non-negative flow,
+potentials that are 1/m-Lipschitz on every arc of the cube and a zero duality
+gap; on the simplex path by dual feasibility, complementary slackness and a zero
 duality gap on the cost matrix.  Monte Carlo or entropic shortcuts are
 deliberately absent: callers that need the distance get the exact optimum or
 an error.
@@ -63,8 +64,9 @@ _CERT_TOL = 1e-9
 # optimum, beyond the 1e-9 certificate; at 1e-10 the gap stays below 5e-11.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 _FLOW_EPS = 1e-12  # flows and masses at or below this are rounding residue
-# cubes with at most this many spanning trees are solved by enumerating them:
-# K_2..K_5, the 4-cycle and the 3-cube (384); the 4-cube has 42,467,328
+# cubes with at most this many (n - 1)-edge subsets, the candidate spanning
+# trees, are solved by enumerating them: K_2..K_5, the 4-cycle and the 3-cube
+# (792); K_6 has 3,003, the 3x3 rook graph 43,758
 _TREE_ENUM_MAX = 1024
 
 
@@ -107,15 +109,15 @@ class Coupling:
     value: float
     engine: str  # "simplex" or "hamming-flow"
 
-    def validate(self, tol: float = _CERT_TOL) -> None:
+    def validate(self) -> None:
         i, j, mass = _entry_columns(self.entries)
-        if (mass < -tol).any():
+        if (mass < -_CERT_TOL).any():
             raise ValueError("negative mass in coupling")
         row = np.bincount(i, weights=mass, minlength=len(self.atoms_x))
         col = np.bincount(j, weights=mass, minlength=len(self.atoms_y))
         # written so that a NaN mass or weight fails the check
-        if not (np.abs(row - self.weights_x).max() <= tol
-                and np.abs(col - self.weights_y).max() <= tol):
+        if not (np.abs(row - self.weights_x).max() <= _CERT_TOL
+                and np.abs(col - self.weights_y).max() <= _CERT_TOL):
             raise ValueError("coupling marginals do not match")
 
     def to_json(self) -> dict:
@@ -408,8 +410,9 @@ def _hamming_incidence(a: int, m: int):
 def _hamming_flow(excess: np.ndarray, a: int, m: int):
     """Min-cost flow of ``excess`` (mu - nu on the cube) on the Hamming graph.
 
-    Returns the arc flows, checked feasible, and the node potentials phi that
-    HiGHS reports as duals of the conservation rows (phi = 0 on the last node).
+    Returns the flow record ``(tails, heads, flow, phi)``: every arc of
+    ``_hamming_arcs``, its flow, and the node potentials phi that HiGHS
+    reports as duals of the conservation rows (phi = 0 on the last node).
     """
     from scipy.optimize import linprog
     incidence = _hamming_incidence(a, m)
@@ -417,27 +420,36 @@ def _hamming_flow(excess: np.ndarray, a: int, m: int):
                   bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise NonConvergenceError(f"min-cost flow failed: {res.message}")
-    flow = res.x
-    if not (flow.min() >= -_CERT_TOL
-            and np.abs(incidence @ flow - excess[:-1]).max() <= _CERT_TOL):
-        raise NonConvergenceError("flow certificate failed: infeasible flow")
-    return flow, np.append(res.eqlin.marginals, 0.0)
+    return (*_hamming_arcs(a, m), res.x, np.append(res.eqlin.marginals, 0.0))
 
 
-def _certify_flow(phi, excess, value, a, m):
-    """Potentials 1/m-Lipschitz on every arc, hence on the Hamming cost, and no gap.
+def _certify_flow(record, excess: np.ndarray, a: int, m: int) -> float:
+    """Certified value of a flow record ``(tails, heads, flow, phi)`` of ``excess``.
 
-    The arc bound gives phi[x] - phi[y] <= hamming(x, y)/m + m * _CERT_TOL for
-    every pair, so (phi, -phi) are feasible transport duals.
+    The flow must be non-negative and balance the excess at every node but
+    one, whose balance the others imply up to the rounding of sum(excess):
+    each engine leaves a different node's row out of its solve.  The
+    potentials must be 1/m-Lipschitz on every arc of the cube, which gives
+    phi[x] - phi[y] <= hamming(x, y)/m + m * _CERT_TOL for every pair, so
+    (phi, -phi) are feasible transport duals; and the duality gap must be zero.
     """
-    tails, heads = _hamming_arcs(a, m)
-    if not (phi[tails] - phi[heads]).max() <= 1.0 / m + _CERT_TOL:
+    tails, heads, flow, phi = record
+    n = len(excess)
+    net = np.bincount(tails, flow, n) - np.bincount(heads, flow, n)
+    off = np.sort(np.abs(net - excess))  # NaN sorts last
+    # comparisons are written so that a NaN anywhere fails them
+    if not (flow.min() >= -_CERT_TOL and off[-2] <= _CERT_TOL):
+        raise NonConvergenceError("flow certificate failed: infeasible flow")
+    cube_tails, cube_heads = _hamming_arcs(a, m)
+    if not (phi[cube_tails] - phi[cube_heads]).max() <= 1.0 / m + _CERT_TOL:
         raise NonConvergenceError("flow certificate failed: potentials not 1/m-Lipschitz")
+    value = float(flow.sum()) / m
     if not abs(float(phi @ excess) - value) <= _CERT_TOL:
         raise NonConvergenceError("flow certificate failed: duality gap")
+    return value
 
 
-def _flow_plan(mu, nu, flow, a, m) -> dict[tuple[int, int], float]:
+def _flow_plan(mu, nu, record) -> dict[tuple[int, int], float]:
     """Coupling on cube nodes: the diagonal min(mu, nu) plus the flow cut into paths.
 
     An optimal flow runs only along arcs where the potentials drop by 1/m, so
@@ -447,7 +459,7 @@ def _flow_plan(mu, nu, flow, a, m) -> dict[tuple[int, int], float]:
     it is retired and the walk steps back.  Each step empties a supply, a
     demand or an arc; the residue dropped is judged by the marginal check.
     """
-    tails, heads = _hamming_arcs(a, m)
+    tails, heads, flow, _ = record
     both = np.minimum(mu, nu)
     plan = {(k, k): float(both[k]) for k in np.flatnonzero(both > 0).tolist()}
     live = np.flatnonzero(flow > _FLOW_EPS)
@@ -498,8 +510,10 @@ def _flow_coupling(ax, wx, ay, wy, a, nodes_x, nodes_y):
     n = a ** m
     mu = _on_cube(wx, nodes_x, n)
     nu = _on_cube(wy, nodes_y, n)
-    flow, phi = _hamming_flow(mu - nu, a, m)
-    plan = _flow_plan(mu, nu, flow, a, m)
+    excess = mu - nu
+    record = _hamming_flow(excess, a, m)
+    _certify_flow(record, excess, a, m)
+    plan = _flow_plan(mu, nu, record)
     row = np.full(n, -1)
     row[nodes_x] = np.arange(len(nodes_x))
     col = np.full(n, -1)
@@ -508,7 +522,9 @@ def _flow_coupling(ax, wx, ay, wy, a, nodes_x, nodes_y):
     i, j = row[ends[:, 0]], col[ends[:, 1]]
     mass = np.array(list(plan.values()))
     value = float(mass @ (ax[i] != ay[j]).sum(axis=1)) / m
-    _certify_flow(phi, mu - nu, value, a, m)
+    phi = record[3]
+    if not abs(float(phi @ excess) - value) <= _CERT_TOL:  # the plan's own gap
+        raise NonConvergenceError("flow certificate failed: duality gap of the plan")
     entries = sorted(zip(i.tolist(), j.tolist(), mass.tolist()))
     return value, entries, phi[nodes_x], -phi[nodes_y]
 
@@ -521,7 +537,7 @@ def _word_cube(a: int, m: int) -> np.ndarray:
     return atoms
 
 
-def _cube_laws(mu, nu, m: int, alphabet_size: int | None, atom_cap: int):
+def _cube_laws(mu, nu, m: int, alphabet_size: int | None):
     """Validated (mu, nu, alphabet_size) for two laws on the whole a^m word cube."""
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -529,8 +545,8 @@ def _cube_laws(mu, nu, m: int, alphabet_size: int | None, atom_cap: int):
         raise ValueError("m must be >= 1")
     if len(mu) != len(nu):
         raise ValueError("distributions must share the atom space")
-    if len(mu) > atom_cap:
-        raise AtomBudgetError(f"{len(mu)} atoms exceed cap {atom_cap}")
+    if len(mu) > DBAR_ATOM_CAP:
+        raise AtomBudgetError(f"{len(mu)} atoms exceed cap {DBAR_ATOM_CAP}")
     for name, w in (("mu", mu), ("nu", nu)):
         if not (w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-9):  # NaN fails too
             raise ValueError(f"{name} must be a probability vector")
@@ -541,14 +557,13 @@ def _cube_laws(mu, nu, m: int, alphabet_size: int | None, atom_cap: int):
     return mu, nu, alphabet_size
 
 
-def dbar_exact(mu, nu, m: int, alphabet_size: int | None = None,
-               atom_cap: int = DBAR_ATOM_CAP) -> Coupling:
+def dbar_exact(mu, nu, m: int, alphabet_size: int | None = None) -> Coupling:
     """Exact mean-Hamming transport distance between two length-m sequence laws.
 
     ``mu`` and ``nu`` are dense vectors over lexicographically ordered atoms.
     For m = 1 the optimum equals the total variation distance.
     """
-    mu, nu, alphabet_size = _cube_laws(mu, nu, m, alphabet_size, atom_cap)
+    mu, nu, alphabet_size = _cube_laws(mu, nu, m, alphabet_size)
     atoms = _word_cube(alphabet_size, m)
     return dbar_between(atoms, mu, atoms, nu)
 
@@ -556,12 +571,12 @@ def dbar_exact(mu, nu, m: int, alphabet_size: int | None = None,
 def dbar_value(mu, nu, m: int, alphabet_size: int | None = None) -> tuple[float, str]:
     """Certified value of ``dbar_exact(mu, nu, m, ...)`` and the engine that answered.
 
-    Builds no coupling.  Cubes with at most ``_TREE_ENUM_MAX`` spanning trees
-    answer by ``"tree-enumeration"``; every other cube by the engine
-    ``dbar_empirical`` would use on it (``"simplex"`` up to 16 words,
-    ``"hamming-flow"`` above).
+    Builds no coupling.  Cubes with at most ``_TREE_ENUM_MAX`` edge subsets of
+    size a^m - 1, the candidate spanning trees, answer by
+    ``"tree-enumeration"``; every other cube by the engine ``dbar_empirical``
+    would use on it (``"simplex"`` up to 16 words, ``"hamming-flow"`` above).
     """
-    mu, nu, alphabet_size = _cube_laws(mu, nu, m, alphabet_size, DBAR_ATOM_CAP)
+    mu, nu, alphabet_size = _cube_laws(mu, nu, m, alphabet_size)
     solve, engine = _cube_solver(alphabet_size, m)
     return solve(mu, nu), engine
 
@@ -569,28 +584,18 @@ def dbar_value(mu, nu, m: int, alphabet_size: int | None = None) -> tuple[float,
 @lru_cache(maxsize=8)
 def _cube_solver(a: int, m: int):
     """(solve, engine) for laws on the whole a^m cube, set up once per cube."""
-    if a > 1 and _spanning_tree_count(a, m) <= _TREE_ENUM_MAX:  # one word has no edge
-        table = _tree_table(a, m)
-        return (lambda mu, nu: _tree_value(mu - nu, table, a, m)), "tree-enumeration"
+    n = a ** m
+    if a > 1 and math.comb(n * m * (a - 1) // 2, n - 1) <= _TREE_ENUM_MAX:  # one word has no edge
+        def solve(mu, nu):
+            excess = mu - nu
+            return _certify_flow(_tree_flow(excess, a, m), excess, a, m)
+
+        return solve, "tree-enumeration"
     atoms = _word_cube(a, m)
     return _value_solver(atoms, atoms)
 
 
 # -- enumerated spanning-tree flows on small cubes ---------------------------
-
-
-def _spanning_tree_count(a: int, m: int) -> int:
-    """Spanning trees of the Hamming graph on the a^m words (matrix-tree theorem).
-
-    The graph's Laplacian has eigenvalue a*k with multiplicity C(m, k)(a-1)^k
-    for k = 0..m, and the count is the product of the nonzero eigenvalues over
-    the a^m nodes: 4 for the 4-cycle, 384 for the 3-cube, 42,467,328 for the
-    4-cube.
-    """
-    count = 1
-    for k in range(1, m + 1):
-        count *= (a * k) ** (math.comb(m, k) * (a - 1) ** k)
-    return count // a ** m
 
 
 @dataclass(frozen=True)
@@ -617,7 +622,7 @@ class _TreeTable:
 
 @lru_cache(maxsize=8)
 def _tree_table(a: int, m: int) -> _TreeTable:
-    """Enumerate the cube's spanning trees and potentials; callers gate on the count."""
+    """Enumerate the cube's spanning trees and potentials; callers gate on the subset count."""
     tails, heads = _hamming_arcs(a, m)
     once = tails < heads
     tails, heads = tails[once], heads[once]
@@ -626,8 +631,8 @@ def _tree_table(a: int, m: int) -> _TreeTable:
     incidence[tails, np.arange(n_edges)] = 1.0
     incidence[heads, np.arange(n_edges)] = -1.0
     # an (n - 1)-edge subset is a tree iff its incidence without node 0 is
-    # invertible; the inverse has entries in {-1, 0, 1}.  Under the gate the
-    # longest subset list is the 3-cube's C(12, 7) = 792.
+    # invertible; the inverse has entries in {-1, 0, 1}.  The gate bounds the
+    # number of subsets, so every array built here.
     subsets = np.array(list(itertools.combinations(range(n_edges), n - 1)))
     blocks = incidence[1:, subsets].transpose(1, 0, 2)
     is_tree = np.abs(np.linalg.det(blocks)) > 0.5
@@ -646,13 +651,14 @@ def _tree_table(a: int, m: int) -> _TreeTable:
     return _TreeTable(tails, heads, subsets[is_tree], flow_maps, phi)
 
 
-def _tree_flow(excess: np.ndarray, table: _TreeTable):
+def _tree_flow(excess: np.ndarray, a: int, m: int):
     """Cheapest spanning-tree flow of ``excess`` and the best integer potential.
 
-    Returns the tree's arcs oriented along their flow (``tails``, ``heads``),
-    the non-negative arc flows, and the potentials phi (phi[0] = 0) per unit
-    of the arc cost.
+    Returns the flow record ``(tails, heads, flow, phi)``: the tree's arcs
+    oriented along their flow, the non-negative arc flows, and the potentials
+    phi (phi[0] = 0) in units of the cost.
     """
+    table = _tree_table(a, m)
     span = table.trees.shape[1]
     flows = (table.flow_maps @ excess[1:]).reshape(-1, span)
     best = int(np.abs(flows).sum(axis=1).argmin())
@@ -662,20 +668,7 @@ def _tree_flow(excess: np.ndarray, table: _TreeTable):
     tails = np.where(forward, table.tails[edges], table.heads[edges])
     heads = np.where(forward, table.heads[edges], table.tails[edges])
     phi = table.potentials[int((table.potentials @ excess).argmax())]
-    return tails, heads, np.abs(flow), phi
-
-
-def _tree_value(excess: np.ndarray, table: _TreeTable, a: int, m: int) -> float:
-    """Certified flow optimum of ``excess`` from the enumerated trees and potentials."""
-    tails, heads, flow, phi = _tree_flow(excess, table)
-    n = len(excess)
-    net = np.bincount(tails, flow, n) - np.bincount(heads, flow, n)
-    # node 0's row is implied by the others, as the solve dropped it
-    if not (flow.min() >= -_CERT_TOL and np.abs(net[1:] - excess[1:]).max() <= _CERT_TOL):
-        raise NonConvergenceError("flow certificate failed: infeasible flow")
-    value = float(flow.sum()) / m
-    _certify_flow(phi / m, excess, value, a, m)
-    return value
+    return tails, heads, np.abs(flow), phi / m
 
 
 def dbar_between(atoms_x, weights_x, atoms_y, weights_y) -> Coupling:
@@ -744,16 +737,13 @@ def _value_solver(atoms_x: np.ndarray, atoms_y: np.ndarray):
 
     def solve(wx, wy):
         excess = _on_cube(wx, nodes_x, a ** m) - _on_cube(wy, nodes_y, a ** m)
-        flow, phi = _hamming_flow(excess, a, m)
-        value = float(flow.sum()) / m
-        _certify_flow(phi, excess, value, a, m)
-        return value
+        return _certify_flow(_hamming_flow(excess, a, m), excess, a, m)
 
     return solve, "hamming-flow"
 
 
-def dbar_empirical(samples_x, samples_y, bootstrap: int = 200, seed: int = 0,
-                   atom_cap: int = DBAR_ATOM_CAP) -> EmpiricalTransport:
+def dbar_empirical(samples_x, samples_y, bootstrap: int = 200,
+                   seed: int = 0) -> EmpiricalTransport:
     """Plug-in estimate with a percentile bootstrap interval (fixed seed).
 
     Inputs are (n, m) arrays of sampled windows.  Resampling happens on the
@@ -767,7 +757,7 @@ def dbar_empirical(samples_x, samples_y, bootstrap: int = 200, seed: int = 0,
         raise ValueError("bootstrap must be >= 2")
     atoms_x, wx = _empirical(xs)
     atoms_y, wy = _empirical(ys)
-    if len(atoms_x) > atom_cap or len(atoms_y) > atom_cap:
+    if len(atoms_x) > DBAR_ATOM_CAP or len(atoms_y) > DBAR_ATOM_CAP:
         raise AtomBudgetError("empirical support exceeds the atom cap")
     solve, engine = _value_solver(atoms_x, atoms_y)
     point = solve(wx, wy)

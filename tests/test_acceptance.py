@@ -113,7 +113,7 @@ def test_c3_exponent_random_chains(accept):
 
 def test_c4_bayes_error_bound(accept):
     """C4: sampled Bayes error respects exp(-n*C) + 3 sigma; the interpolation
-    minimum from golden-section search matches a dense grid to 1e-5."""
+    minimum from the bounded Brent search matches a dense grid to 1e-5."""
     p_vec, q_vec = np.array([0.5, 0.5]), np.array([0.9, 0.1])
     info = chernoff(p_vec, q_vec)
     p, q = iid_model(p_vec), iid_model(q_vec)

@@ -34,7 +34,7 @@ from markovdetect.hypotest import (
 from markovdetect.infometrics import chernoff, kl_rate
 from markovdetect.markov import (MarkovModel, _guide_table, chain_model, fit_empirical,
                                  iid_model, sample)
-from markovdetect.util import decode, encode
+from markovdetect.util import decode, encode, spawn_rng
 from oracles import (loop_log_likelihood, model_from_dicts, recursive_compositions,
                      whittle_binary_chain_table)
 
@@ -245,6 +245,29 @@ def test_class_statistic_on_every_table_engine(rng):
             assert ranked == pytest.approx(lrt_statistic(p, q, seq), rel=1e-12, abs=1e-12)
     p3 = chain_model(rng.dirichlet(np.ones(3), size=3))
     assert class_statistic(p3, p3, sample(p3, 20, 0)) is None
+
+
+def test_order0_mc_threshold_ties_decide_null():
+    """The all-order-0 walk scores counts times log rows, which can differ
+    from lrt_statistic in the last bits.  Over 40 random 17-symbol pairs at
+    n = 60, where the i.i.d. lattice is too large and Monte Carlo calibrates,
+    a text with the counts of the calibration trial that sits on the
+    threshold ties with it, and a tie goes to the null."""
+    gen = np.random.default_rng(0)
+    rescued = 0
+    for _ in range(40):
+        p = iid_model(gen.dirichlet(np.ones(17)))
+        q = iid_model(gen.dirichlet(np.ones(17)))
+        assert hypotest._table_engine(p, q, 60) is None
+        threshold = np_threshold(p, q, 60, 0.1, trials=10_000, seed=0)
+        stats = _mc_stats(p, p, q, 60, 10_000, spawn_rng(0, 10, 0))
+        counts = spawn_rng(0, 10, 0).multinomial(60, p.row(()), size=10_000)
+        on_threshold = counts[np.flatnonzero(stats == threshold)[0]]
+        seq = TokenSeq(np.repeat(np.arange(17), on_threshold))
+        assert class_statistic(p, q, seq) == threshold
+        assert class_statistic(p, q, seq, method="mc") == threshold
+        rescued += lrt_statistic(p, q, seq) < threshold
+    assert rescued > 0
 
 
 def test_degenerate_statistic_warns(fair_vs_biased):
@@ -716,6 +739,14 @@ def test_bayes_error_validates_prior(fair_vs_biased):
     p, q = fair_vs_biased
     with pytest.raises(ValueError):
         bayes_error(p, q, 10, prior=0.0)
+
+
+def test_bayes_error_validates_length_and_trials(fair_vs_biased):
+    p, q = fair_vs_biased
+    with pytest.raises(ValueError, match="n must be"):
+        bayes_error(p, q, 0)
+    with pytest.raises(ValueError, match="1000 trials"):
+        bayes_error(p, q, 20, trials=10, method="mc")
 
 
 def test_bayes_error_rejects_unknown_method(fair_vs_biased):

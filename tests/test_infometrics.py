@@ -17,7 +17,6 @@ from markovdetect.infometrics import (
     estimate_profile,
     estimation_coefficient,
     exponent_from_entropies,
-    golden_section_min,
     kl,
     kl_rate,
     perplexity,
@@ -128,11 +127,6 @@ def test_nan_entry_rejected(func):
     if func is not entropy:
         with pytest.raises(ValueError):
             func([0.25] * 4, bad)
-
-
-def test_golden_section_finds_quadratic_min():
-    x = golden_section_min(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0, tol=1e-9)
-    assert x == pytest.approx(0.3, abs=1e-6)
 
 
 # -- divergence rates -------------------------------------------------------

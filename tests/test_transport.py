@@ -283,16 +283,6 @@ def test_certificates_reject_nan_duals(rng):
     with pytest.raises(NonConvergenceError):
         transport._certify(cost, mu, nu, entries, u, v, np.nan)
 
-    m = 5
-    mu = rng.dirichlet(np.ones(2 ** m))
-    nu = rng.dirichlet(np.ones(2 ** m))
-    flow, phi = transport._hamming_flow(mu - nu, 2, m)
-    value = float(flow.sum()) / m
-    transport._certify_flow(phi, mu - nu, value, 2, m)
-    phi[3] = np.nan
-    with pytest.raises(NonConvergenceError):
-        transport._certify_flow(phi, mu - nu, value, 2, m)
-
 
 def test_validate_rejects_nan_mass(rng):
     coupling = dbar_exact(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)), 2)
@@ -453,8 +443,8 @@ def test_empirical_certifies_every_solve(rng, monkeypatch):
 
     def off_flow(*args):
         calls["flow"] += 1
-        flow, phi = real_flow(*args)
-        return flow, (phi * 1.01 if calls["flow"] > 1 else phi)
+        tails, heads, flow, phi = real_flow(*args)
+        return tails, heads, flow, (phi * 1.01 if calls["flow"] > 1 else phi)
 
     monkeypatch.setattr(transport, "solve_transport", off_simplex)
     monkeypatch.setattr(transport, "_hamming_flow", off_flow)
@@ -503,7 +493,6 @@ def _kirchhoff(alphabet_size, m):
 def test_tree_table_holds_every_tree_and_lipschitz_potential(alphabet_size, m, trees):
     table = transport._tree_table(alphabet_size, m)
     assert len(table.trees) == _kirchhoff(alphabet_size, m) == trees
-    assert transport._spanning_tree_count(alphabet_size, m) == trees
     tails, heads = transport._hamming_arcs(alphabet_size, m)
     phi = table.potentials
     assert (phi[:, 0] == 0).all() and (phi == np.rint(phi)).all()
@@ -511,10 +500,17 @@ def test_tree_table_holds_every_tree_and_lipschitz_potential(alphabet_size, m, t
     assert len(np.unique(phi, axis=0)) == len(phi)
 
 
-def test_kirchhoff_gate_keeps_larger_cubes_off_enumeration():
-    assert transport._spanning_tree_count(2, 4) == _kirchhoff(2, 4) == 42_467_328
-    assert transport._spanning_tree_count(3, 2) == _kirchhoff(3, 2) == 11_664
-    assert transport._spanning_tree_count(6, 1) == 1296 > transport._TREE_ENUM_MAX
+def test_subset_gate_picks_the_enumerated_cubes(rng):
+    """Tree enumeration answers the cubes with at most _TREE_ENUM_MAX edge
+    subsets of size a^m - 1 (K_2..K_5, the 4-cycle, the 3-cube's 792); K_6's
+    3,003, the 3x3 rook graph's 43,758 and the 4-cube's stay on the simplex."""
+    assert math.comb(12, 7) == 792 <= transport._TREE_ENUM_MAX < math.comb(15, 5) == 3003
+    enumerated = {(2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (5, 1)}
+    for alphabet_size, m in sorted(enumerated | {(2, 4), (3, 2), (6, 1)}):
+        n = alphabet_size ** m
+        mu, nu = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        _, engine = dbar_value(mu, nu, m, alphabet_size=alphabet_size)
+        assert engine == ("tree-enumeration" if (alphabet_size, m) in enumerated else "simplex")
 
 
 def test_larger_cubes_fall_back_without_enumerating(rng, monkeypatch):
@@ -535,22 +531,56 @@ def test_larger_cubes_fall_back_without_enumerating(rng, monkeypatch):
         transport._cube_solver.cache_clear()
 
 
-def test_tree_enumeration_certifies_every_solve(rng, monkeypatch):
-    mu, nu = rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(8))
-    real = transport._tree_flow
+_RECORD_FAULTS = {
+    "nan potential": lambda tails, heads, flow, phi: (
+        tails, heads, flow, np.where(np.arange(len(phi)) == 3, np.nan, phi)),
+    "scaled potential": lambda tails, heads, flow, phi: (tails, heads, flow, phi * 1.01),
+    "perturbed flow": lambda tails, heads, flow, phi: (
+        tails, heads, flow + 1e-6 * (np.arange(len(flow)) == 0), phi),
+}
 
-    def off_potential(*args):
-        tails, heads, flow, phi = real(*args)
-        return tails, heads, flow, phi * 1.01
 
-    def off_flow(*args):
-        tails, heads, flow, phi = real(*args)
-        return tails, heads, flow + 1e-6 * (np.arange(len(flow)) == 0), phi
+def _certifies_every_solve(monkeypatch, rng, solver, m):
+    """Each fault in the record ``solver`` returns raises on a later solve of
+    a cube whose first solve passed."""
+    mu, nu = rng.dirichlet(np.ones(2 ** m)), rng.dirichlet(np.ones(2 ** m))
+    real = getattr(transport, solver)
+    for fault in _RECORD_FAULTS.values():
+        calls = []
 
-    for off in (off_potential, off_flow):
-        monkeypatch.setattr(transport, "_tree_flow", off)
+        def faulty(*args):
+            calls.append(args)
+            record = real(*args)
+            return fault(*record) if len(calls) > 1 else record
+
+        monkeypatch.setattr(transport, solver, faulty)
+        dbar_value(mu, nu, m)
         with pytest.raises(NonConvergenceError):
-            dbar_value(mu, nu, 3)
+            dbar_value(mu, nu, m)
+    return mu, nu
+
+
+def test_tree_enumeration_certifies_every_solve(rng, monkeypatch):
+    _certifies_every_solve(monkeypatch, rng, "_tree_flow", 3)
+
+
+def test_hamming_flow_certifies_every_solve(rng, monkeypatch):
+    """The coupling path certifies the same record as the value path."""
+    mu, nu = _certifies_every_solve(monkeypatch, rng, "_hamming_flow", 5)
+    with pytest.raises(NonConvergenceError):
+        dbar_exact(mu, nu, 5)
+
+
+def test_flow_engines_accept_totals_apart_within_tolerance(rng):
+    """The laws' totals may each be 1e-9 off one, so the excess may not sum
+    to zero.  Each flow engine leaves a different node's balance implied
+    (node 0 on tree enumeration, the last node on HiGHS), and the
+    certificate accepts both."""
+    for m in (3, 5):
+        mu = rng.dirichlet(np.ones(2 ** m))
+        nu = rng.dirichlet(np.ones(2 ** m))
+        value, _ = dbar_value(mu * (1 + 0.9e-9), nu * (1 - 0.9e-9), m)
+        assert value == pytest.approx(dbar_value(mu, nu, m)[0], abs=1e-8)
 
 
 # -- golden artifact bytes ----------------------------------------------------
