@@ -7,10 +7,11 @@ The package is organized bottom-up:
   sources, sampling and scoring;
 - :mod:`markovdetect.infometrics` — entropies, divergences, divergence rates,
   and continuity profiles of sources;
-- :mod:`markovdetect.transport` — exact per-letter transport distances via a
-  min-cost flow on the Hamming graph, a transportation simplex or, on the
-  smallest word cubes, an enumeration of spanning-tree flows, all with dual
-  certificates;
+- :mod:`markovdetect.transport` — exact per-letter transport distances, each
+  one certified min-cost flow: on the Hamming graph of the word cube, by
+  enumerated spanning-tree flows on the smallest cubes and HiGHS on the
+  others, or by HiGHS on the bipartite graph of supports that do not embed
+  in a cube;
 - :mod:`markovdetect.hypotest` — calibrated likelihood-ratio tests, miss
   probabilities, error-exponent fits, Bayes error;
 - :mod:`markovdetect.bounds_lab` — bound evaluation and inequality probes on

@@ -332,7 +332,8 @@ _REPORT_READERS = {
     "exponent.json": lambda d: (
         f"exponent: fitted {d['slope']:.6f} vs theory {d['theory']:.6f} "
         f"over n={d['n_grid']}"),
-    "dbar.json": lambda d: f"transport: {d['value']}",
+    "dbar.json": lambda d: (
+        f"transport: {d['value']} ({d.get('engine', 'unrecorded')} engine)"),
     "ct_bound.json": lambda d: f"bound: {d['bound']} at order {d['order']}",
     "probe.json": lambda d: (
         f"probe: sup ratio {d['sup_ratio']:.6f} over {d['instance_count']} "

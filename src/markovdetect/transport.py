@@ -1,44 +1,36 @@
 """Ornstein-style per-letter transport distance between sequence laws.
 
-Three exact engines answer, chosen by the size of the word cube a^m that both
-supports embed in (a symbols, window m):
+Every solve is a min-cost flow of mu - nu on a graph whose nodes are words
+and whose arcs cost their Hamming distance over the window m.  When the
+ground cost is the graph's shortest-path metric, the transport optimum equals
+the cheapest such flow (the Beckmann / EMD-L1 reduction of Ling & Okada,
+2007).  ``_flow_graph``, the one engine selector, picks the graph and its
+engine from the two supports alone, so ``dbar_between``, ``dbar_exact``,
+``dbar_empirical`` and ``dbar_value`` name the same engine on the same
+supports:
 
-- ``"hamming-flow"`` for 16 < a^m <= ``DBAR_ATOM_CAP``.  The ground cost
-  Hamming/m is the shortest-path metric of the Hamming graph (words joined
-  when they differ in one letter, each edge costing 1/m), so the transport
-  optimum equals a min-cost flow of mu - nu on that graph (the Beckmann /
-  EMD-L1 reduction of Ling & Okada, 2007).  The flow LP has a^m * m * (a-1)
-  arcs instead of the a^(2m) cells of the dense problem, and HiGHS solves it
-  through ``scipy.optimize.linprog``.  Words missing from a support are
-  zero-mass nodes.  The coupling is the diagonal min(mu, nu) plus a
-  decomposition of the flow into paths.
-- ``"simplex"``, a self-contained transportation simplex (northwest-corner
-  start, dual/MODI pivots) on the dense cost matrix, for cubes of at most 16
-  atoms and for cubes above the cap, whose supports are solved as given.  A
-  whole ``dbar_exact`` call on it takes about 0.08 ms at 4 atoms and 0.15 ms
-  at 8 atoms, against about 2.9 ms for one HiGHS call on the same cube's
-  flow (2-vCPU Intel Xeon VM).  The basis is a spanning tree of rows and
-  columns held as the allocation dict plus each node's basic neighbours; a
-  pivot runs one depth-first search from row 0 for the duals and parent
-  pointers and closes the entering cell's cycle along the tree path.  Since
-  a tree fixes every dual as one chain of subtractions from u_0 = 0 and has
-  one path between two nodes, the results do not depend on the traversal.
-- ``"tree-enumeration"``, value only (``dbar_value``), for whole cubes whose
-  Hamming graph has at most ``_TREE_ENUM_MAX`` edge subsets of the size of a
-  spanning tree: K_2..K_5, the 4-cycle and the 3-cube (792 subsets).  The
-  flow LP's optimum is the cheapest spanning-tree flow and its dual optimum
-  the best integer 1/m-Lipschitz potential, so both are enumerated once per
-  cube (384 trees and 495 potentials on the 3-cube, built in about 2 ms) and
-  a solve is two small matrix products: about 0.025 ms at 4 atoms and
-  0.035 ms at 8 atoms, numpy only.  ``dbar_value`` answers every other cube
-  through the engine ``dbar_empirical`` would use on it.
+- The Hamming cube a^m (a symbols), when both supports embed in it: distinct
+  words, non-negative letters and a^m <= ``DBAR_ATOM_CAP``.  Words are joined
+  when they differ in one letter, each arc costing 1/m, and words missing
+  from a support are zero-mass nodes.  Cubes with at most ``_TREE_ENUM_MAX``
+  edge subsets of a spanning tree's size (K_2..K_5, the 4-cycle and the
+  3-cube) answer by ``"tree-enumeration"``: the flow LP's optimum is the
+  cheapest spanning-tree flow and its dual optimum the best integer
+  1/m-Lipschitz potential, so both are enumerated once per cube (384 trees
+  and 495 potentials on the 3-cube, built in about 2 ms) and a solve is two
+  small matrix products, numpy only.  Every other cube answers by
+  ``"hamming-flow"``: HiGHS through ``scipy.optimize.linprog`` on the
+  a^m * m * (a-1) arcs, instead of the a^(2m) cells of the dense problem.
+- The bipartite support graph x -> y, for supports that do not embed (a cube
+  above the cap, a word listed twice, a negative letter): one arc from each
+  x atom to each y atom.  The same HiGHS call solves it as
+  ``"support-flow"``, and its flow is the coupling itself.
 
-Every engine returns dual prices, so optimality is certified rather than
-taken on faith: both flow engines return one record of arcs, flows and node
-potentials, which ``_certify_flow`` checks for a conserving non-negative flow,
-potentials that are 1/m-Lipschitz on every arc of the cube and a zero duality
-gap; on the simplex path by dual feasibility, complementary slackness and a zero
-duality gap on the cost matrix.  Monte Carlo or entropic shortcuts are
+Every engine returns one record of arcs, flows and node potentials, and
+``_certify_flow`` checks each one: a conserving non-negative flow, potentials
+that drop by no more than an arc's cost along every arc of the graph, and a
+zero duality gap.  A coupling is the diagonal min(mu, nu) plus a
+decomposition of the flow into paths.  Monte Carlo or entropic shortcuts are
 deliberately absent: callers that need the distance get the exact optimum or
 an error.
 """
@@ -57,11 +49,9 @@ from .errors import AtomBudgetError, NonConvergenceError
 from .util import JsonRecord, decode, encode, fmt17, spawn_rng
 
 DBAR_ATOM_CAP = 4096
-_SIMPLEX_MAX_ATOMS = 16  # cubes this small stay on the simplex: one HiGHS call costs more
-_RC_TOL = 1e-11
 _CERT_TOL = 1e-9
-# HiGHS defaults (1e-7) left Dirichlet(0.05) laws 4.6e-8 off the simplex
-# optimum, beyond the 1e-9 certificate; at 1e-10 the gap stays below 5e-11.
+# HiGHS defaults (1e-7) left Dirichlet(0.05) laws 4.6e-8 off the optimum,
+# beyond the 1e-9 certificate; at 1e-10 the gap stays below 5e-11.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 _FLOW_EPS = 1e-12  # flows and masses at or below this are rounding residue
 # cubes with at most this many (n - 1)-edge subsets, the candidate spanning
@@ -90,11 +80,6 @@ def hamming_cost(x, y) -> float:
     return float(np.mean(x != y))
 
 
-def _cost_matrix(atoms_x: np.ndarray, atoms_y: np.ndarray) -> np.ndarray:
-    # mismatch counts over m, the same floats as the mean without its overhead
-    return (atoms_x[:, None, :] != atoms_y[None, :, :]).sum(axis=2) / atoms_x.shape[1]
-
-
 @dataclass
 class Coupling:
     """Optimal transport plan plus the dual prices certifying it."""
@@ -107,17 +92,24 @@ class Coupling:
     dual_x: np.ndarray
     dual_y: np.ndarray
     value: float
-    engine: str  # "simplex" or "hamming-flow"
+    engine: str  # "tree-enumeration", "hamming-flow" or "support-flow"
 
     def validate(self) -> None:
+        """Non-negative masses whose marginals are the weights.
+
+        The weights' totals may differ by rounding, and a plan can match only
+        one of them, so the marginals may be off by that difference on top of
+        the certificate tolerance.
+        """
         i, j, mass = _entry_columns(self.entries)
         if (mass < -_CERT_TOL).any():
             raise ValueError("negative mass in coupling")
         row = np.bincount(i, weights=mass, minlength=len(self.atoms_x))
         col = np.bincount(j, weights=mass, minlength=len(self.atoms_y))
+        tol = _CERT_TOL + abs(float(self.weights_x.sum() - self.weights_y.sum()))
         # written so that a NaN mass or weight fails the check
-        if not (np.abs(row - self.weights_x).max() <= _CERT_TOL
-                and np.abs(col - self.weights_y).max() <= _CERT_TOL):
+        if not (np.abs(row - self.weights_x).max() <= tol
+                and np.abs(col - self.weights_y).max() <= tol):
             raise ValueError("coupling marginals do not match")
 
     def to_json(self) -> dict:
@@ -147,224 +139,96 @@ class Coupling:
                 ])
 
 
-def _northwest_corner(a: list[float], b: list[float]) -> dict[tuple[int, int], float]:
-    """Northwest-corner start: nr + nc - 1 basic cells, a spanning tree."""
-    nr, nc = len(a), len(b)
-    left_a = list(a)
-    left_b = list(b)
-    alloc = {}
-    i = j = 0
-    while True:
-        x = min(left_a[i], left_b[j])
-        alloc[(i, j)] = x
-        left_a[i] -= x
-        left_b[j] -= x
-        if i == nr - 1 and j == nc - 1:
-            return alloc
-        if left_a[i] <= 1e-15 and i < nr - 1:
-            i += 1
-        else:
-            j += 1
-
-
-def _basis_tree(nbrs, edge_cost):
-    """Duals, parent pointers and depths of the basis tree, by one DFS from row 0.
-
-    Nodes are the rows 0..nr-1 and the columns nr..; ``nbrs`` lists each
-    node's basic neighbours and ``edge_cost[x][y]`` is the cost of the cell
-    joining nodes x and y.  Every dual is fixed by the basic cell joining its
-    node to the parent (u_0 = 0, u_i + v_j = c_ij on the cell).
-    """
-    n = len(nbrs)
-    duals = [0.0] * n
-    parent = [-1] * n
-    depth = [-1] * n
-    depth[0] = 0
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        below = depth[node] + 1
-        costs = edge_cost[node]
-        base = duals[node]
-        for other in nbrs[node]:
-            if depth[other] < 0:
-                depth[other] = below
-                parent[other] = node
-                duals[other] = costs[other] - base
-                stack.append(other)
-    if min(depth) < 0:
-        raise NonConvergenceError("basis graph is disconnected")
-    return duals, parent, depth
-
-
-def _tree_path(parent, depth, start, goal, nr):
-    """Basic cells on the tree path from node ``start`` to node ``goal``.
-
-    Both ends climb the parent pointers to their lowest common ancestor.
-    """
-    up, down = [start], [goal]
-    while depth[up[-1]] > depth[down[-1]]:
-        up.append(parent[up[-1]])
-    while depth[down[-1]] > depth[up[-1]]:
-        down.append(parent[down[-1]])
-    while up[-1] != down[-1]:
-        up.append(parent[up[-1]])
-        down.append(parent[down[-1]])
-    nodes = up + down[-2::-1]
-    return [(x, y - nr) if x < nr else (y, x - nr) for x, y in zip(nodes, nodes[1:])]
-
-
-def solve_transport(supply, demand, cost, rule: str = "dantzig"):
-    """Exact transportation optimum for positive supplies/demands.
-
-    Returns (value, allocation dict, u, v) with u/v dual prices satisfying
-    u_i + v_j <= c_ij everywhere and equality on allocated cells.
-
-    Pivot rules: northwest-corner start; Dantzig entering cell, the first
-    minimum of the reduced costs in row-major order with basic cells at 0
-    (Bland: the first negative one); leaving cell, the first minus cell of
-    the cycle, listed from the entering cell's column back to its row, whose
-    mass is at most theta; a Bland retry when the pivot budget runs out.
-
-    The basis is a spanning tree of rows and columns, kept as the allocation
-    dict (cells in the order they entered) and each node's basic neighbours.
-    Each pivot runs one DFS from row 0 for the duals, parent pointers and
-    depths, and the cycle is the tree path found by climbing both ends to
-    their lowest common ancestor.  In a tree each dual is the same chain of
-    subtractions from u_0 = 0 whatever order the search takes, and the path
-    is unique, so the pivots, duals and allocations do not depend on the
-    traversal.  The value is summed over the basis in that order.
-    """
-    a = np.asarray(supply, dtype=float)
-    b = np.asarray(demand, dtype=float)
-    cost = np.asarray(cost, dtype=float)
-    if not abs(a.sum() - b.sum()) <= 1e-9:
-        raise ValueError("total supply and demand differ")
-    if not (a.min() > 0 and b.min() > 0):
-        raise ValueError("solver core requires strictly positive masses")
-    nr, nc = cost.shape
-    c = cost.tolist()
-    # cost of the cell joining two nodes, indexed by node number from either end
-    edge_cost = [[0.0] * nr + row for row in c] + [col + [0.0] * nc for col in cost.T.tolist()]
-    alloc = _northwest_corner(a.tolist(), b.tolist())
-    nbrs: list[list[int]] = [[] for _ in range(nr + nc)]
-    for i, j in alloc:
-        nbrs[i].append(nr + j)
-        nbrs[nr + j].append(i)
-    max_iter = 200 * (nr + nc) + 2000
-    for _ in range(max_iter):
-        duals, parent, depth = _basis_tree(nbrs, edge_cost)
-        d = np.array(duals)
-        u, v = d[:nr], d[nr:]
-        rc = cost - u[:, None] - v[None, :]
-        for cell in alloc:
-            rc[cell] = 0.0
-        if rule == "dantzig":  # first minimum in row-major order
-            k = int(rc.argmin())
-            if rc.flat[k] >= -_RC_TOL:
-                break
-        else:  # bland: first negative in row-major order
-            neg = np.flatnonzero(rc < -_RC_TOL)
-            if len(neg) == 0:
-                break
-            k = int(neg[0])
-        enter = divmod(k, nc)
-        cycle = [enter] + _tree_path(parent, depth, nr + enter[1], enter[0], nr)
-        minus = cycle[1::2]
-        theta = min(alloc[cell] for cell in minus)
-        leave = next(cell for cell in minus if alloc[cell] <= theta)
-        alloc[enter] = 0.0 + theta
-        for cell in cycle[2::2]:
-            alloc[cell] += theta
-        for cell in minus:
-            alloc[cell] -= theta
-        del alloc[leave]
-        nbrs[leave[0]].remove(nr + leave[1])
-        nbrs[nr + leave[1]].remove(leave[0])
-        nbrs[enter[0]].append(nr + enter[1])
-        nbrs[nr + enter[1]].append(enter[0])
-    else:
-        if rule == "dantzig":  # extremely degenerate instance: retry with Bland
-            return solve_transport(supply, demand, cost, rule="bland")
-        raise NonConvergenceError("transportation simplex exceeded its pivot budget")
-    value = 0.0  # summed in basis order, one rounding per cell
-    for (i, j), mass in alloc.items():
-        value += c[i][j] * mass
-    return value, alloc, u, v
-
-
-def _solve_with_zeros(wx, wy, cost):
-    """Certified simplex optimum: drops zero-mass atoms and extends duals feasibly."""
-    wx = np.asarray(wx, dtype=float)
-    wy = np.asarray(wy, dtype=float)
-    keep_x = wx > 0
-    keep_y = wy > 0
-    ix = np.flatnonzero(keep_x)
-    iy = np.flatnonzero(keep_y)
-    value, alloc, u_r, v_r = solve_transport(wx[ix], wy[iy], cost[ix[:, None], iy])
-    u = np.empty(len(wx))
-    v = np.empty(len(wy))
-    u[ix] = u_r
-    v[iy] = v_r
-    if len(iy) < len(wy):
-        drop_y = ~keep_y
-        v[drop_y] = (cost[ix][:, drop_y] - u[ix][:, None]).min(axis=0)
-    if len(ix) < len(wx):
-        # against the *full* v so dead (drop_x, drop_y) cells stay feasible too
-        drop_x = ~keep_x
-        u[drop_x] = (cost[drop_x] - v[None, :]).min(axis=1)
-    ix = ix.tolist()
-    iy = iy.tolist()
-    entries = [(ix[ri], iy[rj], mass) for (ri, rj), mass in sorted(alloc.items()) if mass > 0]
-    _certify(cost, wx, wy, entries, u, v, value)
-    return value, entries, u, v
-
-
 def _entry_columns(entries):
     """Row indices, column indices and masses of (i, j, mass) plan entries."""
     i, j, mass = zip(*entries) if entries else ((), (), ())
     return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(mass, dtype=float)
 
 
-def _certify(cost, wx, wy, entries, u, v, value):
-    # comparisons are written so that a NaN anywhere fails them
-    slack = cost - u[:, None] - v[None, :]
-    if not slack.min() >= -_CERT_TOL:
-        raise NonConvergenceError("dual certificate failed: infeasible prices")
-    i, j, mass = _entry_columns(entries)
-    if not (np.abs(slack[i, j]) <= _CERT_TOL)[mass > 1e-12].all():
-        raise NonConvergenceError("dual certificate failed: slackness violated")
-    dual_value = float(wx @ u + wy @ v)
-    if not abs(dual_value - value) <= _CERT_TOL:
-        raise NonConvergenceError("dual certificate failed: duality gap")
+# -- the flow graphs and the engine selector ---------------------------------
 
 
-# -- min-cost flow on the Hamming graph -------------------------------------
+@dataclass(frozen=True)
+class _FlowGraph:
+    """One transport graph set up for two supports, and the engine that solves it.
 
-
-def _embed(ax: np.ndarray, ay: np.ndarray):
-    """Place two (n, m) atom arrays in the word cube a^m for the flow engine.
-
-    Letters index the alphabet directly, so a is one past the largest letter.
-    Returns (a, nodes_x, nodes_y), the cube node of each atom, or None when the
-    simplex answers: the cube is small or above the cap, a letter is negative,
-    or a support lists one word twice.
+    Arc k runs from node ``tails[k]`` to node ``heads[k]`` and costs
+    ``hops[k] / m``; on the Hamming cube ``hops`` is None, since every arc
+    there changes one letter.  Atom i of the x support sits at node
+    ``nodes_x[i]`` and atom j of the y support at ``nodes_y[j]``.
     """
-    if ax.size == 0 or ay.size == 0:
-        return None
+
+    engine: str
+    m: int
+    size: int  # node count
+    tails: np.ndarray
+    heads: np.ndarray
+    hops: np.ndarray | None
+    nodes_x: np.ndarray
+    nodes_y: np.ndarray
+    whole: bool  # both supports list every node in node order
+    a: int = 0  # the cube's alphabet; 0 on the support graph
+    incidence: object = None  # conservation rows for HiGHS; None on tree enumeration
+
+    def excess(self, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+        """The weights' difference wx - wy on the graph's nodes."""
+        if self.whole:
+            return wx - wy
+        return _on_nodes(wx, self.nodes_x, self.size) - _on_nodes(wy, self.nodes_y, self.size)
+
+    def flow(self, excess: np.ndarray):
+        """The engine's flow record ``(tails, heads, flow, phi)`` of ``excess``."""
+        if self.engine == "tree-enumeration":
+            return _tree_flow(excess, self.a, self.m)
+        return _highs_flow(excess, self)
+
+    def value(self, wx: np.ndarray, wy: np.ndarray) -> float:
+        """Certified optimum between the supports weighted by ``wx`` and ``wy``."""
+        excess = self.excess(wx, wy)
+        return _certify_flow(self.flow(excess), excess, self)
+
+
+def _flow_graph(ax: np.ndarray, ay: np.ndarray) -> _FlowGraph:
+    """The graph and engine for two (n, m) supports: the one engine selector.
+
+    Letters index the alphabet directly, so the cube's a is one past the
+    largest letter.  The supports embed in the cube when a > 1 (a one-word
+    cube has no arcs), a^m <= ``DBAR_ATOM_CAP``, no letter is negative and
+    neither support lists a word twice.  Every other pair is solved on its
+    support graph, one arc from each x atom to each y atom.
+    """
     m = ax.shape[1]
     a = int(max(ax.max(), ay.max())) + 1
-    # size test first: small cubes, the common case, skip the other scans
-    if not _SIMPLEX_MAX_ATOMS < a ** m <= DBAR_ATOM_CAP or min(ax.min(), ay.min()) < 0:
-        return None
-    nodes_x = encode(ax, a)
-    nodes_y = encode(ay, a)
-    if len(np.unique(nodes_x)) < len(nodes_x) or len(np.unique(nodes_y)) < len(nodes_y):
-        return None
-    return a, nodes_x, nodes_y
+    n = a ** m
+    if 1 < a and n <= DBAR_ATOM_CAP and min(ax.min(), ay.min()) >= 0:
+        nodes_x, nodes_y = encode(ax, a), encode(ay, a)
+        # counted with bincount: np.unique would load numpy.ma on the probe's path
+        if np.bincount(nodes_x, minlength=n).max() == np.bincount(nodes_y, minlength=n).max() == 1:
+            every = np.arange(n)
+            engine = _cube_engine(a, m)
+            return _FlowGraph(
+                engine, m, n, *_hamming_arcs(a, m), None, nodes_x, nodes_y,
+                np.array_equal(nodes_x, every) and np.array_equal(nodes_y, every), a,
+                _hamming_incidence(a, m) if engine == "hamming-flow" else None)
+    nx, ny = len(ax), len(ay)
+    tails = np.repeat(np.arange(nx), ny)
+    heads = nx + np.tile(np.arange(ny), nx)
+    hops = (ax[:, None, :] != ay[None, :, :]).sum(axis=2).ravel()
+    return _FlowGraph("support-flow", m, nx + ny, tails, heads, hops, np.arange(nx),
+                      nx + np.arange(ny), False, incidence=_incidence(tails, heads, nx + ny))
 
 
-def _on_cube(weights: np.ndarray, nodes: np.ndarray, n: int) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _cube_engine(a: int, m: int) -> str:
+    """Tree enumeration on cubes with at most ``_TREE_ENUM_MAX`` subsets of
+    a^m - 1 of their a^m * m * (a - 1) / 2 edges, HiGHS on the others."""
+    n = a ** m
+    if math.comb(n * m * (a - 1) // 2, n - 1) <= _TREE_ENUM_MAX:
+        return "tree-enumeration"
+    return "hamming-flow"
+
+
+def _on_nodes(weights: np.ndarray, nodes: np.ndarray, n: int) -> np.ndarray:
     dense = np.zeros(n)
     dense[nodes] = weights
     return dense
@@ -392,46 +256,51 @@ def _hamming_arcs(a: int, m: int):
     return tails, heads
 
 
-@lru_cache(maxsize=8)
-def _hamming_incidence(a: int, m: int):
-    """Node-arc incidence of ``_hamming_arcs`` (+1 at the tail, -1 at the head)
-    without its last row, which the other rows imply because every column sums
-    to zero."""
+def _incidence(tails: np.ndarray, heads: np.ndarray, n: int):
+    """Node-arc incidence (+1 at the tail, -1 at the head) without its last
+    row, which the other rows imply because every column sums to zero."""
     from scipy.sparse import csc_matrix
-    tails, heads = _hamming_arcs(a, m)
     arcs = np.arange(len(tails))
     return csc_matrix(
         (np.repeat([1.0, -1.0], len(arcs)),
          (np.concatenate([tails, heads]), np.concatenate([arcs, arcs]))),
-        shape=(a ** m, len(arcs)),
+        shape=(n, len(arcs)),
     )[:-1]
 
 
-def _hamming_flow(excess: np.ndarray, a: int, m: int):
-    """Min-cost flow of ``excess`` (mu - nu on the cube) on the Hamming graph.
+@lru_cache(maxsize=8)
+def _hamming_incidence(a: int, m: int):
+    return _incidence(*_hamming_arcs(a, m), a ** m)
 
-    Returns the flow record ``(tails, heads, flow, phi)``: every arc of
-    ``_hamming_arcs``, its flow, and the node potentials phi that HiGHS
-    reports as duals of the conservation rows (phi = 0 on the last node).
+
+def _highs_flow(excess: np.ndarray, graph: _FlowGraph):
+    """Min-cost flow of ``excess`` on ``graph`` by HiGHS.
+
+    Returns the flow record ``(tails, heads, flow, phi)``: every arc of the
+    graph, its flow, and the node potentials phi that HiGHS reports as duals
+    of the conservation rows (phi = 0 on the last node).
     """
     from scipy.optimize import linprog
-    incidence = _hamming_incidence(a, m)
-    res = linprog(np.full(incidence.shape[1], 1.0 / m), A_eq=incidence, b_eq=excess[:-1],
-                  bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)
+    cost = np.full(len(graph.tails), 1.0 / graph.m) if graph.hops is None else graph.hops / graph.m
+    res = linprog(cost, A_eq=graph.incidence, b_eq=excess[:-1], bounds=(0, None),
+                  method="highs", options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise NonConvergenceError(f"min-cost flow failed: {res.message}")
-    return (*_hamming_arcs(a, m), res.x, np.append(res.eqlin.marginals, 0.0))
+    return graph.tails, graph.heads, res.x, np.append(res.eqlin.marginals, 0.0)
 
 
-def _certify_flow(record, excess: np.ndarray, a: int, m: int) -> float:
+def _certify_flow(record, excess: np.ndarray, graph: _FlowGraph) -> float:
     """Certified value of a flow record ``(tails, heads, flow, phi)`` of ``excess``.
 
-    The flow must be non-negative and balance the excess at every node but
-    one, whose balance the others imply up to the rounding of sum(excess):
-    each engine leaves a different node's row out of its solve.  The
-    potentials must be 1/m-Lipschitz on every arc of the cube, which gives
-    phi[x] - phi[y] <= hamming(x, y)/m + m * _CERT_TOL for every pair, so
-    (phi, -phi) are feasible transport duals; and the duality gap must be zero.
+    A record's arcs are the graph's in order (HiGHS) or some of the cube's
+    one-letter arcs (tree enumeration).  The flow must be non-negative and
+    balance the excess at every node but one, whose balance the others imply
+    up to the rounding of sum(excess): each engine leaves a different node's
+    row out of its solve.  Along every arc of the graph the potentials may
+    drop by at most the arc's cost.  On the cube that gives phi[x] - phi[y]
+    <= hamming(x, y)/m + m * _CERT_TOL for every pair of words, and the
+    support graph has an arc for every pair, so (phi, -phi) are feasible
+    transport duals.  The duality gap must be zero.
     """
     tails, heads, flow, phi = record
     n = len(excess)
@@ -440,24 +309,26 @@ def _certify_flow(record, excess: np.ndarray, a: int, m: int) -> float:
     # comparisons are written so that a NaN anywhere fails them
     if not (flow.min() >= -_CERT_TOL and off[-2] <= _CERT_TOL):
         raise NonConvergenceError("flow certificate failed: infeasible flow")
-    cube_tails, cube_heads = _hamming_arcs(a, m)
-    if not (phi[cube_tails] - phi[cube_heads]).max() <= 1.0 / m + _CERT_TOL:
-        raise NonConvergenceError("flow certificate failed: potentials not 1/m-Lipschitz")
-    value = float(flow.sum()) / m
+    unit = graph.hops is None
+    drop = phi[graph.tails] - phi[graph.heads]
+    if not (drop <= (1 if unit else graph.hops) / graph.m + _CERT_TOL).all():
+        raise NonConvergenceError("flow certificate failed: potentials drop past an arc's cost")
+    value = float(flow.sum() if unit else flow @ graph.hops) / graph.m
     if not abs(float(phi @ excess) - value) <= _CERT_TOL:
         raise NonConvergenceError("flow certificate failed: duality gap")
     return value
 
 
 def _flow_plan(mu, nu, record) -> dict[tuple[int, int], float]:
-    """Coupling on cube nodes: the diagonal min(mu, nu) plus the flow cut into paths.
+    """Coupling on graph nodes: the diagonal min(mu, nu) plus the flow cut into paths.
 
-    An optimal flow runs only along arcs where the potentials drop by 1/m, so
-    its support is acyclic and a walk along arcs with flow left ends at a node
-    with demand left.  Solver rounding (flows off by ~1e-12) can leave a walk
-    at a node with nothing to pass on; that arc's flow is rounding residue, so
-    it is retired and the walk steps back.  Each step empties a supply, a
-    demand or an arc; the residue dropped is judged by the marginal check.
+    An optimal flow runs only along arcs where the potentials drop by the
+    arc's cost, so its support is acyclic and a walk along arcs with flow left
+    ends at a node with demand left.  Solver rounding (flows off by ~1e-12)
+    can leave a walk at a node with nothing to pass on; that arc's flow is
+    rounding residue, so it is retired and the walk steps back.  Each step
+    empties a supply, a demand or an arc; the residue dropped is judged by the
+    marginal check.
     """
     tails, heads, flow, _ = record
     both = np.minimum(mu, nu)
@@ -504,29 +375,29 @@ def _flow_plan(mu, nu, record) -> dict[tuple[int, int], float]:
     return plan
 
 
-def _flow_coupling(ax, wx, ay, wy, a, nodes_x, nodes_y):
-    """Certified optimum, plan entries and duals from the flow engine."""
-    m = ax.shape[1]
-    n = a ** m
-    mu = _on_cube(wx, nodes_x, n)
-    nu = _on_cube(wy, nodes_y, n)
+def _flow_coupling(graph: _FlowGraph, ax, wx, ay, wy):
+    """Certified optimum, plan entries and duals of one flow solve."""
+    mu = _on_nodes(wx, graph.nodes_x, graph.size)
+    nu = _on_nodes(wy, graph.nodes_y, graph.size)
     excess = mu - nu
-    record = _hamming_flow(excess, a, m)
-    _certify_flow(record, excess, a, m)
+    record = graph.flow(excess)
+    _certify_flow(record, excess, graph)
     plan = _flow_plan(mu, nu, record)
-    row = np.full(n, -1)
-    row[nodes_x] = np.arange(len(nodes_x))
-    col = np.full(n, -1)
-    col[nodes_y] = np.arange(len(nodes_y))
+    row = np.full(graph.size, -1)
+    row[graph.nodes_x] = np.arange(len(ax))
+    col = np.full(graph.size, -1)
+    col[graph.nodes_y] = np.arange(len(ay))
     ends = np.array(list(plan), dtype=np.int64).reshape(-1, 2)
     i, j = row[ends[:, 0]], col[ends[:, 1]]
     mass = np.array(list(plan.values()))
-    value = float(mass @ (ax[i] != ay[j]).sum(axis=1)) / m
+    value = float(mass @ (ax[i] != ay[j]).sum(axis=1)) / graph.m
     phi = record[3]
-    if not abs(float(phi @ excess) - value) <= _CERT_TOL:  # the plan's own gap
+    # the plan's own gap; a plan ships at most the smaller total, and every
+    # cost is at most one, so its value may fall short by the totals' difference
+    if not abs(float(phi @ excess) - value) <= _CERT_TOL + abs(float(excess.sum())):
         raise NonConvergenceError("flow certificate failed: duality gap of the plan")
     entries = sorted(zip(i.tolist(), j.tolist(), mass.tolist()))
-    return value, entries, phi[nodes_x], -phi[nodes_y]
+    return value, entries, phi[graph.nodes_x], -phi[graph.nodes_y]
 
 
 @lru_cache(maxsize=8)
@@ -571,28 +442,19 @@ def dbar_exact(mu, nu, m: int, alphabet_size: int | None = None) -> Coupling:
 def dbar_value(mu, nu, m: int, alphabet_size: int | None = None) -> tuple[float, str]:
     """Certified value of ``dbar_exact(mu, nu, m, ...)`` and the engine that answered.
 
-    Builds no coupling.  Cubes with at most ``_TREE_ENUM_MAX`` edge subsets of
-    size a^m - 1, the candidate spanning trees, answer by
-    ``"tree-enumeration"``; every other cube by the engine ``dbar_empirical``
-    would use on it (``"simplex"`` up to 16 words, ``"hamming-flow"`` above).
+    Builds no coupling, and sets the cube's graph up once (``_cube_graph``),
+    so repeated calls on one cube cost a flow solve and its certificate.
     """
     mu, nu, alphabet_size = _cube_laws(mu, nu, m, alphabet_size)
-    solve, engine = _cube_solver(alphabet_size, m)
-    return solve(mu, nu), engine
+    graph = _cube_graph(alphabet_size, m)
+    return graph.value(mu, nu), graph.engine
 
 
 @lru_cache(maxsize=8)
-def _cube_solver(a: int, m: int):
-    """(solve, engine) for laws on the whole a^m cube, set up once per cube."""
-    n = a ** m
-    if a > 1 and math.comb(n * m * (a - 1) // 2, n - 1) <= _TREE_ENUM_MAX:  # one word has no edge
-        def solve(mu, nu):
-            excess = mu - nu
-            return _certify_flow(_tree_flow(excess, a, m), excess, a, m)
-
-        return solve, "tree-enumeration"
+def _cube_graph(a: int, m: int) -> _FlowGraph:
+    """The flow graph of the whole a^m word cube against itself."""
     atoms = _word_cube(a, m)
-    return _value_solver(atoms, atoms)
+    return _flow_graph(atoms, atoms)
 
 
 # -- enumerated spanning-tree flows on small cubes ---------------------------
@@ -672,21 +534,24 @@ def _tree_flow(excess: np.ndarray, a: int, m: int):
 
 
 def dbar_between(atoms_x, weights_x, atoms_y, weights_y) -> Coupling:
-    """Transport distance between two weighted atom sets (shared length)."""
+    """Transport distance between two weighted atom sets (shared length).
+
+    The weights are non-negative, one per atom, and their totals may differ
+    by rounding only: at most 2 * 1e-9, as for two laws each within 1e-9 of
+    one.
+    """
     ax = np.asarray(atoms_x, dtype=np.int64)
     ay = np.asarray(atoms_y, dtype=np.int64)
     wx = np.asarray(weights_x, dtype=float)
     wy = np.asarray(weights_y, dtype=float)
-    if ax.ndim != 2 or ay.ndim != 2 or ax.shape[1] != ay.shape[1]:
-        raise ValueError("atoms must be sequences of one shared length")
-    embedded = _embed(ax, ay)
-    if embedded is None:
-        cost = _cost_matrix(ax, ay)
-        value, entries, u, v = _solve_with_zeros(wx, wy, cost)
-        engine = "simplex"
-    else:
-        value, entries, u, v = _flow_coupling(ax, wx, ay, wy, *embedded)
-        engine = "hamming-flow"
+    if ax.ndim != 2 or ay.ndim != 2 or ax.shape[1] != ay.shape[1] or 0 in ax.shape + ay.shape:
+        raise ValueError("atoms must be non-empty sequences of one shared length")
+    if wx.shape != ax.shape[:1] or wy.shape != ay.shape[:1]:
+        raise ValueError("need one weight per atom")
+    if not (wx.min() >= 0 and wy.min() >= 0 and abs(wx.sum() - wy.sum()) <= 2 * _CERT_TOL):
+        raise ValueError("weights must be non-negative with equal totals")
+    graph = _flow_graph(ax, ay)
+    value, entries, u, v = _flow_coupling(graph, ax, wx, ay, wy)
     coupling = Coupling(
         atoms_x=ax,
         atoms_y=ay,
@@ -696,7 +561,7 @@ def dbar_between(atoms_x, weights_x, atoms_y, weights_y) -> Coupling:
         dual_x=u,
         dual_y=v,
         value=value,
-        engine=engine,
+        engine=graph.engine,
     )
     coupling.validate()
     return coupling
@@ -714,32 +579,12 @@ class EmpiricalTransport(JsonRecord):
     support_x: int
     support_y: int
     bootstrap: int
-    engine: str  # "simplex" or "hamming-flow"
+    engine: str  # "tree-enumeration", "hamming-flow" or "support-flow"
 
 
 def _empirical(rows: np.ndarray):
     atoms, counts = np.unique(rows, axis=0, return_counts=True)
     return atoms, counts / counts.sum()
-
-
-def _value_solver(atoms_x: np.ndarray, atoms_y: np.ndarray):
-    """(solve, engine): ``solve(wx, wy)`` is the certified optimum between the supports.
-
-    The engine and its fixed data (cost matrix or cube embedding) are set up
-    once, since the bootstrap re-solves on the same supports.
-    """
-    embedded = _embed(atoms_x, atoms_y)
-    if embedded is None:
-        cost = _cost_matrix(atoms_x, atoms_y)
-        return (lambda wx, wy: _solve_with_zeros(wx, wy, cost)[0]), "simplex"
-    a, nodes_x, nodes_y = embedded
-    m = atoms_x.shape[1]
-
-    def solve(wx, wy):
-        excess = _on_cube(wx, nodes_x, a ** m) - _on_cube(wy, nodes_y, a ** m)
-        return _certify_flow(_hamming_flow(excess, a, m), excess, a, m)
-
-    return solve, "hamming-flow"
 
 
 def dbar_empirical(samples_x, samples_y, bootstrap: int = 200,
@@ -759,15 +604,15 @@ def dbar_empirical(samples_x, samples_y, bootstrap: int = 200,
     atoms_y, wy = _empirical(ys)
     if len(atoms_x) > DBAR_ATOM_CAP or len(atoms_y) > DBAR_ATOM_CAP:
         raise AtomBudgetError("empirical support exceeds the atom cap")
-    solve, engine = _value_solver(atoms_x, atoms_y)
-    point = solve(wx, wy)
+    graph = _flow_graph(atoms_x, atoms_y)
+    point = graph.value(wx, wy)
     n_x, n_y = len(xs), len(ys)
     reps = np.empty(bootstrap)
     for b in range(bootstrap):
         rng = spawn_rng(seed, 3, b)
         rx = rng.multinomial(n_x, wx) / n_x
         ry = rng.multinomial(n_y, wy) / n_y
-        reps[b] = solve(rx, ry)
+        reps[b] = graph.value(rx, ry)
     lo, hi = np.percentile(reps, [2.5, 97.5])
     # percentile intervals can drift off a boundary point estimate; widen so
     # the reported interval always brackets the estimate
@@ -780,5 +625,5 @@ def dbar_empirical(samples_x, samples_y, bootstrap: int = 200,
         support_x=len(atoms_x),
         support_y=len(atoms_y),
         bootstrap=bootstrap,
-        engine=engine,
+        engine=graph.engine,
     )

@@ -1,11 +1,10 @@
 """Reference implementations the package's routines are held to.
 
 The package keeps a chain as sorted integer context codes and dense row
-matrices, the transportation simplex's basis tree in parent pointers, one
-power iteration for every stationary law, one batched forward recursion for
-hidden-Markov sources, run counts for the binary-chain statistic classes
-and one column-at-a-time enumeration of the i.i.d. type classes.
-These are the straightforward loops over symbol tuples and dict adjacencies,
+matrices, one power iteration for every stationary law, one batched forward
+recursion for hidden-Markov sources, run counts for the binary-chain
+statistic classes and one column-at-a-time enumeration of the i.i.d. type
+classes.  These are the straightforward loops over symbol tuples and dicts,
 the dense eigenvector and linear-solve stationary laws, the power iteration
 without lazy sweeps, the per-context forward filter with its depth-first
 context walk, Whittle's cofactor formula and the recursive composition
@@ -473,156 +472,3 @@ def per_window_model_windows(model, n_windows, width, seed):
     for i in range(n_windows):
         out[i] = bisect_sample(model, width, seed=_mix(seed, 34, i)).tokens
     return out
-
-
-# -- transportation simplex on a dict-keyed basis ------------------------------
-
-_RC_TOL = 1e-11
-
-
-def _northwest_corner(a, b):
-    nr, nc = len(a), len(b)
-    left_a = a.copy()
-    left_b = b.copy()
-    alloc = {}
-    basis = []
-    i = j = 0
-    while True:
-        x = min(left_a[i], left_b[j])
-        basis.append((i, j))
-        alloc[(i, j)] = x
-        left_a[i] -= x
-        left_b[j] -= x
-        if i == nr - 1 and j == nc - 1:
-            break
-        if left_a[i] <= 1e-15 and i < nr - 1:
-            i += 1
-        else:
-            j += 1
-    return alloc, basis
-
-
-def _duals_from_basis(basis, cost, nr, nc):
-    adj = {}
-    for (i, j) in basis:
-        adj.setdefault(i, []).append((nr + j, (i, j)))
-        adj.setdefault(nr + j, []).append((i, (i, j)))
-    u = np.full(nr, np.nan)
-    v = np.full(nc, np.nan)
-    u[0] = 0.0
-    stack = [0]
-    seen = {0}
-    while stack:
-        node = stack.pop()
-        for other, (bi, bj) in adj.get(node, ()):
-            if other in seen:
-                continue
-            seen.add(other)
-            if other >= nr:
-                v[other - nr] = cost[bi, bj] - u[bi]
-            else:
-                u[other] = cost[bi, bj] - v[bj]
-            stack.append(other)
-    if np.isnan(u).any() or np.isnan(v).any():
-        raise NonConvergenceError("basis graph is disconnected")
-    return u, v
-
-
-def _basis_cycle(basis, enter, nr):
-    """Alternating cycle closed by the entering cell, via the basis tree path."""
-    adj = {}
-    for cell in basis:
-        i, j = cell
-        adj.setdefault(i, []).append((nr + j, cell))
-        adj.setdefault(nr + j, []).append((i, cell))
-    start, goal = enter[0], nr + enter[1]
-    parent = {start: (-1, (-1, -1))}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for other, cell in adj.get(node, ()):
-            if other not in parent:
-                parent[other] = (node, cell)
-                stack.append(other)
-    path_cells = []
-    node = goal
-    while node != start:
-        prev, cell = parent[node]
-        path_cells.append(cell)
-        node = prev
-    return [enter] + path_cells
-
-
-def dict_solve_transport(supply, demand, cost, rule="dantzig"):
-    """Transportation simplex that rebuilds a dict adjacency of the basis on
-    every pivot: (value, allocation dict, u, v)."""
-    a = np.asarray(supply, dtype=float)
-    b = np.asarray(demand, dtype=float)
-    cost = np.asarray(cost, dtype=float)
-    if abs(a.sum() - b.sum()) > 1e-9:
-        raise ValueError("total supply and demand differ")
-    if a.min() <= 0 or b.min() <= 0:
-        raise ValueError("solver core requires strictly positive masses")
-    nr, nc = cost.shape
-    alloc, basis = _northwest_corner(a, b)
-    max_iter = 200 * (nr + nc) + 2000
-    for _ in range(max_iter):
-        u, v = _duals_from_basis(basis, cost, nr, nc)
-        rc = cost - u[:, None] - v[None, :]
-        for (i, j) in basis:
-            rc[i, j] = 0.0
-        if rule == "dantzig":
-            enter_flat = int(np.argmin(rc))
-            enter = divmod(enter_flat, nc)
-            if rc[enter] >= -_RC_TOL:
-                break
-        else:  # bland: first negative in row-major order
-            neg = np.argwhere(rc < -_RC_TOL)
-            if len(neg) == 0:
-                break
-            enter = tuple(neg[0])
-        cycle = _basis_cycle(basis, enter, nr)
-        minus = cycle[1::2]
-        theta = min(alloc[c] for c in minus)
-        leave = next(c for c in minus if alloc[c] <= theta)
-        for idx, cell in enumerate(cycle):
-            if idx % 2 == 0:
-                alloc[cell] = alloc.get(cell, 0.0) + theta
-            else:
-                alloc[cell] -= theta
-        alloc.pop(leave, None)
-        basis = [c for c in basis if c != leave] + [enter]
-    else:
-        if rule == "dantzig":  # extremely degenerate instance: retry with Bland
-            return dict_solve_transport(supply, demand, cost, rule="bland")
-        raise NonConvergenceError("transportation simplex exceeded its pivot budget")
-    value = float(sum(cost[c] * m for c, m in alloc.items()))
-    return value, alloc, u, v
-
-
-def dict_solve_with_zeros(wx, wy, cost):
-    """Zero-mass atoms dropped by ``np.setdiff1d`` around the dict simplex:
-    (value, entries, u, v) with the duals of dropped atoms extended feasibly."""
-    wx = np.asarray(wx, dtype=float)
-    wy = np.asarray(wy, dtype=float)
-    ix = np.flatnonzero(wx > 0)
-    iy = np.flatnonzero(wy > 0)
-    value, alloc, u_r, v_r = dict_solve_transport(wx[ix], wy[iy], cost[np.ix_(ix, iy)])
-    u = np.empty(len(wx))
-    v = np.empty(len(wy))
-    u[ix] = u_r
-    v[iy] = v_r
-    drop_x = np.setdiff1d(np.arange(len(wx)), ix)
-    drop_y = np.setdiff1d(np.arange(len(wy)), iy)
-    if len(drop_y):
-        v[drop_y] = (cost[ix][:, drop_y] - u[ix][:, None]).min(axis=0)
-    if len(drop_x):
-        u[drop_x] = (cost[drop_x] - v[None, :]).min(axis=1)
-    entries = [
-        (int(ix[ri]), int(iy[rj]), float(mass))
-        for (ri, rj), mass in sorted(alloc.items())
-        if mass > 0
-    ]
-    return value, entries, u, v

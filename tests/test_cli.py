@@ -140,12 +140,15 @@ def test_dbar_worked_example(tmp_path):
     rec = load_json(out / "dbar.json")
     # coupling artifacts store floats as 17-digit strings for byte stability
     assert float(rec["value"]) == pytest.approx(0.4, abs=1e-9)
-    assert rec["engine"] == "simplex"
+    assert rec["engine"] == "tree-enumeration"
     csv = (out / "coupling.csv").read_text(encoding="utf-8")
     assert csv.splitlines()[0] == "atom_x,atom_y,mass"
     first = snapshot(out)
     assert main(args) == 0
     assert snapshot(out) == first
+    assert main(["report", "--run-dir", str(out), "--out", str(tmp_path / "rep")]) == 0
+    text = (tmp_path / "rep" / "report.txt").read_text(encoding="utf-8")
+    assert f"transport: {rec['value']} (tree-enumeration engine)" in text
 
 
 def test_dbar_rejects_nan_weights(tmp_path, capsys):
@@ -387,10 +390,10 @@ def _run_fresh(*groups):
 
 
 def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
-    """train, score, detect on Monte Carlo calibration and probes at 16 atoms
-    or fewer (the simplex at 16, tree enumeration at 8) never load scipy;
-    exponent and a dbar above 16 atoms load it on demand and write the bytes
-    an interpreter that imported scipy up front writes."""
+    """train, score, detect on Monte Carlo calibration, and probe and dbar on
+    the 8-atom cube (tree enumeration) never load scipy; exponent, a probe on
+    the 16-atom cube and a dbar on 32 atoms (both HiGHS) load it on demand and
+    write the bytes an interpreter that imported scipy up front writes."""
     p_text, q_text = tmp_path / "authentic.txt", tmp_path / "generated.txt"
     p_text.write_text("abcacbbca" * 40, encoding="utf-8")
     q_text.write_text("aabbcabcc" * 40, encoding="utf-8")
@@ -400,6 +403,9 @@ def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
     biased = [0.9 ** (5 - bin(i).count("1")) * 0.1 ** bin(i).count("1") for i in range(32)]
     (tmp_path / "mu.json").write_text(json.dumps(fair), encoding="utf-8")
     (tmp_path / "nu.json").write_text(json.dumps(biased), encoding="utf-8")
+    (tmp_path / "mu3.json").write_text(json.dumps([1 / 8] * 8), encoding="utf-8")
+    biased3 = [0.9 ** (3 - bin(i).count("1")) * 0.1 ** bin(i).count("1") for i in range(8)]
+    (tmp_path / "nu3.json").write_text(json.dumps(biased3), encoding="utf-8")
 
     def runs(root):
         p, q = root / "p", root / "q"
@@ -412,14 +418,16 @@ def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
              "--out", str(root / "score")],
             ["detect", "--model-p", str(p / "model.json"), "--model-q", str(q / "model.json"),
              "--text", str(sample), "--trials", "2000", "--out", str(root / "detect")],
-            ["probe", "--alphabet-size", "2", "--window", "4", "--instances", "100",
-             "--out", str(root / "probe")],
             ["probe", "--alphabet-size", "2", "--window", "3", "--instances", "100",
              "--out", str(root / "probe3")],
+            ["dbar", "--mu", str(tmp_path / "mu3.json"), "--nu", str(tmp_path / "nu3.json"),
+             "--window", "3", "--out", str(root / "dbar3")],
         ]
         heavy = [
             ["exponent", "--model-p", str(p / "model.json"), "--model-q", str(q / "model.json"),
              "--epsilon", "0.5", "--n-grid", "3,5,7", "--out", str(root / "exponent")],
+            ["probe", "--alphabet-size", "2", "--window", "4", "--instances", "100",
+             "--out", str(root / "probe")],
             ["dbar", "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
              "--window", "5", "--out", str(root / "dbar")],
         ]
@@ -433,7 +441,7 @@ def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
     import scipy.special  # noqa: F401
     for argv in sum(runs(tmp_path / "warm"), []):
         assert main(argv) == 0
-    for name in ("p", "q", "score", "detect", "probe", "probe3", "exponent", "dbar"):
+    for name in ("p", "q", "score", "detect", "probe", "probe3", "dbar3", "exponent", "dbar"):
         fresh, warm = snapshot(tmp_path / "fresh" / name), snapshot(tmp_path / "warm" / name)
         for files in (fresh, warm):  # it records the output path
             del files["resolved_config.json"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from markovdetect import transport
 from markovdetect.errors import NonConvergenceError
@@ -19,15 +20,15 @@ from markovdetect.transport import (
     dbar_value,
     hamming_cost,
     l1_distance,
-    solve_transport,
     tv,
 )
 from markovdetect.util import decode
-from oracles import dict_solve_transport, dict_solve_with_zeros
 
 
 def lp_oracle(supply, demand, cost, tight=False):
-    """Reference optimum via scipy's LP solver (independent of our simplex).
+    """Reference optimum: the dense transportation LP (one variable per pair
+    of atoms) solved by HiGHS's dual simplex, independent of the package's
+    flow graphs.
 
     At HiGHS's default 1e-7 tolerances, Dirichlet(0.05) laws come out ~1e-7
     off.  ``tight`` sets 1e-10 tolerances and drops the last balance row, which
@@ -35,16 +36,10 @@ def lp_oracle(supply, demand, cost, tight=False):
     otherwise makes infeasible at that tolerance.
     """
     nr, nc = cost.shape
-    a_eq = []
-    for i in range(nr):
-        row = np.zeros(nr * nc)
-        row[i * nc:(i + 1) * nc] = 1.0
-        a_eq.append(row)
-    for j in range(nc):
-        row = np.zeros(nr * nc)
-        row[j::nc] = 1.0
-        a_eq.append(row)
-    a_eq = np.array(a_eq)
+    cells = np.arange(nr * nc)
+    a_eq = coo_matrix((np.ones(2 * nr * nc), (np.concatenate([cells // nc, nr + cells % nc]),
+                                              np.concatenate([cells, cells]))),
+                      shape=(nr + nc, nr * nc)).tocsr()
     b_eq = np.concatenate([supply, demand])
     if tight:
         a_eq, b_eq = a_eq[:-1], b_eq[:-1]
@@ -53,7 +48,7 @@ def lp_oracle(supply, demand, cost, tight=False):
         A_eq=a_eq,
         b_eq=b_eq,
         bounds=(0, None),
-        method="highs",
+        method="highs-ds",
         options=transport._HIGHS_OPTIONS if tight else None,
     )
     assert res.status == 0
@@ -76,18 +71,6 @@ def test_tv_and_l1():
 def test_hamming_cost_counts_mismatches():
     assert hamming_cost((0, 1, 1), (0, 0, 1)) == pytest.approx(1 / 3)
     assert hamming_cost((0, 1), (0, 1)) == 0.0
-
-
-@pytest.mark.parametrize("rule", ["dantzig", "bland"])
-def test_solver_matches_lp_oracle(rng, rule):
-    for trial in range(100):
-        nr = int(rng.integers(2, 9))
-        nc = int(rng.integers(2, 9))
-        supply = rng.dirichlet(np.ones(nr))
-        demand = rng.dirichlet(np.ones(nc))
-        cost = rng.random((nr, nc))
-        value, _, _, _ = solve_transport(supply, demand, cost, rule=rule)
-        assert value == pytest.approx(lp_oracle(supply, demand, cost), abs=1e-9)
 
 
 def test_dbar_exact_matches_lp_oracle_binary_windows(rng):
@@ -195,45 +178,7 @@ def test_degenerate_point_masses(code):
     assert value == pytest.approx(sum(x) / 3, abs=1e-12)
 
 
-# -- the parent-pointer simplex against the dict-adjacency oracle ----------
-
-
-def _assert_same_solve(supply, demand, cost, rule):
-    """Same value, same allocation items in the same order, same duals."""
-    value, alloc, u, v = solve_transport(supply, demand, cost, rule=rule)
-    want_value, want_alloc, want_u, want_v = dict_solve_transport(supply, demand, cost, rule=rule)
-    assert value == want_value
-    assert list(alloc.items()) == list(want_alloc.items())
-    assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
-
-
-@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["dantzig", "bland"]), st.sampled_from([1.0, 1e6]))
-@settings(max_examples=150, deadline=None)
-def test_simplex_equals_oracle_dense_costs(nr, nc, seed, rule, scale):
-    # at scale 1e6 the rounding of u_i + v_j on basic cells exceeds the
-    # pivot tolerance, so only zeroing their reduced costs keeps them out
-    gen = np.random.default_rng(seed)
-    _assert_same_solve(gen.dirichlet(np.ones(nr)), gen.dirichlet(np.ones(nc)),
-                       gen.random((nr, nc)) * scale, rule)
-
-
 _SMALL_CUBES = [(a, m) for a in (2, 3, 4, 16) for m in (1, 2, 3, 4) if a ** m <= 16]
-
-
-@given(st.sampled_from(_SMALL_CUBES), st.sampled_from([1.0, 0.05]),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from(["dantzig", "bland"]))
-@settings(max_examples=150, deadline=None)
-def test_simplex_equals_oracle_hamming_cubes(cube, concentration, seed, rule):
-    alphabet_size, m = cube
-    atoms = _cube(alphabet_size, m)
-    cost = _dense_hamming(atoms, atoms)
-    gen = np.random.default_rng(seed)
-    # floored so the strictly-positive solver core takes Dirichlet(0.05) laws
-    mu = np.maximum(gen.dirichlet(np.full(len(atoms), concentration)), 1e-300)
-    nu = np.maximum(gen.dirichlet(np.full(len(atoms), concentration)), 1e-300)
-    _assert_same_solve(mu, nu, cost, rule)
-    _assert_same_solve(mu, mu, cost, rule)
 
 
 @given(st.sampled_from(_SMALL_CUBES), st.integers(0, 2 ** 32 - 1))
@@ -249,12 +194,11 @@ def test_dbar_exact_zero_mass_atoms_equal_oracle(cube, seed):
     mu /= mu.sum()
     nu /= nu.sum()
     coupling = dbar_exact(mu, nu, m, alphabet_size=alphabet_size)
-    assert coupling.engine == "simplex"
+    assert coupling.engine == dbar_value(mu, nu, m, alphabet_size=alphabet_size)[1]
     atoms = _cube(alphabet_size, m)
-    value, entries, u, v = dict_solve_with_zeros(mu, nu, _dense_hamming(atoms, atoms))
-    assert coupling.value == value
-    assert coupling.entries == entries
-    assert np.array_equal(coupling.dual_x, u) and np.array_equal(coupling.dual_y, v)
+    cost = _dense_hamming(atoms, atoms)
+    assert coupling.value == pytest.approx(lp_oracle(mu, nu, cost, tight=True), abs=1e-9)
+    _assert_certified(coupling, cost)
 
 
 def test_dbar_exact_rejects_nan_weights():
@@ -267,21 +211,27 @@ def test_dbar_exact_rejects_nan_weights():
 
 
 def test_certificates_reject_nan_duals(rng):
-    mu = rng.dirichlet(np.ones(4))
-    nu = rng.dirichlet(np.ones(4))
-    atoms = _cube(2, 2)
-    cost = _dense_hamming(atoms, atoms)
-    value, entries, u, v = transport._solve_with_zeros(mu, nu, cost)
-    transport._certify(cost, mu, nu, entries, u, v, value)
-    bad_u = u.copy()
-    bad_u[1] = np.nan
-    bad_v = v.copy()
-    bad_v[1] = np.nan
-    for duals in ((bad_u, v), (u, bad_v)):
+    """A NaN potential at an x node or a y node, a NaN flow or a NaN excess
+    fails the certificate on the cube and on the support graph."""
+    cube = np.array(_cube(2, 2))
+    for atoms_x, atoms_y in ((cube, cube), (cube[[0, 0, 3]], cube[[1, 2]])):
+        graph = transport._flow_graph(atoms_x, atoms_y)
+        excess = graph.excess(rng.dirichlet(np.ones(len(atoms_x))),
+                              rng.dirichlet(np.ones(len(atoms_y))))
+        tails, heads, flow, phi = graph.flow(excess)
+        transport._certify_flow((tails, heads, flow, phi), excess, graph)
+        for node in (graph.nodes_x[1], graph.nodes_y[1]):
+            bad_phi = phi.copy()
+            bad_phi[node] = np.nan
+            with pytest.raises(NonConvergenceError):
+                transport._certify_flow((tails, heads, flow, bad_phi), excess, graph)
         with pytest.raises(NonConvergenceError):
-            transport._certify(cost, mu, nu, entries, *duals, value)
-    with pytest.raises(NonConvergenceError):
-        transport._certify(cost, mu, nu, entries, u, v, np.nan)
+            transport._certify_flow((tails, heads, np.where(flow > 0, np.nan, flow), phi),
+                                    excess, graph)
+        bad_excess = excess.copy()
+        bad_excess[1] = np.nan
+        with pytest.raises(NonConvergenceError):
+            transport._certify_flow((tails, heads, flow, phi), bad_excess, graph)
 
 
 def test_validate_rejects_nan_mass(rng):
@@ -344,28 +294,36 @@ def _assert_certified(coupling, cost):
 @pytest.mark.parametrize("alphabet_size, m", [(2, 5), (2, 6), (3, 3)])
 @pytest.mark.parametrize("concentration", [1.0, 0.05])
 def test_flow_matches_simplex_on_dense_hamming_cost(rng, alphabet_size, m, concentration):
+    """The Hamming-graph flow against the dual simplex on the dense LP."""
     # Dirichlet(0.05) laws put most atoms near 1e-30: they fail at the
     # default HiGHS tolerances, so they guard the tightened ones
     atoms = _cube(alphabet_size, m)
     cost = _dense_hamming(atoms, atoms)
     for _ in range(4):
-        # floored at 1e-300 so the simplex core (strictly positive masses) takes them too
-        mu = np.maximum(rng.dirichlet(np.full(len(atoms), concentration)), 1e-300)
-        nu = np.maximum(rng.dirichlet(np.full(len(atoms), concentration)), 1e-300)
+        mu = rng.dirichlet(np.full(len(atoms), concentration))
+        nu = rng.dirichlet(np.full(len(atoms), concentration))
         coupling = dbar_exact(mu, nu, m, alphabet_size=alphabet_size)
         assert coupling.engine == "hamming-flow"
-        simplex_value, _, _, _ = solve_transport(mu, nu, cost)
-        assert coupling.value == pytest.approx(simplex_value, abs=1e-9)
+        assert coupling.value == pytest.approx(lp_oracle(mu, nu, cost, tight=True), abs=1e-9)
         _assert_certified(coupling, cost)
 
 
-def test_engine_switches_above_sixteen_atoms(rng):
-    for m, engine in ((4, "simplex"), (5, "hamming-flow")):
-        mu = rng.dirichlet(np.ones(2 ** m))
-        nu = rng.dirichlet(np.ones(2 ** m))
-        coupling = dbar_exact(mu, nu, m)
-        assert coupling.engine == engine
-        assert coupling.to_json()["engine"] == engine
+def test_value_and_coupling_name_the_same_engine(rng):
+    """dbar_value, dbar_exact and dbar_empirical pick the engine from the
+    supports alone; a one-letter alphabet, whose cube has no arcs, goes to
+    the support graph."""
+    for alphabet_size, m, engine in (
+            (2, 1, "tree-enumeration"), (2, 3, "tree-enumeration"), (5, 1, "tree-enumeration"),
+            (2, 4, "hamming-flow"), (3, 2, "hamming-flow"), (6, 1, "hamming-flow"),
+            (2, 5, "hamming-flow"), (1, 2, "support-flow")):
+        n = alphabet_size ** m
+        mu, nu = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        value, value_engine = dbar_value(mu, nu, m, alphabet_size=alphabet_size)
+        coupling = dbar_exact(mu, nu, m, alphabet_size=alphabet_size)
+        assert value_engine == coupling.engine == coupling.to_json()["engine"] == engine
+        assert value == pytest.approx(coupling.value, abs=1e-12)
+        samples = decode(np.arange(n), alphabet_size, m)
+        assert dbar_empirical(samples, samples[::-1], bootstrap=2).engine == engine
 
 
 def test_flow_product_laws_1024_atoms_equal_tv(rng):
@@ -430,24 +388,24 @@ def test_empirical_flow_engine_matches_lp_oracle(rng):
 
 
 def test_empirical_certifies_every_solve(rng, monkeypatch):
-    small = rng.integers(0, 2, size=(100, 3))   # 8-atom cube: simplex
-    large = rng.integers(0, 2, size=(100, 5))   # 32-atom cube: flow
-    real_simplex = transport.solve_transport
-    real_flow = transport._hamming_flow
-    calls = {"simplex": 0, "flow": 0}
+    small = rng.integers(0, 2, size=(100, 3))   # 8-atom cube: tree enumeration
+    large = rng.integers(0, 2, size=(100, 5))   # 32-atom cube: HiGHS
+    real_tree = transport._tree_flow
+    real_flow = transport._highs_flow
+    calls = {"tree": 0, "flow": 0}
 
-    def off_simplex(*args, **kwargs):
-        calls["simplex"] += 1
-        value, alloc, u, v = real_simplex(*args, **kwargs)
-        return (value + 1e-3 if calls["simplex"] > 1 else value), alloc, u, v
+    def off_tree(*args):
+        calls["tree"] += 1
+        tails, heads, flow, phi = real_tree(*args)
+        return tails, heads, flow, (phi * 1.01 if calls["tree"] > 1 else phi)
 
     def off_flow(*args):
         calls["flow"] += 1
         tails, heads, flow, phi = real_flow(*args)
         return tails, heads, flow, (phi * 1.01 if calls["flow"] > 1 else phi)
 
-    monkeypatch.setattr(transport, "solve_transport", off_simplex)
-    monkeypatch.setattr(transport, "_hamming_flow", off_flow)
+    monkeypatch.setattr(transport, "_tree_flow", off_tree)
+    monkeypatch.setattr(transport, "_highs_flow", off_flow)
     # the point solve is exact; the first bootstrap replicate is not
     with pytest.raises(NonConvergenceError):
         dbar_empirical(small, small[::-1].copy(), bootstrap=5, seed=0)
@@ -466,17 +424,22 @@ def _laws(gen, n, kind):
     return gen.dirichlet(np.full(n, {"flat": 1.0, "sparse": 0.05}[kind]))
 
 
-@pytest.mark.parametrize("alphabet_size, m", [(2, 1), (2, 2), (2, 3), (3, 1), (4, 1)])
+@pytest.mark.parametrize("alphabet_size, m", [(2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (5, 1)])
 @pytest.mark.parametrize("kind", ["flat", "sparse", "zeros"])
 def test_tree_enumeration_matches_simplex_and_oracle(rng, alphabet_size, m, kind):
+    """Values match the dense LP's dual simplex, and the tree-enumeration
+    coupling of ``dbar_exact`` passes the dense certificate."""
     atoms = _cube(alphabet_size, m)
     cost = _dense_hamming(atoms, atoms)
     for _ in range(20):
         mu, nu = _laws(rng, len(atoms), kind), _laws(rng, len(atoms), kind)
         value, engine = dbar_value(mu, nu, m, alphabet_size=alphabet_size)
         assert engine == "tree-enumeration"
-        assert value == pytest.approx(transport._solve_with_zeros(mu, nu, cost)[0], abs=1e-12)
         assert value == pytest.approx(lp_oracle(mu, nu, cost, tight=True), abs=1e-9)
+        coupling = dbar_exact(mu, nu, m, alphabet_size=alphabet_size)
+        assert coupling.engine == "tree-enumeration"
+        assert coupling.value == pytest.approx(value, abs=1e-12)
+        _assert_certified(coupling, cost)
 
 
 def _kirchhoff(alphabet_size, m):
@@ -503,14 +466,15 @@ def test_tree_table_holds_every_tree_and_lipschitz_potential(alphabet_size, m, t
 def test_subset_gate_picks_the_enumerated_cubes(rng):
     """Tree enumeration answers the cubes with at most _TREE_ENUM_MAX edge
     subsets of size a^m - 1 (K_2..K_5, the 4-cycle, the 3-cube's 792); K_6's
-    3,003, the 3x3 rook graph's 43,758 and the 4-cube's stay on the simplex."""
+    3,003, the 3x3 rook graph's 43,758 and the 4-cube's go to HiGHS."""
     assert math.comb(12, 7) == 792 <= transport._TREE_ENUM_MAX < math.comb(15, 5) == 3003
     enumerated = {(2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (5, 1)}
     for alphabet_size, m in sorted(enumerated | {(2, 4), (3, 2), (6, 1)}):
         n = alphabet_size ** m
         mu, nu = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
         _, engine = dbar_value(mu, nu, m, alphabet_size=alphabet_size)
-        assert engine == ("tree-enumeration" if (alphabet_size, m) in enumerated else "simplex")
+        assert engine == ("tree-enumeration" if (alphabet_size, m) in enumerated
+                          else "hamming-flow")
 
 
 def test_larger_cubes_fall_back_without_enumerating(rng, monkeypatch):
@@ -518,17 +482,18 @@ def test_larger_cubes_fall_back_without_enumerating(rng, monkeypatch):
         raise AssertionError(f"enumerated the {a}^{m} cube")
 
     monkeypatch.setattr(transport, "_tree_table", refuse)
-    transport._cube_solver.cache_clear()
+    transport._cube_graph.cache_clear()
     try:
         for alphabet_size, m in ((2, 4), (3, 2)):
             n = alphabet_size ** m
             for kind in ("flat", "sparse", "zeros"):
                 mu, nu = _laws(rng, n, kind), _laws(rng, n, kind)
                 value, engine = dbar_value(mu, nu, m, alphabet_size=alphabet_size)
-                assert engine == "simplex"
-                assert value == dbar_exact(mu, nu, m, alphabet_size=alphabet_size).value
+                assert engine == "hamming-flow"
+                assert value == pytest.approx(
+                    dbar_exact(mu, nu, m, alphabet_size=alphabet_size).value, abs=1e-12)
     finally:
-        transport._cube_solver.cache_clear()
+        transport._cube_graph.cache_clear()
 
 
 _RECORD_FAULTS = {
@@ -540,10 +505,9 @@ _RECORD_FAULTS = {
 }
 
 
-def _certifies_every_solve(monkeypatch, rng, solver, m):
-    """Each fault in the record ``solver`` returns raises on a later solve of
-    a cube whose first solve passed."""
-    mu, nu = rng.dirichlet(np.ones(2 ** m)), rng.dirichlet(np.ones(2 ** m))
+def _certifies_every_solve(monkeypatch, solver, solve):
+    """Each fault in the record ``solver`` returns raises on a later call of
+    ``solve`` whose first call passed."""
     real = getattr(transport, solver)
     for fault in _RECORD_FAULTS.values():
         calls = []
@@ -554,21 +518,31 @@ def _certifies_every_solve(monkeypatch, rng, solver, m):
             return fault(*record) if len(calls) > 1 else record
 
         monkeypatch.setattr(transport, solver, faulty)
-        dbar_value(mu, nu, m)
+        solve()
         with pytest.raises(NonConvergenceError):
-            dbar_value(mu, nu, m)
-    return mu, nu
+            solve()
 
 
 def test_tree_enumeration_certifies_every_solve(rng, monkeypatch):
-    _certifies_every_solve(monkeypatch, rng, "_tree_flow", 3)
+    mu, nu = rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(8))
+    _certifies_every_solve(monkeypatch, "_tree_flow", lambda: dbar_value(mu, nu, 3))
 
 
 def test_hamming_flow_certifies_every_solve(rng, monkeypatch):
     """The coupling path certifies the same record as the value path."""
-    mu, nu = _certifies_every_solve(monkeypatch, rng, "_hamming_flow", 5)
+    mu, nu = rng.dirichlet(np.ones(32)), rng.dirichlet(np.ones(32))
+    _certifies_every_solve(monkeypatch, "_highs_flow", lambda: dbar_value(mu, nu, 5))
     with pytest.raises(NonConvergenceError):
         dbar_exact(mu, nu, 5)
+
+
+def test_support_flow_certifies_every_solve(rng, monkeypatch):
+    atoms_x = [(0, 1), (0, 1), (1, 1), (2, 0)]   # a word listed twice
+    atoms_y = [(0, 0), (1, 2), (2, 2)]
+    wx, wy = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3))
+    assert dbar_between(atoms_x, wx, atoms_y, wy).engine == "support-flow"
+    _certifies_every_solve(monkeypatch, "_highs_flow",
+                           lambda: dbar_between(atoms_x, wx, atoms_y, wy))
 
 
 def test_flow_engines_accept_totals_apart_within_tolerance(rng):
@@ -583,9 +557,72 @@ def test_flow_engines_accept_totals_apart_within_tolerance(rng):
         assert value == pytest.approx(dbar_value(mu, nu, m)[0], abs=1e-8)
 
 
+def test_dbar_exact_accepts_totals_apart_within_tolerance():
+    """``_cube_laws`` lets each total be 1e-9 off one, so a coupling can
+    match only one of two totals 1.8e-9 apart; ``validate`` allows for that
+    difference and nothing more."""
+    rng = np.random.default_rng(0)
+    for m in (3, 5):
+        mu = rng.dirichlet(np.ones(2 ** m)) * (1 + 0.9e-9)
+        nu = rng.dirichlet(np.ones(2 ** m)) * (1 - 0.9e-9)
+        coupling = dbar_exact(mu, nu, m)
+        assert coupling.value == pytest.approx(dbar_value(mu, nu, m)[0], abs=1e-8)
+        i, j, mass = coupling.entries[0]
+        coupling.entries[0] = (i, j, mass + 2 * 1e-9 + abs(mu.sum() - nu.sum()))
+        with pytest.raises(ValueError, match="marginals"):
+            coupling.validate()
+
+
+def test_dbar_between_rejects_unequal_totals_and_negative_weights():
+    atoms = [(0, 0), (1, 1)]
+    with pytest.raises(ValueError, match="equal totals"):
+        dbar_between(atoms, [0.5, 0.5], atoms, [0.5, 0.5 + 1e-8])
+    with pytest.raises(ValueError, match="non-negative"):
+        dbar_between(atoms, [1.5, -0.5], atoms, [0.5, 0.5])
+    with pytest.raises(ValueError, match="one weight per atom"):
+        dbar_between(atoms, [1.0], atoms, [0.5, 0.5])
+
+
+# -- the support graph: supports that do not embed in a cube ----------------
+
+
+def _assert_support_flow(atoms_x, wx, atoms_y, wy):
+    coupling = dbar_between(atoms_x, wx, atoms_y, wy)
+    assert coupling.engine == "support-flow"
+    cost = _dense_hamming(atoms_x, atoms_y)
+    assert coupling.value == pytest.approx(lp_oracle(wx, wy, cost, tight=True), abs=1e-9)
+    _assert_certified(coupling, cost)
+    return coupling
+
+
+def test_support_flow_empirical_windows_above_the_cap():
+    """17 symbols in windows of 3 make a 4,913-word cube, above the cap."""
+    gen = np.random.default_rng(17)
+    x = gen.integers(0, 17, size=(160, 3))
+    y = np.minimum(gen.geometric(0.3, size=(160, 3)) - 1, 16)
+    est = dbar_empirical(x, y, bootstrap=2, seed=0)
+    assert est.engine == "support-flow"
+    atoms_x, counts_x = np.unique(x, axis=0, return_counts=True)
+    atoms_y, counts_y = np.unique(y, axis=0, return_counts=True)
+    coupling = _assert_support_flow(atoms_x, counts_x / 160, atoms_y, counts_y / 160)
+    assert est.estimate == pytest.approx(coupling.value, abs=1e-9)
+    assert est.ci_low <= est.estimate <= est.ci_high
+
+
+def test_support_flow_duplicated_word_and_negative_letter(rng):
+    twice = [(0, 1, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+    once = [(0, 0, 1), (1, 1, 0), (0, 1, 1)]
+    for _ in range(5):
+        wx, wy = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3))
+        coupling = _assert_support_flow(twice, wx, once, wy)
+        assert coupling.value == pytest.approx(
+            dbar_between(twice[1:], [wx[1], wx[0] + wx[2], wx[3]], once, wy).value, abs=1e-9)
+        _assert_support_flow([(-1, 0, 1), (2, 0, 0)], wx[:2] / wx[:2].sum(), once, wy)
+
+
 # -- golden artifact bytes ----------------------------------------------------
 
-_GOLDEN_SIMPLEX_DBAR = """{
+_GOLDEN_TREE_DBAR = """{
   "dual_value": "0.30000000000000004",
   "dual_x": [
     "0",
@@ -594,26 +631,26 @@ _GOLDEN_SIMPLEX_DBAR = """{
     "1"
   ],
   "dual_y": [
-    "0",
+    "-0",
     "-0.5",
     "-0.5",
     "-1"
   ],
-  "engine": "simplex",
+  "engine": "tree-enumeration",
   "support_x": 4,
   "support_y": 4,
   "value": "0.30000000000000004"
 }
 """
-_GOLDEN_SIMPLEX_CSV = (
+_GOLDEN_TREE_CSV = (
     "atom_x,atom_y,mass\r\n"
     "00,00,0.10000000000000001\r\n"
-    "01,00,5.5511151231257827e-17\r\n"
-    "01,01,0.19999999999999996\r\n"
-    "10,00,0.29999999999999999\r\n"
-    "11,01,0.10000000000000003\r\n"
-    "11,10,0.20000000000000001\r\n"
-    "11,11,0.099999999999999978\r\n"
+    "01,01,0.20000000000000001\r\n"
+    "10,00,0.099999999999999978\r\n"
+    "10,10,0.20000000000000001\r\n"
+    "11,00,0.20000000000000007\r\n"
+    "11,01,0.099999999999999978\r\n"
+    "11,11,0.10000000000000001\r\n"
 )
 
 
@@ -626,11 +663,12 @@ def _dbar_artifacts(tmp_path, mu, nu, m):
     return [(tmp_path / "out" / name).read_bytes() for name in ("dbar.json", "coupling.csv")]
 
 
-def test_dbar_artifact_bytes_simplex_pair(tmp_path):
-    """dbar.json and coupling.csv of a 4-atom pair, byte for byte."""
+def test_dbar_artifact_bytes_tree_pair(tmp_path):
+    """dbar.json and coupling.csv of a 4-atom tree-enumeration pair, byte for byte."""
     dbar, csv_bytes = _dbar_artifacts(tmp_path, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], 2)
-    assert dbar.decode() == _GOLDEN_SIMPLEX_DBAR
-    assert csv_bytes.decode() == _GOLDEN_SIMPLEX_CSV
+    assert abs(float(json.loads(dbar)["value"]) - 0.3) <= 1e-12
+    assert dbar.decode() == _GOLDEN_TREE_DBAR
+    assert csv_bytes.decode() == _GOLDEN_TREE_CSV
 
 
 def test_dbar_artifact_bytes_flow_pair(tmp_path):
@@ -647,9 +685,8 @@ def test_dbar_artifact_bytes_flow_pair(tmp_path):
 def test_probe_artifact_bytes(tmp_path):
     """probe.json and probe_scatter.csv of 100 boundary-biased 8-atom pairs, by digest.
 
-    The digests pin the tree-enumeration engine's floats, which may differ
-    from the simplex's in the last bits; every recorded distance stays within
-    1e-12 of ``dbar_exact`` and the summary matches the simplex-era run.
+    The digests pin the tree-enumeration engine's floats; every recorded
+    distance stays within 1e-12 of the value of ``dbar_exact``'s coupling.
     """
     from markovdetect.cli import main
     from markovdetect.util import load_json, spawn_rng
