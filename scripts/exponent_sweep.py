@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from markovdetect.hypotest import exponent_fit
+from markovdetect.hypotest import METHODS, exponent_fit
 from markovdetect.markov import chain_model, iid_model
 from markovdetect.util import spawn_rng
 
@@ -50,7 +50,7 @@ def main():
                     help="draw a random order-1 binary pair instead")
     ap.add_argument("--epsilons", type=parse_floats, default=[0.1, 0.25, 0.5])
     ap.add_argument("--n-grid", type=parse_ints, default=[50, 100, 200, 400])
-    ap.add_argument("--method", choices=["auto", "exact", "mc"], default="exact")
+    ap.add_argument("--method", choices=METHODS, default="exact")
     ap.add_argument("--trials", type=int, default=100_000,
                     help="calibration samples when method=mc")
     ap.add_argument("--out", type=Path, default=None,

@@ -1,9 +1,15 @@
 """Command-line front end.
 
-Every command resolves its settings as CLI flags > ``--config`` JSON file >
-built-in defaults, writes the resolved settings next to its outputs as
-``resolved_config.json``, and keeps wall-clock metadata in a separate
-``run_meta.json`` so the primary artifacts are byte-identical across reruns.
+Each command declares its settings once, in the ``@_command`` table on its
+function; the parser, the defaults, the required checks and the check of
+``--config`` values are built from it.  Settings resolve as CLI flags >
+``--config`` JSON file > built-in defaults.  A config value must have its
+flag's JSON type (a string, an integer, a number, a list of them for a
+comma-separated flag, true/false for ``--gnuplot``); a config file that is
+not a JSON object, an unknown key or a value of the wrong type exits 4 before
+any output is written.  ``main`` writes the resolved settings next to the
+outputs as ``resolved_config.json`` and wall-clock metadata in a separate
+``run_meta.json``, so the primary artifacts are byte-identical across reruns.
 
 Exit codes: 0 success; 2 bad arguments or bad values; 3 I/O failure;
 4 data-contract violation (malformed inputs, unseen contexts, atom budgets);
@@ -14,22 +20,26 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
+import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bounds_lab import (
+    SAMPLERS,
     ApproxBoundInputs,
     approx_bound,
     divergence_transport_probe,
 )
 from .corpus import SCHEMES, tokenize
 from .errors import DataContractError, MarkovDetectError
-from .hypotest import class_statistic, exponent_fit, lrt_statistic, np_threshold
+from .hypotest import METHODS, class_statistic, exponent_fit, lrt_statistic, np_threshold
 from .infometrics import ContinuityProfile, kl_rate
 from .markov import MarkovModel, fit_empirical, log_likelihood
 from .transport import dbar_exact
@@ -38,29 +48,91 @@ from .util import dump_json, fmt17, load_json
 ENV_OUT = "MARKOVDETECT_OUT"
 
 
-# -- plumbing ---------------------------------------------------------------
+# -- settings ---------------------------------------------------------------
 
 
-def _out_dir(cfg) -> Path:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+@dataclass(frozen=True)
+class Setting:
+    """One setting of a command: its flag's type, default, choices and help.
+
+    ``type`` is ``str``, ``int``, ``float``, ``bool`` (a flag without a value)
+    or ``list[int]``/``list[float]`` (a comma-separated flag).  A config value
+    must have the matching JSON type; a float setting also takes an integer.
+    """
+
+    type: type = str
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    help: str | None = None
 
 
-def _resolve(args, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
+_COMMANDS: dict[str, tuple] = {}  # name -> (cmd(cfg, out), help, settings)
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _command(name: str, helptext: str, **settings: Setting):
+    """Register the decorated ``cmd(cfg, out)`` as ``name`` with its settings."""
+    def register(func):
+        out = Setting(help=f"output directory (default ${ENV_OUT} or ./runs)")
+        _COMMANDS[name] = (func, helptext, {**settings, "out": out})
+        return func
+    return register
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _item_type(setting: Setting) -> type:
+    """The type of one value: a list setting's element type."""
+    return getattr(setting.type, "__args__", (setting.type,))[0]
+
+
+def _comma_list(item: type):
+    def parse(text: str) -> list:
+        try:
+            return [item(x) for x in text.split(",") if x.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {item.__name__} list: {text!r}") from exc
+    return parse
+
+
+def _config_value(key: str, setting: Setting, value):
+    """A config file's ``value`` for ``key``, held to its flag's type and choices."""
+    if value is None and setting.default is None:
+        return None
+    item = _item_type(setting)
+    fits = lambda v: type(v) is item or (item is float and type(v) is int)
+    if setting.type is not item:
+        if isinstance(value, list) and all(map(fits, value)):
+            return [item(v) for v in value]
+        want = f"a list, each {_JSON_TYPES[item]}"
+    elif fits(value) and (setting.choices is None or value in setting.choices):
+        return item(value)
+    else:
+        want = f"one of {', '.join(setting.choices)}" if setting.choices else _JSON_TYPES[item]
+    raise DataContractError(f"config key {key!r} must be {want}, not {json.dumps(value)}")
+
+
+def _resolve(command: str, args, settings: dict) -> dict:
+    cfg = {key: setting.default for key, setting in settings.items()}
+    if args.config:
         file_cfg = load_json(args.config)
-        unknown = sorted(set(file_cfg) - set(defaults))
+        if not isinstance(file_cfg, dict):
+            raise DataContractError(f"{args.config}: a config file must hold a JSON object")
+        unknown = sorted(set(file_cfg) - set(settings))
         if unknown:
             raise DataContractError(f"unknown config keys: {', '.join(unknown)}")
-        cfg.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    if cfg.get("out") is None:
+        for key, value in file_cfg.items():
+            cfg[key] = _config_value(key, settings[key], value)
+    cfg.update({k: v for k, v in vars(args).items() if k in settings and v is not None})
+    if cfg["out"] is None:
         cfg["out"] = os.environ.get(ENV_OUT, "runs")
+    for key, setting in settings.items():
+        if setting.required and cfg[key] is None:
+            raise DataContractError(f"{command} needs {_flag(key)}")
     return cfg
 
 
@@ -85,36 +157,22 @@ def _load_weights(path) -> list[float]:
     data = load_json(path)
     if isinstance(data, dict):
         data = data.get("weights")
-    if not isinstance(data, list):
-        raise DataContractError(f"{path}: expected a JSON list or {{'weights': [...]}}")
+    if not isinstance(data, list) or not all(isinstance(x, (int, float, str)) for x in data):
+        raise DataContractError(f"{path}: expected a JSON list of numbers or {{'weights': [...]}}")
     return [float(x) for x in data]
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
 
 
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve(args, {
-        "input": None, "scheme": "char", "order": 1, "smoothing": 0.0,
-        "vocab_limit": None, "alphabet_from": None, "seed": 0, "out": None,
-    })
-    if cfg["input"] is None:
-        raise DataContractError("train needs --input")
-    out = _out_dir(cfg)
+@_command("train", "fit an empirical Markov model on a text file",
+          input=Setting(required=True, help="path to training text"),
+          scheme=Setting(str, "char", choices=SCHEMES),
+          order=Setting(int, 1),
+          smoothing=Setting(float, 0.0),
+          vocab_limit=Setting(int),
+          alphabet_from=Setting(help="reuse the alphabet of an existing model file"))
+def cmd_train(cfg, out) -> None:
     text = _read_text(cfg["input"])
     shared = None
     if cfg["alphabet_from"] is not None:
@@ -141,18 +199,14 @@ def cmd_train(args) -> int:
         "smoothing": cfg["smoothing"],
     }
     dump_json(out / "train_summary.json", summary)
-    _write_run_files(out, "train", cfg)
     print(f"trained order-{cfg['order']} model on {len(seq)} tokens "
           f"({alphabet.size} symbols, {len(model.codes)} contexts) -> {out / 'model.json'}")
-    return 0
 
 
-def cmd_score(args) -> int:
-    cfg = _resolve(args, {"model": None, "text": None, "out": None})
-    for need in ("model", "text"):
-        if cfg[need] is None:
-            raise DataContractError(f"score needs --{need}")
-    out = _out_dir(cfg)
+@_command("score", "cross-entropy and perplexity of a model on text",
+          model=Setting(required=True, help="model.json from train"),
+          text=Setting(required=True, help="text file to score"))
+def cmd_score(cfg, out) -> None:
     model = MarkovModel.load(cfg["model"])
     seq, _ = tokenize(_read_text(cfg["text"]), model.scheme, alphabet=model.alphabet)
     ll = log_likelihood(model, seq)
@@ -164,21 +218,24 @@ def cmd_score(args) -> int:
         "perplexity": math.exp(ce),
     }
     dump_json(out / "score.json", record)
-    _write_run_files(out, "score", cfg)
     print(f"{len(seq)} tokens  cross-entropy {ce:.6f} nats/token  "
           f"perplexity {math.exp(ce):.6f}")
-    return 0
 
 
-def cmd_detect(args) -> int:
-    cfg = _resolve(args, {
-        "model_p": None, "model_q": None, "text": None,
-        "epsilon": 0.1, "trials": 10_000, "seed": 0, "method": "auto", "out": None,
-    })
-    for need in ("model_p", "model_q", "text"):
-        if cfg[need] is None:
-            raise DataContractError(f"detect needs --{need.replace('_', '-')}")
-    out = _out_dir(cfg)
+# the Neyman-Pearson test's settings, shared by detect and exponent
+_NP_TEST = {
+    "model_p": Setting(required=True, help="null (authentic-text) model"),
+    "model_q": Setting(required=True, help="alternative (generator) model"),
+    "epsilon": Setting(float, 0.1, help="false-alarm budget"),
+    "trials": Setting(int, 10_000, help="Monte Carlo calibration trials"),
+    "seed": Setting(int, 0),
+    "method": Setting(str, "auto", choices=METHODS),
+}
+
+
+@_command("detect", "decide whether text matches the null model",
+          **_NP_TEST, text=Setting(required=True, help="text file to classify"))
+def cmd_detect(cfg, out) -> None:
     p_model = MarkovModel.load(cfg["model_p"])
     q_model = MarkovModel.load(cfg["model_q"])
     if p_model.alphabet.symbols != q_model.alphabet.symbols:
@@ -211,22 +268,14 @@ def cmd_detect(args) -> int:
         "kl_rate_alt_to_null": kl_rate(q_model, p_model),
     }
     dump_json(out / "detect.json", record)
-    _write_run_files(out, "detect", cfg)
     print(f"verdict: {verdict}  statistic {stat:.6f}  threshold {threshold:.6f}  "
           f"(n={n}, epsilon={cfg['epsilon']})")
-    return 0
 
 
-def cmd_exponent(args) -> int:
-    cfg = _resolve(args, {
-        "model_p": None, "model_q": None, "epsilon": 0.1,
-        "n_grid": [50, 100, 200, 400], "trials": 10_000, "seed": 0,
-        "method": "auto", "gnuplot": False, "out": None,
-    })
-    for need in ("model_p", "model_q"):
-        if cfg[need] is None:
-            raise DataContractError(f"exponent needs --{need.replace('_', '-')}")
-    out = _out_dir(cfg)
+@_command("exponent", "measure the miss-probability decay rate", **_NP_TEST,
+          n_grid=Setting(list[int], [50, 100, 200, 400], help="comma-separated sequence lengths"),
+          gnuplot=Setting(bool, False, help="also write a gnuplot script"))
+def cmd_exponent(cfg, out) -> None:
     p_model = MarkovModel.load(cfg["model_p"])
     q_model = MarkovModel.load(cfg["model_q"])
     fit = exponent_fit(p_model, q_model, cfg["epsilon"], cfg["n_grid"],
@@ -248,40 +297,33 @@ def cmd_exponent(args) -> int:
             "fitted(x) with lines title 'fitted slope'\n"
         )
         (out / "exponent.gp").write_text(gp, encoding="utf-8")
-    _write_run_files(out, "exponent", cfg)
     rel = abs(fit.slope - fit.theory) / fit.theory if fit.theory else math.nan
     print(f"fitted exponent {fit.slope:.6f} nats/token  theory {fit.theory:.6f}  "
           f"relative gap {rel:.2%}  ({fit.method}, epsilon={cfg['epsilon']})")
-    return 0
 
 
-def cmd_dbar(args) -> int:
-    cfg = _resolve(args, {
-        "mu": None, "nu": None, "window": 1, "alphabet_size": None, "out": None,
-    })
-    for need in ("mu", "nu"):
-        if cfg[need] is None:
-            raise DataContractError(f"dbar needs --{need}")
-    out = _out_dir(cfg)
+@_command("dbar", "exact per-letter transport distance",
+          mu=Setting(required=True, help="JSON weights of the first law"),
+          nu=Setting(required=True, help="JSON weights of the second law"),
+          window=Setting(int, 1, help="sequence length the laws live on"),
+          alphabet_size=Setting(int))
+def cmd_dbar(cfg, out) -> None:
     mu = _load_weights(cfg["mu"])
     nu = _load_weights(cfg["nu"])
     coupling = dbar_exact(mu, nu, cfg["window"], alphabet_size=cfg["alphabet_size"])
     dump_json(out / "dbar.json", coupling.to_json())
     coupling.entries_to_csv(out / "coupling.csv")
-    _write_run_files(out, "dbar", cfg)
     print(f"per-letter transport distance {coupling.value:.9f} over window {cfg['window']}")
-    return 0
 
 
-def cmd_ct_bound(args) -> int:
-    cfg = _resolve(args, {
-        "gamma": None, "floor": None, "alphabet_size": 2,
-        "train_len": None, "rate_exponent": None, "tail_exponent": None, "out": None,
-    })
-    for need in ("gamma", "floor", "train_len", "rate_exponent", "tail_exponent"):
-        if cfg[need] is None:
-            raise DataContractError(f"ct-bound needs --{need.replace('_', '-')}")
-    out = _out_dir(cfg)
+@_command("ct-bound", "evaluate the model-fitting transport bound",
+          gamma=Setting(list[float], required=True, help="continuity rates, outermost first"),
+          floor=Setting(float, required=True, help="uniform lower bound on conditionals"),
+          alphabet_size=Setting(int, 2),
+          train_len=Setting(int, required=True),
+          rate_exponent=Setting(float, required=True),
+          tail_exponent=Setting(float, required=True))
+def cmd_ct_bound(cfg, out) -> None:
     profile = ContinuityProfile(rates=tuple(cfg["gamma"]), floor=cfg["floor"],
                                 alphabet_size=cfg["alphabet_size"])
     inputs = ApproxBoundInputs(cfg["train_len"], cfg["rate_exponent"],
@@ -296,27 +338,24 @@ def cmd_ct_bound(args) -> int:
         "profile": profile.to_json(),
     }
     dump_json(out / "ct_bound.json", record)
-    _write_run_files(out, "ct-bound", cfg)
     print(f"approximation bound {bound:.9f} at resolved order {inputs.order}")
-    return 0
 
 
-def cmd_probe(args) -> int:
-    cfg = _resolve(args, {
-        "alphabet_size": 2, "window": 1, "instances": 1000,
-        "sampler": "dirichlet-uniform", "seed": 0, "out": None,
-    })
-    out = _out_dir(cfg)
+@_command("probe", "sample law pairs and chart divergence vs transport",
+          alphabet_size=Setting(int, 2),
+          window=Setting(int, 1),
+          instances=Setting(int, 1000),
+          sampler=Setting(str, "dirichlet-uniform", choices=tuple(SAMPLERS)),
+          seed=Setting(int, 0))
+def cmd_probe(cfg, out) -> None:
     report = divergence_transport_probe(
         cfg["alphabet_size"], cfg["window"], cfg["instances"],
         sampler=cfg["sampler"], seed=cfg["seed"],
     )
     dump_json(out / "probe.json", report.to_json())
     (out / "probe_scatter.csv").write_text(report.scatter_csv(), encoding="utf-8")
-    _write_run_files(out, "probe", cfg)
     print(f"probed {report.instance_count} pairs: sup ratio {report.sup_ratio:.6f}, "
           f"{report.excluded} excluded, {report.violations} gate violations")
-    return 0
 
 
 _REPORT_READERS = {
@@ -341,14 +380,12 @@ _REPORT_READERS = {
 }
 
 
-def cmd_report(args) -> int:
-    cfg = _resolve(args, {"run_dir": None, "out": None})
-    if cfg["run_dir"] is None:
-        raise DataContractError("report needs --run-dir")
+@_command("report", "summarize the artifacts in a run directory",
+          run_dir=Setting(required=True))
+def cmd_report(cfg, out) -> None:
     run_dir = Path(cfg["run_dir"])
     if not run_dir.is_dir():
         raise DataContractError(f"{run_dir} is not a directory")
-    out = _out_dir(cfg)
     lines = [f"report for {run_dir.name}"]
     for name in sorted(_REPORT_READERS):
         path = run_dir / name
@@ -358,15 +395,15 @@ def cmd_report(args) -> int:
         lines.append("no recognized artifacts found")
     text = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(text, encoding="utf-8")
-    _write_run_files(out, "report", cfg)
     print(text, end="")
-    return 0
 
 
-# -- parser -----------------------------------------------------------------
+# -- parser and entry point -------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built from the settings table on first use."""
     parser = argparse.ArgumentParser(
         prog="markovdetect",
         description="Fit Markov text models and measure how fast statistical "
@@ -377,80 +414,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, helptext):
+    for name, (_, helptext, settings) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON file of settings (flags win)")
-        p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or ./runs)")
-        return p
-
-    p = add("train", cmd_train, "fit an empirical Markov model on a text file")
-    p.add_argument("--input", help="path to training text")
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--order", type=int)
-    p.add_argument("--smoothing", type=float)
-    p.add_argument("--vocab-limit", type=int, dest="vocab_limit")
-    p.add_argument("--alphabet-from", dest="alphabet_from",
-                   help="reuse the alphabet of an existing model file")
-
-    p = add("score", cmd_score, "cross-entropy and perplexity of a model on text")
-    p.add_argument("--model", help="model.json from train")
-    p.add_argument("--text", help="text file to score")
-
-    p = add("detect", cmd_detect, "decide whether text matches the null model")
-    p.add_argument("--model-p", dest="model_p", help="null (authentic-text) model")
-    p.add_argument("--model-q", dest="model_q", help="alternative (generator) model")
-    p.add_argument("--text", help="text file to classify")
-    p.add_argument("--epsilon", type=float, help="false-alarm budget")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=["auto", "mc", "exact"])
-
-    p = add("exponent", cmd_exponent, "measure the miss-probability decay rate")
-    p.add_argument("--model-p", dest="model_p")
-    p.add_argument("--model-q", dest="model_q")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--n-grid", type=_int_list, dest="n_grid",
-                   help="comma-separated sequence lengths")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=["auto", "mc", "exact"])
-    p.add_argument("--gnuplot", action="store_const", const=True,
-                   help="also write a gnuplot script")
-
-    p = add("dbar", cmd_dbar, "exact per-letter transport distance")
-    p.add_argument("--mu", help="JSON weights of the first law")
-    p.add_argument("--nu", help="JSON weights of the second law")
-    p.add_argument("--window", type=int, help="sequence length the laws live on")
-    p.add_argument("--alphabet-size", type=int, dest="alphabet_size")
-
-    p = add("ct-bound", cmd_ct_bound, "evaluate the model-fitting transport bound")
-    p.add_argument("--gamma", type=_float_list, help="continuity rates, outermost first")
-    p.add_argument("--floor", type=float, help="uniform lower bound on conditionals")
-    p.add_argument("--alphabet-size", type=int, dest="alphabet_size")
-    p.add_argument("--train-len", type=int, dest="train_len")
-    p.add_argument("--rate-exponent", type=float, dest="rate_exponent")
-    p.add_argument("--tail-exponent", type=float, dest="tail_exponent")
-
-    p = add("probe", cmd_probe, "sample law pairs and chart divergence vs transport")
-    p.add_argument("--alphabet-size", type=int, dest="alphabet_size")
-    p.add_argument("--window", type=int)
-    p.add_argument("--instances", type=int)
-    p.add_argument("--sampler", choices=["dirichlet-uniform", "boundary-biased"])
-    p.add_argument("--seed", type=int)
-
-    p = add("report", cmd_report, "summarize the artifacts in a run directory")
-    p.add_argument("--run-dir", dest="run_dir")
-
+        for key, setting in settings.items():
+            item = _item_type(setting)
+            how = (dict(action="store_const", const=True) if item is bool else
+                   dict(type=item if setting.type is item else _comma_list(item),
+                        choices=setting.choices))
+            p.add_argument(_flag(key), dest=key, help=setting.help, **how)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd, _, settings = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        cfg = _resolve(args.command, args, settings)
+        out = Path(cfg["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        cmd(cfg, out)
+        _write_run_files(out, args.command, cfg)
     except MarkovDetectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -460,6 +444,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"bad value: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

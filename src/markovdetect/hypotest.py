@@ -49,6 +49,8 @@ SEQ_ATOM_CAP = 4096
 IID_LATTICE_CAP = 400_000
 CHAIN_LATTICE_NMAX = 2048
 _TIE_TOL = 1e-15
+# calibration engines: an exact table where one applies, Monte Carlo, or exact only
+METHODS = ("auto", "mc", "exact")
 
 
 def lrt_statistic(p_model: MarkovModel, q_model: MarkovModel, seq) -> float:
@@ -393,7 +395,7 @@ def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
 
 def _exact_table(p_model, q_model, n, method):
     """The exact statistic table for ``method``, or None to sample."""
-    if method not in ("auto", "mc", "exact"):
+    if method not in METHODS:
         raise ValueError("method must be auto, mc or exact")
     if method == "mc":
         return None

@@ -43,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Alphabet, TokenSeq
-from .errors import AtomBudgetError, NonConvergenceError, UnseenContextError
+from .errors import AtomBudgetError, DataContractError, NonConvergenceError, UnseenContextError
 from .util import check_code_length, decode, dump_json, encode, fmt17, load_json, spawn_rng
 
 DEFAULT_ATOM_CAP = 65536
@@ -191,7 +191,11 @@ class MarkovModel:
 
     @classmethod
     def load(cls, path) -> "MarkovModel":
-        return cls.from_json(load_json(path))
+        obj = load_json(path)
+        try:
+            return cls.from_json(obj)
+        except (KeyError, TypeError) as exc:
+            raise DataContractError(f"{path}: not a markovdetect model ({exc!r})") from exc
 
 
 def iid_model(probs, alphabet: Alphabet | None = None) -> MarkovModel:

@@ -113,10 +113,11 @@ class Coupling:
             raise ValueError("coupling marginals do not match")
 
     def to_json(self) -> dict:
+        # adding 0.0 writes a zero price as "0", never as "-0"
         return {
             "value": fmt17(self.value),
-            "dual_x": [fmt17(v) for v in self.dual_x],
-            "dual_y": [fmt17(v) for v in self.dual_y],
+            "dual_x": [fmt17(v) for v in self.dual_x + 0.0],
+            "dual_y": [fmt17(v) for v in self.dual_y + 0.0],
             "dual_value": fmt17(
                 float(self.weights_x @ self.dual_x + self.weights_y @ self.dual_y)
             ),

@@ -252,6 +252,137 @@ def test_unknown_config_key_rejected(texts, tmp_path, capsys):
     assert "ordre" in capsys.readouterr().err
 
 
+# (command, config key, a value of the wrong JSON type or outside the choices)
+_BAD_CONFIG_VALUES = [
+    ("train", "order", "2"),                # a string for an integer
+    ("train", "smoothing", "0.1"),          # a string for a number
+    ("train", "scheme", "bytes"),           # outside the choices
+    ("train", "order", None),               # null where the default is set
+    ("score", "model", 3),                  # a number for a path
+    ("detect", "epsilon", "0.1"),
+    ("detect", "trials", True),             # a boolean for an integer
+    ("detect", "method", "fast"),
+    ("exponent", "n_grid", 50),             # a scalar for a list
+    ("exponent", "n_grid", [50, 100.0]),    # a float in an integer list
+    ("exponent", "gnuplot", 1),
+    ("dbar", "window", 2.0),                # a float for an integer
+    ("ct-bound", "gamma", 0.1),
+    ("ct-bound", "floor", True),            # a boolean for a number
+    ("probe", "window", "2"),
+    ("probe", "instances", 150.0),
+    ("probe", "sampler", "uniform"),
+    ("report", "run_dir", ["runs"]),        # a list for a path
+]
+
+
+@pytest.mark.parametrize("command, key, value", _BAD_CONFIG_VALUES)
+def test_config_value_of_the_wrong_type_exits_4(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_an_object_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 4
+    assert str(cfg) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_gives_the_bytes_of_the_same_flags(trained, texts, tmp_path):
+    """A config holding the values of a set of flags writes the same primary
+    artifacts and resolved_config.json; an integer for a number is a number."""
+    p_model, q_model = trained
+    p_text, _, sample = texts
+    (tmp_path / "mu.json").write_text(json.dumps([0.1, 0.2, 0.3, 0.4]), encoding="utf-8")
+    (tmp_path / "nu.json").write_text(json.dumps([0.4, 0.3, 0.2, 0.1]), encoding="utf-8")
+    models = {"model_p": str(p_model), "model_q": str(q_model)}
+    cases = [
+        ("train", {"input": str(p_text), "scheme": "char", "order": 2, "smoothing": 0,
+                   "vocab_limit": None, "alphabet_from": str(p_model)}),
+        ("detect", {**models, "text": str(sample), "epsilon": 0.2, "trials": 2000,
+                    "seed": 3, "method": "mc"}),
+        ("exponent", {**models, "epsilon": 0.5, "n_grid": [40, 80, 160],
+                      "method": "exact", "gnuplot": True}),
+        ("dbar", {"mu": str(tmp_path / "mu.json"), "nu": str(tmp_path / "nu.json"),
+                  "window": 2, "alphabet_size": 2}),
+        ("ct-bound", {"gamma": [0.1, 0], "floor": 0.2, "alphabet_size": 2,
+                      "train_len": 10000, "rate_exponent": 0.1, "tail_exponent": 0.25}),
+        ("probe", {"alphabet_size": 2, "window": 2, "instances": 100,
+                   "sampler": "boundary-biased", "seed": 4}),
+    ]
+    for command, values in cases:
+        out = tmp_path / command
+        flags = []
+        for key, value in values.items():
+            flag = "--" + key.replace("_", "-")
+            if value is True:
+                flags.append(flag)
+            elif value is not None:
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                flags += [flag, text]
+        assert main([command, *flags, "--out", str(out)]) == 0, command
+        by_flags = snapshot(out)
+        for path in out.iterdir():
+            path.unlink()
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(values), encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+        assert snapshot(out) == by_flags, command
+
+
+def test_train_has_no_seed_setting(texts, tmp_path, capsys):
+    p_text, _, _ = texts
+    out = tmp_path / "run"
+    assert main(["train", "--input", str(p_text), "--out", str(out)]) == 0
+    assert "seed" not in load_json(out / "resolved_config.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 0}), encoding="utf-8")
+    assert main(["train", "--input", str(p_text), "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == 4
+    assert "unknown config keys: seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["{}", "[1, 2]", "no alphabet"])
+@pytest.mark.parametrize("command", ["score", "detect", "exponent", "train"])
+def test_file_that_is_not_a_model_exits_4(trained, texts, tmp_path, capsys, command, content):
+    p_model, q_model = trained
+    p_text, _, sample = texts
+    bad = tmp_path / "bad_model.json"
+    if content == "no alphabet":
+        obj = load_json(p_model)
+        del obj["alphabet"]
+        content = json.dumps(obj)
+    bad.write_text(content, encoding="utf-8")
+    argv = {
+        "score": ["score", "--model", str(bad), "--text", str(sample)],
+        "detect": ["detect", "--model-p", str(p_model), "--model-q", str(bad),
+                   "--text", str(sample)],
+        "exponent": ["exponent", "--model-p", str(bad), "--model-q", str(q_model)],
+        "train": ["train", "--input", str(p_text), "--alphabet-from", str(bad)],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["[null, 0.5, 0.25, 0.25]", "[[0.25], 0.25, 0.25, 0.25]",
+                                     '{"weights": [0.5, null]}'])
+def test_dbar_weights_that_are_not_numbers_exit_4(tmp_path, capsys, content):
+    mu = tmp_path / "mu.json"
+    mu.write_text(content, encoding="utf-8")
+    (tmp_path / "nu.json").write_text(json.dumps([0.25] * 4), encoding="utf-8")
+    out = tmp_path / "dbar"
+    assert main(["dbar", "--mu", str(mu), "--nu", str(tmp_path / "nu.json"),
+                 "--window", "2", "--out", str(out)]) == 4
+    assert str(mu) in capsys.readouterr().err
+    assert not (out / "dbar.json").exists()
+
+
 def test_out_env_var_honored(texts, tmp_path, monkeypatch):
     p_text, _, _ = texts
     target = tmp_path / "from_env"
@@ -373,6 +504,13 @@ def test_cli_import_leaves_scipy_out():
             "import markovdetect.cli\n"
             f"print(json.dumps({_SCIPY_LOADED}))\n")
     assert [json.loads(line) for line in _fresh_python(code).splitlines()] == [[], []]
+
+
+def test_parser_is_built_on_first_use_and_kept():
+    code = ("from markovdetect import cli\n"
+            "print(cli.build_parser.cache_info().currsize)\n"
+            "print(cli.build_parser() is cli.build_parser())\n")
+    assert _fresh_python(code).split() == ["0", "True"]
 
 
 def _run_fresh(*groups):

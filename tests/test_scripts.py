@@ -1,0 +1,31 @@
+"""Smoke runs of the experiment scripts at toy size, each in a fresh interpreter."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script, args, outputs", [
+    ("exponent_sweep.py", ["--epsilons", "0.5", "--n-grid", "20,40,80", "--out", "e.json"],
+     ["e.json"]),
+    ("ratio_probe_sweep.py", ["--windows", "1,2", "--instances", "100", "--out-dir", "probe"],
+     [f"probe/scatter_w{w}_{s}.csv" for w in (1, 2)
+      for s in ("boundary_biased", "dirichlet_uniform")]),
+    ("fitting_bound_sweep.py", ["--m-grid", "1000,2000", "--rate-exponent", "0.17",
+                                "--n-windows", "200", "--bootstrap", "4", "--window", "4",
+                                "--out", "f.json"], ["f.json"]),
+])
+def test_script_runs_and_writes_its_output(tmp_path, script, args, outputs):
+    done = subprocess.run([sys.executable, str(SCRIPTS / script), *args], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in outputs:
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        if name.endswith(".json"):
+            assert json.loads(text)
+        else:
+            assert len(text.splitlines()) > 1

@@ -165,6 +165,20 @@ def test_coupling_json_deterministic(rng):
     assert "dual_value" in a
 
 
+@pytest.mark.parametrize("m", [2, 5])
+def test_coupling_json_writes_no_negative_zero(m):
+    """Both flow engines return the y prices as -phi, so a zero potential is
+    -0.0 in ``dual_y``; the JSON form writes it as "0"."""
+    nu = np.ones(2 ** m)
+    nu[[0, -1]] = 4.0
+    coupling = dbar_exact(np.full(2 ** m, 0.5 ** m), nu / nu.sum(), m)
+    assert coupling.engine == ("tree-enumeration" if m == 2 else "hamming-flow")
+    assert np.signbit(coupling.dual_y[coupling.dual_y == 0]).any()
+    rec = coupling.to_json()
+    assert "0" in rec["dual_y"]
+    assert "-0" not in rec["dual_x"] + rec["dual_y"]
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=30, deadline=None)
 def test_degenerate_point_masses(code):
@@ -631,7 +645,7 @@ _GOLDEN_TREE_DBAR = """{
     "1"
   ],
   "dual_y": [
-    "-0",
+    "0",
     "-0.5",
     "-0.5",
     "-1"
@@ -677,7 +691,7 @@ def test_dbar_artifact_bytes_flow_pair(tmp_path):
     dbar, csv_bytes = _dbar_artifacts(
         tmp_path, [float(i + 1) / 528 for i in range(32)], [x / sum(nu) for x in nu], 5)
     assert hashlib.sha256(dbar).hexdigest() == (
-        "71160649d7052a75b1685ad4b46ec5e4d570ae2b711afead3185790b4fb46fe4")
+        "ef56ca90fb6eef70979ef7fe6f15775e853944c158cd465fd117df8d5f7758bd")
     assert hashlib.sha256(csv_bytes).hexdigest() == (
         "3e93868586b08a3fa1b4019ad361de1089d863053c98374f059a915b0c5c851a")
 
