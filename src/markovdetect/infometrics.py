@@ -34,11 +34,14 @@ from .util import decode
 PROB_TOL = 1e-12
 
 
-def _as_prob(p) -> np.ndarray:
+def _as_prob(p, stack: bool = False) -> np.ndarray:
+    """``p`` as a checked probability vector, or with ``stack`` a 2-d stack
+    of them, one per row."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("expected a 1-d probability vector")
-    if not (p.min() >= 0 and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails both
+    if p.ndim not in ((1, 2) if stack else (1,)) or p.size < 1:
+        raise ValueError("expected a 1-d probability vector" + (" or a stack" if stack else ""))
+    # NaN fails both
+    if not (p.min() >= 0 and (np.abs(p.sum(axis=-1) - 1.0) <= 1e-9).all()):
         raise ValueError("entries must be >= 0 and sum to 1")
     return p
 
@@ -60,14 +63,34 @@ def cross_entropy(p, q) -> float:
     return float(-np.sum(p[mask] * np.log(q[mask])))
 
 
-def kl(p, q) -> float:
-    """Relative entropy D(p||q) in nats; +inf on support violation."""
-    p, q = _as_prob(p), _as_prob(q)
+def kl(p, q):
+    """Relative entropy D(p||q) in nats; +inf on support violation.
+
+    Two (pairs, atoms) stacks give an array, one divergence per row pair,
+    each equal bit for bit to the divergence of that pair alone.
+    """
+    p, q = _as_prob(p, stack=True), _as_prob(q, stack=True)
+    if p.shape != q.shape:
+        raise ValueError("distributions must share the atom space")
     mask = p > 0
-    if np.any(q[mask] <= 0):
+    hole = (mask & (q <= 0)).any(axis=-1)
+    if hole.any():
         warnings.warn("q assigns zero mass inside p's support", SupportViolationWarning)
-        return math.inf
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    if p.ndim == 1:
+        return math.inf if hole else float(_kl_terms(p[mask], q[mask]))
+    out = np.full(len(p), math.inf)
+    # a full row sums as the 1-d sum does; a row with zeros sums its masked
+    # entries, since padding them would change the summation's grouping
+    full = mask.all(axis=1) & ~hole
+    out[full] = _kl_terms(p[full], q[full])
+    for i in np.flatnonzero(~full & ~hole).tolist():
+        out[i] = _kl_terms(p[i, mask[i]], q[i, mask[i]])
+    return out
+
+
+def _kl_terms(p, q):
+    """sum p ln(p / q) along the last axis."""
+    return np.sum(p * np.log(p / q), axis=-1)
 
 
 def perplexity(p, q) -> float:

@@ -171,17 +171,24 @@ class MarkovModel:
         alphabet = Alphabet.from_json(obj["alphabet"])
         k = obj["order"]
 
+        def pairs(key):
+            # a malformed entry is a TypeError, which ``load`` maps like a missing key
+            if not all(isinstance(entry, list) and len(entry) == 2 for entry in obj[key]):
+                raise TypeError(f"{key!r} entries must be [context, value] pairs")
+            return obj[key]
+
         def codes(pairs):
             ctxs = np.array([ctx for ctx, _ in pairs], dtype=np.int64)
             return encode(ctxs.reshape(len(pairs), k), alphabet.size)
 
+        transitions, init = pairs("transitions"), pairs("init")
         return cls(
             order=k,
             alphabet=alphabet,
-            codes=codes(obj["transitions"]),
-            rows=[[float(p) for p in row] for _, row in obj["transitions"]],
-            init_codes=codes(obj["init"]),
-            init_probs=[float(p) for _, p in obj["init"]],
+            codes=codes(transitions),
+            rows=[[float(p) for p in row] for _, row in transitions],
+            init_codes=codes(init),
+            init_probs=[float(p) for _, p in init],
             scheme=obj.get("scheme"),
             smoothing=float(obj.get("smoothing", 0.0)),
         )

@@ -6,8 +6,8 @@ ground cost is the graph's shortest-path metric, the transport optimum equals
 the cheapest such flow (the Beckmann / EMD-L1 reduction of Ling & Okada,
 2007).  ``_flow_graph``, the one engine selector, picks the graph and its
 engine from the two supports alone, so ``dbar_between``, ``dbar_exact``,
-``dbar_empirical`` and ``dbar_value`` name the same engine on the same
-supports:
+``dbar_empirical``, ``dbar_value`` and ``dbar_values`` name the same engine
+on the same supports:
 
 - The Hamming cube a^m (a symbols), when both supports embed in it: distinct
   words, non-negative letters and a^m <= ``DBAR_ATOM_CAP``.  Words are joined
@@ -18,18 +18,20 @@ supports:
   cheapest spanning-tree flow and its dual optimum the best integer
   1/m-Lipschitz potential, so both are enumerated once per cube (384 trees
   and 495 potentials on the 3-cube, built in about 2 ms) and a solve is two
-  small matrix products, numpy only.  Every other cube answers by
-  ``"hamming-flow"``: HiGHS through ``scipy.optimize.linprog`` on the
-  a^m * m * (a-1) arcs, instead of the a^(2m) cells of the dense problem.
+  small matrix products, numpy only; ``dbar_values`` solves a stack of law
+  pairs in blocks of rows, each block one stacked product.  Every other
+  cube answers by ``"hamming-flow"``: HiGHS through
+  ``scipy.optimize.linprog`` on the a^m * m * (a-1) arcs, instead of the
+  a^(2m) cells of the dense problem.
 - The bipartite support graph x -> y, for supports that do not embed (a cube
   above the cap, a word listed twice, a negative letter): one arc from each
   x atom to each y atom.  The same HiGHS call solves it as
   ``"support-flow"``, and its flow is the coupling itself.
 
-Every engine returns one record of arcs, flows and node potentials, and
-``_certify_flow`` checks each one: a conserving non-negative flow, potentials
-that drop by no more than an arc's cost along every arc of the graph, and a
-zero duality gap.  A coupling is the diagonal min(mu, nu) plus a
+Every engine returns one record of arcs, flows and node potentials per row
+of excess, and ``_certify_flow`` checks each row: a conserving non-negative
+flow, potentials that drop by no more than an arc's cost along every arc of
+the graph, and a zero duality gap.  A coupling is the diagonal min(mu, nu) plus a
 decomposition of the flow into paths.  Monte Carlo or entropic shortcuts are
 deliberately absent: callers that need the distance get the exact optimum or
 an error.
@@ -37,6 +39,7 @@ an error.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -58,6 +61,9 @@ _FLOW_EPS = 1e-12  # flows and masses at or below this are rounding residue
 # trees, are solved by enumerating them: K_2..K_5, the 4-cycle and the 3-cube
 # (792); K_6 has 3,003, the 3x3 rook graph 43,758
 _TREE_ENUM_MAX = 1024
+# a batched tree-enumeration solve takes as many rows as keep its per-row
+# products (every tree's flow, every potential's value) within this
+_BLOCK_BYTES = 256 * 1024
 
 
 def tv(p, q) -> float:
@@ -178,15 +184,25 @@ class _FlowGraph:
         return _on_nodes(wx, self.nodes_x, self.size) - _on_nodes(wy, self.nodes_y, self.size)
 
     def flow(self, excess: np.ndarray):
-        """The engine's flow record ``(tails, heads, flow, phi)`` of ``excess``."""
+        """The engine's flow record ``(tails, heads, flow, phi)`` of ``excess``,
+        one row of record for each row of a stack of excesses."""
         if self.engine == "tree-enumeration":
             return _tree_flow(excess, self.a, self.m)
         return _highs_flow(excess, self)
 
-    def value(self, wx: np.ndarray, wy: np.ndarray) -> float:
-        """Certified optimum between the supports weighted by ``wx`` and ``wy``."""
+    def value(self, wx: np.ndarray, wy: np.ndarray):
+        """Certified optimum between the supports weighted by ``wx`` and
+        ``wy``; one per row on the whole cube, where the weights may be stacks."""
         excess = self.excess(wx, wy)
         return _certify_flow(self.flow(excess), excess, self)
+
+    def block_rows(self) -> int:
+        """Rows of a stack solved together: all that keep tree enumeration's
+        work within ``_BLOCK_BYTES``, and one for HiGHS, which solves by row."""
+        if self.engine != "tree-enumeration":
+            return 1
+        table = _tree_table(self.a, self.m)
+        return max(1, _BLOCK_BYTES // (8 * (len(table.flow_maps) + len(table.potentials))))
 
 
 def _flow_graph(ax: np.ndarray, ay: np.ndarray) -> _FlowGraph:
@@ -275,47 +291,58 @@ def _hamming_incidence(a: int, m: int):
 
 
 def _highs_flow(excess: np.ndarray, graph: _FlowGraph):
-    """Min-cost flow of ``excess`` on ``graph`` by HiGHS.
+    """Min-cost flow of ``excess`` on ``graph`` by HiGHS, one solve per row
+    of a stack of excesses.
 
     Returns the flow record ``(tails, heads, flow, phi)``: every arc of the
-    graph, its flow, and the node potentials phi that HiGHS reports as duals
-    of the conservation rows (phi = 0 on the last node).
+    graph, the flow on each, and the node potentials phi that HiGHS reports as
+    duals of the conservation rows (phi = 0 on the last node).
     """
     from scipy.optimize import linprog
     cost = np.full(len(graph.tails), 1.0 / graph.m) if graph.hops is None else graph.hops / graph.m
-    res = linprog(cost, A_eq=graph.incidence, b_eq=excess[:-1], bounds=(0, None),
-                  method="highs", options=_HIGHS_OPTIONS)
-    if res.status != 0:
-        raise NonConvergenceError(f"min-cost flow failed: {res.message}")
-    return graph.tails, graph.heads, res.x, np.append(res.eqlin.marginals, 0.0)
+    flows, phis = [], []
+    for row in excess.reshape(-1, excess.shape[-1]):
+        res = linprog(cost, A_eq=graph.incidence, b_eq=row[:-1], bounds=(0, None),
+                      method="highs", options=_HIGHS_OPTIONS)
+        if res.status != 0:
+            raise NonConvergenceError(f"min-cost flow failed: {res.message}")
+        flows.append(res.x)
+        phis.append(np.append(res.eqlin.marginals, 0.0))
+    return (graph.tails, graph.heads, np.reshape(flows, excess.shape[:-1] + (-1,)),
+            np.reshape(phis, excess.shape))
 
 
-def _certify_flow(record, excess: np.ndarray, graph: _FlowGraph) -> float:
-    """Certified value of a flow record ``(tails, heads, flow, phi)`` of ``excess``.
+def _certify_flow(record, excess: np.ndarray, graph: _FlowGraph):
+    """Certified value of a flow record ``(tails, heads, flow, phi)`` of
+    ``excess``, or one value per row of a stack of excesses.
 
-    A record's arcs are the graph's in order (HiGHS) or some of the cube's
-    one-letter arcs (tree enumeration).  The flow must be non-negative and
-    balance the excess at every node but one, whose balance the others imply
-    up to the rounding of sum(excess): each engine leaves a different node's
-    row out of its solve.  Along every arc of the graph the potentials may
-    drop by at most the arc's cost.  On the cube that gives phi[x] - phi[y]
-    <= hamming(x, y)/m + m * _CERT_TOL for every pair of words, and the
-    support graph has an arc for every pair, so (phi, -phi) are feasible
-    transport duals.  The duality gap must be zero.
+    A record's arcs are the graph's in order (HiGHS, shared by every row) or
+    some of the cube's one-letter arcs (tree enumeration, one set per row).
+    Each row's flow must be non-negative and balance its excess at every node
+    but one, whose balance the others imply up to the rounding of
+    sum(excess): each engine leaves a different node's row out of its solve.
+    Along every arc of the graph the potentials may drop by at most the arc's
+    cost.  On the cube that gives phi[x] - phi[y] <= hamming(x, y)/m +
+    m * _CERT_TOL for every pair of words, and the support graph has an arc
+    for every pair, so (phi, -phi) are feasible transport duals.  The duality
+    gap must be zero.  A row that fails any check fails the whole call.
     """
     tails, heads, flow, phi = record
-    n = len(excess)
-    net = np.bincount(tails, flow, n) - np.bincount(heads, flow, n)
-    off = np.sort(np.abs(net - excess))  # NaN sorts last
+    n = excess.shape[-1]
+    # row r's nodes are numbered from r * n, so one bincount nets every row
+    shift = n * np.arange(excess.size // n).reshape(excess.shape[:-1] + (1,))
+    net = (np.bincount((tails + shift).ravel(), flow.ravel(), excess.size)
+           - np.bincount((heads + shift).ravel(), flow.ravel(), excess.size))
+    off = np.sort(np.abs(net.reshape(excess.shape) - excess), axis=-1)  # NaN sorts last
     # comparisons are written so that a NaN anywhere fails them
-    if not (flow.min() >= -_CERT_TOL and off[-2] <= _CERT_TOL):
+    if not (flow.min() >= -_CERT_TOL and off[..., -2].max() <= _CERT_TOL):
         raise NonConvergenceError("flow certificate failed: infeasible flow")
     unit = graph.hops is None
-    drop = phi[graph.tails] - phi[graph.heads]
+    drop = phi[..., graph.tails] - phi[..., graph.heads]
     if not (drop <= (1 if unit else graph.hops) / graph.m + _CERT_TOL).all():
         raise NonConvergenceError("flow certificate failed: potentials drop past an arc's cost")
-    value = float(flow.sum() if unit else flow @ graph.hops) / graph.m
-    if not abs(float(phi @ excess) - value) <= _CERT_TOL:
+    value = (flow.sum(axis=-1) if unit else flow @ graph.hops) / graph.m
+    if not np.abs((phi * excess).sum(axis=-1) - value).max() <= _CERT_TOL:
         raise NonConvergenceError("flow certificate failed: duality gap")
     return value
 
@@ -410,21 +437,24 @@ def _word_cube(a: int, m: int) -> np.ndarray:
 
 
 def _cube_laws(mu, nu, m: int, alphabet_size: int | None):
-    """Validated (mu, nu, alphabet_size) for two laws on the whole a^m word cube."""
+    """Validated (mu, nu, alphabet_size) for two laws, or two stacks of laws
+    one per row, on the whole a^m word cube."""
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if len(mu) != len(nu):
+    if mu.ndim not in (1, 2) or mu.shape != nu.shape:
         raise ValueError("distributions must share the atom space")
-    if len(mu) > DBAR_ATOM_CAP:
-        raise AtomBudgetError(f"{len(mu)} atoms exceed cap {DBAR_ATOM_CAP}")
+    n = mu.shape[-1]
+    if n > DBAR_ATOM_CAP:
+        raise AtomBudgetError(f"{n} atoms exceed cap {DBAR_ATOM_CAP}")
     for name, w in (("mu", mu), ("nu", nu)):
-        if not (w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-9):  # NaN fails too
+        # NaN fails too
+        if not (w.min() >= 0 and (np.abs(w.sum(axis=-1) - 1.0) <= 1e-9).all()):
             raise ValueError(f"{name} must be a probability vector")
     if alphabet_size is None:
-        alphabet_size = round(len(mu) ** (1.0 / m))
-    if alphabet_size ** m != len(mu):
+        alphabet_size = round(n ** (1.0 / m))
+    if alphabet_size ** m != n:
         raise ValueError("atom count is not alphabet_size ** m")
     return mu, nu, alphabet_size
 
@@ -441,14 +471,29 @@ def dbar_exact(mu, nu, m: int, alphabet_size: int | None = None) -> Coupling:
 
 
 def dbar_value(mu, nu, m: int, alphabet_size: int | None = None) -> tuple[float, str]:
-    """Certified value of ``dbar_exact(mu, nu, m, ...)`` and the engine that answered.
+    """Certified value of ``dbar_exact(mu, nu, m, ...)`` and the engine that
+    answered: :func:`dbar_values` on one pair."""
+    value, engine = dbar_values(mu, nu, m, alphabet_size)
+    return float(value), engine
 
-    Builds no coupling, and sets the cube's graph up once (``_cube_graph``),
-    so repeated calls on one cube cost a flow solve and its certificate.
+
+def dbar_values(mus, nus, m: int, alphabet_size: int | None = None) -> tuple[np.ndarray, str]:
+    """Certified ``dbar_exact`` values of the row pairs of two (pairs, a^m)
+    stacks of laws, and the engine that answered them all.
+
+    Builds no coupling, and sets the cube's graph up once (``_cube_graph``).
+    Tree enumeration solves the rows in blocks of ``block_rows`` (about ten
+    on the 3-cube), each block one stacked product, and certifies every row;
+    HiGHS solves them one by one.  A value equals the one row's solve bit for
+    bit.  Single laws give a single value.
     """
-    mu, nu, alphabet_size = _cube_laws(mu, nu, m, alphabet_size)
+    mus, nus, alphabet_size = _cube_laws(mus, nus, m, alphabet_size)
     graph = _cube_graph(alphabet_size, m)
-    return graph.value(mu, nu), graph.engine
+    if mus.ndim == 1:
+        return graph.value(mus, nus), graph.engine
+    step = graph.block_rows()
+    values = [graph.value(mus[i:i + step], nus[i:i + step]) for i in range(0, len(mus), step)]
+    return np.concatenate(values), graph.engine
 
 
 @lru_cache(maxsize=8)
@@ -515,22 +560,28 @@ def _tree_table(a: int, m: int) -> _TreeTable:
 
 
 def _tree_flow(excess: np.ndarray, a: int, m: int):
-    """Cheapest spanning-tree flow of ``excess`` and the best integer potential.
+    """Cheapest spanning-tree flow of ``excess`` and the best integer
+    potential, for one excess or for each row of a stack of them.
 
     Returns the flow record ``(tails, heads, flow, phi)``: the tree's arcs
     oriented along their flow, the non-negative arc flows, and the potentials
-    phi (phi[0] = 0) in units of the cost.
+    phi (phi[0] = 0) in units of the cost.  Each row's products are one
+    matrix-vector product, as for a single excess, so a row's record does not
+    depend on the rows stacked with it.
     """
     table = _tree_table(a, m)
-    span = table.trees.shape[1]
-    flows = (table.flow_maps @ excess[1:]).reshape(-1, span)
-    best = int(np.abs(flows).sum(axis=1).argmin())
-    flow = flows[best]
+    trees, span = table.trees.shape
+    flows = (table.flow_maps @ excess[..., 1:, None]).reshape(-1, span)  # row-major by tree
+    # each tree's cost, added arc by arc: numpy's sum over an axis shorter
+    # than 8 adds in the same order, and this fold is far faster on a stack
+    cost = functools.reduce(np.add, map(np.abs, flows.T)).reshape(excess.shape[:-1] + (trees,))
+    best = cost.argmin(axis=-1)
+    flow = flows[best + trees * np.arange(best.size).reshape(best.shape)]
     edges = table.trees[best]
     forward = flow >= 0
     tails = np.where(forward, table.tails[edges], table.heads[edges])
     heads = np.where(forward, table.heads[edges], table.tails[edges])
-    phi = table.potentials[int((table.potentials @ excess).argmax())]
+    phi = table.potentials[(table.potentials @ excess[..., None])[..., 0].argmax(axis=-1)]
     return tails, heads, np.abs(flow), phi / m
 
 

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import AtomBudgetError
+from .errors import AtomBudgetError, DataContractError
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
@@ -41,7 +42,25 @@ class JsonRecord:
     """Mixin for plain dataclass records whose JSON form is their fields."""
 
     def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+        return _plain(self)
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _plain(value):
+    """``value`` as ``dataclasses.asdict`` gives it, without its deep copy:
+    dataclasses become dicts and lists, tuples and dicts are rebuilt, while
+    every other value, a JSON scalar in a record, is kept as it is."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        return {name: _plain(getattr(value, name)) for name in _field_names(type(value))}
+    return value
 
 
 def dump_json(path: str | Path, obj) -> None:
@@ -50,7 +69,12 @@ def dump_json(path: str | Path, obj) -> None:
 
 
 def load_json(path: str | Path):
-    return json.loads(Path(path).read_text())
+    """The JSON value in the file at ``path``; a file that is not JSON raises
+    :class:`DataContractError` naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DataContractError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def check_code_length(alphabet_size: int, length: int) -> None:

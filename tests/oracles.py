@@ -376,6 +376,77 @@ def whittle_binary_chain_table(p_model, q_model, n):
     return _clean_table(stats, lp, lq)
 
 
+# -- binary-chain statistic law by dynamic programming on class counts ---------
+
+
+def dp_binary_chain_classes(n):
+    """``{(first, last, n00, n01, n10, n11): sequences}`` over every binary
+    sequence of length ``n``, counted in Python ints one symbol at a time."""
+    classes = {(x, x, 0, 0, 0, 0): 1 for x in (0, 1)}
+    for _ in range(n - 1):
+        grown = {}
+        for (first, last, *counts), size in classes.items():
+            for nxt in (0, 1):
+                step = list(counts)
+                step[2 * last + nxt] += 1
+                key = (first, nxt, *step)
+                grown[key] = grown.get(key, 0) + size
+        classes = grown
+    return classes
+
+
+def dp_binary_chain_law(p_model, q_model, n, tie=1e-12):
+    """Sorted ``[stat, P-mass, Q-mass]`` per statistic value of a binary
+    order-<=1 pair, with statistics within ``tie`` of the previous one
+    grouped; masses are exact class sizes times float sequence probabilities,
+    summed with math.fsum."""
+    logs = []
+    for model in (p_model, q_model):
+        init, rows = lift_binary(model)
+        logs.append(([math.log(v) if v > 0 else -math.inf for v in init],
+                     [math.log(v) if v > 0 else -math.inf for v in rows.ravel()]))
+
+    def log_prob(which, first, counts):
+        init, rows = logs[which]
+        total = init[first]
+        for count, lr in zip(counts, rows):
+            if count:
+                total += count * lr
+        return total
+
+    entries = []
+    for (first, _, *counts), size in dp_binary_chain_classes(n).items():
+        lp, lq = log_prob(0, first, counts), log_prob(1, first, counts)
+        if lp == lq == -math.inf:
+            continue
+        stat = (math.inf if lq == -math.inf else -math.inf if lp == -math.inf
+                else (lp - lq) / n)
+        entries.append((stat, size * math.exp(lp), size * math.exp(lq)))
+    entries.sort()
+    law = []
+    for stat, mp, mq in entries:
+        if law and stat - law[-1][3] <= tie:
+            law[-1][1].append(mp)
+            law[-1][2].append(mq)
+            law[-1][3] = stat
+        else:
+            law.append([stat, [mp], [mq], stat])
+    return [[stat, math.fsum(mp), math.fsum(mq)] for stat, mp, mq, _ in law]
+
+
+def dp_binary_chain_test(p_model, q_model, n, epsilon):
+    """(threshold, ln miss) of the exact Neyman-Pearson test on the grouped
+    law: the largest statistic whose lower values carry P-mass <= epsilon,
+    and the Q-mass at or above it."""
+    law = dp_binary_chain_law(p_model, q_model, n)
+    below, pick = 0.0, 0
+    for i, (_, mp, _) in enumerate(law):
+        if below <= epsilon + 1e-15:
+            pick = i
+        below += mp
+    miss = math.fsum(mq for _, _, mq in law[pick:])
+    return law[pick][0], (math.log(miss) if miss > 0 else -math.inf)
+
 def loop_log_likelihood(model, seq):
     """Log-probability of ``seq`` one token at a time, with math.log; a
     sequence shorter than the order sums the initial masses of the k-grams it

@@ -1,11 +1,13 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from markovdetect import bounds_lab
 from markovdetect.bounds_lab import (
     ApproxBoundInputs,
     approx_bound,
@@ -22,7 +24,7 @@ from markovdetect.corpus import tokenize
 from markovdetect.errors import BoundInapplicableError, SupportViolationWarning
 from markovdetect.infometrics import ContinuityProfile, kl
 from markovdetect.markov import HiddenMarkovSource, fit_empirical, sample
-from markovdetect.transport import tv
+from markovdetect.transport import dbar_value, tv
 
 
 @pytest.fixture
@@ -180,6 +182,49 @@ def test_probe_single_letter_matches_kl_over_tv(rng):
         mu = rng_i.dirichlet(np.ones(2))
         nu = rng_i.dirichlet(np.ones(2))
         assert point.ratio == pytest.approx(kl(mu, nu) / tv(mu, nu) ** 2, rel=1e-9)
+
+
+def test_probe_stack_matches_pair_by_pair(monkeypatch):
+    """The probe's stacked divergences, Pinsker gates and transport values
+    give the points and counts of pair-by-pair calls: identical pairs
+    (transport 0), zeros in mu (the masked divergence) and holes in nu
+    (infinite divergence) are excluded or kept as one pair alone would be."""
+    gen = np.random.default_rng(5)
+    pairs = []
+    for i in range(120):
+        mu, nu = gen.dirichlet(np.ones(8)), gen.dirichlet(np.ones(8))
+        if i % 4 == 1:
+            nu = mu.copy()
+        elif i % 4 == 2:
+            mu[i % 8] = 0.0
+        elif i % 4 == 3:
+            nu[i % 8] = 0.0
+        pairs.append((mu / mu.sum(), nu / nu.sum()))
+
+    class Draws:
+        def __init__(self, seed, tag, i):
+            self.laws = list(pairs[i])
+
+        def dirichlet(self, alpha):
+            return self.laws.pop(0)
+
+    monkeypatch.setattr(bounds_lab, "spawn_rng", Draws)
+    with pytest.warns(SupportViolationWarning):
+        report = divergence_transport_probe(2, 3, 120, seed=0)
+    want = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportViolationWarning)
+        for i, (mu, nu) in enumerate(pairs):
+            div = kl(mu, nu)
+            assert forward_pinsker_holds(mu, nu, div)
+            value, _ = dbar_value(mu, nu, 3)
+            if value >= 1e-9 and not math.isinf(div):
+                want.append((i, float(nu.min()), value, div, div / value ** 2))
+    got = [(p.index, p.qmin, p.dbar, p.divergence, p.ratio) for p in report.points]
+    assert got == want
+    assert report.excluded == 120 - len(want) == 60
+    assert report.violations == 0
+    assert report.engine == "tree-enumeration"
 
 
 def test_probe_boundary_bias_raises_ratios():

@@ -348,15 +348,24 @@ def test_train_has_no_seed_setting(texts, tmp_path, capsys):
     assert "unknown config keys: seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ["{}", "[1, 2]", "no alphabet"])
+# edits that turn a model file into one that is not a model; the last two
+# used to exit 2 with "not enough (too many) values to unpack"
+_MODEL_EDITS = {
+    "no alphabet": lambda obj: obj.pop("alphabet"),
+    "entry without its row": lambda obj: obj.update(transitions=[[[0]]]),
+    "init entry of three": lambda obj: obj.update(init=[[[], 1.0, 0]]),
+}
+
+
+@pytest.mark.parametrize("content", ["{}", "[1, 2]", *_MODEL_EDITS])
 @pytest.mark.parametrize("command", ["score", "detect", "exponent", "train"])
 def test_file_that_is_not_a_model_exits_4(trained, texts, tmp_path, capsys, command, content):
     p_model, q_model = trained
     p_text, _, sample = texts
     bad = tmp_path / "bad_model.json"
-    if content == "no alphabet":
+    if content in _MODEL_EDITS:
         obj = load_json(p_model)
-        del obj["alphabet"]
+        _MODEL_EDITS[content](obj)
         content = json.dumps(obj)
     bad.write_text(content, encoding="utf-8")
     argv = {
@@ -368,6 +377,30 @@ def test_file_that_is_not_a_model_exits_4(trained, texts, tmp_path, capsys, comm
     }[command]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 4
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--model", "--model-p", "--model-q",
+                                  "--alphabet-from", "--mu", "--nu"])
+def test_json_syntax_error_exits_4_naming_the_file(trained, texts, tmp_path, capsys, flag):
+    p_model, q_model = trained
+    p_text, _, sample = texts
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"order": 2\n', encoding="utf-8")
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps([0.25] * 4), encoding="utf-8")
+    argv = {
+        "--config": ["train", "--input", str(p_text), "--config", str(bad)],
+        "--model": ["score", "--model", str(bad), "--text", str(sample)],
+        "--model-p": ["detect", "--model-p", str(bad), "--model-q", str(q_model),
+                      "--text", str(sample)],
+        "--model-q": ["exponent", "--model-p", str(p_model), "--model-q", str(bad)],
+        "--alphabet-from": ["train", "--input", str(p_text), "--alphabet-from", str(bad)],
+        "--mu": ["dbar", "--mu", str(bad), "--nu", str(law), "--window", "2"],
+        "--nu": ["dbar", "--mu", str(law), "--nu", str(bad), "--window", "2"],
+    }[flag]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert f"{bad}: not valid JSON" in err
 
 
 @pytest.mark.parametrize("content", ["[null, 0.5, 0.25, 0.25]", "[[0.25], 0.25, 0.25, 0.25]",

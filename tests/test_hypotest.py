@@ -35,8 +35,8 @@ from markovdetect.infometrics import chernoff, kl_rate
 from markovdetect.markov import (MarkovModel, _guide_table, chain_model, fit_empirical,
                                  iid_model, sample)
 from markovdetect.util import decode, encode, spawn_rng
-from oracles import (loop_log_likelihood, model_from_dicts, recursive_compositions,
-                     whittle_binary_chain_table)
+from oracles import (dp_binary_chain_law, dp_binary_chain_test, loop_log_likelihood,
+                     model_from_dicts, recursive_compositions, whittle_binary_chain_table)
 
 
 def _aggregate(table):
@@ -116,6 +116,46 @@ def test_chain_table_matches_whittle_cofactor(rng, n):
             assert (hypotest._table_threshold(got[0], got[1], eps)
                     == hypotest._table_threshold(want[0], want[1], eps))
 
+
+def _grouped_masses(stats, log_mass, tie=1e-12):
+    """Masses of a sorted table's statistics, grouped as the DP oracle groups them."""
+    groups = np.concatenate([[0], np.cumsum(np.diff(stats) > tie)])
+    return np.bincount(groups, np.exp(log_mass))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_chain_table_matches_class_count_dp(n):
+    """The binary-chain lattice against a Python-int DP over (first, last,
+    n00, n01, n10, n11) classes, on the chain pair that the benchmark's toy
+    exponent-exact workload runs (epsilon 0.5): the same grouped law, the
+    same threshold and the same miss probability."""
+    p = chain_model([[0.7, 0.3], [0.4, 0.6]])
+    q = chain_model([[0.5, 0.5], [0.5, 0.5]])
+    stats, lp, lq = _table_binary_chain(p, q, n)
+    law = np.array(dp_binary_chain_law(p, q, n))
+    np.testing.assert_allclose(_grouped_masses(stats, lp), law[:, 1], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(_grouped_masses(stats, lq), law[:, 2], rtol=1e-12, atol=0)
+    threshold, log_beta = dp_binary_chain_test(p, q, n, 0.5)
+    got = hypotest._table_threshold(stats, lp, 0.5)
+    assert got == pytest.approx(threshold, rel=0, abs=1e-12)
+    assert hypotest._table_log_beta(stats, lq, got) == pytest.approx(log_beta, rel=1e-12)
+
+
+def test_chain_exponent_slope_matches_class_count_dp():
+    """The exact slope over n = 16, 32, 64 is 0.06655490268684..., from the
+    lattice and from the DP oracle alike.  The benchmark's toy pin for this
+    fit, 0.06710288434521273, matches neither, so that pin is stale."""
+    p = chain_model([[0.7, 0.3], [0.4, 0.6]])
+    q = chain_model([[0.5, 0.5], [0.5, 0.5]])
+    grid = np.array([16.0, 32.0, 64.0])
+    ys = np.array([-dp_binary_chain_test(p, q, int(n), 0.5)[1] for n in grid])
+    centred = grid - grid.mean()
+    want = float((centred * (ys - ys.mean())).sum() / (centred ** 2).sum())
+    fit = exponent_fit(p, q, 0.5, grid.astype(int).tolist(), method="exact")
+    assert fit.point_methods == ("exact",) * 3
+    assert fit.slope == pytest.approx(want, rel=1e-12)
+    assert fit.slope == pytest.approx(0.06655490268684, abs=1e-13)
+    assert abs(fit.slope - 0.06710288434521273) > 5e-4
 
 def test_iid_lattice_matches_enumeration(rng):
     for a in (2, 3):

@@ -63,6 +63,29 @@ def test_perplexity_ratio_identity(p, q1, q2):
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+@pytest.mark.parametrize("atoms", [4, 8, 16])
+def test_kl_of_a_stack_equals_each_row(rng, atoms):
+    """Row i of kl on two stacks is kl of pair i bit for bit: full rows,
+    rows with zeros in p (summed over their support, as one pair is) and
+    rows where q has a hole in p's support (inf, with one warning)."""
+    p = rng.dirichlet(np.ones(atoms), size=60)
+    q = rng.dirichlet(np.ones(atoms), size=60)
+    p[1::3, 0] = 0.0
+    q[2::6, 0] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    q /= q.sum(axis=1, keepdims=True)
+    with pytest.warns(SupportViolationWarning) as caught:
+        got = kl(p, q)
+    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportViolationWarning)
+        want = [kl(a, b) for a, b in zip(p, q)]
+    assert got.shape == (60,)
+    assert got.tolist() == want
+    assert np.isinf(got[2::6]).all() and np.isfinite(np.delete(got, np.s_[2::6])).all()
+    assert type(kl(p[0], q[0])) is float
+
+
 def test_exponent_from_entropies_is_kl(rng):
     for _ in range(50):
         p = rng.dirichlet(np.ones(4))

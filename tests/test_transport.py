@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -18,6 +19,7 @@ from markovdetect.transport import (
     dbar_empirical,
     dbar_exact,
     dbar_value,
+    dbar_values,
     hamming_cost,
     l1_distance,
     tv,
@@ -508,6 +510,60 @@ def test_larger_cubes_fall_back_without_enumerating(rng, monkeypatch):
                     dbar_exact(mu, nu, m, alphabet_size=alphabet_size).value, abs=1e-12)
     finally:
         transport._cube_graph.cache_clear()
+
+
+_TREE_CUBES = [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (2, 3)]  # K_2..K_5, C_4, Q_3
+
+
+@pytest.mark.parametrize("alphabet_size, m", _TREE_CUBES + [(2, 4)])
+def test_dbar_values_equal_dbar_value_row_by_row(rng, alphabet_size, m):
+    """A stack of pairs, solved in blocks, gives each pair's own value bit
+    for bit: flat, sparse and zero-mass rows, and every fifth pair identical
+    (value 0, which the probe excludes).  The 16-word cube is hamming-flow."""
+    n = alphabet_size ** m
+    per_kind = 8 if n == 16 else 45  # 135 rows: several blocks on the 3-cube
+    mus = np.array([_laws(rng, n, kind) for kind in ("flat", "sparse", "zeros")
+                    for _ in range(per_kind)])
+    nus = np.array([_laws(rng, n, kind) for kind in ("flat", "sparse", "zeros")
+                    for _ in range(per_kind)])
+    nus[::5] = mus[::5]
+    graph = transport._cube_graph(alphabet_size, m)
+    if n == 8:
+        assert len(mus) > 2 * graph.block_rows()
+    values, engine = dbar_values(mus, nus, m, alphabet_size=alphabet_size)
+    single = [dbar_value(mu, nu, m, alphabet_size=alphabet_size) for mu, nu in zip(mus, nus)]
+    assert engine == graph.engine == ("hamming-flow" if n == 16 else "tree-enumeration")
+    assert {e for _, e in single} == {engine}
+    assert values.tolist() == [value for value, _ in single]
+    assert values[::5].max() < 1e-9
+
+
+def test_dbar_values_refuse_a_corrupted_flow_map(rng, monkeypatch):
+    """Every row of every block is certified: flow maps knocked off by 1e-6
+    fail the batch, and so does one bad row at the end of the stack."""
+    mus, nus = rng.dirichlet(np.ones(8), size=53), rng.dirichlet(np.ones(8), size=53)
+    assert 53 % transport._cube_graph(2, 3).block_rows()
+    table = transport._tree_table(2, 3)
+    bad = table.flow_maps.copy()
+    bad[:, 0] += 1e-6
+    monkeypatch.setattr(transport, "_tree_table",
+                        lambda a, m: dataclasses.replace(table, flow_maps=bad))
+    with pytest.raises(NonConvergenceError, match="infeasible flow"):
+        dbar_values(mus, nus, 3)
+    monkeypatch.undo()
+    real = transport._tree_flow
+
+    def last_row_off(excess, a, m):
+        tails, heads, flow, phi = real(excess, a, m)
+        if excess.ndim == 2 and len(excess) < transport._cube_graph(a, m).block_rows():
+            phi = phi.copy()
+            phi[-1] *= 1.01
+        return tails, heads, flow, phi
+
+    dbar_values(mus, nus, 3)
+    monkeypatch.setattr(transport, "_tree_flow", last_row_off)
+    with pytest.raises(NonConvergenceError):
+        dbar_values(mus, nus, 3)
 
 
 _RECORD_FAULTS = {
