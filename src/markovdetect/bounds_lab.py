@@ -38,7 +38,7 @@ from .markov import (
     window_log_likelihood,
 )
 from .transport import DBAR_ATOM_CAP, dbar_empirical, dbar_exact, dbar_values, l1_distance, tv
-from .util import JsonRecord, config_hash, spawn_rng
+from .util import JsonRecord, config_hash, seed_state, spawn_draws
 
 _SLACK = 1e-12
 
@@ -243,15 +243,18 @@ def approx_experiment(
     return ApproxExperiment(rows, window, n_windows, seed, profile, digest)
 
 
-def _mix(seed: int, tag: int, m: int) -> int:
-    # derived integer seeds for helpers that take a plain seed argument
-    return int(np.random.SeedSequence([seed, tag, m]).generate_state(1)[0] % (2 ** 31))
+def _mix(seed: int, tag: int, m):
+    """Derived integer seed below 2**31 for helpers that take a plain seed
+    argument: the first word of ``SeedSequence([seed, tag, m])``.  ``m`` may
+    be an array of one-word keys, which gives an array of seeds."""
+    mixed = seed_state(seed, tag, m, words=1)[:, 0] % 2 ** 31
+    return mixed if np.ndim(m) else int(mixed[0])
 
 
 def _model_windows(model: MarkovModel, n_windows: int, width: int, seed: int) -> np.ndarray:
     """Window ``i`` is ``markov.sample(model, width, seed=_mix(seed, 34, i))``."""
     draws = 1 + max(width - model.order, 0)
-    us = [spawn_rng(_mix(seed, 34, i), 0).random(draws) for i in range(n_windows)]
+    us = spawn_draws(lambda rng: rng.random(draws), _mix(seed, 34, np.arange(n_windows)), 0)
     return ChainWalk.of(model).windows(width, np.array(us).reshape(n_windows, draws))
 
 
@@ -371,9 +374,9 @@ def divergence_transport_probe(
     but counted.  The boundary-biased sampler pushes q-mass floors toward
     zero to stress any support dependence of the would-be constant.
 
-    Instance i draws its pair from ``spawn_rng(seed, 20, i)``; the pairs are
-    then stacked and their divergences, Pinsker gates and transport values
-    computed for the whole stack at once.
+    Instance i draws its pair from ``spawn_rng(seed, 20, i)`` (see
+    :func:`_probe_laws`); the pairs are then stacked and their divergences,
+    Pinsker gates and transport values computed for the whole stack at once.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {sorted(SAMPLERS)}")
@@ -382,12 +385,7 @@ def divergence_transport_probe(
     n_atoms = alphabet_size ** window
     if n_atoms > DBAR_ATOM_CAP:
         raise BoundInapplicableError("window too long for exact transport")
-    alpha = np.full(n_atoms, SAMPLERS[sampler])
-    mus, nus = np.empty((2, n_instances, n_atoms))
-    for i in range(n_instances):
-        rng = spawn_rng(seed, 20, i)
-        mus[i] = rng.dirichlet(alpha)
-        nus[i] = rng.dirichlet(alpha)
+    mus, nus = _probe_laws(n_atoms, n_instances, SAMPLERS[sampler], seed)
     divs = kl(mus, nus)
     violations = int((~forward_pinsker_holds(mus, nus, divs)).sum())
     values, engine = dbar_values(mus, nus, window, alphabet_size=alphabet_size)
@@ -433,6 +431,21 @@ def divergence_transport_probe(
         points=points,
         config_digest=digest,
     )
+
+
+def _probe_laws(n_atoms: int, n_instances: int, alpha: float, seed: int):
+    """(mus, nus), two (n_instances, n_atoms) stacks: row i of each is one of
+    the two ``dirichlet`` draws, in that order, of ``spawn_rng(seed, 20, i)``.
+
+    Each instance is one ``standard_gamma`` call, normalized as
+    ``Generator.dirichlet`` does when max alpha >= 0.1: every gamma times the
+    reciprocal of its row's sequential sum, so each law has the bits of its
+    ``dirichlet`` draw.
+    """
+    gammas = np.stack(spawn_draws(lambda rng: rng.standard_gamma(alpha, (2, n_atoms)),
+                                  seed, 20, np.arange(n_instances)), axis=1)
+    mus, nus = gammas * (1.0 / np.cumsum(gammas, axis=-1)[..., -1:])
+    return mus, nus
 
 
 @dataclass

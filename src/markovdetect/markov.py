@@ -178,10 +178,16 @@ class MarkovModel:
             return obj[key]
 
         def codes(pairs):
-            ctxs = np.array([ctx for ctx, _ in pairs], dtype=np.int64)
-            return encode(ctxs.reshape(len(pairs), k), alphabet.size)
+            if not all(isinstance(ctx, list) and len(ctx) == k for ctx, _ in pairs):
+                raise TypeError(f"contexts must be lists of {k} symbols")
+            ctxs = np.array([ctx for ctx, _ in pairs], dtype=np.int64).reshape(len(pairs), k)
+            if ((ctxs < 0) | (ctxs >= alphabet.size)).any():
+                raise TypeError(f"context symbols must be codes below {alphabet.size}")
+            return encode(ctxs, alphabet.size)
 
         transitions, init = pairs("transitions"), pairs("init")
+        if not all(isinstance(row, list) and len(row) == alphabet.size for _, row in transitions):
+            raise TypeError(f"transition rows must be lists of {alphabet.size} masses")
         return cls(
             order=k,
             alphabet=alphabet,

@@ -3,12 +3,13 @@
 The package keeps a chain as sorted integer context codes and dense row
 matrices, one power iteration for every stationary law, one batched forward
 recursion for hidden-Markov sources, run counts for the binary-chain
-statistic classes and one column-at-a-time enumeration of the i.i.d. type
-classes.  These are the straightforward loops over symbol tuples and dicts,
-the dense eigenvector and linear-solve stationary laws, the power iteration
-without lazy sweeps, the per-context forward filter with its depth-first
-context walk, Whittle's cofactor formula and the recursive composition
-builder, that those routines replaced or stand for.
+statistic classes, one column-at-a-time enumeration of the i.i.d. type
+classes and one vectorized seed hash for a batch of keys.  These are the
+straightforward loops over symbol tuples and dicts, the dense eigenvector and
+linear-solve stationary laws, the power iteration without lazy sweeps, the
+per-context forward filter with its depth-first context walk, Whittle's
+cofactor formula, the recursive composition builder and one ``SeedSequence``
+per derived seed, that those routines replaced or stand for.
 """
 import bisect
 import math
@@ -17,7 +18,6 @@ from collections import Counter
 import numpy as np
 from scipy.special import gammaln
 
-from markovdetect.bounds_lab import _mix
 from markovdetect.corpus import TokenSeq
 from markovdetect.errors import NonConvergenceError, UnseenContextError
 from markovdetect.hypotest import _clean_table, _llr_stats, _log_weighted
@@ -537,9 +537,15 @@ def comparison_hmm_sample_windows(source, n_windows, width, seed):
     return out
 
 
+def scalar_mix(seed, tag, m):
+    """The derived seed ``bounds_lab._mix`` gives, from numpy's own
+    ``SeedSequence`` of one key."""
+    return int(np.random.SeedSequence([seed, tag, m]).generate_state(1)[0] % (2 ** 31))
+
+
 def per_window_model_windows(model, n_windows, width, seed):
     """Model windows by one :func:`bisect_sample` call per window."""
     out = np.empty((n_windows, width), dtype=np.int64)
     for i in range(n_windows):
-        out[i] = bisect_sample(model, width, seed=_mix(seed, 34, i)).tokens
+        out[i] = bisect_sample(model, width, seed=scalar_mix(seed, 34, i)).tokens
     return out

@@ -19,12 +19,16 @@ from markovdetect.bounds_lab import (
     reverse_pinsker_check,
     transport_vs_divergence_check,
     _close_gaps,
+    _mix,
 )
 from markovdetect.corpus import tokenize
 from markovdetect.errors import BoundInapplicableError, SupportViolationWarning
 from markovdetect.infometrics import ContinuityProfile, kl
 from markovdetect.markov import HiddenMarkovSource, fit_empirical, sample
 from markovdetect.transport import dbar_value, tv
+from markovdetect.util import spawn_rng
+
+from oracles import scalar_mix
 
 
 @pytest.fixture
@@ -201,14 +205,8 @@ def test_probe_stack_matches_pair_by_pair(monkeypatch):
             nu[i % 8] = 0.0
         pairs.append((mu / mu.sum(), nu / nu.sum()))
 
-    class Draws:
-        def __init__(self, seed, tag, i):
-            self.laws = list(pairs[i])
-
-        def dirichlet(self, alpha):
-            return self.laws.pop(0)
-
-    monkeypatch.setattr(bounds_lab, "spawn_rng", Draws)
+    mus, nus = (np.array(laws) for laws in zip(*pairs))
+    monkeypatch.setattr(bounds_lab, "_probe_laws", lambda *args: (mus, nus))
     with pytest.warns(SupportViolationWarning):
         report = divergence_transport_probe(2, 3, 120, seed=0)
     want = []
@@ -225,6 +223,30 @@ def test_probe_stack_matches_pair_by_pair(monkeypatch):
     assert report.excluded == 120 - len(want) == 60
     assert report.violations == 0
     assert report.engine == "tree-enumeration"
+
+
+@pytest.mark.parametrize("sampler", sorted(bounds_lab.SAMPLERS))
+@pytest.mark.parametrize("n_atoms", [2, 4, 8, 16])
+def test_probe_laws_are_the_dirichlet_draws_of_each_instance(sampler, n_atoms):
+    """Gammas normalized by their sequential sum are ``rng.dirichlet``'s bits
+    only for alpha >= 0.1 (numpy draws smaller alphas by stick-breaking), so a
+    sampler below that fails here rather than moving every probe digest."""
+    alpha = bounds_lab.SAMPLERS[sampler]
+    mus, nus = bounds_lab._probe_laws(n_atoms, 60, alpha, 3)
+    for i in range(60):
+        rng = spawn_rng(3, 20, i)
+        assert np.array_equal(mus[i], rng.dirichlet(np.full(n_atoms, alpha)))
+        assert np.array_equal(nus[i], rng.dirichlet(np.full(n_atoms, alpha)))
+
+
+def test_mix_is_the_scalar_seed_sequence_formula():
+    keys = [0, 1, 7, 1000, 2 ** 31, 2 ** 32 - 1]
+    for seed in (0, 1, 2 ** 32, 2 ** 40):
+        for tag in (30, 34):
+            want = [scalar_mix(seed, tag, m) for m in keys]
+            assert [_mix(seed, tag, m) for m in keys] == want
+            assert _mix(seed, tag, np.array(keys)).tolist() == want
+        assert _mix(seed, 30, 2 ** 70) == scalar_mix(seed, 30, 2 ** 70)
 
 
 def test_probe_boundary_bias_raises_ratios():

@@ -348,12 +348,17 @@ def test_train_has_no_seed_setting(texts, tmp_path, capsys):
     assert "unknown config keys: seed" in capsys.readouterr().err
 
 
-# edits that turn a model file into one that is not a model; the last two
-# used to exit 2 with "not enough (too many) values to unpack"
+# edits that turn a model file into one that is not a model; all but the
+# first used to exit 2 with a numpy or unpacking message and no file name
 _MODEL_EDITS = {
     "no alphabet": lambda obj: obj.pop("alphabet"),
     "entry without its row": lambda obj: obj.update(transitions=[[[0]]]),
     "init entry of three": lambda obj: obj.update(init=[[[], 1.0, 0]]),
+    "context of the wrong length": lambda obj: obj["transitions"][0][0].append(0),
+    "context symbol outside the alphabet": lambda obj: obj.update(
+        order=1, transitions=[[[0], ["0.5", "0.5"]], [[5], ["0.5", "0.5"]]],
+        init=[[[0], "1"]]),
+    "row of the wrong width": lambda obj: obj["transitions"][0][1].pop(),
 }
 
 
