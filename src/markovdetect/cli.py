@@ -227,7 +227,7 @@ _NP_TEST = {
     "model_p": Setting(required=True, help="null (authentic-text) model"),
     "model_q": Setting(required=True, help="alternative (generator) model"),
     "epsilon": Setting(float, 0.1, help="false-alarm budget"),
-    "trials": Setting(int, 10_000, help="Monte Carlo calibration trials"),
+    "trials": Setting(int, 10_000, help="Monte Carlo calibration trials, at least 1000"),
     "seed": Setting(int, 0),
     "method": Setting(str, "auto", choices=METHODS),
 }

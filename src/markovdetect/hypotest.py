@@ -26,6 +26,10 @@ sequences (for all-order-0 pairs, :func:`class_statistic` of their symbol
 counts).  It draws by :class:`markovdetect.markov.ChainWalk`, the guide
 table (Chen & Asau 1974) search that all samplers share: it returns the same
 symbol as a comparison against the whole cumulative row.
+
+``_engine``, the one selector, gives each calibration one of two engines:
+``"exact"`` reads the table that applies unless the method is ``"mc"``, else
+``"mc"`` runs the walk, on at least 1000 trials whichever method chose it.
 """
 from __future__ import annotations
 
@@ -274,13 +278,13 @@ def class_statistic(p_model: MarkovModel, q_model: MarkovModel, seq,
     walk for other orders score each sequence as :func:`lrt_statistic` does.
     """
     n = len(seq)
-    engine = None if method == "mc" else _table_engine(p_model, q_model, n)
-    if engine is None and max(p_model.order, q_model.order) > 0:
+    build = _exact_lookup(_table_engine, p_model, q_model, n, method)
+    if build is None and max(p_model.order, q_model.order) > 0:
         return None
-    if engine is _table_sequences:
+    if build is _table_sequences:
         return lrt_statistic(p_model, q_model, seq)
     tokens = seq.tokens
-    if engine is _table_binary_chain:
+    if build is _table_binary_chain:
         counts = np.bincount(2 * tokens[:-1] + tokens[1:], minlength=4)[None]
         (li_p, lr_p), (li_q, lr_q) = _chain_logs(p_model), _chain_logs(q_model)
         lp = li_p[tokens[0]] + _log_weighted(counts, lr_p)
@@ -292,27 +296,7 @@ def class_statistic(p_model: MarkovModel, q_model: MarkovModel, seq,
     return float(_checked_stats(lp, lq, n)[0])
 
 
-def _table_threshold(stats, lp, epsilon):
-    """Largest statistic value whose classes below it carry P-mass <= epsilon;
-    ``stats`` is sorted, so each value's classes form one run."""
-    first = np.flatnonzero(np.concatenate([[True], stats[1:] != stats[:-1]]))
-    cum = np.concatenate([[-np.inf], np.logaddexp.accumulate(lp)[:-1]])
-    below = np.exp(cum[first])
-    valid = np.flatnonzero(below <= epsilon + _TIE_TOL)
-    if len(first) == 1:
-        warnings.warn("all statistic classes coincide", DegenerateStatisticWarning)
-    return float(stats[first[valid[-1]]])
-
-
-def _table_log_beta(stats, lq, threshold):
-    from scipy.special import logsumexp
-    start = np.searchsorted(stats, threshold)  # stats is sorted: its tail is >= threshold
-    if start == len(stats):
-        return -math.inf
-    return float(logsumexp(lq[start:]))
-
-
-# -- Monte Carlo engine -----------------------------------------------------
+# -- Monte Carlo walk and the calibration engines --------------------------
 
 
 def _checked_stats(lp, lq, n):
@@ -393,43 +377,101 @@ def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
     return _checked_stats(lp, lq, n)
 
 
-def _exact_table(p_model, q_model, n, method):
-    """The exact statistic table for ``method``, or None to sample."""
+def _exact_lookup(lookup, p_model, q_model, n, method):
+    """``lookup(p_model, q_model, n)``, a table or the function that builds it,
+    under ``method``: None to sample.  Refuses an unknown method, and "exact" finding nothing."""
     if method not in METHODS:
         raise ValueError("method must be auto, mc or exact")
-    if method == "mc":
-        return None
-    table = exact_statistic_table(p_model, q_model, n)
-    if table is None and method == "exact":
+    found = None if method == "mc" else lookup(p_model, q_model, n)
+    if found is None and method == "exact":
         raise MarkovDetectError("no exact enumeration applies; use method='auto' or 'mc'")
-    return table
+    return found
 
 
-def _threshold(p_model, q_model, n, epsilon, trials, seed, stream, table):
-    if table is not None:
-        stats, lp, _ = table
-        return _table_threshold(stats, lp, epsilon)
-    rng = spawn_rng(seed, 10, stream)
-    stats = np.sort(_mc_stats(p_model, p_model, q_model, n, trials, rng))
-    if stats[0] == stats[-1]:
-        warnings.warn("all calibration statistics coincide", DegenerateStatisticWarning)
-    return float(stats[int(epsilon * trials)])
+class _TableEngine:
+    """Calibration read off an exact table: (stats, log P-mass, log Q-mass)
+    per class, sorted by statistic, so each value's classes form one run."""
+
+    name = "exact"
+
+    def __init__(self, n, epsilon, table):
+        self.n, self.epsilon, (self.stats, self.lp, self.lq) = n, epsilon, table
+
+    def threshold(self, epsilon):
+        """Largest statistic value whose classes below it carry P-mass <= epsilon."""
+        first = np.flatnonzero(np.concatenate([[True], self.stats[1:] != self.stats[:-1]]))
+        cum = np.concatenate([[-np.inf], np.logaddexp.accumulate(self.lp)[:-1]])
+        valid = np.flatnonzero(np.exp(cum[first]) <= epsilon + _TIE_TOL)
+        if len(first) == 1:
+            warnings.warn("all statistic classes coincide", DegenerateStatisticWarning)
+        return float(self.stats[first[valid[-1]]])
+
+    def miss(self, threshold):
+        from scipy.special import logsumexp
+        start = np.searchsorted(self.stats, threshold)  # the sorted tail is >= threshold
+        log_beta = float(logsumexp(self.lq[start:])) if start < len(self.stats) else -math.inf
+        beta = math.exp(log_beta)
+        return TestOutcome(self.n, self.epsilon, threshold, beta, log_beta, beta, beta, 0,
+                           self.name)
+
+    def bayes(self, prior):
+        from scipy.special import logsumexp
+        joint = np.minimum(math.log(prior) + self.lp, math.log(1.0 - prior) + self.lq)
+        return float(np.exp(logsumexp(joint))), 0.0
 
 
-def _miss(p_model, q_model, n, threshold, trials, seed, epsilon, stream, table):
-    if table is not None:
-        stats, _, lq = table
-        log_beta = _table_log_beta(stats, lq, threshold)
-        beta = math.exp(log_beta) if log_beta > -math.inf else 0.0
-        return TestOutcome(n, epsilon, threshold, beta, log_beta,
-                           beta, beta, 0, "exact")
-    rng = spawn_rng(seed, 11, stream)
-    stats = _mc_stats(q_model, p_model, q_model, n, trials, rng)
-    misses = int((stats >= threshold).sum())
-    beta = misses / trials
-    lo, hi = _clopper_pearson(misses, trials)
-    log_beta = math.log(beta) if misses else -math.inf
-    return TestOutcome(n, epsilon, threshold, beta, log_beta, lo, hi, trials, "mc")
+class _WalkEngine:
+    """Calibration by the Monte Carlo walk, on streams keyed (seed, 10, stream)
+    for thresholds, (seed, 11, stream) for misses, (seed, 12, 0 | 1) for Bayes errors."""
+
+    name = "mc"
+
+    def __init__(self, p_model, q_model, n, epsilon, trials, seed, stream):
+        if trials < 1000:
+            raise ValueError("Monte Carlo calibration needs at least 1000 trials")
+        self.n, self.epsilon, self.trials, self.stream = n, epsilon, trials, stream
+        self.p_model, self.q_model = p_model, q_model
+        self.draw = lambda model, size, *key: _mc_stats(model, p_model, q_model, n, size,
+                                                        spawn_rng(seed, *key))
+
+    def threshold(self, epsilon):
+        stats = np.sort(self.draw(self.p_model, self.trials, 10, self.stream))
+        if stats[0] == stats[-1]:
+            warnings.warn("all calibration statistics coincide", DegenerateStatisticWarning)
+        return float(stats[int(epsilon * self.trials)])
+
+    def miss(self, threshold):
+        misses = int((self.draw(self.q_model, self.trials, 11, self.stream) >= threshold).sum())
+        beta = misses / self.trials
+        lo, hi = _clopper_pearson(misses, self.trials)
+        log_beta = math.log(beta) if misses else -math.inf
+        return TestOutcome(self.n, self.epsilon, threshold, beta, log_beta, lo, hi,
+                           self.trials, self.name)
+
+    def bayes(self, prior):
+        t_p = max(1, round(prior * self.trials))
+        t_q = max(1, self.trials - t_p)
+        margin = (math.log(1.0 - prior) - math.log(prior)) / self.n
+        # null text called generated, generated text called null
+        err_p = float((self.draw(self.p_model, t_p, 12, 0) < margin).mean())
+        err_q = float((self.draw(self.q_model, t_q, 12, 1) >= margin).mean())
+        estimate = prior * err_p + (1 - prior) * err_q
+        stderr = math.sqrt(prior ** 2 * err_p * (1 - err_p) / t_p
+                           + (1 - prior) ** 2 * err_q * (1 - err_q) / t_q)
+        return estimate, stderr
+
+
+def _engine(p_model, q_model, n, epsilon, trials, seed, method, stream=0):
+    """The one engine selector: the table that applies at length ``n`` unless ``method``
+    is ``"mc"``, else the walk.  ``epsilon`` (None: none to record) is kept for outcomes."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if epsilon is not None and not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie strictly between 0 and 1")
+    table = _exact_lookup(exact_statistic_table, p_model, q_model, n, method)
+    if table is None:
+        return _WalkEngine(p_model, q_model, n, epsilon, trials, seed, stream)
+    return _TableEngine(n, epsilon, table)
 
 
 def np_threshold(p_model: MarkovModel, q_model: MarkovModel, n: int, epsilon: float,
@@ -440,18 +482,14 @@ def np_threshold(p_model: MarkovModel, q_model: MarkovModel, n: int, epsilon: fl
     false-alarm probability <= epsilon, exactly on the enumeration paths and
     empirically over the calibration sample otherwise.
     """
-    _check_test_args(n, epsilon, trials, method)
-    return _threshold(p_model, q_model, n, epsilon, trials, seed, 0,
-                      _exact_table(p_model, q_model, n, method))
+    return _engine(p_model, q_model, n, epsilon, trials, seed, method).threshold(epsilon)
 
 
 def miss_probability(p_model: MarkovModel, q_model: MarkovModel, n: int,
                      threshold: float, trials: int = 10_000, seed: int = 0,
                      epsilon: float | None = None, method: str = "auto") -> TestOutcome:
     """Probability that alternative-model text still looks null at the threshold."""
-    _check_test_args(n, epsilon if epsilon is not None else 0.5, trials, method)
-    return _miss(p_model, q_model, n, threshold, trials, seed, epsilon, 0,
-                 _exact_table(p_model, q_model, n, method))
+    return _engine(p_model, q_model, n, epsilon, trials, seed, method).miss(threshold)
 
 
 def _clopper_pearson(k: int, n: int, conf: float = 0.95):
@@ -460,15 +498,6 @@ def _clopper_pearson(k: int, n: int, conf: float = 0.95):
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
-
-
-def _check_test_args(n, epsilon, trials, method):
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
-    if method == "mc" and trials < 1000:
-        raise ValueError("Monte Carlo calibration needs at least 1000 trials")
 
 
 def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
@@ -488,13 +517,11 @@ def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
         raise ValueError("grid lengths must be distinct")
     used_n, ys, thresholds, excluded, methods = [], [], [], [], []
     for n in n_grid:
-        _check_test_args(n, epsilon, trials, method)
-        table = _exact_table(p_model, q_model, n, method)
-        thr = _threshold(p_model, q_model, n, epsilon, trials, seed, n, table)
-        outcome = _miss(p_model, q_model, n, thr, trials, seed, epsilon, n, table)
-        del table  # free it before the next point builds its own
-        thresholds.append(thr)
-        methods.append(outcome.method)
+        engine = _engine(p_model, q_model, n, epsilon, trials, seed, method, stream=n)
+        thresholds.append(engine.threshold(epsilon))
+        outcome = engine.miss(thresholds[-1])
+        methods.append(engine.name)
+        del engine  # free its table before the next point builds its own
         if outcome.log_beta == -math.inf:
             excluded.append(n)
             continue
@@ -513,17 +540,10 @@ def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
     dof = len(xs) - 2
     stderr = float(math.sqrt(max(float((resid ** 2).sum()), 0.0) / dof / sxx)) if dof else math.nan
     return ExponentFit(
-        epsilon=epsilon,
-        n_grid=tuple(used_n),
-        neg_log_beta=tuple(float(y) for y in ys),
-        thresholds=tuple(float(t) for t in thresholds),
-        slope=slope,
-        slope_stderr=stderr,
-        theory=kl_rate(p_model, q_model),
-        excluded=tuple(excluded),
-        method=methods[0] if len(set(methods)) == 1 else "mixed",
-        point_methods=tuple(methods),
-    )
+        epsilon=epsilon, n_grid=tuple(used_n), neg_log_beta=tuple(float(y) for y in ys),
+        thresholds=tuple(float(t) for t in thresholds), slope=slope, slope_stderr=stderr,
+        theory=kl_rate(p_model, q_model), excluded=tuple(excluded),
+        method=methods[0] if len(set(methods)) == 1 else "mixed", point_methods=tuple(methods))
 
 
 def bayes_error(p_model: MarkovModel, q_model: MarkovModel, n: int,
@@ -537,28 +557,8 @@ def bayes_error(p_model: MarkovModel, q_model: MarkovModel, n: int,
     """
     if not 0.0 < prior < 1.0:
         raise ValueError("prior must lie strictly between 0 and 1")
-    _check_test_args(n, prior, trials, method)
-    log_pi0, log_pi1 = math.log(prior), math.log(1.0 - prior)
-    table = _exact_table(p_model, q_model, n, method)
-    if table is not None:
-        from scipy.special import logsumexp
-        _, lp, lq = table
-        joint = np.minimum(log_pi0 + lp, log_pi1 + lq)
-        estimate, stderr, used = float(np.exp(logsumexp(joint))), 0.0, "exact"
-    else:
-        t_p = max(1, round(prior * trials))
-        t_q = max(1, trials - t_p)
-        rng_p = spawn_rng(seed, 12, 0)
-        rng_q = spawn_rng(seed, 12, 1)
-        stats_p = _mc_stats(p_model, p_model, q_model, n, t_p, rng_p)
-        stats_q = _mc_stats(q_model, p_model, q_model, n, t_q, rng_q)
-        margin = (log_pi1 - log_pi0) / n
-        err_p = float((stats_p < margin).mean())      # null text called generated
-        err_q = float((stats_q >= margin).mean())     # generated text called null
-        estimate = prior * err_p + (1 - prior) * err_q
-        stderr = math.sqrt(prior ** 2 * err_p * (1 - err_p) / t_p
-                           + (1 - prior) ** 2 * err_q * (1 - err_q) / t_q)
-        used = "mc"
+    engine = _engine(p_model, q_model, n, None, trials, seed, method)
+    estimate, stderr = engine.bayes(prior)
     bound = None
     if p_model.order == 0 and q_model.order == 0:
         info = chernoff(p_model.row(()), q_model.row(()))
@@ -566,6 +566,5 @@ def bayes_error(p_model: MarkovModel, q_model: MarkovModel, n: int,
             bound = math.exp(-n * info.value)
             if estimate > bound + 3 * stderr + 1e-12:
                 raise MarkovDetectError(
-                    f"Bayes error {estimate} exceeds its exponential bound {bound}"
-                )
-    return BayesErrorEstimate(n, prior, estimate, stderr, bound, used)
+                    f"Bayes error {estimate} exceeds its exponential bound {bound}")
+    return BayesErrorEstimate(n, prior, estimate, stderr, bound, engine.name)

@@ -661,10 +661,9 @@ def test_detect_sends_a_threshold_class_tie_to_the_null(tmp_path):
     assert rec["verdict"] == "authentic"
 
 
-def test_exponent_records_each_grid_point_engine(tmp_path):
-    """Order-1 models on three letters have an exact table only while 3**n
-    fits the enumeration cap: the per-point engines follow the sorted grid,
-    the Monte Carlo point with no miss included."""
+def _save_three_letter_pair(tmp_path):
+    """p.json and q.json: order-1 character models on three letters, which
+    have an exact table only while 3**n fits the enumeration cap."""
     abc = Alphabet(("a", "b", "c"))
     for name, stay in (("p", 0.6), ("q", 0.4)):
         rows = np.full((3, 3), (1 - stay) / 2)
@@ -672,6 +671,13 @@ def test_exponent_records_each_grid_point_engine(tmp_path):
         model = chain_model(rows, alphabet=abc)
         model.scheme = "char"
         model.save(tmp_path / f"{name}.json")
+
+
+def test_exponent_records_each_grid_point_engine(tmp_path):
+    """Order-1 models on three letters have an exact table only while 3**n
+    fits the enumeration cap: the per-point engines follow the sorted grid,
+    the Monte Carlo point with no miss included."""
+    _save_three_letter_pair(tmp_path)
     out = tmp_path / "exp"
     assert main(["exponent", "--model-p", str(tmp_path / "p.json"),
                  "--model-q", str(tmp_path / "q.json"), "--epsilon", "0.5",
@@ -682,3 +688,18 @@ def test_exponent_records_each_grid_point_engine(tmp_path):
     assert rec["point_methods"] == ["exact", "exact", "exact", "mc", "mc"]
     assert len(rec["thresholds"]) == 5
     assert rec["method"] == "mixed"
+
+
+@pytest.mark.parametrize("trials", ["0", "7"])
+def test_detect_refuses_too_few_monte_carlo_trials(tmp_path, capsys, trials):
+    """At 40 tokens the three-letter pair has no exact table, so "auto"
+    calibrates by Monte Carlo, which needs 1000 trials: exit 2, no verdict."""
+    _save_three_letter_pair(tmp_path)
+    text = tmp_path / "text.txt"
+    text.write_text("abcacbbcaa" * 4, encoding="utf-8")
+    out = tmp_path / "det"
+    assert main(["detect", "--model-p", str(tmp_path / "p.json"),
+                 "--model-q", str(tmp_path / "q.json"), "--text", str(text),
+                 "--trials", trials, "--out", str(out)]) == 2
+    assert "1000 trials" in capsys.readouterr().err
+    assert not (out / "detect.json").exists()

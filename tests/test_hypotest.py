@@ -15,6 +15,7 @@ from markovdetect.errors import (
 from markovdetect.hypotest import (
     CHAIN_LATTICE_NMAX,
     IID_LATTICE_CAP,
+    _TableEngine,
     _clopper_pearson,
     _compositions,
     _llr_stats,
@@ -113,8 +114,8 @@ def test_chain_table_matches_whittle_cofactor(rng, n):
             np.testing.assert_allclose(g[fin], w[fin], rtol=0,
                                        atol=1e-14 * float(gammaln(n + 1)))
         for eps in (0.1, 0.5):
-            assert (hypotest._table_threshold(got[0], got[1], eps)
-                    == hypotest._table_threshold(want[0], want[1], eps))
+            assert (_TableEngine(n, eps, got).threshold(eps)
+                    == _TableEngine(n, eps, want).threshold(eps))
 
 
 def _grouped_masses(stats, log_mass, tie=1e-12):
@@ -131,14 +132,15 @@ def test_chain_table_matches_class_count_dp(n):
     same threshold and the same miss probability."""
     p = chain_model([[0.7, 0.3], [0.4, 0.6]])
     q = chain_model([[0.5, 0.5], [0.5, 0.5]])
-    stats, lp, lq = _table_binary_chain(p, q, n)
+    stats, lp, lq = table = _table_binary_chain(p, q, n)
     law = np.array(dp_binary_chain_law(p, q, n))
     np.testing.assert_allclose(_grouped_masses(stats, lp), law[:, 1], rtol=1e-12, atol=0)
     np.testing.assert_allclose(_grouped_masses(stats, lq), law[:, 2], rtol=1e-12, atol=0)
     threshold, log_beta = dp_binary_chain_test(p, q, n, 0.5)
-    got = hypotest._table_threshold(stats, lp, 0.5)
+    engine = _TableEngine(n, 0.5, table)
+    got = engine.threshold(0.5)
     assert got == pytest.approx(threshold, rel=0, abs=1e-12)
-    assert hypotest._table_log_beta(stats, lq, got) == pytest.approx(log_beta, rel=1e-12)
+    assert engine.miss(got).log_beta == pytest.approx(log_beta, rel=1e-12)
 
 
 def test_chain_exponent_slope_matches_class_count_dp():
@@ -793,6 +795,125 @@ def test_bayes_error_rejects_unknown_method(fair_vs_biased):
     p, q = fair_vs_biased
     with pytest.raises(ValueError, match="method"):
         bayes_error(p, q, 10, method="bogus")
+
+
+def _iid17_pair():
+    """A 17-symbol i.i.d. pair: at n = 60 its lattice exceeds the cap, so
+    Monte Carlo calibrates."""
+    gen = np.random.default_rng(5)
+    return iid_model(gen.dirichlet(np.ones(17))), iid_model(gen.dirichlet(np.ones(17)))
+
+
+@pytest.mark.parametrize("trials", [0, 999])
+def test_auto_walk_needs_the_trial_floor(trials):
+    """Monte Carlo needs 1000 trials whichever method chose it: "auto" on a
+    pair with no table refuses fewer at every entry point."""
+    p, q = _iid17_pair()
+    assert exact_statistic_table(p, q, 60) is None
+    calls = [lambda: np_threshold(p, q, 60, 0.1, trials=trials),
+             lambda: miss_probability(p, q, 60, 0.0, trials=trials, epsilon=0.1),
+             lambda: exponent_fit(p, q, 0.1, [60, 70, 80], trials=trials),
+             lambda: bayes_error(p, q, 60, trials=trials)]
+    for call in calls:
+        with pytest.raises(ValueError, match="1000 trials"):
+            call()
+
+
+def test_tables_ignore_the_trial_count(fair_vs_biased):
+    """Where a table applies, "auto" answers exactly with any trial count."""
+    p, q = fair_vs_biased
+    t = np_threshold(p, q, 30, 0.1, trials=10)
+    assert t == np_threshold(p, q, 30, 0.1)
+    assert miss_probability(p, q, 30, t, trials=10).method == "exact"
+    assert bayes_error(p, q, 30, trials=10).method == "exact"
+    assert exponent_fit(p, q, 0.5, [10, 20, 30], trials=10).method == "exact"
+
+
+def test_class_statistic_checks_the_method():
+    """class_statistic refuses what the calibration refuses: an unknown
+    method, and "exact" where no table applies (three letters, order 1,
+    n = 40)."""
+    rng = np.random.default_rng(3)
+    p = chain_model(rng.dirichlet(np.ones(3), size=3))
+    q = chain_model(rng.dirichlet(np.ones(3), size=3))
+    seq = sample(q, 40, 0)
+    with pytest.raises(ValueError, match="method"):
+        class_statistic(p, q, seq, method="bogus")
+    for refused in (lambda: np_threshold(p, q, 40, 0.1, method="exact"),
+                    lambda: class_statistic(p, q, seq, method="exact")):
+        with pytest.raises(MarkovDetectError, match="no exact enumeration"):
+            refused()
+    assert class_statistic(p, q, seq) is None
+
+
+class _StubEngine:
+    """A third engine: threshold 0.25, miss probability exp(-n / 10)."""
+
+    name = "stub"
+
+    def __init__(self, n, epsilon):
+        self.n, self.epsilon = n, epsilon
+
+    def threshold(self, epsilon):
+        return 0.25
+
+    def miss(self, threshold):
+        beta = math.exp(-self.n / 10)
+        return hypotest.TestOutcome(self.n, self.epsilon, threshold, beta, -self.n / 10,
+                                    beta, beta, 0, self.name)
+
+    def bayes(self, prior):
+        return 0.0, 0.0
+
+
+def test_every_calibration_answers_through_the_one_selector(monkeypatch, fair_vs_biased):
+    """An engine the selector returns answers np_threshold, miss_probability,
+    exponent_fit (one stream per grid length) and bayes_error, and names
+    itself in each record."""
+    p, q = fair_vs_biased
+    asked = []
+
+    def select(p_model, q_model, n, epsilon, trials, seed, method, stream=0):
+        asked.append((n, stream))
+        return _StubEngine(n, epsilon)
+
+    monkeypatch.setattr(hypotest, "_engine", select)
+    assert np_threshold(p, q, 30, 0.1) == 0.25
+    assert miss_probability(p, q, 30, 0.25, epsilon=0.1).method == "stub"
+    fit = exponent_fit(p, q, 0.1, [20, 10, 30])
+    assert fit.point_methods == ("stub",) * 3
+    assert fit.method == "stub"
+    assert fit.slope == pytest.approx(0.1)
+    assert bayes_error(p, q, 30).method == "stub"
+    assert asked == [(30, 0), (30, 0), (10, 10), (20, 20), (30, 30), (30, 0)]
+
+
+def test_tables_are_built_once_per_length_unless_mc(monkeypatch):
+    """The benchmark's tracer counts Monte Carlo trial steps under
+    np_threshold only when no exact_statistic_table call under it returns a
+    table.  So every calibration builds through that module attribute, once
+    per length, under "auto" and "exact", and never under "mc"."""
+    built = []
+    real = hypotest.exact_statistic_table
+
+    def record(p_model, q_model, n):
+        table = real(p_model, q_model, n)
+        built.append((n, table is not None))
+        return table
+
+    monkeypatch.setattr(hypotest, "exact_statistic_table", record)
+    p, q = iid_model([0.5, 0.5]), iid_model([0.6, 0.4])
+    grid = [10, 20, 30]
+    for method in ("auto", "exact", "mc"):
+        built.clear()
+        t = np_threshold(p, q, 20, 0.1, trials=1000, method=method)
+        miss_probability(p, q, 20, t, trials=1000, method=method)
+        bayes_error(p, q, 20, trials=1000, method=method)
+        exponent_fit(p, q, 0.5, grid, trials=1000, method=method)
+        assert built == ([] if method == "mc" else [(n, True) for n in [20, 20, 20] + grid])
+    built.clear()
+    np_threshold(*_iid17_pair(), 60, 0.1, trials=1000)
+    assert built == [(60, False)]
 
 
 def test_whittle_runtime_allows_long_sequences(fair_vs_biased):
