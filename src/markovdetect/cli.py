@@ -11,7 +11,8 @@ any output is written.  ``main`` writes the resolved settings next to the
 outputs as ``resolved_config.json`` and wall-clock metadata in a separate
 ``run_meta.json``, so the primary artifacts are byte-identical across reruns.
 
-Exit codes: 0 success; 2 bad arguments or bad values; 3 I/O failure;
+Exit codes: 0 success; 2 bad arguments or bad values (``--method exact``
+where no exact table applies included); 3 I/O failure;
 4 data-contract violation (malformed inputs, unseen contexts, atom budgets);
 5 numerical failure (non-convergence, an inapplicable bound, or a decay fit
 with too few informative grid points).
@@ -283,8 +284,10 @@ def cmd_exponent(cfg, out) -> None:
     dump_json(out / "exponent.json", fit.to_json())
     csv_lines = ["n,threshold,neg_log_beta"]
     dat_lines = []
-    for n, thr, y in zip(fit.n_grid, fit.thresholds, fit.neg_log_beta):
-        csv_lines.append(f"{n},{fmt17(thr)},{fmt17(y)}")
+    # thresholds follow the sorted input grid, n_grid the informative points only
+    threshold = dict(zip(sorted(cfg["n_grid"]), fit.thresholds))
+    for n, y in zip(fit.n_grid, fit.neg_log_beta):
+        csv_lines.append(f"{n},{fmt17(threshold[n])},{fmt17(y)}")
         dat_lines.append(f"{n} {fmt17(y)}")
     (out / "exponent.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
     (out / "exponent.dat").write_text("\n".join(dat_lines) + "\n", encoding="utf-8")

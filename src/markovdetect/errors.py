@@ -11,6 +11,13 @@ class MarkovDetectError(Exception):
     exit_code = 1
 
 
+class MethodUnavailableError(MarkovDetectError):
+    """The requested method does not apply to the inputs, such as an exact
+    calibration where no exact table applies: a bad argument value."""
+
+    exit_code = 2
+
+
 class DataContractError(MarkovDetectError):
     """Inputs violate a documented precondition (bad counts, bad shapes, ...)."""
 

@@ -42,6 +42,7 @@ import numpy as np
 from .errors import (
     DegenerateStatisticWarning,
     MarkovDetectError,
+    MethodUnavailableError,
     UninformativeFitError,
     UnseenContextError,
 )
@@ -384,7 +385,7 @@ def _exact_lookup(lookup, p_model, q_model, n, method):
         raise ValueError("method must be auto, mc or exact")
     found = None if method == "mc" else lookup(p_model, q_model, n)
     if found is None and method == "exact":
-        raise MarkovDetectError("no exact enumeration applies; use method='auto' or 'mc'")
+        raise MethodUnavailableError("no exact enumeration applies; use method='auto' or 'mc'")
     return found
 
 

@@ -4,10 +4,11 @@ Every solve is a min-cost flow of mu - nu on a graph whose nodes are words
 and whose arcs cost their Hamming distance over the window m.  When the
 ground cost is the graph's shortest-path metric, the transport optimum equals
 the cheapest such flow (the Beckmann / EMD-L1 reduction of Ling & Okada,
-2007).  ``_flow_graph``, the one engine selector, picks the graph and its
-engine from the two supports alone, so ``dbar_between``, ``dbar_exact``,
-``dbar_empirical``, ``dbar_value`` and ``dbar_values`` name the same engine
-on the same supports:
+2007).  ``_flow_graph``, the one engine selector, picks the graph from the
+two supports alone and binds its engine's solve and block size to it, so
+``dbar_between``, ``dbar_exact``, ``dbar_empirical``, ``dbar_value`` and
+``dbar_values`` name the same engine on the same supports, and every graph
+solves a stack of weight pairs through one ``_FlowGraph.value`` path:
 
 - The Hamming cube a^m (a symbols), when both supports embed in it: distinct
   words, non-negative letters and a^m <= ``DBAR_ATOM_CAP``.  Words are joined
@@ -17,12 +18,11 @@ on the same supports:
   3-cube) answer by ``"tree-enumeration"``: the flow LP's optimum is the
   cheapest spanning-tree flow and its dual optimum the best integer
   1/m-Lipschitz potential, so both are enumerated once per cube (384 trees
-  and 495 potentials on the 3-cube, built in about 2 ms) and a solve is two
-  small matrix products, numpy only; ``dbar_values`` solves a stack of law
-  pairs in blocks of rows, each block one stacked product.  Every other
-  cube answers by ``"hamming-flow"``: HiGHS through
-  ``scipy.optimize.linprog`` on the a^m * m * (a-1) arcs, instead of the
-  a^(2m) cells of the dense problem.
+  and 495 potentials on the 3-cube, built in about 2 ms) and a block of
+  rows is two stacked matrix products, numpy only.  Every other cube answers
+  by ``"hamming-flow"``: HiGHS through ``scipy.optimize.linprog`` on the
+  a^m * m * (a-1) arcs, instead of the a^(2m) cells of the dense problem,
+  one row at a time.  ``_cube_solver`` holds this choice, once per cube.
 - The bipartite support graph x -> y, for supports that do not embed (a cube
   above the cap, a word listed twice, a negative letter): one arc from each
   x atom to each y atom.  The same HiGHS call solves it as
@@ -42,6 +42,7 @@ import csv
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -61,7 +62,7 @@ _FLOW_EPS = 1e-12  # flows and masses at or below this are rounding residue
 # trees, are solved by enumerating them: K_2..K_5, the 4-cycle and the 3-cube
 # (792); K_6 has 3,003, the 3x3 rook graph 43,758
 _TREE_ENUM_MAX = 1024
-# a batched tree-enumeration solve takes as many rows as keep its per-row
+# a block of tree-enumeration rows takes as many rows as keep its per-row
 # products (every tree's flow, every potential's value) within this
 _BLOCK_BYTES = 256 * 1024
 
@@ -157,15 +158,20 @@ def _entry_columns(entries):
 
 @dataclass(frozen=True)
 class _FlowGraph:
-    """One transport graph set up for two supports, and the engine that solves it.
+    """One transport graph set up for two supports, with its engine bound.
 
     Arc k runs from node ``tails[k]`` to node ``heads[k]`` and costs
     ``hops[k] / m``; on the Hamming cube ``hops`` is None, since every arc
     there changes one letter.  Atom i of the x support sits at node
-    ``nodes_x[i]`` and atom j of the y support at ``nodes_y[j]``.
+    ``nodes_x[i]`` and atom j of the y support at ``nodes_y[j]``.  ``flow``,
+    bound by the selector, maps an excess, or a stack of them, to the
+    engine's flow record ``(tails, heads, flow, phi)``, one row of record per
+    row of excess; ``block_rows`` is how many rows of a stack it takes at once.
     """
 
     engine: str
+    flow: Callable[[np.ndarray], tuple]
+    block_rows: int
     m: int
     size: int  # node count
     tails: np.ndarray
@@ -173,36 +179,22 @@ class _FlowGraph:
     hops: np.ndarray | None
     nodes_x: np.ndarray
     nodes_y: np.ndarray
-    whole: bool  # both supports list every node in node order
-    a: int = 0  # the cube's alphabet; 0 on the support graph
-    incidence: object = None  # conservation rows for HiGHS; None on tree enumeration
 
     def excess(self, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-        """The weights' difference wx - wy on the graph's nodes."""
-        if self.whole:
-            return wx - wy
+        """The weights' difference wx - wy on the graph's nodes, row by row
+        for stacks of weights."""
         return _on_nodes(wx, self.nodes_x, self.size) - _on_nodes(wy, self.nodes_y, self.size)
-
-    def flow(self, excess: np.ndarray):
-        """The engine's flow record ``(tails, heads, flow, phi)`` of ``excess``,
-        one row of record for each row of a stack of excesses."""
-        if self.engine == "tree-enumeration":
-            return _tree_flow(excess, self.a, self.m)
-        return _highs_flow(excess, self)
 
     def value(self, wx: np.ndarray, wy: np.ndarray):
         """Certified optimum between the supports weighted by ``wx`` and
-        ``wy``; one per row on the whole cube, where the weights may be stacks."""
+        ``wy``, or one per row of two stacks of weights, solved ``block_rows``
+        rows at a time.  Every row is certified, and a row's value does not
+        depend on the rows stacked with it."""
         excess = self.excess(wx, wy)
-        return _certify_flow(self.flow(excess), excess, self)
-
-    def block_rows(self) -> int:
-        """Rows of a stack solved together: all that keep tree enumeration's
-        work within ``_BLOCK_BYTES``, and one for HiGHS, which solves by row."""
-        if self.engine != "tree-enumeration":
-            return 1
-        table = _tree_table(self.a, self.m)
-        return max(1, _BLOCK_BYTES // (8 * (len(table.flow_maps) + len(table.potentials))))
+        if excess.ndim == 1:
+            return _certify_flow(self.flow(excess), excess, self)
+        blocks = np.split(excess, range(self.block_rows, len(excess), self.block_rows))
+        return np.concatenate([_certify_flow(self.flow(b), b, self) for b in blocks])
 
 
 def _flow_graph(ax: np.ndarray, ay: np.ndarray) -> _FlowGraph:
@@ -211,8 +203,9 @@ def _flow_graph(ax: np.ndarray, ay: np.ndarray) -> _FlowGraph:
     Letters index the alphabet directly, so the cube's a is one past the
     largest letter.  The supports embed in the cube when a > 1 (a one-word
     cube has no arcs), a^m <= ``DBAR_ATOM_CAP``, no letter is negative and
-    neither support lists a word twice.  Every other pair is solved on its
-    support graph, one arc from each x atom to each y atom.
+    neither support lists a word twice; ``_cube_solver`` then binds the
+    cube's engine.  Every other pair is solved by HiGHS on its support graph,
+    one arc from each x atom to each y atom, one row at a time.
     """
     m = ax.shape[1]
     a = int(max(ax.max(), ay.max())) + 1
@@ -221,33 +214,37 @@ def _flow_graph(ax: np.ndarray, ay: np.ndarray) -> _FlowGraph:
         nodes_x, nodes_y = encode(ax, a), encode(ay, a)
         # counted with bincount: np.unique would load numpy.ma on the probe's path
         if np.bincount(nodes_x, minlength=n).max() == np.bincount(nodes_y, minlength=n).max() == 1:
-            every = np.arange(n)
-            engine = _cube_engine(a, m)
-            return _FlowGraph(
-                engine, m, n, *_hamming_arcs(a, m), None, nodes_x, nodes_y,
-                np.array_equal(nodes_x, every) and np.array_equal(nodes_y, every), a,
-                _hamming_incidence(a, m) if engine == "hamming-flow" else None)
+            return _FlowGraph(*_cube_solver(a, m), m, n, *_hamming_arcs(a, m), None,
+                              nodes_x, nodes_y)
     nx, ny = len(ax), len(ay)
     tails = np.repeat(np.arange(nx), ny)
     heads = nx + np.tile(np.arange(ny), nx)
     hops = (ax[:, None, :] != ay[None, :, :]).sum(axis=2).ravel()
-    return _FlowGraph("support-flow", m, nx + ny, tails, heads, hops, np.arange(nx),
-                      nx + np.arange(ny), False, incidence=_incidence(tails, heads, nx + ny))
+    cost, incidence = hops / m, _incidence(tails, heads, nx + ny)
+    return _FlowGraph("support-flow",
+                      lambda excess: _highs_flow(excess, tails, heads, cost, incidence), 1,
+                      m, nx + ny, tails, heads, hops, np.arange(nx), nx + np.arange(ny))
 
 
 @lru_cache(maxsize=8)
-def _cube_engine(a: int, m: int) -> str:
-    """Tree enumeration on cubes with at most ``_TREE_ENUM_MAX`` subsets of
-    a^m - 1 of their a^m * m * (a - 1) / 2 edges, HiGHS on the others."""
+def _cube_solver(a: int, m: int):
+    """``(engine, flow, block_rows)`` of the a^m cube: tree enumeration on
+    cubes with at most ``_TREE_ENUM_MAX`` subsets of a^m - 1 of their
+    a^m * m * (a - 1) / 2 edges, HiGHS row by row on the others.  The bound
+    solves look ``_tree_flow`` and ``_highs_flow`` up when called."""
     n = a ** m
     if math.comb(n * m * (a - 1) // 2, n - 1) <= _TREE_ENUM_MAX:
-        return "tree-enumeration"
-    return "hamming-flow"
+        table = _tree_table(a, m)
+        rows = max(1, _BLOCK_BYTES // (8 * (len(table.flow_maps) + len(table.potentials))))
+        return "tree-enumeration", lambda excess: _tree_flow(excess, a, m), rows
+    tails, heads = _hamming_arcs(a, m)
+    cost, incidence = np.full(len(tails), 1.0 / m), _incidence(tails, heads, n)
+    return "hamming-flow", lambda excess: _highs_flow(excess, tails, heads, cost, incidence), 1
 
 
 def _on_nodes(weights: np.ndarray, nodes: np.ndarray, n: int) -> np.ndarray:
-    dense = np.zeros(n)
-    dense[nodes] = weights
+    dense = np.zeros(weights.shape[:-1] + (n,))
+    dense[..., nodes] = weights
     return dense
 
 
@@ -285,30 +282,26 @@ def _incidence(tails: np.ndarray, heads: np.ndarray, n: int):
     )[:-1]
 
 
-@lru_cache(maxsize=8)
-def _hamming_incidence(a: int, m: int):
-    return _incidence(*_hamming_arcs(a, m), a ** m)
-
-
-def _highs_flow(excess: np.ndarray, graph: _FlowGraph):
-    """Min-cost flow of ``excess`` on ``graph`` by HiGHS, one solve per row
-    of a stack of excesses.
+def _highs_flow(excess: np.ndarray, tails: np.ndarray, heads: np.ndarray,
+                cost: np.ndarray, incidence):
+    """Min-cost flow of ``excess`` along the arcs ``tails -> heads`` at
+    ``cost`` by HiGHS, one solve per row of a stack of excesses;
+    ``incidence`` is the arcs' ``_incidence``.
 
     Returns the flow record ``(tails, heads, flow, phi)``: every arc of the
     graph, the flow on each, and the node potentials phi that HiGHS reports as
     duals of the conservation rows (phi = 0 on the last node).
     """
     from scipy.optimize import linprog
-    cost = np.full(len(graph.tails), 1.0 / graph.m) if graph.hops is None else graph.hops / graph.m
     flows, phis = [], []
     for row in excess.reshape(-1, excess.shape[-1]):
-        res = linprog(cost, A_eq=graph.incidence, b_eq=row[:-1], bounds=(0, None),
+        res = linprog(cost, A_eq=incidence, b_eq=row[:-1], bounds=(0, None),
                       method="highs", options=_HIGHS_OPTIONS)
         if res.status != 0:
             raise NonConvergenceError(f"min-cost flow failed: {res.message}")
         flows.append(res.x)
         phis.append(np.append(res.eqlin.marginals, 0.0))
-    return (graph.tails, graph.heads, np.reshape(flows, excess.shape[:-1] + (-1,)),
+    return (tails, heads, np.reshape(flows, excess.shape[:-1] + (-1,)),
             np.reshape(phis, excess.shape))
 
 
@@ -404,12 +397,13 @@ def _flow_plan(mu, nu, record) -> dict[tuple[int, int], float]:
 
 
 def _flow_coupling(graph: _FlowGraph, ax, wx, ay, wy):
-    """Certified optimum, plan entries and duals of one flow solve."""
+    """Certified optimum (the value ``_FlowGraph.value`` gives), plan
+    entries and duals of one flow solve."""
     mu = _on_nodes(wx, graph.nodes_x, graph.size)
     nu = _on_nodes(wy, graph.nodes_y, graph.size)
     excess = mu - nu
     record = graph.flow(excess)
-    _certify_flow(record, excess, graph)
+    value = float(_certify_flow(record, excess, graph))
     plan = _flow_plan(mu, nu, record)
     row = np.full(graph.size, -1)
     row[graph.nodes_x] = np.arange(len(ax))
@@ -418,11 +412,11 @@ def _flow_coupling(graph: _FlowGraph, ax, wx, ay, wy):
     ends = np.array(list(plan), dtype=np.int64).reshape(-1, 2)
     i, j = row[ends[:, 0]], col[ends[:, 1]]
     mass = np.array(list(plan.values()))
-    value = float(mass @ (ax[i] != ay[j]).sum(axis=1)) / graph.m
+    cost = float(mass @ (ax[i] != ay[j]).sum(axis=1)) / graph.m
     phi = record[3]
     # the plan's own gap; a plan ships at most the smaller total, and every
-    # cost is at most one, so its value may fall short by the totals' difference
-    if not abs(float(phi @ excess) - value) <= _CERT_TOL + abs(float(excess.sum())):
+    # cost is at most one, so its cost may fall short by the totals' difference
+    if not abs(float(phi @ excess) - cost) <= _CERT_TOL + abs(float(excess.sum())):
         raise NonConvergenceError("flow certificate failed: duality gap of the plan")
     entries = sorted(zip(i.tolist(), j.tolist(), mass.tolist()))
     return value, entries, phi[graph.nodes_x], -phi[graph.nodes_y]
@@ -481,19 +475,13 @@ def dbar_values(mus, nus, m: int, alphabet_size: int | None = None) -> tuple[np.
     """Certified ``dbar_exact`` values of the row pairs of two (pairs, a^m)
     stacks of laws, and the engine that answered them all.
 
-    Builds no coupling, and sets the cube's graph up once (``_cube_graph``).
-    Tree enumeration solves the rows in blocks of ``block_rows`` (about ten
-    on the 3-cube), each block one stacked product, and certifies every row;
-    HiGHS solves them one by one.  A value equals the one row's solve bit for
-    bit.  Single laws give a single value.
+    Builds no coupling, and sets the cube's graph up once (``_cube_graph``);
+    tree enumeration solves blocks of about ten rows on the 3-cube.  A value
+    equals the one row's solve bit for bit.  Single laws give a single value.
     """
     mus, nus, alphabet_size = _cube_laws(mus, nus, m, alphabet_size)
     graph = _cube_graph(alphabet_size, m)
-    if mus.ndim == 1:
-        return graph.value(mus, nus), graph.engine
-    step = graph.block_rows()
-    values = [graph.value(mus[i:i + step], nus[i:i + step]) for i in range(0, len(mus), step)]
-    return np.concatenate(values), graph.engine
+    return graph.value(mus, nus), graph.engine
 
 
 @lru_cache(maxsize=8)
@@ -644,7 +632,10 @@ def dbar_empirical(samples_x, samples_y, bootstrap: int = 200,
     """Plug-in estimate with a percentile bootstrap interval (fixed seed).
 
     Inputs are (n, m) arrays of sampled windows.  Resampling happens on the
-    empirical count vectors, which is equivalent to resampling the windows.
+    empirical count vectors, which is equivalent to resampling the windows;
+    replicate b draws its x counts, then its y counts, from stream
+    ``spawn_rng(seed, 3, b)``.  The point estimate and every replicate are
+    solved as one stack.
     """
     xs = np.asarray(samples_x, dtype=np.int64)
     ys = np.asarray(samples_y, dtype=np.int64)
@@ -656,15 +647,15 @@ def dbar_empirical(samples_x, samples_y, bootstrap: int = 200,
     atoms_y, wy = _empirical(ys)
     if len(atoms_x) > DBAR_ATOM_CAP or len(atoms_y) > DBAR_ATOM_CAP:
         raise AtomBudgetError("empirical support exceeds the atom cap")
-    graph = _flow_graph(atoms_x, atoms_y)
-    point = graph.value(wx, wy)
     n_x, n_y = len(xs), len(ys)
-    reps = np.empty(bootstrap)
+    rx, ry = np.empty((bootstrap + 1, len(wx))), np.empty((bootstrap + 1, len(wy)))
+    rx[0], ry[0] = wx, wy
     for b in range(bootstrap):
         rng = spawn_rng(seed, 3, b)
-        rx = rng.multinomial(n_x, wx) / n_x
-        ry = rng.multinomial(n_y, wy) / n_y
-        reps[b] = graph.value(rx, ry)
+        rx[b + 1] = rng.multinomial(n_x, wx) / n_x
+        ry[b + 1] = rng.multinomial(n_y, wy) / n_y
+    graph = _flow_graph(atoms_x, atoms_y)
+    point, *reps = graph.value(rx, ry)
     lo, hi = np.percentile(reps, [2.5, 97.5])
     # percentile intervals can drift off a boundary point estimate; widen so
     # the reported interval always brackets the estimate

@@ -12,7 +12,7 @@ import pytest
 from markovdetect.cli import main
 from markovdetect.corpus import Alphabet
 from markovdetect.hypotest import class_statistic, lrt_statistic, np_threshold
-from markovdetect.markov import chain_model, sample
+from markovdetect.markov import chain_model, iid_model, sample
 from markovdetect.util import load_json
 
 PRIMARY = lambda d: sorted(
@@ -688,6 +688,40 @@ def test_exponent_records_each_grid_point_engine(tmp_path):
     assert rec["point_methods"] == ["exact", "exact", "exact", "mc", "mc"]
     assert len(rec["thresholds"]) == 5
     assert rec["method"] == "mixed"
+
+
+def test_exponent_csv_pairs_each_n_with_its_own_threshold(tmp_path):
+    """An excluded point in the middle of the grid shifts nothing: each
+    exponent.csv row carries the threshold of its own n, read off the sorted
+    input grid that ``thresholds`` follows."""
+    for name, probs in (("p", [0.5, 0.5]), ("q", [0.8, 0.2])):
+        model = iid_model(probs, alphabet=Alphabet(("a", "b")))
+        model.scheme = "char"
+        model.save(tmp_path / f"{name}.json")
+    out = tmp_path / "exp"
+    grid = [20, 24, 28, 32, 36, 40, 44]
+    assert main(["exponent", "--model-p", str(tmp_path / "p.json"),
+                 "--model-q", str(tmp_path / "q.json"), "--method", "mc", "--trials", "1000",
+                 "--seed", "10", "--epsilon", "0.1", "--n-grid", ",".join(map(str, grid)),
+                 "--out", str(out)]) == 0
+    rec = load_json(out / "exponent.json")
+    assert rec["excluded"] == [40]
+    threshold = dict(zip(grid, rec["thresholds"]))
+    rows = (out / "exponent.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == rec["n_grid"]
+    for row in rows:
+        n, thr, _ = row.split(",")
+        assert float(thr) == threshold[int(n)]
+    assert float(rows[-1].split(",")[1]) != threshold[40]
+
+
+def test_exact_method_without_a_table_exits_2(tmp_path, capsys):
+    """``--method exact`` where no exact table applies is a bad argument value."""
+    _save_three_letter_pair(tmp_path)
+    assert main(["exponent", "--model-p", str(tmp_path / "p.json"),
+                 "--model-q", str(tmp_path / "q.json"), "--method", "exact",
+                 "--n-grid", "40,80,160", "--out", str(tmp_path / "exp")]) == 2
+    assert "no exact enumeration applies" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "7"])

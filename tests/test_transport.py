@@ -406,27 +406,64 @@ def test_empirical_flow_engine_matches_lp_oracle(rng):
 def test_empirical_certifies_every_solve(rng, monkeypatch):
     small = rng.integers(0, 2, size=(100, 3))   # 8-atom cube: tree enumeration
     large = rng.integers(0, 2, size=(100, 5))   # 32-atom cube: HiGHS
-    real_tree = transport._tree_flow
-    real_flow = transport._highs_flow
-    calls = {"tree": 0, "flow": 0}
+    def rows_after_the_first(real):
+        """``real`` with the potentials of every stacked row it solves after
+        its first row scaled by 1.01."""
+        seen = [0]
 
-    def off_tree(*args):
-        calls["tree"] += 1
-        tails, heads, flow, phi = real_tree(*args)
-        return tails, heads, flow, (phi * 1.01 if calls["tree"] > 1 else phi)
+        def off(excess, *args):
+            tails, heads, flow, phi = real(excess, *args)
+            rows = seen[0] + np.arange(len(excess))
+            seen[0] += len(excess)
+            return tails, heads, flow, np.where((rows >= 1)[:, None], phi * 1.01, phi)
+        return off
 
-    def off_flow(*args):
-        calls["flow"] += 1
-        tails, heads, flow, phi = real_flow(*args)
-        return tails, heads, flow, (phi * 1.01 if calls["flow"] > 1 else phi)
-
-    monkeypatch.setattr(transport, "_tree_flow", off_tree)
-    monkeypatch.setattr(transport, "_highs_flow", off_flow)
-    # the point solve is exact; the first bootstrap replicate is not
+    monkeypatch.setattr(transport, "_tree_flow", rows_after_the_first(transport._tree_flow))
+    monkeypatch.setattr(transport, "_highs_flow", rows_after_the_first(transport._highs_flow))
+    # the point solve (stacked row 0) is exact; the first bootstrap replicate is not
     with pytest.raises(NonConvergenceError):
         dbar_empirical(small, small[::-1].copy(), bootstrap=5, seed=0)
     with pytest.raises(NonConvergenceError):
         dbar_empirical(large, large[::-1].copy(), bootstrap=5, seed=0)
+
+
+def test_empirical_solves_every_replicate_in_one_stack(rng, monkeypatch):
+    """On the 3-cube the point estimate and five replicates are six rows of
+    one tree-enumeration call, and the estimate is ``dbar_between``'s value."""
+    x = rng.integers(0, 2, size=(100, 3))
+    y = (rng.random((100, 3)) < 0.3).astype(np.int64)
+    want = dbar_empirical(x, y, bootstrap=5, seed=4)
+    real = transport._tree_flow
+    rows = []
+
+    def counted(excess, a, m):
+        rows.append(len(excess))
+        return real(excess, a, m)
+
+    monkeypatch.setattr(transport, "_tree_flow", counted)
+    assert dbar_empirical(x, y, bootstrap=5, seed=4) == want
+    assert want.engine == "tree-enumeration"
+    assert rows == [6]
+    atoms_x, counts_x = np.unique(x, axis=0, return_counts=True)
+    atoms_y, counts_y = np.unique(y, axis=0, return_counts=True)
+    assert want.estimate == dbar_between(atoms_x, counts_x / 100, atoms_y, counts_y / 100).value
+
+
+@pytest.mark.parametrize("alphabet_size, m", [(2, 2), (2, 3), (3, 1), (2, 4), (3, 2)])
+def test_every_entry_point_gives_one_value(rng, alphabet_size, m):
+    """``dbar_value``, a ``dbar_values`` row, ``dbar_exact(...).value`` and
+    ``dbar_between`` on the cube's words report the same certified value bit
+    for bit, on tree-enumeration and hamming-flow cubes."""
+    n = alphabet_size ** m
+    atoms = decode(np.arange(n), alphabet_size, m)
+    mus = np.array([_laws(rng, n, kind) for kind in ("flat", "sparse", "zeros")])
+    nus = np.array([_laws(rng, n, kind) for kind in ("flat", "sparse", "zeros")])
+    values, engine = dbar_values(mus, nus, m, alphabet_size=alphabet_size)
+    assert engine == ("tree-enumeration" if n <= 8 else "hamming-flow")
+    for mu, nu, row in zip(mus, nus, values.tolist()):
+        assert dbar_value(mu, nu, m, alphabet_size=alphabet_size) == (row, engine)
+        assert dbar_exact(mu, nu, m, alphabet_size=alphabet_size).value == row
+        assert dbar_between(atoms, mu, atoms, nu).value == row
 
 
 # -- spanning-tree enumeration on small cubes ---------------------------------
@@ -529,7 +566,7 @@ def test_dbar_values_equal_dbar_value_row_by_row(rng, alphabet_size, m):
     nus[::5] = mus[::5]
     graph = transport._cube_graph(alphabet_size, m)
     if n == 8:
-        assert len(mus) > 2 * graph.block_rows()
+        assert len(mus) > 2 * graph.block_rows
     values, engine = dbar_values(mus, nus, m, alphabet_size=alphabet_size)
     single = [dbar_value(mu, nu, m, alphabet_size=alphabet_size) for mu, nu in zip(mus, nus)]
     assert engine == graph.engine == ("hamming-flow" if n == 16 else "tree-enumeration")
@@ -542,7 +579,7 @@ def test_dbar_values_refuse_a_corrupted_flow_map(rng, monkeypatch):
     """Every row of every block is certified: flow maps knocked off by 1e-6
     fail the batch, and so does one bad row at the end of the stack."""
     mus, nus = rng.dirichlet(np.ones(8), size=53), rng.dirichlet(np.ones(8), size=53)
-    assert 53 % transport._cube_graph(2, 3).block_rows()
+    assert 53 % transport._cube_graph(2, 3).block_rows
     table = transport._tree_table(2, 3)
     bad = table.flow_maps.copy()
     bad[:, 0] += 1e-6
@@ -555,7 +592,7 @@ def test_dbar_values_refuse_a_corrupted_flow_map(rng, monkeypatch):
 
     def last_row_off(excess, a, m):
         tails, heads, flow, phi = real(excess, a, m)
-        if excess.ndim == 2 and len(excess) < transport._cube_graph(a, m).block_rows():
+        if excess.ndim == 2 and len(excess) < transport._cube_graph(a, m).block_rows:
             phi = phi.copy()
             phi[-1] *= 1.01
         return tails, heads, flow, phi
@@ -756,7 +793,7 @@ def test_probe_artifact_bytes(tmp_path):
     """probe.json and probe_scatter.csv of 100 boundary-biased 8-atom pairs, by digest.
 
     The digests pin the tree-enumeration engine's floats; every recorded
-    distance stays within 1e-12 of the value of ``dbar_exact``'s coupling.
+    distance is the value of ``dbar_exact``'s coupling, bit for bit.
     """
     from markovdetect.cli import main
     from markovdetect.util import load_json, spawn_rng
@@ -772,7 +809,7 @@ def test_probe_artifact_bytes(tmp_path):
         rng = spawn_rng(0, 20, point["index"])
         mu = rng.dirichlet(np.full(8, 0.1))
         nu = rng.dirichlet(np.full(8, 0.1))
-        assert abs(point["dbar"] - dbar_exact(mu, nu, 3).value) <= 1e-12
+        assert point["dbar"] == dbar_exact(mu, nu, 3).value
     assert hashlib.sha256((out / "probe.json").read_bytes()).hexdigest() == (
         "a7360fe9573def285c6746ebce736c5bee381fe80c24947b8e8e89cbfc5f50c0")
     assert hashlib.sha256((out / "probe_scatter.csv").read_bytes()).hexdigest() == (
