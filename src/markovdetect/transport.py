@@ -20,13 +20,19 @@ solves a stack of weight pairs through one ``_FlowGraph.value`` path:
   1/m-Lipschitz potential, so both are enumerated once per cube (384 trees
   and 495 potentials on the 3-cube, built in about 2 ms) and a block of
   rows is two stacked matrix products, numpy only.  Every other cube answers
-  by ``"hamming-flow"``: HiGHS through ``scipy.optimize.linprog`` on the
-  a^m * m * (a-1) arcs, instead of the a^(2m) cells of the dense problem,
-  one row at a time.  ``_cube_solver`` holds this choice, once per cube.
+  by ``"hamming-flow"``: HiGHS's dual simplex on the a^m * m * (a-1) arcs,
+  instead of the a^(2m) cells of the dense problem, one row at a time.
+  ``_cube_solver`` holds this choice, and the cube's HiGHS model, once per
+  cube.
 - The bipartite support graph x -> y, for supports that do not embed (a cube
   above the cap, a word listed twice, a negative letter): one arc from each
-  x atom to each y atom.  The same HiGHS call solves it as
+  x atom to each y atom.  The same HiGHS solve answers it as
   ``"support-flow"``, and its flow is the coupling itself.
+
+Each graph's HiGHS model is built once (``_flow_lp``) and each row only sets
+its balances on it: the run ``scipy.optimize.linprog(method="highs")`` would
+make, bit for bit, without its per-call parsing.  scipy releases without
+the direct HiGHS bindings go through ``linprog``.
 
 Every engine returns one record of arcs, flows and node potentials per row
 of excess, and ``_certify_flow`` checks each row: a conserving non-negative
@@ -220,9 +226,8 @@ def _flow_graph(ax: np.ndarray, ay: np.ndarray) -> _FlowGraph:
     tails = np.repeat(np.arange(nx), ny)
     heads = nx + np.tile(np.arange(ny), nx)
     hops = (ax[:, None, :] != ay[None, :, :]).sum(axis=2).ravel()
-    cost, incidence = hops / m, _incidence(tails, heads, nx + ny)
-    return _FlowGraph("support-flow",
-                      lambda excess: _highs_flow(excess, tails, heads, cost, incidence), 1,
+    solve = _flow_lp(tails, heads, hops / m, nx + ny)
+    return _FlowGraph("support-flow", lambda excess: _highs_flow(excess, tails, heads, solve), 1,
                       m, nx + ny, tails, heads, hops, np.arange(nx), nx + np.arange(ny))
 
 
@@ -238,8 +243,8 @@ def _cube_solver(a: int, m: int):
         rows = max(1, _BLOCK_BYTES // (8 * (len(table.flow_maps) + len(table.potentials))))
         return "tree-enumeration", lambda excess: _tree_flow(excess, a, m), rows
     tails, heads = _hamming_arcs(a, m)
-    cost, incidence = np.full(len(tails), 1.0 / m), _incidence(tails, heads, n)
-    return "hamming-flow", lambda excess: _highs_flow(excess, tails, heads, cost, incidence), 1
+    solve = _flow_lp(tails, heads, np.full(len(tails), 1.0 / m), n)
+    return "hamming-flow", lambda excess: _highs_flow(excess, tails, heads, solve), 1
 
 
 def _on_nodes(weights: np.ndarray, nodes: np.ndarray, n: int) -> np.ndarray:
@@ -282,25 +287,81 @@ def _incidence(tails: np.ndarray, heads: np.ndarray, n: int):
     )[:-1]
 
 
-def _highs_flow(excess: np.ndarray, tails: np.ndarray, heads: np.ndarray,
-                cost: np.ndarray, incidence):
-    """Min-cost flow of ``excess`` along the arcs ``tails -> heads`` at
-    ``cost`` by HiGHS, one solve per row of a stack of excesses;
-    ``incidence`` is the arcs' ``_incidence``.
+def _flow_lp(tails: np.ndarray, heads: np.ndarray, cost: np.ndarray, n: int):
+    """The min-cost flow LP of one graph's arcs ``tails -> heads`` at ``cost``
+    on ``n`` nodes, built once for ``_highs_flow``.
+
+    Returns ``solve(b) -> (flow, duals)``, the arc flows and the duals of the
+    balance rows of every node but the last, whose balances are ``b``.  A
+    solve sets its row bounds on the model built here and runs a fresh
+    ``_Highs`` with the options built here: the run that ``linprog(cost,
+    A_eq=_incidence(...), b_eq=b, bounds=(0, None), method="highs",
+    options=_HIGHS_OPTIONS)`` makes, so the same flows and duals bit for bit,
+    without ``linprog`` checking every argument again.  scipy releases
+    without the direct HiGHS bindings (``scipy.optimize._highspy._core``)
+    call ``linprog`` itself.
+    """
+    incidence = _incidence(tails, heads, n)
+    try:
+        import scipy.optimize._highspy._core as highs
+    except ImportError:
+        from scipy.optimize import linprog
+
+        def solve(b):
+            res = linprog(cost, A_eq=incidence, b_eq=b, bounds=(0, None),
+                          method="highs", options=_HIGHS_OPTIONS)
+            if res.status != 0:
+                raise NonConvergenceError(f"min-cost flow failed: {res.message}")
+            return res.x, res.eqlin.marginals
+        return solve
+
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(cost)
+    lp.num_row_ = lp.a_matrix_.num_row_ = n - 1
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = incidence.indptr
+    lp.a_matrix_.index_ = incidence.indices
+    lp.a_matrix_.value_ = incidence.data
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(len(cost))
+    lp.col_upper_ = np.full(len(cost), highs.kHighsInf)
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    for key, value in _HIGHS_OPTIONS.items():
+        setattr(options, key, value)
+
+    def solve(b):
+        # the model is shared, but every solve sets its rows before passing it
+        lp.row_lower_ = lp.row_upper_ = b
+        run = highs._Highs()
+        run.passOptions(options)
+        run.passModel(lp)
+        run.run()
+        status = run.getModelStatus()
+        if status != highs.HighsModelStatus.kOptimal:
+            raise NonConvergenceError(
+                f"min-cost flow failed: {run.modelStatusToString(status)}")
+        solution = run.getSolution()
+        return np.array(solution.col_value), np.array(solution.row_dual)
+    return solve
+
+
+def _highs_flow(excess: np.ndarray, tails: np.ndarray, heads: np.ndarray, solve):
+    """Min-cost flow of ``excess`` along the arcs ``tails -> heads`` by HiGHS,
+    one ``solve`` (the arcs' ``_flow_lp``) per row of a stack of excesses.
 
     Returns the flow record ``(tails, heads, flow, phi)``: every arc of the
     graph, the flow on each, and the node potentials phi that HiGHS reports as
     duals of the conservation rows (phi = 0 on the last node).
     """
-    from scipy.optimize import linprog
     flows, phis = [], []
     for row in excess.reshape(-1, excess.shape[-1]):
-        res = linprog(cost, A_eq=incidence, b_eq=row[:-1], bounds=(0, None),
-                      method="highs", options=_HIGHS_OPTIONS)
-        if res.status != 0:
-            raise NonConvergenceError(f"min-cost flow failed: {res.message}")
-        flows.append(res.x)
-        phis.append(np.append(res.eqlin.marginals, 0.0))
+        flow, duals = solve(row[:-1])
+        flows.append(flow)
+        phis.append(np.append(duals, 0.0))
     return (tails, heads, np.reshape(flows, excess.shape[:-1] + (-1,)),
             np.reshape(phis, excess.shape))
 
@@ -439,6 +500,8 @@ def _cube_laws(mu, nu, m: int, alphabet_size: int | None):
         raise ValueError("m must be >= 1")
     if mu.ndim not in (1, 2) or mu.shape != nu.shape:
         raise ValueError("distributions must share the atom space")
+    if mu.ndim == 2 and len(mu) == 0:
+        raise ValueError("need at least one pair")
     n = mu.shape[-1]
     if n > DBAR_ATOM_CAP:
         raise AtomBudgetError(f"{n} atoms exceed cap {DBAR_ATOM_CAP}")
@@ -641,6 +704,10 @@ def dbar_empirical(samples_x, samples_y, bootstrap: int = 200,
     ys = np.asarray(samples_y, dtype=np.int64)
     if xs.ndim != 2 or ys.ndim != 2 or xs.shape[1] != ys.shape[1]:
         raise ValueError("need (n, m) sample arrays with matching window length")
+    if xs.shape[1] < 1:
+        raise ValueError("window length must be >= 1")
+    if len(xs) == 0 or len(ys) == 0:
+        raise ValueError("need at least one window in each sample")
     if bootstrap < 2:
         raise ValueError("bootstrap must be >= 2")
     atoms_x, wx = _empirical(xs)

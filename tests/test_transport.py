@@ -3,9 +3,11 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -292,6 +294,32 @@ def test_empirical_converges_to_exact(rng):
     y = (rng.random((20_000, 1)) > q[0]).astype(np.int64)
     est = dbar_empirical(x, y, bootstrap=20, seed=1)
     assert est.estimate == pytest.approx(tv(p, q), abs=0.02)
+
+
+def _refuse_to_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reached a solve")
+
+    monkeypatch.setattr(transport, "_flow_graph", refuse)
+    monkeypatch.setattr(transport, "_cube_graph", refuse)
+
+
+def test_empirical_refuses_a_sample_with_no_windows(monkeypatch):
+    _refuse_to_solve(monkeypatch)
+    with pytest.raises(ValueError, match="need at least one window in each sample"):
+        dbar_empirical(np.zeros((0, 3), dtype=int), np.zeros((5, 3), dtype=int))
+
+
+def test_empirical_refuses_windows_of_length_zero(monkeypatch):
+    _refuse_to_solve(monkeypatch)
+    with pytest.raises(ValueError, match="window length must be >= 1"):
+        dbar_empirical(np.zeros((4, 0), dtype=int), np.zeros((5, 0), dtype=int))
+
+
+def test_dbar_values_refuses_an_empty_stack(monkeypatch):
+    _refuse_to_solve(monkeypatch)
+    with pytest.raises(ValueError, match="need at least one pair"):
+        dbar_values(np.zeros((0, 8)), np.zeros((0, 8)), 3)
 
 
 # -- min-cost flow engine ---------------------------------------------------
@@ -688,6 +716,147 @@ def test_dbar_between_rejects_unequal_totals_and_negative_weights():
         dbar_between(atoms, [1.5, -0.5], atoms, [0.5, 0.5])
     with pytest.raises(ValueError, match="one weight per atom"):
         dbar_between(atoms, [1.0], atoms, [0.5, 0.5])
+
+
+# -- HiGHS called directly, against linprog -----------------------------------
+
+
+def _linprog_record(graph, excess):
+    """Flows and potentials of ``linprog(method="highs")`` on the graph's flow
+    LP, one row of a stack at a time: the reference for the direct HiGHS run."""
+    cost = np.full(len(graph.tails), 1.0 / graph.m) if graph.hops is None else graph.hops / graph.m
+    incidence = transport._incidence(graph.tails, graph.heads, graph.size)
+    flows, phis = [], []
+    for row in excess.reshape(-1, graph.size):
+        res = linprog(cost, A_eq=incidence, b_eq=row[:-1], bounds=(0, None),
+                      method="highs", options=transport._HIGHS_OPTIONS)
+        assert res.status == 0
+        flows.append(res.x)
+        phis.append(np.append(res.eqlin.marginals, 0.0))
+    return (np.reshape(flows, excess.shape[:-1] + (-1,)), np.reshape(phis, excess.shape))
+
+
+def _assert_linprog_record(graph, excess):
+    _, _, flow, phi = graph.flow(excess)
+    want_flow, want_phi = _linprog_record(graph, excess)
+    assert np.array_equal(flow, want_flow)
+    assert np.array_equal(phi, want_phi)
+
+
+_TWICE = ([(0, 0), (0, 0), (1, 2)], [(2, 1), (1, 1)])  # a word listed twice: the support graph
+
+
+# the direct HiGHS bindings that the solves use, where scipy has them; 1.17
+# is the oldest release checked to ship them
+_HIGHS_BINDINGS = pytest.mark.skipif(
+    tuple(map(int, scipy.__version__.split(".")[:2])) < (1, 17),
+    reason="scipy releases before 1.17 may lack scipy.optimize._highspy._core")
+
+
+def _drop_cube_solvers():
+    transport._cube_solver.cache_clear()
+    transport._cube_graph.cache_clear()
+
+
+@pytest.fixture
+def fresh_cube_solvers():
+    """Cube solvers built inside the test, and none of them left cached after it."""
+    _drop_cube_solvers()
+    yield
+    _drop_cube_solvers()
+
+
+@pytest.mark.parametrize("alphabet_size, m", [(3, 2), (2, 4), (4, 2), (16, 1), (2, 5), (2, 6),
+                                              (4, 3)])
+@pytest.mark.parametrize("concentration", [1.0, 0.05])
+def test_highs_flow_equals_linprog_on_cubes(alphabet_size, m, concentration):
+    """The prebuilt HiGHS model gives linprog's flows and duals bit for bit."""
+    rng = np.random.default_rng(alphabet_size ** m)
+    n = alphabet_size ** m
+    graph = transport._cube_graph(alphabet_size, m)
+    assert graph.engine == "hamming-flow"
+    for _ in range(4):
+        mu = rng.dirichlet(np.full(n, concentration))
+        nu = rng.dirichlet(np.full(n, concentration))
+        _assert_linprog_record(graph, mu - nu)
+
+
+def test_highs_flow_equals_linprog_on_the_support_graph(rng):
+    graph = transport._flow_graph(*map(np.array, _TWICE))
+    assert graph.engine == "support-flow"
+    for _ in range(5):
+        _assert_linprog_record(graph, graph.excess(rng.dirichlet(np.ones(3)),
+                                                   rng.dirichlet(np.ones(2))))
+
+
+def test_highs_flow_stack_rows_equal_linprog_and_single_rows(rng):
+    graph = transport._cube_graph(2, 5)
+    mus, nus = rng.dirichlet(np.ones(32), size=6), rng.dirichlet(np.ones(32), size=6)
+    _assert_linprog_record(graph, graph.excess(mus, nus))
+    values = graph.value(mus, nus)
+    for mu, nu, value in zip(mus, nus, values):
+        assert graph.value(mu, nu) == value
+
+
+def _highs_answers(rng):
+    """A 64-word cube value and a support-graph value."""
+    mu, nu = rng.dirichlet(np.ones(64)), rng.dirichlet(np.ones(64))
+    return (dbar_value(mu, nu, 6)[0],
+            dbar_between(_TWICE[0], [0.2, 0.3, 0.5], _TWICE[1], [0.4, 0.6]).value)
+
+
+@_HIGHS_BINDINGS
+def test_highs_solves_never_call_linprog(monkeypatch, fresh_cube_solvers):
+    """Where scipy has its direct HiGHS bindings, no solve goes through
+    ``linprog``, so a scipy upgrade that removed them would show here."""
+    want = _highs_answers(np.random.default_rng(6))
+    _drop_cube_solvers()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr("scipy.optimize.linprog", refuse)
+    assert _highs_answers(np.random.default_rng(6)) == want
+
+
+def test_highs_solves_fall_back_to_linprog(monkeypatch, fresh_cube_solvers):
+    """Without ``scipy.optimize._highspy._core`` every HiGHS solve goes
+    through ``linprog``, with the same values."""
+    import scipy.optimize
+    want = _highs_answers(np.random.default_rng(6))
+    _drop_cube_solvers()
+    calls = []
+    real = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    monkeypatch.setattr("scipy.optimize.linprog", counted)
+    assert _highs_answers(np.random.default_rng(6)) == want
+    assert calls == ["highs", "highs"]
+
+
+@_HIGHS_BINDINGS
+def test_highs_flow_refuses_a_run_that_ends_short_of_optimal(monkeypatch, fresh_cube_solvers):
+    """A HiGHS run stopped by a zero iteration limit raises on a cube and on
+    the support graph."""
+    import scipy.optimize._highspy._core as highs
+
+    class Stopped(highs._Highs):
+        def run(self):
+            self.setOptionValue("presolve", "off")
+            self.setOptionValue("simplex_iteration_limit", 0)
+            return super().run()
+
+    monkeypatch.setattr(highs, "_Highs", Stopped)
+    rng = np.random.default_rng(7)
+    mu, nu = rng.dirichlet(np.ones(27)), rng.dirichlet(np.ones(27))
+    with pytest.raises(NonConvergenceError, match="^min-cost flow failed:"):
+        dbar_value(mu, nu, 3, 3)
+    with pytest.raises(NonConvergenceError, match="^min-cost flow failed:"):
+        dbar_between(_TWICE[0], [0.2, 0.3, 0.5], _TWICE[1], [0.4, 0.6])
 
 
 # -- the support graph: supports that do not embed in a cube ----------------
