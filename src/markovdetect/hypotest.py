@@ -54,6 +54,8 @@ SEQ_ATOM_CAP = 4096
 IID_LATTICE_CAP = 400_000
 CHAIN_LATTICE_NMAX = 2048
 _TIE_TOL = 1e-15
+# classes per step of the threshold scan
+_SCAN_CHUNK = 8192
 # calibration engines: an exact table where one applies, Monte Carlo, or exact only
 METHODS = ("auto", "mc", "exact")
 
@@ -126,8 +128,10 @@ class BayesErrorEstimate(JsonRecord):
 def _llr_stats(lp, lq, n):
     """Per-token statistic (lp - lq) / n: +inf where only lq is -inf, -inf
     where only lp is, and nan where both are."""
-    stats = np.full(len(lp), np.nan)
     fp, fq = np.isfinite(lp), np.isfinite(lq)
+    if fp.all() and fq.all():
+        return (lp - lq) / n
+    stats = np.full(len(lp), np.nan)
     stats[fp & fq] = (lp[fp & fq] - lq[fp & fq]) / n
     stats[fp & ~fq] = np.inf
     stats[~fp & fq] = -np.inf
@@ -139,8 +143,10 @@ def _clean_table(stats, lp, lq):
     stats = np.asarray(stats, dtype=float)
     lp = np.asarray(lp, dtype=float)
     lq = np.asarray(lq, dtype=float)
-    keep = ~((lp == -np.inf) & (lq == -np.inf))
-    stats, lp, lq = stats[keep], lp[keep], lq[keep]
+    impossible = (lp == -np.inf) & (lq == -np.inf)
+    if impossible.any():
+        keep = ~impossible
+        stats, lp, lq = stats[keep], lp[keep], lq[keep]
     order = np.argsort(stats, kind="stable")
     return stats[order], lp[order], lq[order]
 
@@ -178,20 +184,22 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 
 def _log_weighted(counts: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
     """sum_i counts_i * log_probs_i with the 0 * (-inf) = 0 convention."""
-    out = np.zeros(len(counts))
-    for i, lw in enumerate(log_probs):
-        c = counts[:, i]
+    counts = np.asarray(counts, dtype=float)
+    out, term = np.zeros(len(counts)), np.empty(len(counts))
+    for c, lw in zip(counts.T, log_probs):
         if np.isfinite(lw):
-            out += c * lw
+            out += np.multiply(c, lw, out=term)
         else:
-            out = np.where(c > 0, -np.inf, out)
+            out[c > 0] = -np.inf
     return out
 
 
 def _table_iid(p_model, q_model, n):
     from scipy.special import gammaln
+    lg = gammaln(np.arange(n + 2))  # lg[k] = gammaln(k)
     counts = _compositions(n, p_model.alphabet.size)
-    log_coef = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
+    log_coef = lg[n + 1] - lg[counts + 1].sum(axis=1)
+    counts = np.asfortranarray(counts, dtype=float)  # contiguous columns for _log_weighted
     num_p = _log_weighted(counts, _log_matrix(p_model.row(())))
     num_q = _log_weighted(counts, _log_matrix(q_model.row(())))
     return _clean_table(_llr_stats(num_p, num_q, n), log_coef + num_p, log_coef + num_q)
@@ -220,19 +228,26 @@ def _table_binary_chain(p_model, q_model, n):
     """
     from scipy.special import gammaln
     (li_p, lr_p), (li_q, lr_q) = _chain_logs(p_model), _chain_logs(q_model)
-    s, stays = np.triu_indices(n)  # stays = stay_x + s <= n - 1
-    stay_o = n - 1 - stays
-    keep = (s > 0) | (stay_o == 0)  # stays of o need a run of o
-    s, stay_o = s[keep], stay_o[keep]
-    stay_x = n - 1 - s - stay_o
+    lg = gammaln(np.arange(n + 2))  # lg[k] = gammaln(k)
+    # with s switches stay_x runs from low to n - 1 - s: from 0, except that
+    # s = 0 leaves no run of o to hold stays, so stay_x = n - 1
+    by_s = np.arange(n)
+    low = np.where(by_s > 0, 0, n - 1)
+    sizes = n - by_s - low
+    s = np.repeat(by_s, sizes)
+    stay_x = np.arange(len(s)) - np.repeat(np.cumsum(sizes) - sizes - low, sizes)
+    stay_o = n - 1 - s - stay_x
     runs_x, runs_o = s // 2 + 1, (s + 1) // 2
     some_o = np.maximum(runs_o, 1)
-    log_count = (gammaln(stay_x + runs_x) - gammaln(stay_x + 1) - gammaln(runs_x)
-                 + gammaln(stay_o + some_o) - gammaln(stay_o + 1) - gammaln(some_o))
-    # (n00, n01, n10, n11) for x = 0; reversed, the same columns serve x = 1
-    counts = np.stack([stay_x, runs_o, runs_x - 1, stay_o], axis=1)
+    log_count = (lg[stay_x + runs_x] - lg[stay_x + 1] - lg[runs_x]
+                 + lg[stay_o + some_o] - lg[stay_o + 1] - lg[some_o])
+    # (n00, n01, n10, n11) for x = 0, as contiguous float columns; reversed,
+    # the same columns serve x = 1
+    counts = np.empty((4, len(s)))
+    counts[0], counts[1], counts[2], counts[3] = stay_x, runs_o, runs_x - 1, stay_o
+    counts = counts.T
     # free the class arrays before the outputs are allocated: it lowers peak memory
-    del s, stays, keep, stay_x, stay_o, runs_x, runs_o, some_o
+    del by_s, low, sizes, s, stay_x, stay_o, runs_x, runs_o, some_o
     size = len(log_count)
     stats, lp, lq = np.empty(2 * size), np.empty(2 * size), np.empty(2 * size)
     for x, by_x in ((0, counts), (1, counts[:, ::-1])):
@@ -240,8 +255,9 @@ def _table_binary_chain(p_model, q_model, n):
         tq = li_q[x] + _log_weighted(by_x, lr_q)
         half = slice(x * size, (x + 1) * size)
         stats[half] = _llr_stats(tp, tq, n)
-        lp[half] = log_count + tp
-        lq[half] = log_count + tq
+        np.add(log_count, tp, out=lp[half])
+        np.add(log_count, tq, out=lq[half])
+    del counts, by_x, log_count, tp, tq
     return _clean_table(stats, lp, lq)
 
 
@@ -399,13 +415,28 @@ class _TableEngine:
         self.n, self.epsilon, (self.stats, self.lp, self.lq) = n, epsilon, table
 
     def threshold(self, epsilon):
-        """Largest statistic value whose classes below it carry P-mass <= epsilon."""
-        first = np.flatnonzero(np.concatenate([[True], self.stats[1:] != self.stats[:-1]]))
-        cum = np.concatenate([[-np.inf], np.logaddexp.accumulate(self.lp)[:-1]])
+        """Largest statistic value whose classes below it carry P-mass <= epsilon.
+
+        The P-mass below each class is summed a chunk at a time, each chunk
+        carrying on from the last sum of the one before, so the sums are those
+        of one sequential pass.  Sums never decrease, so the scan stops once
+        one is too far above log(epsilon) for exp's rounding to bring it back:
+        no class after it can pass the test."""
+        stats, lp = self.stats, self.lp
+        stop = math.log(epsilon + _TIE_TOL) + 1e-9
+        parts, carry = [np.array([-np.inf])], lp[:0]
+        for start in range(0, len(lp), _SCAN_CHUNK):
+            chunk = np.concatenate([carry, lp[start:start + _SCAN_CHUNK]])
+            parts.append(np.logaddexp.accumulate(chunk)[len(carry):])
+            carry = parts[-1][-1:]
+            if carry[0] > stop:
+                break
+        cum = np.concatenate(parts)[:len(stats)]
+        first = np.flatnonzero(np.concatenate([[True], stats[1:len(cum)] != stats[:len(cum) - 1]]))
         valid = np.flatnonzero(np.exp(cum[first]) <= epsilon + _TIE_TOL)
-        if len(first) == 1:
+        if stats[0] == stats[-1]:
             warnings.warn("all statistic classes coincide", DegenerateStatisticWarning)
-        return float(self.stats[first[valid[-1]]])
+        return float(stats[first[valid[-1]]])
 
     def miss(self, threshold):
         from scipy.special import logsumexp

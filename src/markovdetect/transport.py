@@ -503,6 +503,8 @@ def _cube_laws(mu, nu, m: int, alphabet_size: int | None):
     if mu.ndim == 2 and len(mu) == 0:
         raise ValueError("need at least one pair")
     n = mu.shape[-1]
+    if n == 0:
+        raise ValueError("need at least one atom")
     if n > DBAR_ATOM_CAP:
         raise AtomBudgetError(f"{n} atoms exceed cap {DBAR_ATOM_CAP}")
     for name, w in (("mu", mu), ("nu", nu)):

@@ -4,23 +4,27 @@ The package keeps a chain as sorted integer context codes and dense row
 matrices, one power iteration for every stationary law, one batched forward
 recursion for hidden-Markov sources, run counts for the binary-chain
 statistic classes, one column-at-a-time enumeration of the i.i.d. type
-classes and one vectorized seed hash for a batch of keys.  These are the
-straightforward loops over symbol tuples and dicts, the dense eigenvector and
-linear-solve stationary laws, the power iteration without lazy sweeps, the
-per-context forward filter with its depth-first context walk, Whittle's
-cofactor formula, the recursive composition builder and one ``SeedSequence``
-per derived seed, that those routines replaced or stand for.
+classes, statistic tables built in few array passes with a threshold scan
+that stops early, and one vectorized seed hash for a batch of keys.  These
+are the straightforward loops over symbol tuples and dicts, the dense
+eigenvector and linear-solve stationary laws, the power iteration without
+lazy sweeps, the per-context forward filter with its depth-first context
+walk, Whittle's cofactor formula, the recursive composition builder, the
+table builders and the full threshold scan that take one array pass per step,
+and one ``SeedSequence`` per derived seed, that those routines replaced or
+stand for.
 """
 import bisect
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 from scipy.special import gammaln
 
 from markovdetect.corpus import TokenSeq
-from markovdetect.errors import NonConvergenceError, UnseenContextError
-from markovdetect.hypotest import _clean_table, _llr_stats, _log_weighted
+from markovdetect.errors import DegenerateStatisticWarning, NonConvergenceError, UnseenContextError
+from markovdetect.hypotest import _TIE_TOL, _chain_logs, _compositions, _log_matrix
 from markovdetect.markov import HiddenMarkovSource, MarkovModel, stationary, window_law
 from markovdetect.util import decode, encode, fmt17, spawn_rng
 
@@ -312,6 +316,95 @@ def recursive_compositions(total, parts):
     return np.vstack(blocks)
 
 
+# -- exact statistic tables, one element-wise pass per step -------------------
+#
+# The table builders and the threshold scan in their plain form: six
+# ``gammaln`` calls per chain table, classes from ``np.triu_indices`` and a
+# keep mask, counts converted to float once per column, every mask applied,
+# and one ``logaddexp.accumulate`` over the whole table.  The package's
+# builders touch each class array fewer times and must give the same bits.
+
+
+def onepass_llr_stats(lp, lq, n):
+    """Per-token statistic (lp - lq) / n: +inf where only lq is -inf, -inf
+    where only lp is, and nan where both are."""
+    stats = np.full(len(lp), np.nan)
+    fp, fq = np.isfinite(lp), np.isfinite(lq)
+    stats[fp & fq] = (lp[fp & fq] - lq[fp & fq]) / n
+    stats[fp & ~fq] = np.inf
+    stats[~fp & fq] = -np.inf
+    return stats
+
+
+def onepass_clean_table(stats, lp, lq):
+    """Drop impossible classes, order by statistic."""
+    stats = np.asarray(stats, dtype=float)
+    lp = np.asarray(lp, dtype=float)
+    lq = np.asarray(lq, dtype=float)
+    keep = ~((lp == -np.inf) & (lq == -np.inf))
+    stats, lp, lq = stats[keep], lp[keep], lq[keep]
+    order = np.argsort(stats, kind="stable")
+    return stats[order], lp[order], lq[order]
+
+
+def onepass_log_weighted(counts, log_probs):
+    """sum_i counts_i * log_probs_i with the 0 * (-inf) = 0 convention."""
+    out = np.zeros(len(counts))
+    for i, lw in enumerate(log_probs):
+        c = counts[:, i]
+        if np.isfinite(lw):
+            out += c * lw
+        else:
+            out = np.where(c > 0, -np.inf, out)
+    return out
+
+
+def onepass_table_iid(p_model, q_model, n):
+    counts = _compositions(n, p_model.alphabet.size)
+    log_coef = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
+    num_p = onepass_log_weighted(counts, _log_matrix(p_model.row(())))
+    num_q = onepass_log_weighted(counts, _log_matrix(q_model.row(())))
+    return onepass_clean_table(onepass_llr_stats(num_p, num_q, n),
+                               log_coef + num_p, log_coef + num_q)
+
+
+def onepass_table_binary_chain(p_model, q_model, n):
+    """Transition-count classes (s switches, stay_o stays of the other symbol)
+    from ``np.triu_indices``, counted by six ``gammaln`` calls."""
+    (li_p, lr_p), (li_q, lr_q) = _chain_logs(p_model), _chain_logs(q_model)
+    s, stays = np.triu_indices(n)
+    stay_o = n - 1 - stays
+    keep = (s > 0) | (stay_o == 0)
+    s, stay_o = s[keep], stay_o[keep]
+    stay_x = n - 1 - s - stay_o
+    runs_x, runs_o = s // 2 + 1, (s + 1) // 2
+    some_o = np.maximum(runs_o, 1)
+    log_count = (gammaln(stay_x + runs_x) - gammaln(stay_x + 1) - gammaln(runs_x)
+                 + gammaln(stay_o + some_o) - gammaln(stay_o + 1) - gammaln(some_o))
+    counts = np.stack([stay_x, runs_o, runs_x - 1, stay_o], axis=1)
+    size = len(log_count)
+    stats, lp, lq = np.empty(2 * size), np.empty(2 * size), np.empty(2 * size)
+    for x, by_x in ((0, counts), (1, counts[:, ::-1])):
+        tp = li_p[x] + onepass_log_weighted(by_x, lr_p)
+        tq = li_q[x] + onepass_log_weighted(by_x, lr_q)
+        half = slice(x * size, (x + 1) * size)
+        stats[half] = onepass_llr_stats(tp, tq, n)
+        lp[half] = log_count + tp
+        lq[half] = log_count + tq
+    return onepass_clean_table(stats, lp, lq)
+
+
+def full_scan_threshold(stats, lp, epsilon):
+    """Largest statistic value whose classes below it carry P-mass <= epsilon,
+    from the P-mass below every class of the table."""
+    first = np.flatnonzero(np.concatenate([[True], stats[1:] != stats[:-1]]))
+    cum = np.concatenate([[-np.inf], np.logaddexp.accumulate(lp)[:-1]])
+    valid = np.flatnonzero(np.exp(cum[first]) <= epsilon + _TIE_TOL)
+    if len(first) == 1:
+        warnings.warn("all statistic classes coincide", DegenerateStatisticWarning)
+    return float(stats[first[valid[-1]]])
+
+
 # -- binary-chain statistic classes by Whittle's cofactor ---------------------
 
 
@@ -367,13 +460,13 @@ def whittle_binary_chain_table(p_model, q_model, n):
             counts = np.stack([n00, n01, n10, n11], axis=1)
             log_rows_p = np.array([lr_p[0, 0], lr_p[0, 1], lr_p[1, 0], lr_p[1, 1]])
             log_rows_q = np.array([lr_q[0, 0], lr_q[0, 1], lr_q[1, 0], lr_q[1, 1]])
-            tp = li_p[x1] + _log_weighted(counts, log_rows_p)
-            tq = li_q[x1] + _log_weighted(counts, log_rows_q)
-            parts.append((_llr_stats(tp, tq, n), log_count + tp, log_count + tq))
+            tp = li_p[x1] + onepass_log_weighted(counts, log_rows_p)
+            tq = li_q[x1] + onepass_log_weighted(counts, log_rows_q)
+            parts.append((onepass_llr_stats(tp, tq, n), log_count + tp, log_count + tq))
     stats = np.concatenate([p[0] for p in parts])
     lp = np.concatenate([p[1] for p in parts])
     lq = np.concatenate([p[2] for p in parts])
-    return _clean_table(stats, lp, lq)
+    return onepass_clean_table(stats, lp, lq)
 
 
 # -- binary-chain statistic law by dynamic programming on class counts ---------

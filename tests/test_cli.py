@@ -421,6 +421,16 @@ def test_dbar_weights_that_are_not_numbers_exit_4(tmp_path, capsys, content):
     assert not (out / "dbar.json").exists()
 
 
+def test_dbar_laws_with_no_atoms_exit_2_naming_the_cause(tmp_path, capsys):
+    for name in ("mu.json", "nu.json"):
+        (tmp_path / name).write_text("[]", encoding="utf-8")
+    out = tmp_path / "dbar"
+    assert main(["dbar", "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
+                 "--window", "3", "--out", str(out)]) == 2
+    assert "need at least one atom" in capsys.readouterr().err
+    assert not (out / "dbar.json").exists()
+
+
 def test_out_env_var_honored(texts, tmp_path, monkeypatch):
     p_text, _, _ = texts
     target = tmp_path / "from_env"

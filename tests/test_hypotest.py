@@ -13,6 +13,7 @@ from markovdetect.errors import (
     UnseenContextError,
 )
 from markovdetect.hypotest import (
+    _SCAN_CHUNK,
     CHAIN_LATTICE_NMAX,
     IID_LATTICE_CAP,
     _TableEngine,
@@ -36,8 +37,9 @@ from markovdetect.infometrics import chernoff, kl_rate
 from markovdetect.markov import (MarkovModel, _guide_table, chain_model, fit_empirical,
                                  iid_model, sample)
 from markovdetect.util import decode, encode, spawn_rng
-from oracles import (dp_binary_chain_law, dp_binary_chain_test, loop_log_likelihood,
-                     model_from_dicts, recursive_compositions, whittle_binary_chain_table)
+from oracles import (dp_binary_chain_law, dp_binary_chain_test, full_scan_threshold,
+                     loop_log_likelihood, model_from_dicts, onepass_table_binary_chain,
+                     onepass_table_iid, recursive_compositions, whittle_binary_chain_table)
 
 
 def _aggregate(table):
@@ -189,6 +191,168 @@ def test_iid_table_builds_at_the_lattice_cap(a, n, classes):
     assert len(stats) == classes
     assert np.exp(lp).sum() == pytest.approx(1.0, abs=1e-9)
     assert np.exp(lq).sum() == pytest.approx(1.0, abs=1e-9)
+
+
+# -- the tables and the threshold scan against their one-pass versions -------
+
+
+def _dirichlet_pair(rng, orders):
+    return tuple(iid_model(rng.dirichlet(np.ones(2))) if k == 0
+                 else chain_model(rng.dirichlet(np.ones(2), size=2)) for k in orders)
+
+
+# (builder, one-pass reference, pair maker, lengths): Dirichlet(1) pairs, and
+# pairs with zero masses, which give one-sided +-inf statistics and classes
+# impossible under both models
+ONE_PASS_CASES = {
+    "binary order 0": (_table_binary_chain, onepass_table_binary_chain,
+                       lambda rng: _dirichlet_pair(rng, (0, 0)), (1, 2, 3, 9, 64, 512)),
+    "binary order 1": (_table_binary_chain, onepass_table_binary_chain,
+                       lambda rng: _dirichlet_pair(rng, (1, 1)), (1, 2, 3, 9, 64, 511, 512)),
+    "binary orders 0 and 1": (_table_binary_chain, onepass_table_binary_chain,
+                              lambda rng: _dirichlet_pair(rng, (0, 1)), (2, 13, 512)),
+    "binary zero masses": (
+        _table_binary_chain, onepass_table_binary_chain,
+        lambda rng: (chain_model([[1 / 3, 2 / 3], [1.0, 0.0]]),
+                     chain_model([[1.0, 0.0], [0.2, 0.8]])), (1, 2, 3, 9, 64, 512)),
+    "binary order 0 zero mass": (
+        _table_binary_chain, onepass_table_binary_chain,
+        lambda rng: (iid_model([1.0, 0.0]), chain_model([[0.5, 0.5], [0.9, 0.1]])),
+        (2, 9, 512)),
+    "3 symbols": (_table_iid, onepass_table_iid,
+                  lambda rng: (iid_model(rng.dirichlet(np.ones(3))),
+                               iid_model(rng.dirichlet(np.ones(3)))), (1, 2, 10, 100, 512)),
+    "3 symbols zero masses": (
+        _table_iid, onepass_table_iid,
+        lambda rng: (iid_model([0.6, 0.4, 0.0]), iid_model([0.0, 0.5, 0.5])), (1, 2, 10, 512)),
+    "4 symbols": (_table_iid, onepass_table_iid,
+                  lambda rng: (iid_model(rng.dirichlet(np.ones(4))),
+                               iid_model(rng.dirichlet(np.ones(4)))), (1, 2, 10, 60, 128)),
+    "4 symbols zero masses": (
+        _table_iid, onepass_table_iid,
+        lambda rng: (iid_model([0.5, 0.2, 0.3, 0.0]), iid_model([0.25, 0.0, 0.25, 0.5])),
+        (1, 2, 10, 128)),
+}
+
+
+def _threshold_and_warning(scan):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = scan()
+    return value, [w.category for w in caught]
+
+
+@pytest.mark.parametrize("case", list(ONE_PASS_CASES))
+def test_tables_and_calibrations_match_the_one_pass_versions(rng, case):
+    """The same bytes of (stats, log P, log Q), and the same threshold, miss
+    and Bayes results, as the builders and the full threshold scan that
+    touch each class array once per step."""
+    build, reference, pair, lengths = ONE_PASS_CASES[case]
+    for trial in range(2):
+        p, q = pair(rng)
+        for n in lengths:
+            got, want = build(p, q, n), reference(p, q, n)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (case, n)
+            for eps in (0.01, 0.1, 0.5, 0.9):
+                engine, frozen = _TableEngine(n, eps, got), _TableEngine(n, eps, want)
+                threshold = _threshold_and_warning(lambda: engine.threshold(eps))
+                assert threshold == _threshold_and_warning(
+                    lambda: full_scan_threshold(want[0], want[1], eps)), (case, n, eps)
+                assert engine.miss(threshold[0]) == frozen.miss(threshold[0])
+            engine, frozen = _TableEngine(n, None, got), _TableEngine(n, None, want)
+            for prior in (0.2, 0.5):
+                assert engine.bayes(prior) == frozen.bayes(prior)
+
+
+def test_one_pass_battery_reaches_infinities_and_dropped_classes(rng):
+    """The battery above meets one-sided +-inf statistics and classes
+    impossible under both models."""
+    seen = set()
+    for build, reference, pair, lengths in ONE_PASS_CASES.values():
+        p, q = pair(rng)
+        n = lengths[-1]
+        stats = reference(p, q, n)[0]
+        full = len(_compositions(n, p.alphabet.size)) if build is _table_iid else n * n - n + 2
+        seen |= ({"+inf"} if np.isposinf(stats).any() else set()) | (
+            {"-inf"} if np.isneginf(stats).any() else set()) | (
+            {"dropped"} if len(stats) < full else set())
+    assert seen == {"+inf", "-inf", "dropped"}
+
+
+def _long_table(rng, classes=3 * _SCAN_CHUNK + 5, runs=1000):
+    """A sorted table longer than three scan chunks, with runs of tied
+    statistics and Dirichlet(1) masses."""
+    stats = np.sort(rng.integers(0, runs, classes)).astype(float)
+    return stats, np.log(rng.dirichlet(np.ones(classes))), np.log(rng.dirichlet(np.ones(classes)))
+
+
+class _CountingLogaddexp:
+    """``np.logaddexp`` that counts the values its ``accumulate`` reads."""
+
+    def __init__(self):
+        self.ufunc, self.read = np.logaddexp, 0
+
+    def accumulate(self, values):
+        self.read += len(values)
+        return self.ufunc.accumulate(values)
+
+
+@pytest.fixture
+def logaddexp_reads(monkeypatch):
+    counter = _CountingLogaddexp()
+    monkeypatch.setattr(hypotest.np, "logaddexp", counter)
+    return counter
+
+
+def _scan_both(table, eps):
+    got = _TableEngine(len(table[0]), eps, table).threshold(eps)
+    assert got == full_scan_threshold(table[0], table[1], eps)
+    return got
+
+
+def test_threshold_scan_stops_at_a_run_whose_mass_below_is_epsilon(rng, logaddexp_reads):
+    """epsilon equal to the P-mass below a run early in the second chunk:
+    that run is the answer, as in the full scan, and the scan stops after
+    that chunk."""
+    stats, lp, lq = table = _long_table(rng)
+    below = np.concatenate([[-np.inf], logaddexp_reads.ufunc.accumulate(lp)[:-1]])
+    start = int(np.flatnonzero(stats[_SCAN_CHUNK + 1:] != stats[_SCAN_CHUNK:-1])[0]) + _SCAN_CHUNK + 1
+    assert start < 2 * _SCAN_CHUNK - 100
+    eps = float(np.exp(below[start]))
+    assert _TableEngine(len(stats), eps, table).threshold(eps) == stats[start]
+    assert logaddexp_reads.read == 2 * _SCAN_CHUNK + 1  # two chunks and one carried sum
+    assert full_scan_threshold(stats, lp, eps) == stats[start]
+
+
+def test_threshold_scan_below_the_first_class_mass(rng):
+    stats, lp, lq = table = _long_table(rng)
+    assert _scan_both(table, float(np.exp(lp[0])) / 2) == stats[0]
+
+
+def test_threshold_scan_runs_to_the_last_class(rng, logaddexp_reads):
+    """With half the P-mass on the last class, epsilon above the rest makes
+    the scan read every chunk and answer the last statistic."""
+    stats, lp, lq = _long_table(rng)
+    stats[-1] = stats[-2] + 1.0
+    lp = np.log(np.append(np.exp(lp[:-1]) / np.exp(lp[:-1]).sum() / 2, 0.5))
+    assert _TableEngine(len(stats), 0.6, (stats, lp, lq)).threshold(0.6) == stats[-1]
+    assert logaddexp_reads.read == len(stats) + 3  # four chunks, three carried sums
+    assert full_scan_threshold(stats, lp, 0.6) == stats[-1]
+
+
+def test_threshold_scan_across_chunk_boundaries(rng):
+    for classes in (1, 2, _SCAN_CHUNK - 1, _SCAN_CHUNK, _SCAN_CHUNK + 1, 2 * _SCAN_CHUNK + 3):
+        table = _long_table(rng, classes, runs=max(2, classes // 4))
+        for eps in (0.01, 0.1, 0.5, 0.9, 0.999):
+            _threshold_and_warning(lambda: _scan_both(table, eps))
+
+
+def test_threshold_scan_of_coincident_statistics_warns_once(rng):
+    stats, lp, lq = _long_table(rng, runs=1)
+    got = _threshold_and_warning(lambda: _TableEngine(len(stats), 0.3, (stats, lp, lq)).threshold(0.3))
+    assert got == (stats[0], [DegenerateStatisticWarning])
+    assert got == _threshold_and_warning(lambda: full_scan_threshold(stats, lp, 0.3))
 
 
 def test_table_masses_sum_to_one(fair_vs_biased):

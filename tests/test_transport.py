@@ -322,6 +322,15 @@ def test_dbar_values_refuses_an_empty_stack(monkeypatch):
         dbar_values(np.zeros((0, 8)), np.zeros((0, 8)), 3)
 
 
+@pytest.mark.parametrize("solve, mu", [
+    (dbar_value, np.zeros(0)), (dbar_exact, np.zeros(0)), (dbar_values, np.zeros((2, 0)))],
+    ids=["dbar_value", "dbar_exact", "dbar_values"])
+def test_cube_solves_refuse_laws_with_no_atoms(monkeypatch, solve, mu):
+    _refuse_to_solve(monkeypatch)
+    with pytest.raises(ValueError, match="need at least one atom"):
+        solve(mu, mu.copy(), 3)
+
+
 # -- min-cost flow engine ---------------------------------------------------
 
 
