@@ -47,7 +47,8 @@ from .errors import (
     UnseenContextError,
 )
 from .infometrics import chernoff, kl_rate
-from .markov import ChainWalk, MarkovModel, log_likelihood, window_law, window_log_likelihood
+from .markov import (ChainWalk, MarkovModel, check_shared_alphabet, log_likelihood, window_law,
+                     window_log_likelihood)
 from .util import JsonRecord, decode, encode, spawn_rng
 
 SEQ_ATOM_CAP = 4096
@@ -66,6 +67,7 @@ def lrt_statistic(p_model: MarkovModel, q_model: MarkovModel, seq) -> float:
     ``+inf``/``-inf`` on one-sided support violations; both sides impossible
     is an error since the sequence cannot occur under either model.
     """
+    check_shared_alphabet(p_model, q_model)
     lp = log_likelihood(p_model, seq)
     lq = log_likelihood(q_model, seq)
     return float(_checked_stats(np.array([lp]), np.array([lq]), len(seq))[0])
@@ -263,8 +265,7 @@ def _table_binary_chain(p_model, q_model, n):
 
 def _table_engine(p_model, q_model, n):
     """The exact table builder that applies at length ``n``, or None."""
-    if p_model.alphabet.size != q_model.alphabet.size:
-        raise ValueError("models must share an alphabet")
+    check_shared_alphabet(p_model, q_model)
     a = p_model.alphabet.size
     if a ** n <= SEQ_ATOM_CAP:
         return _table_sequences
@@ -396,9 +397,11 @@ def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
 
 def _exact_lookup(lookup, p_model, q_model, n, method):
     """``lookup(p_model, q_model, n)``, a table or the function that builds it,
-    under ``method``: None to sample.  Refuses an unknown method, and "exact" finding nothing."""
+    under ``method``: None to sample.  Refuses an unknown method, models over
+    different alphabets under every method, and "exact" finding nothing."""
     if method not in METHODS:
         raise ValueError("method must be auto, mc or exact")
+    check_shared_alphabet(p_model, q_model)
     found = None if method == "mc" else lookup(p_model, q_model, n)
     if found is None and method == "exact":
         raise MethodUnavailableError("no exact enumeration applies; use method='auto' or 'mc'")
@@ -537,9 +540,10 @@ def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
                  method: str = "auto") -> ExponentFit:
     """Slope of -ln(miss probability) against n across a grid of lengths.
 
-    Grid points whose miss estimate is exactly zero carry no information and
-    are excluded (and reported); at least three informative points remain or
-    the fit refuses to run.  ``theory`` is the divergence rate of the pair.
+    The grid needs three distinct lengths.  Grid points whose miss estimate
+    is exactly zero carry no information and are excluded (and reported); at
+    least three informative points remain or the fit refuses to run.
+    ``theory`` is the divergence rate of the pair.
     ``point_methods`` names the engine of each grid point, excluded ones
     included; ``method`` is ``"exact"`` when every point was answered by an
     exact table, ``"mc"`` when none was and ``"mixed"`` otherwise.
@@ -547,6 +551,8 @@ def exponent_fit(p_model: MarkovModel, q_model: MarkovModel, epsilon: float,
     n_grid = sorted(int(n) for n in n_grid)
     if len(set(n_grid)) != len(n_grid):
         raise ValueError("grid lengths must be distinct")
+    if len(n_grid) < 3:
+        raise ValueError("need at least three grid lengths")
     used_n, ys, thresholds, excluded, methods = [], [], [], [], []
     for n in n_grid:
         engine = _engine(p_model, q_model, n, epsilon, trials, seed, method, stream=n)

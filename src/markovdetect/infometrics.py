@@ -25,6 +25,7 @@ from .markov import (
     DEFAULT_ATOM_CAP,
     HiddenMarkovSource,
     MarkovModel,
+    check_shared_alphabet,
     hmm_forward,
     stationary,
     window_law,
@@ -157,8 +158,7 @@ def kl_rate(p_model: MarkovModel, q_model: MarkovModel) -> float:
     Equals ``kl`` of the rows for order-0 pairs; +inf when q_model misses mass
     somewhere p_model walks.
     """
-    if p_model.alphabet.size != q_model.alphabet.size:
-        raise ValueError("models must share an alphabet")
+    check_shared_alphabet(p_model, q_model)
     a, kp, kq = p_model.alphabet.size, p_model.order, q_model.order
     span = max(kp, kq)
     windows, mass = window_law(p_model, span, (p_model.codes, stationary(p_model)))

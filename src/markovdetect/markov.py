@@ -211,6 +211,12 @@ class MarkovModel:
             raise DataContractError(f"{path}: not a markovdetect model ({exc!r})") from exc
 
 
+def check_shared_alphabet(p_model: MarkovModel, q_model: MarkovModel) -> None:
+    """Refuse two models whose alphabets list other symbols, or the same in another order."""
+    if p_model.alphabet.symbols != q_model.alphabet.symbols:
+        raise DataContractError("the two models must share an alphabet")
+
+
 def iid_model(probs, alphabet: Alphabet | None = None) -> MarkovModel:
     """Order-0 model from a probability vector; handy for single-letter tests."""
     probs = np.asarray(probs, dtype=float)
@@ -252,6 +258,8 @@ def fit_empirical(
     never occur before the last position still get no row.
     """
     m = len(seq)
+    if k < 0:
+        raise ValueError("order must be >= 0")
     if m < k + 1:
         raise ValueError(f"need at least {k + 1} tokens to fit order {k}")
     if not 0.0 <= smoothing <= 1.0:

@@ -22,8 +22,8 @@ solves a stack of weight pairs through one ``_FlowGraph.value`` path:
   rows is two stacked matrix products, numpy only.  Every other cube answers
   by ``"hamming-flow"``: HiGHS's dual simplex on the a^m * m * (a-1) arcs,
   instead of the a^(2m) cells of the dense problem, one row at a time.
-  ``_cube_solver`` holds this choice, and the cube's HiGHS model, once per
-  cube.
+  ``_cube`` holds each cube's graph once: its arcs, this choice and the
+  engine's tree table or HiGHS model.
 - The bipartite support graph x -> y, for supports that do not embed (a cube
   above the cap, a word listed twice, a negative letter): one arc from each
   x atom to each y atom.  The same HiGHS solve answers it as
@@ -49,7 +49,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -209,9 +209,9 @@ def _flow_graph(ax: np.ndarray, ay: np.ndarray) -> _FlowGraph:
     Letters index the alphabet directly, so the cube's a is one past the
     largest letter.  The supports embed in the cube when a > 1 (a one-word
     cube has no arcs), a^m <= ``DBAR_ATOM_CAP``, no letter is negative and
-    neither support lists a word twice; ``_cube_solver`` then binds the
-    cube's engine.  Every other pair is solved by HiGHS on its support graph,
-    one arc from each x atom to each y atom, one row at a time.
+    neither support lists a word twice; they then take the cached ``_cube``,
+    their words as its nodes.  Every other pair is solved by HiGHS on its
+    support graph, one arc from each x atom to each y atom, one row at a time.
     """
     m = ax.shape[1]
     a = int(max(ax.max(), ay.max())) + 1
@@ -220,8 +220,7 @@ def _flow_graph(ax: np.ndarray, ay: np.ndarray) -> _FlowGraph:
         nodes_x, nodes_y = encode(ax, a), encode(ay, a)
         # counted with bincount: np.unique would load numpy.ma on the probe's path
         if np.bincount(nodes_x, minlength=n).max() == np.bincount(nodes_y, minlength=n).max() == 1:
-            return _FlowGraph(*_cube_solver(a, m), m, n, *_hamming_arcs(a, m), None,
-                              nodes_x, nodes_y)
+            return replace(_cube(a, m), nodes_x=nodes_x, nodes_y=nodes_y)
     nx, ny = len(ax), len(ay)
     tails = np.repeat(np.arange(nx), ny)
     heads = nx + np.tile(np.arange(ny), nx)
@@ -232,19 +231,27 @@ def _flow_graph(ax: np.ndarray, ay: np.ndarray) -> _FlowGraph:
 
 
 @lru_cache(maxsize=8)
-def _cube_solver(a: int, m: int):
-    """``(engine, flow, block_rows)`` of the a^m cube: tree enumeration on
-    cubes with at most ``_TREE_ENUM_MAX`` subsets of a^m - 1 of their
+def _cube(a: int, m: int) -> _FlowGraph:
+    """The whole a^m word cube as a graph, its engine bound: tree enumeration
+    on cubes with at most ``_TREE_ENUM_MAX`` subsets of a^m - 1 of their
     a^m * m * (a - 1) / 2 edges, HiGHS row by row on the others.  The bound
-    solves look ``_tree_flow`` and ``_highs_flow`` up when called."""
+    solves look ``_tree_flow`` and ``_highs_flow`` up when called.  The
+    one-word cube (a = 1) has no arcs and takes the support graph."""
     n = a ** m
-    if math.comb(n * m * (a - 1) // 2, n - 1) <= _TREE_ENUM_MAX:
+    if a == 1:
+        word = np.zeros((1, m), dtype=np.int64)
+        return _flow_graph(word, word)
+    tails, heads = _hamming_arcs(a, m)
+    if math.comb(len(tails) // 2, n - 1) <= _TREE_ENUM_MAX:
         table = _tree_table(a, m)
         rows = max(1, _BLOCK_BYTES // (8 * (len(table.flow_maps) + len(table.potentials))))
-        return "tree-enumeration", lambda excess: _tree_flow(excess, a, m), rows
-    tails, heads = _hamming_arcs(a, m)
-    solve = _flow_lp(tails, heads, np.full(len(tails), 1.0 / m), n)
-    return "hamming-flow", lambda excess: _highs_flow(excess, tails, heads, solve), 1
+        engine, flow = "tree-enumeration", lambda excess: _tree_flow(excess, table, m)
+    else:
+        solve = _flow_lp(tails, heads, np.full(len(tails), 1.0 / m), n)
+        engine, rows = "hamming-flow", 1
+        flow = lambda excess: _highs_flow(excess, tails, heads, solve)
+    nodes = np.arange(n)
+    return _FlowGraph(engine, flow, rows, m, n, tails, heads, None, nodes, nodes)
 
 
 def _on_nodes(weights: np.ndarray, nodes: np.ndarray, n: int) -> np.ndarray:
@@ -253,12 +260,11 @@ def _on_nodes(weights: np.ndarray, nodes: np.ndarray, n: int) -> np.ndarray:
     return dense
 
 
-@lru_cache(maxsize=8)
 def _hamming_arcs(a: int, m: int):
     """Arcs of the Hamming graph on the a^m words, one each way along every edge.
 
-    Returns read-only ``tails`` and ``heads`` node arrays, built with numpy
-    alone so that the engines that need no LP solver never load scipy.
+    Returns ``tails`` and ``heads`` node arrays, built with numpy alone so
+    that the engines that need no LP solver never load scipy.
     """
     nodes = np.arange(a ** m)
     tails, heads = [], []
@@ -268,11 +274,7 @@ def _hamming_arcs(a: int, m: int):
         for shift in range(1, a):
             tails.append(nodes)
             heads.append(nodes + ((letter + shift) % a - letter) * stride)
-    tails = np.concatenate(tails)
-    heads = np.concatenate(heads)
-    tails.flags.writeable = False
-    heads.flags.writeable = False
-    return tails, heads
+    return np.concatenate(tails), np.concatenate(heads)
 
 
 def _incidence(tails: np.ndarray, heads: np.ndarray, n: int):
@@ -483,14 +485,6 @@ def _flow_coupling(graph: _FlowGraph, ax, wx, ay, wy):
     return value, entries, phi[graph.nodes_x], -phi[graph.nodes_y]
 
 
-@lru_cache(maxsize=8)
-def _word_cube(a: int, m: int) -> np.ndarray:
-    """The a^m words of length m in code order, as a read-only (a^m, m) array."""
-    atoms = decode(np.arange(a ** m), a, m)
-    atoms.flags.writeable = False
-    return atoms
-
-
 def _cube_laws(mu, nu, m: int, alphabet_size: int | None):
     """Validated (mu, nu, alphabet_size) for two laws, or two stacks of laws
     one per row, on the whole a^m word cube."""
@@ -525,7 +519,7 @@ def dbar_exact(mu, nu, m: int, alphabet_size: int | None = None) -> Coupling:
     For m = 1 the optimum equals the total variation distance.
     """
     mu, nu, alphabet_size = _cube_laws(mu, nu, m, alphabet_size)
-    atoms = _word_cube(alphabet_size, m)
+    atoms = decode(np.arange(alphabet_size ** m), alphabet_size, m)
     return dbar_between(atoms, mu, atoms, nu)
 
 
@@ -540,20 +534,14 @@ def dbar_values(mus, nus, m: int, alphabet_size: int | None = None) -> tuple[np.
     """Certified ``dbar_exact`` values of the row pairs of two (pairs, a^m)
     stacks of laws, and the engine that answered them all.
 
-    Builds no coupling, and sets the cube's graph up once (``_cube_graph``);
-    tree enumeration solves blocks of about ten rows on the 3-cube.  A value
-    equals the one row's solve bit for bit.  Single laws give a single value.
+    Builds no coupling, and takes the cube's graph from the cache that every
+    entry point shares (``_cube``); tree enumeration solves blocks of about
+    ten rows on the 3-cube.  A value equals the one row's solve bit for bit.
+    Single laws give a single value.
     """
     mus, nus, alphabet_size = _cube_laws(mus, nus, m, alphabet_size)
-    graph = _cube_graph(alphabet_size, m)
+    graph = _cube(alphabet_size, m)
     return graph.value(mus, nus), graph.engine
-
-
-@lru_cache(maxsize=8)
-def _cube_graph(a: int, m: int) -> _FlowGraph:
-    """The flow graph of the whole a^m word cube against itself."""
-    atoms = _word_cube(a, m)
-    return _flow_graph(atoms, atoms)
 
 
 # -- enumerated spanning-tree flows on small cubes ---------------------------
@@ -581,9 +569,8 @@ class _TreeTable:
     potentials: np.ndarray  # (potentials, n) integer-valued floats
 
 
-@lru_cache(maxsize=8)
 def _tree_table(a: int, m: int) -> _TreeTable:
-    """Enumerate the cube's spanning trees and potentials; callers gate on the subset count."""
+    """Enumerate the cube's spanning trees and potentials; ``_cube`` gates on the subset count."""
     tails, heads = _hamming_arcs(a, m)
     once = tails < heads
     tails, heads = tails[once], heads[once]
@@ -612,9 +599,10 @@ def _tree_table(a: int, m: int) -> _TreeTable:
     return _TreeTable(tails, heads, subsets[is_tree], flow_maps, phi)
 
 
-def _tree_flow(excess: np.ndarray, a: int, m: int):
+def _tree_flow(excess: np.ndarray, table: _TreeTable, m: int):
     """Cheapest spanning-tree flow of ``excess`` and the best integer
-    potential, for one excess or for each row of a stack of them.
+    potential in the cube's ``table``, for one excess or for each row of a
+    stack of them.
 
     Returns the flow record ``(tails, heads, flow, phi)``: the tree's arcs
     oriented along their flow, the non-negative arc flows, and the potentials
@@ -622,7 +610,6 @@ def _tree_flow(excess: np.ndarray, a: int, m: int):
     matrix-vector product, as for a single excess, so a row's record does not
     depend on the rows stacked with it.
     """
-    table = _tree_table(a, m)
     trees, span = table.trees.shape
     flows = (table.flow_maps @ excess[..., 1:, None]).reshape(-1, span)  # row-major by tree
     # each tree's cost, added arc by arc: numpy's sum over an axis shorter

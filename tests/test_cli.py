@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import markovdetect
 from markovdetect.cli import main
 from markovdetect.corpus import Alphabet
 from markovdetect.hypotest import class_statistic, lrt_statistic, np_threshold
@@ -489,6 +490,41 @@ def test_exit_code_data_contract(texts, trained, tmp_path, monkeypatch, capsys):
     assert "share an alphabet" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["auto", "mc"])
+def test_exponent_refuses_models_over_permuted_alphabets(tmp_path, capsys, method):
+    """Order-1 models trained on "abab..." and on "babb..." list their
+    symbols as (a, b) and (b, a); comparing them code by code would set p's
+    "a" against q's "b", so exponent exits 4 under every method."""
+    models = []
+    for name, text in (("ab", "abab" * 100), ("ba", "babb" * 100)):
+        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+        assert main(["train", "--input", str(tmp_path / f"{name}.txt"), "--order", "1",
+                     "--out", str(tmp_path / name)]) == 0
+        models.append(str(tmp_path / name / "model.json"))
+    assert [load_json(m)["alphabet"]["symbols"] for m in models] == [["a", "b"], ["b", "a"]]
+    capsys.readouterr()
+    out = tmp_path / "e"
+    assert main(["exponent", "--model-p", models[0], "--model-q", models[1],
+                 "--n-grid", "20,40,80", "--method", method, "--trials", "1000",
+                 "--out", str(out)]) == 4
+    assert "the two models must share an alphabet" in capsys.readouterr().err
+    assert not (out / "exponent.json").exists()
+
+
+def test_train_refuses_a_negative_order(texts, tmp_path, capsys):
+    p_text, _, _ = texts
+    assert main(["train", "--input", str(p_text), "--order", "-1",
+                 "--out", str(tmp_path / "x")]) == 4
+    assert "order must be >= 0" in capsys.readouterr().err
+
+
+def test_exponent_refuses_a_grid_of_two_lengths(trained, tmp_path, capsys):
+    p_model, q_model = trained
+    assert main(["exponent", "--model-p", str(p_model), "--model-q", str(q_model),
+                 "--n-grid", "20,40", "--out", str(tmp_path / "x")]) == 2
+    assert "need at least three grid lengths" in capsys.readouterr().err
+
+
 def test_exit_code_numerical(tmp_path, capsys):
     # rate exponent far beyond the admissible region for this floor
     assert main(["ct-bound", "--gamma", "0.1", "--floor", "0.2",
@@ -552,6 +588,15 @@ def test_cli_import_leaves_scipy_out():
             "import markovdetect.cli\n"
             f"print(json.dumps({_SCIPY_LOADED}))\n")
     assert [json.loads(line) for line in _fresh_python(code).splitlines()] == [[], []]
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m markovdetect`` reaches ``cli.main`` through ``__main__``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "markovdetect", "--version"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == markovdetect.__version__
 
 
 def test_parser_is_built_on_first_use_and_kept():

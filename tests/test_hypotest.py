@@ -8,6 +8,7 @@ from scipy.special import gammaln
 from markovdetect import hypotest, markov
 from markovdetect.corpus import Alphabet, TokenSeq
 from markovdetect.errors import (
+    DataContractError,
     DegenerateStatisticWarning,
     MarkovDetectError,
     UnseenContextError,
@@ -534,6 +535,22 @@ def test_exact_method_refuses_when_unavailable():
         np_threshold(p, q, 5000, 0.1, method="exact")
 
 
+@pytest.mark.parametrize("method", ["auto", "mc", "exact"])
+def test_calibrations_refuse_models_over_different_alphabets(method):
+    """Same size, symbols permuted: every method refuses the pair, and so do
+    the statistic, the exact table and the class statistic."""
+    p = iid_model([0.5, 0.5], Alphabet(("a", "b")))
+    q = iid_model([0.9, 0.1], Alphabet(("b", "a")))
+    seq = TokenSeq(np.array([0, 1, 1, 0]))
+    for refused in (lambda: np_threshold(p, q, 10, 0.1, trials=1000, method=method),
+                    lambda: miss_probability(p, q, 10, 0.0, trials=1000, method=method),
+                    lambda: class_statistic(p, q, seq, method),
+                    lambda: lrt_statistic(p, q, seq),
+                    lambda: exact_statistic_table(p, q, 10)):
+        with pytest.raises(DataContractError, match="the two models must share an alphabet"):
+            refused()
+
+
 def test_invalid_arguments(fair_vs_biased):
     p, q = fair_vs_biased
     with pytest.raises(ValueError):
@@ -905,8 +922,11 @@ def test_exponent_fit_labels_grid_straddling_chain_lattice():
 
 
 def test_exponent_fit_needs_three_points(fair_vs_biased):
+    """A grid of two lengths is a bad argument, refused before any point is
+    calibrated; too few informative points among three or more is
+    ``UninformativeFitError``."""
     p, q = fair_vs_biased
-    with pytest.raises(MarkovDetectError):
+    with pytest.raises(ValueError, match="need at least three grid lengths"):
         exponent_fit(p, q, 0.5, [50, 100])
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovdetect.corpus import Alphabet
-from markovdetect.errors import BoundInapplicableError, SupportViolationWarning
+from markovdetect.errors import BoundInapplicableError, DataContractError, SupportViolationWarning
 from markovdetect.infometrics import (
     ContinuityProfile,
     amplification_factor,
@@ -160,6 +160,16 @@ def test_kl_rate_iid_reduces_to_single_letter():
     q = iid_model([0.9, 0.1])
     assert kl_rate(p, q) == pytest.approx(kl([0.5, 0.5], [0.9, 0.1]), abs=1e-12)
     assert kl_rate(p, q) == pytest.approx(0.5 * math.log(25 / 9), abs=1e-12)
+
+
+def test_kl_rate_refuses_models_over_different_alphabets():
+    """Same size, symbols permuted: code 0 names "a" in p and "b" in q."""
+    p = iid_model([0.5, 0.5], Alphabet(("a", "b")))
+    q = iid_model([0.9, 0.1], Alphabet(("b", "a")))
+    with pytest.raises(DataContractError, match="the two models must share an alphabet"):
+        kl_rate(p, q)
+    with pytest.raises(DataContractError, match="the two models must share an alphabet"):
+        kl_rate(p, iid_model([0.2, 0.3, 0.5]))
 
 
 def test_kl_rate_markov_matches_stationary_sum(rng):

@@ -119,6 +119,12 @@ def test_fit_needs_enough_tokens(ab_alphabet):
         fit_empirical(seq, 2, ab_alphabet)
 
 
+def test_fit_refuses_a_negative_order(ab_alphabet):
+    seq, _ = tokenize("abab", "char")
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        fit_empirical(seq, -1, ab_alphabet)
+
+
 def test_smoothing_fills_row_zeros(ab_alphabet):
     seq, _ = tokenize("aabab", "char")
     m = fit_empirical(seq, 1, ab_alphabet, smoothing=0.5)

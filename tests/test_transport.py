@@ -301,7 +301,7 @@ def _refuse_to_solve(monkeypatch):
         raise AssertionError("reached a solve")
 
     monkeypatch.setattr(transport, "_flow_graph", refuse)
-    monkeypatch.setattr(transport, "_cube_graph", refuse)
+    monkeypatch.setattr(transport, "_cube", refuse)
 
 
 def test_empirical_refuses_a_sample_with_no_windows(monkeypatch):
@@ -473,9 +473,9 @@ def test_empirical_solves_every_replicate_in_one_stack(rng, monkeypatch):
     real = transport._tree_flow
     rows = []
 
-    def counted(excess, a, m):
+    def counted(excess, table, m):
         rows.append(len(excess))
-        return real(excess, a, m)
+        return real(excess, table, m)
 
     monkeypatch.setattr(transport, "_tree_flow", counted)
     assert dbar_empirical(x, y, bootstrap=5, seed=4) == want
@@ -501,6 +501,59 @@ def test_every_entry_point_gives_one_value(rng, alphabet_size, m):
         assert dbar_value(mu, nu, m, alphabet_size=alphabet_size) == (row, engine)
         assert dbar_exact(mu, nu, m, alphabet_size=alphabet_size).value == row
         assert dbar_between(atoms, mu, atoms, nu).value == row
+
+
+@pytest.fixture
+def fresh_cubes():
+    """Cubes built inside the test, and none of them left cached after it."""
+    transport._cube.cache_clear()
+    yield
+    transport._cube.cache_clear()
+
+
+@pytest.mark.parametrize("m, engine", [(3, "tree-enumeration"), (5, "hamming-flow")])
+def test_partial_supports_and_whole_cube_share_one_cached_cube(m, engine, fresh_cubes):
+    """A partial support on the 2^m cube and ``dbar_values`` on that cube
+    take one cached ``_cube``: the same bound solve, with the supports'
+    words as the partial graph's nodes."""
+    graph = transport._flow_graph(np.array([[0] * m, [1] * m]), np.array([[0] * (m - 1) + [1]]))
+    assert graph.nodes_x.tolist() == [0, 2 ** m - 1] and graph.nodes_y.tolist() == [1]
+    mu = np.full(2 ** m, 2.0 ** -m)
+    assert dbar_values(mu, mu, m)[1] == graph.engine == engine
+    cube = transport._cube(2, m)
+    assert graph.flow is cube.flow and graph.block_rows == cube.block_rows
+    assert (transport._cube.cache_info().misses, transport._cube.cache_info().currsize) == (1, 1)
+
+
+def test_entry_points_build_one_highs_model_per_cube(rng, monkeypatch, fresh_cubes):
+    """On a HiGHS cube, ``dbar_value``, ``dbar_values``, ``dbar_exact`` and
+    ``dbar_empirical`` solve on one prebuilt model between them."""
+    real, built = transport._flow_lp, []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transport, "_flow_lp", counted)
+    mus, nus = rng.dirichlet(np.ones(32), size=3), rng.dirichlet(np.ones(32), size=3)
+    samples = rng.integers(0, 2, size=(60, 5))
+    assert dbar_value(mus[0], nus[0], 5)[1] == "hamming-flow"
+    assert dbar_values(mus, nus, 5)[1] == "hamming-flow"
+    assert dbar_exact(mus[1], nus[1], 5).engine == "hamming-flow"
+    assert dbar_empirical(samples, samples[::-1], bootstrap=2).engine == "hamming-flow"
+    assert len(built) == 1
+
+
+def test_one_letter_alphabet_answers_support_flow(fresh_cubes):
+    """The one-word cube has no arcs, so its cached graph is the support
+    graph, from every entry point."""
+    assert transport._cube(1, 3).engine == "support-flow"
+    assert dbar_value([1.0], [1.0], 3) == (0.0, "support-flow")
+    values, engine = dbar_values(np.ones((2, 1)), np.ones((2, 1)), 3, alphabet_size=1)
+    assert values.tolist() == [0.0, 0.0] and engine == "support-flow"
+    coupling = dbar_exact([1.0], [1.0], 3)
+    assert (coupling.engine, coupling.value) == ("support-flow", 0.0)
+    assert coupling.entries == [(0, 0, 1.0)]
 
 
 # -- spanning-tree enumeration on small cubes ---------------------------------
@@ -572,7 +625,7 @@ def test_larger_cubes_fall_back_without_enumerating(rng, monkeypatch):
         raise AssertionError(f"enumerated the {a}^{m} cube")
 
     monkeypatch.setattr(transport, "_tree_table", refuse)
-    transport._cube_graph.cache_clear()
+    transport._cube.cache_clear()
     try:
         for alphabet_size, m in ((2, 4), (3, 2)):
             n = alphabet_size ** m
@@ -583,7 +636,7 @@ def test_larger_cubes_fall_back_without_enumerating(rng, monkeypatch):
                 assert value == pytest.approx(
                     dbar_exact(mu, nu, m, alphabet_size=alphabet_size).value, abs=1e-12)
     finally:
-        transport._cube_graph.cache_clear()
+        transport._cube.cache_clear()
 
 
 _TREE_CUBES = [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (2, 3)]  # K_2..K_5, C_4, Q_3
@@ -601,7 +654,7 @@ def test_dbar_values_equal_dbar_value_row_by_row(rng, alphabet_size, m):
     nus = np.array([_laws(rng, n, kind) for kind in ("flat", "sparse", "zeros")
                     for _ in range(per_kind)])
     nus[::5] = mus[::5]
-    graph = transport._cube_graph(alphabet_size, m)
+    graph = transport._cube(alphabet_size, m)
     if n == 8:
         assert len(mus) > 2 * graph.block_rows
     values, engine = dbar_values(mus, nus, m, alphabet_size=alphabet_size)
@@ -612,24 +665,27 @@ def test_dbar_values_equal_dbar_value_row_by_row(rng, alphabet_size, m):
     assert values[::5].max() < 1e-9
 
 
-def test_dbar_values_refuse_a_corrupted_flow_map(rng, monkeypatch):
+def test_dbar_values_refuse_a_corrupted_flow_map(rng, monkeypatch, fresh_cubes):
     """Every row of every block is certified: flow maps knocked off by 1e-6
     fail the batch, and so does one bad row at the end of the stack."""
     mus, nus = rng.dirichlet(np.ones(8), size=53), rng.dirichlet(np.ones(8), size=53)
-    assert 53 % transport._cube_graph(2, 3).block_rows
+    block_rows = transport._cube(2, 3).block_rows
+    assert 53 % block_rows
     table = transport._tree_table(2, 3)
     bad = table.flow_maps.copy()
     bad[:, 0] += 1e-6
     monkeypatch.setattr(transport, "_tree_table",
                         lambda a, m: dataclasses.replace(table, flow_maps=bad))
+    transport._cube.cache_clear()  # the cube binds its table when built
     with pytest.raises(NonConvergenceError, match="infeasible flow"):
         dbar_values(mus, nus, 3)
     monkeypatch.undo()
+    transport._cube.cache_clear()
     real = transport._tree_flow
 
-    def last_row_off(excess, a, m):
-        tails, heads, flow, phi = real(excess, a, m)
-        if excess.ndim == 2 and len(excess) < transport._cube_graph(a, m).block_rows:
+    def last_row_off(excess, table, m):
+        tails, heads, flow, phi = real(excess, table, m)
+        if excess.ndim == 2 and len(excess) < block_rows:
             phi = phi.copy()
             phi[-1] *= 1.01
         return tails, heads, flow, phi
@@ -762,19 +818,6 @@ _HIGHS_BINDINGS = pytest.mark.skipif(
     reason="scipy releases before 1.17 may lack scipy.optimize._highspy._core")
 
 
-def _drop_cube_solvers():
-    transport._cube_solver.cache_clear()
-    transport._cube_graph.cache_clear()
-
-
-@pytest.fixture
-def fresh_cube_solvers():
-    """Cube solvers built inside the test, and none of them left cached after it."""
-    _drop_cube_solvers()
-    yield
-    _drop_cube_solvers()
-
-
 @pytest.mark.parametrize("alphabet_size, m", [(3, 2), (2, 4), (4, 2), (16, 1), (2, 5), (2, 6),
                                               (4, 3)])
 @pytest.mark.parametrize("concentration", [1.0, 0.05])
@@ -782,7 +825,7 @@ def test_highs_flow_equals_linprog_on_cubes(alphabet_size, m, concentration):
     """The prebuilt HiGHS model gives linprog's flows and duals bit for bit."""
     rng = np.random.default_rng(alphabet_size ** m)
     n = alphabet_size ** m
-    graph = transport._cube_graph(alphabet_size, m)
+    graph = transport._cube(alphabet_size, m)
     assert graph.engine == "hamming-flow"
     for _ in range(4):
         mu = rng.dirichlet(np.full(n, concentration))
@@ -799,7 +842,7 @@ def test_highs_flow_equals_linprog_on_the_support_graph(rng):
 
 
 def test_highs_flow_stack_rows_equal_linprog_and_single_rows(rng):
-    graph = transport._cube_graph(2, 5)
+    graph = transport._cube(2, 5)
     mus, nus = rng.dirichlet(np.ones(32), size=6), rng.dirichlet(np.ones(32), size=6)
     _assert_linprog_record(graph, graph.excess(mus, nus))
     values = graph.value(mus, nus)
@@ -815,11 +858,11 @@ def _highs_answers(rng):
 
 
 @_HIGHS_BINDINGS
-def test_highs_solves_never_call_linprog(monkeypatch, fresh_cube_solvers):
+def test_highs_solves_never_call_linprog(monkeypatch, fresh_cubes):
     """Where scipy has its direct HiGHS bindings, no solve goes through
     ``linprog``, so a scipy upgrade that removed them would show here."""
     want = _highs_answers(np.random.default_rng(6))
-    _drop_cube_solvers()
+    transport._cube.cache_clear()
 
     def refuse(*args, **kwargs):
         raise AssertionError("linprog called")
@@ -828,12 +871,12 @@ def test_highs_solves_never_call_linprog(monkeypatch, fresh_cube_solvers):
     assert _highs_answers(np.random.default_rng(6)) == want
 
 
-def test_highs_solves_fall_back_to_linprog(monkeypatch, fresh_cube_solvers):
+def test_highs_solves_fall_back_to_linprog(monkeypatch, fresh_cubes):
     """Without ``scipy.optimize._highspy._core`` every HiGHS solve goes
     through ``linprog``, with the same values."""
     import scipy.optimize
     want = _highs_answers(np.random.default_rng(6))
-    _drop_cube_solvers()
+    transport._cube.cache_clear()
     calls = []
     real = scipy.optimize.linprog
 
@@ -848,7 +891,7 @@ def test_highs_solves_fall_back_to_linprog(monkeypatch, fresh_cube_solvers):
 
 
 @_HIGHS_BINDINGS
-def test_highs_flow_refuses_a_run_that_ends_short_of_optimal(monkeypatch, fresh_cube_solvers):
+def test_highs_flow_refuses_a_run_that_ends_short_of_optimal(monkeypatch, fresh_cubes):
     """A HiGHS run stopped by a zero iteration limit raises on a cube and on
     the support graph."""
     import scipy.optimize._highspy._core as highs
