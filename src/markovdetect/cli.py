@@ -13,9 +13,10 @@ outputs as ``resolved_config.json`` and wall-clock metadata in a separate
 
 Exit codes: 0 success; 2 bad arguments or bad values (``--method exact``
 where no exact table applies included); 3 I/O failure; 4 data-contract
-violation (malformed inputs, unseen contexts, atom budgets, two models over
-different alphabets); 5 numerical failure (non-convergence, an inapplicable
-bound, or a decay fit with too few informative grid points).
+violation (malformed inputs, files that are not UTF-8 included, a model with
+no tokenizer scheme given text to score, unseen contexts, atom budgets, two
+models over different alphabets); 5 numerical failure (non-convergence, an
+inapplicable bound, or a decay fit with too few informative grid points).
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from .hypotest import METHODS, class_statistic, exponent_fit, lrt_statistic, np_
 from .infometrics import ContinuityProfile, kl_rate
 from .markov import MarkovModel, fit_empirical, log_likelihood
 from .transport import dbar_exact
-from .util import dump_json, fmt17, load_json
+from .util import dump_json, fmt17, load_json, read_text
 
 ENV_OUT = "MARKOVDETECT_OUT"
 
@@ -150,8 +151,14 @@ def _write_run_files(out: Path, command: str, cfg: dict) -> None:
     dump_json(out / "run_meta.json", meta)
 
 
-def _read_text(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _text_model(path) -> MarkovModel:
+    """The model at ``path``, refused unless it carries a tokenizer scheme."""
+    model = MarkovModel.load(path)
+    if model.scheme not in SCHEMES:
+        raise DataContractError(
+            f"{path}: model has scheme {model.scheme!r}, so it was not trained from text "
+            f"and cannot tokenize one; train it with one of {SCHEMES}")
+    return model
 
 
 def _load_weights(path) -> list[float]:
@@ -174,7 +181,7 @@ def _load_weights(path) -> list[float]:
           vocab_limit=Setting(int),
           alphabet_from=Setting(help="reuse the alphabet of an existing model file"))
 def cmd_train(cfg, out) -> None:
-    text = _read_text(cfg["input"])
+    text = read_text(cfg["input"])
     shared = None
     if cfg["alphabet_from"] is not None:
         donor = MarkovModel.load(cfg["alphabet_from"])
@@ -208,8 +215,8 @@ def cmd_train(cfg, out) -> None:
           model=Setting(required=True, help="model.json from train"),
           text=Setting(required=True, help="text file to score"))
 def cmd_score(cfg, out) -> None:
-    model = MarkovModel.load(cfg["model"])
-    seq, _ = tokenize(_read_text(cfg["text"]), model.scheme, alphabet=model.alphabet)
+    model = _text_model(cfg["model"])
+    seq, _ = tokenize(read_text(cfg["text"]), model.scheme, alphabet=model.alphabet)
     ll = log_likelihood(model, seq)
     ce = -ll / len(seq)
     record = {
@@ -237,9 +244,9 @@ _NP_TEST = {
 @_command("detect", "decide whether text matches the null model",
           **_NP_TEST, text=Setting(required=True, help="text file to classify"))
 def cmd_detect(cfg, out) -> None:
-    p_model = MarkovModel.load(cfg["model_p"])
+    p_model = _text_model(cfg["model_p"])
     q_model = MarkovModel.load(cfg["model_q"])
-    seq, _ = tokenize(_read_text(cfg["text"]), p_model.scheme, alphabet=p_model.alphabet)
+    seq, _ = tokenize(read_text(cfg["text"]), p_model.scheme, alphabet=p_model.alphabet)
     n = len(seq)
     flags = []
     try:

@@ -104,6 +104,47 @@ def _word_alphabet(words: list[str], vocab_limit: int | None) -> Alphabet:
     return Alphabet(tuple(ordered))
 
 
+def _first_seen(points: np.ndarray) -> np.ndarray:
+    """The distinct values of a nonempty ``points`` in order of first appearance.
+
+    A ``bincount`` gives the distinct values; ``np.unique`` over blocks of
+    doubling length then finds where each first appears, and stops at the
+    block that holds the last newcomer, which in ordinary text is early.
+    """
+    known = np.bincount(points) == 0
+    values, starts = [], []
+    start, block = 0, 1 << 12
+    while not known.all():
+        vals, at = np.unique(points[start:start + block], return_index=True)
+        new = ~known[vals]
+        known[vals[new]] = True
+        values.append(vals[new])
+        starts.append(at[new] + start)
+        start, block = start + block, 2 * block
+    return np.concatenate(values)[np.argsort(np.concatenate(starts))]
+
+
+def _code_points(points: np.ndarray, alphabet: Alphabet) -> np.ndarray:
+    """Codes of the one-character symbols with code points ``points`` under
+    ``alphabet``, applying its OOV policy to the first symbol it lacks.
+
+    One table indexed by code point, up to the largest in the text or the
+    alphabet (so at most 0x110000 cells), maps the whole array at once.
+    """
+    single = [(ord(s), i) for i, s in enumerate(alphabet.symbols)
+              if isinstance(s, str) and len(s) == 1]
+    keys = np.array([key for key, _ in single], dtype=np.int64)
+    miss = alphabet.index(OOV_SYMBOL) if alphabet.oov_policy == "map" else -1
+    table = np.full(max(int(points.max(initial=0)), int(keys.max(initial=0))) + 1, miss,
+                    dtype=np.int64)
+    table[keys] = [i for _, i in single]
+    codes = table[points]
+    if miss < 0 and (codes < 0).any():
+        lacking = chr(int(points[np.argmax(codes < 0)]))
+        raise TokenizerError(f"symbol {lacking!r} not in alphabet")
+    return codes
+
+
 def tokenize(
     text: str,
     scheme: str = "char",
@@ -113,37 +154,36 @@ def tokenize(
     """Encode ``text`` under ``scheme``; returns the codes and the alphabet used.
 
     When ``alphabet`` is given the text is coded against it (applying its OOV
-    policy); otherwise an alphabet is built from the text.
+    policy; the first symbol it lacks, in text order, raises under policy
+    ``error``); otherwise an alphabet is built from the text.  Byte and char
+    text is coded in whole-array passes: the UTF-8 bytes, or the code points
+    of ``text.encode("utf-32-le", "surrogatepass")`` (so a lone surrogate is
+    one symbol, as in ``list(text)``), go through one code-point table.
+    Words are coded one by one through the alphabet's dict.
     """
     if scheme not in SCHEMES:
         raise TokenizerError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if scheme == "byte":
         if alphabet is None:
             alphabet = Alphabet(_BYTE_SYMBOLS)
-        data = text.encode("utf-8")
-        codes = [alphabet.index(chr(b)) for b in data]
-        return TokenSeq(np.array(codes, dtype=np.int64)), alphabet
-
-    if scheme == "char":
-        parts = list(text)
-    else:
-        parts = text.split()
+        points = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        return TokenSeq(_code_points(points, alphabet)), alphabet
+    parts = text.split() if scheme == "word" else text
     if not parts:
         raise TokenizerError(f"scheme {scheme!r} needs nonempty text")
-    if alphabet is None:
-        if scheme == "word":
+    if scheme == "word":
+        if alphabet is None:
             alphabet = _word_alphabet(parts, vocab_limit)
-        else:
-            seen: dict[str, None] = {}
-            for p in parts:
-                seen.setdefault(p)
-            if len(seen) < 2:
-                raise TokenizerError(
-                    "text uses fewer than 2 distinct symbols; pass an explicit alphabet"
-                )
-            alphabet = Alphabet(tuple(seen))
-    codes = [alphabet.index(p) for p in parts]
-    return TokenSeq(np.array(codes, dtype=np.int64)), alphabet
+        return TokenSeq(np.array([alphabet.index(p) for p in parts], dtype=np.int64)), alphabet
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    if alphabet is None:
+        seen = _first_seen(points)
+        if len(seen) < 2:
+            raise TokenizerError(
+                "text uses fewer than 2 distinct symbols; pass an explicit alphabet"
+            )
+        alphabet = Alphabet(tuple(map(chr, seen.tolist())))
+    return TokenSeq(_code_points(points, alphabet)), alphabet
 
 
 def detokenize(seq: TokenSeq, alphabet: Alphabet, scheme: str = "char") -> str:

@@ -109,14 +109,28 @@ class MarkovModel:
         if not (self.init_probs.min(initial=0.0) >= 0
                 and abs(self.init_probs.sum() - 1.0) <= 1e-9):
             raise ValueError("initial probabilities must be >= 0 and sum to 1")
+        self._rows_by_code = None  # lookup's code -> row table, built on first use
 
     def context(self, code) -> tuple[int, ...]:
         """The symbol tuple of one context code."""
         return tuple(decode(code, self.alphabet.size, self.order).tolist())
 
     def lookup(self, codes) -> np.ndarray:
-        """Row index of each context code, -1 where the model has no row."""
-        return _find(self.codes, codes)
+        """Row index of each context code, -1 where the model has no row.
+
+        While ``a ** k <= DEFAULT_ATOM_CAP`` this reads a dense code -> row
+        table, built on first use (the codes are fixed once the model is
+        made); above the cap it searches the sorted codes (:func:`_find`).
+        """
+        if self.alphabet.size ** self.order > DEFAULT_ATOM_CAP:
+            return _find(self.codes, codes)
+        if self._rows_by_code is None:
+            self._rows_by_code = np.full(self.alphabet.size ** self.order + 1, -1, dtype=np.int64)
+            self._rows_by_code[self.codes] = np.arange(len(self.codes))
+        codes = np.asarray(codes, dtype=np.int64)
+        # every code outside 0 .. a**k - 1 reads the last cell, which is -1
+        outside = (codes < 0) | (codes >= len(self._rows_by_code) - 1)
+        return self._rows_by_code[np.where(outside, -1, codes)]
 
     def rows_at(self, codes) -> np.ndarray:
         """Transition rows of the given context codes; every one must have a row."""
@@ -255,7 +269,10 @@ def fit_empirical(
 
     With ``smoothing`` delta > 0 every in-context count is shifted by delta and
     the row renormalized (additive smoothing over the alphabet); contexts that
-    never occur before the last position still get no row.
+    never occur before the last position still get no row.  While
+    ``a ** (k + 1) <= DEFAULT_ATOM_CAP`` one ``bincount`` of
+    ``context * a + symbol`` counts every cell; above the cap the contexts
+    are sorted by ``np.unique`` and only the seen ones get cells.
     """
     m = len(seq)
     if k < 0:
@@ -268,9 +285,17 @@ def fit_empirical(
     a = alphabet.size
     # the context of every position that starts a transition, then its symbol
     contexts = encode(sliding_window_view(seq.tokens[: m - 1], k), a)
-    codes, which, denom = np.unique(contexts, return_inverse=True, return_counts=True)
-    counts = np.bincount(which * a + seq.tokens[k:], minlength=len(codes) * a)
-    counts = counts.reshape(len(codes), a)
+    if a ** (k + 1) <= DEFAULT_ATOM_CAP:
+        contexts *= a  # in place: each transition's cell code, context * a + symbol
+        contexts += seq.tokens[k:]
+        cells = np.bincount(contexts, minlength=a ** (k + 1)).reshape(a ** k, a)
+        denom = cells.sum(axis=1)
+        codes = np.flatnonzero(denom)
+        counts, denom = cells[codes], denom[codes]
+    else:
+        codes, which, denom = np.unique(contexts, return_inverse=True, return_counts=True)
+        counts = np.bincount(which * a + seq.tokens[k:], minlength=len(codes) * a)
+        counts = counts.reshape(len(codes), a)
     if smoothing > 0:
         rows = (counts + smoothing) / (denom + smoothing * a)[:, None]
     else:

@@ -173,11 +173,20 @@ def dump_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def load_json(path: str | Path):
-    """The JSON value in the file at ``path``; a file that is not JSON raises
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file at ``path``; bytes that are not UTF-8 raise
     :class:`DataContractError` naming it."""
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataContractError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def load_json(path: str | Path):
+    """The JSON value in the file at ``path``; a file that is not UTF-8 JSON
+    raises :class:`DataContractError` naming it."""
+    try:
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataContractError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -200,7 +209,8 @@ def encode(atoms, alphabet_size: int) -> np.ndarray:
     check_code_length(alphabet_size, atoms.shape[-1])
     codes = np.zeros(atoms.shape[:-1], dtype=np.int64)
     for j in range(atoms.shape[-1]):
-        codes = codes * alphabet_size + atoms[..., j]
+        codes *= alphabet_size
+        codes += atoms[..., j]
     return codes
 
 

@@ -11,8 +11,9 @@ eigenvector and linear-solve stationary laws, the power iteration without
 lazy sweeps, the per-context forward filter with its depth-first context
 walk, Whittle's cofactor formula, the recursive composition builder, the
 table builders and the full threshold scan that take one array pass per step,
-and one ``SeedSequence`` per derived seed, that those routines replaced or
-stand for.
+one ``SeedSequence`` per derived seed, the per-character tokenizer and the
+fit that sorts every context with ``np.unique``, that those routines replaced
+or stand for.
 """
 import bisect
 import math
@@ -22,8 +23,13 @@ from collections import Counter
 import numpy as np
 from scipy.special import gammaln
 
-from markovdetect.corpus import TokenSeq
-from markovdetect.errors import DegenerateStatisticWarning, NonConvergenceError, UnseenContextError
+from markovdetect.corpus import _BYTE_SYMBOLS, Alphabet, TokenSeq
+from markovdetect.errors import (
+    DegenerateStatisticWarning,
+    NonConvergenceError,
+    TokenizerError,
+    UnseenContextError,
+)
 from markovdetect.hypotest import _TIE_TOL, _chain_logs, _compositions, _log_matrix
 from markovdetect.markov import HiddenMarkovSource, MarkovModel, stationary, window_law
 from markovdetect.util import decode, encode, fmt17, spawn_rng
@@ -78,6 +84,45 @@ def counter_fit_json(seq, k, alphabet, smoothing=0.0, scheme=None):
                               for ctx, row in transitions.items()),
         "init": sorted([list(ctx), fmt17(p)] for ctx, p in init.items()),
     }
+
+
+def loop_tokenize(text, scheme="char", alphabet=None):
+    """Char and byte tokenizing one symbol at a time through the alphabet's
+    dict, distinct characters in order of first appearance."""
+    if scheme == "byte":
+        if alphabet is None:
+            alphabet = Alphabet(_BYTE_SYMBOLS)
+        codes = [alphabet.index(chr(b)) for b in text.encode("utf-8")]
+        return TokenSeq(np.array(codes, dtype=np.int64)), alphabet
+    parts = list(text)
+    if not parts:
+        raise TokenizerError(f"scheme {scheme!r} needs nonempty text")
+    if alphabet is None:
+        seen = {}
+        for ch in parts:
+            seen.setdefault(ch)
+        if len(seen) < 2:
+            raise TokenizerError(
+                "text uses fewer than 2 distinct symbols; pass an explicit alphabet"
+            )
+        alphabet = Alphabet(tuple(seen))
+    codes = [alphabet.index(ch) for ch in parts]
+    return TokenSeq(np.array(codes, dtype=np.int64)), alphabet
+
+
+def unique_fit(seq, k, alphabet, smoothing=0.0):
+    """Empirical order-``k`` fit that finds the contexts with ``np.unique``:
+    ``(codes, rows, init_probs)``."""
+    m, a = len(seq), alphabet.size
+    contexts = encode(np.lib.stride_tricks.sliding_window_view(seq.tokens[: m - 1], k), a)
+    codes, which, denom = np.unique(contexts, return_inverse=True, return_counts=True)
+    counts = np.bincount(which * a + seq.tokens[k:], minlength=len(codes) * a)
+    counts = counts.reshape(len(codes), a)
+    if smoothing > 0:
+        rows = (counts + smoothing) / (denom + smoothing * a)[:, None]
+    else:
+        rows = counts / denom[:, None]
+    return codes, rows, denom / (m - k)
 
 
 def _init_items(model):

@@ -472,6 +472,45 @@ def test_exit_code_io_failure(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, which", [
+    ("train", "text"), ("score", "text"), ("detect", "text"),
+    ("score", "model"), ("detect", "model")])
+def test_a_file_that_is_not_utf8_exits_4_naming_it(trained, texts, tmp_path, capsys,
+                                                    command, which):
+    """A text or model file holding byte 0xff is a malformed input: exit 4,
+    the message names the file, and no primary artifact is written."""
+    p_model, q_model = trained
+    _, _, sample = texts
+    bad = tmp_path / "latin1.bin"
+    bad.write_bytes(b"ab\xffab")
+    text, model = (bad, p_model) if which == "text" else (sample, bad)
+    argv = {"train": ["train", "--input", str(text)],
+            "score": ["score", "--model", str(model), "--text", str(text)],
+            "detect": ["detect", "--model-p", str(model), "--model-q", str(q_model),
+                       "--text", str(text)]}[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 text" in err
+    assert PRIMARY(out) == []
+
+
+@pytest.mark.parametrize("command", ["score", "detect"])
+def test_a_model_not_trained_from_text_cannot_tokenize(texts, tmp_path, capsys, command):
+    """Models made by ``chain_model`` or ``iid_model`` carry no scheme: score
+    and detect exit 4 naming the model file, and write no artifact."""
+    _, _, sample = texts
+    path = tmp_path / "chain.json"
+    chain_model([[0.5, 0.5], [0.2, 0.8]], alphabet=Alphabet(("a", "b"))).save(path)
+    argv = (["score", "--model", str(path)] if command == "score"
+            else ["detect", "--model-p", str(path), "--model-q", str(path)])
+    out = tmp_path / "out"
+    assert main(argv + ["--text", str(sample), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"{path}: model has scheme None, so it was not trained from text" in err
+    assert PRIMARY(out) == []
+
+
 def test_exit_code_data_contract(texts, trained, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MARKOVDETECT_OUT", str(tmp_path / "out"))
     _, _, sample = texts

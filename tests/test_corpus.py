@@ -12,7 +12,7 @@ from markovdetect.corpus import (
     tokenize,
 )
 from markovdetect.errors import AtomBudgetError, TokenizerError
-from oracles import tuple_windows
+from oracles import loop_tokenize, tuple_windows
 
 
 def test_char_round_trip():
@@ -76,6 +76,72 @@ def test_explicit_alphabet_oov_map():
     alphabet = Alphabet(symbols=("a", "b", OOV_SYMBOL), oov_policy="map")
     seq, _ = tokenize("abcd", "char", alphabet=alphabet)
     assert seq.tokens.tolist() == [0, 1, 2, 2]
+
+
+# -- array tokenizer against the per-character loop ---------------------------
+
+_MAP = ("a", "b", "\u00e9", "\U0001F600", "\ud800", "\x00", "\r", OOV_SYMBOL, "word")
+ALPHABETS = [
+    None,
+    Alphabet(("a", "b", "c")),
+    Alphabet(_MAP, oov_policy="map"),
+    Alphabet(tuple(s for s in _MAP if s != OOV_SYMBOL)),
+    Alphabet(tuple(chr(b) for b in range(128))),
+    Alphabet(tuple(chr(b) for b in range(128)) + (OOV_SYMBOL,), oov_policy="map"),
+]
+TEXTS = [
+    "abracadabra",
+    "h\u00e9llo \u2014 \u03c9orld",
+    "a\U0001F600b\U0001D518\U0001F600\U0010FFFF",  # beyond the BMP
+    "e\u0301a\u0300e\u0301\u20dd",  # combining marks
+    "line one\r\nline two\r\n",
+    "a\x00b\x00\x00",
+    "a\ud800b\udfffa\ud800",  # lone surrogates
+    "",
+    "aaaa",
+    "\U0001F600" * 3,
+    "caba",
+]
+
+
+def _outcome(text, scheme, alphabet, tokenizer):
+    """Codes and alphabet, or the type and message of the error raised."""
+    try:
+        seq, used = tokenizer(text, scheme, alphabet=alphabet)
+    except (TokenizerError, UnicodeError) as exc:
+        return type(exc), str(exc)
+    return seq.tokens.dtype, seq.tokens.tolist(), used
+
+
+@pytest.mark.parametrize("scheme", ["char", "byte"])
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=["none", "abc", "map", "error",
+                                                     "ascii", "ascii-map"])
+@pytest.mark.parametrize("text", TEXTS, ids=["ascii", "latin", "non-bmp", "combining",
+                                             "crlf", "nul", "lone-surrogate", "empty",
+                                             "one-symbol", "one-non-bmp", "caba"])
+def test_tokenize_equals_the_per_character_loop(text, scheme, alphabet):
+    """Codes, alphabet, and the type and message of every refusal (empty
+    text, one symbol, the first character outside the alphabet in text
+    order, a lone surrogate that UTF-8 cannot encode) are the loop's."""
+    assert (_outcome(text, scheme, alphabet, tokenize)
+            == _outcome(text, scheme, alphabet, loop_tokenize))
+
+
+@given(text=st.text(max_size=80), scheme=st.sampled_from(["char", "byte"]),
+       alphabet=st.sampled_from(ALPHABETS))
+@settings(max_examples=300, deadline=None)
+def test_tokenize_equals_the_per_character_loop_on_any_text(text, scheme, alphabet):
+    assert (_outcome(text, scheme, alphabet, tokenize)
+            == _outcome(text, scheme, alphabet, loop_tokenize))
+
+
+def test_first_seen_order_reaches_past_the_first_block():
+    """A symbol that first appears deep in a long text still takes its place
+    in first-seen order."""
+    text = "ab" * 50_000 + "z" + "ab" * 10 + "y"
+    seq, alphabet = tokenize(text, "char")
+    assert alphabet.symbols == ("a", "b", "z", "y")
+    assert seq.tokens.tolist() == loop_tokenize(text)[0].tokens.tolist()
 
 
 def test_alphabet_needs_two_symbols():

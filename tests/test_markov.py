@@ -25,6 +25,7 @@ from oracles import (
     recursive_stationary_windows,
     searchsorted_hmm_sample,
     stall_power_iteration,
+    unique_fit,
 )
 
 from markovdetect import markov
@@ -130,6 +131,65 @@ def test_smoothing_fills_row_zeros(ab_alphabet):
     m = fit_empirical(seq, 1, ab_alphabet, smoothing=0.5)
     assert m.row((1,))[1] == pytest.approx(0.5 / 2.0)
     assert m.row((1,)).sum() == pytest.approx(1.0)
+
+
+def _symbols(a):
+    return Alphabet(tuple(f"s{i}" for i in range(a)))
+
+
+@pytest.mark.parametrize("a, k", [(3, 0), (17, 2), (256, 1), (257, 1), (41, 2)])
+@pytest.mark.parametrize("smoothing", [0.0, 0.01])
+def test_fit_counts_on_both_sides_of_the_cap(monkeypatch, a, k, smoothing):
+    """While a**(k+1) <= DEFAULT_ATOM_CAP (256**2 is the cap itself) the fit
+    counts every cell with one dense bincount; above it (257**2 = 66,049,
+    41**3) it sorts the contexts with np.unique.  Either way the codes, rows
+    and initial law are the np.unique fit's, bit for bit, on a text that
+    leaves many contexts unseen."""
+    rng = np.random.default_rng(a * 10 + k)
+    tokens = rng.integers(0, a, size=4000)
+    seq = TokenSeq(tokens[tokens % 3 != 1])
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
+    model = fit_empirical(seq, k, _symbols(a), smoothing)
+    monkeypatch.undo()
+    assert len(calls) == (a ** (k + 1) > markov.DEFAULT_ATOM_CAP)
+    codes, rows, init = unique_fit(seq, k, _symbols(a), smoothing)
+    assert model.codes.tobytes() == codes.tobytes()
+    assert model.init_codes.tobytes() == codes.tobytes()
+    assert model.rows.tobytes() == rows.tobytes()
+    assert model.init_probs.tobytes() == init.tobytes()
+
+
+def _lookup_models():
+    """Models with every row, with missing rows, with none, and one whose
+    a**k is above the cap."""
+    yield chain_model([[0.5, 0.5], [0.2, 0.8]])
+    seq, alphabet = tokenize("the quick brown fox jumps over the lazy dog. " * 3, "char")
+    for k in (0, 1, 2, 3):
+        yield fit_empirical(seq, k, alphabet, smoothing=0.01)
+    yield MarkovModel(1, _symbols(3), [], np.empty((0, 3)), [0], [1.0])
+    yield fit_empirical(TokenSeq(np.random.default_rng(3).integers(0, 257, size=3000)), 2,
+                        _symbols(257))
+
+
+def test_lookup_equals_a_search_of_the_sorted_codes():
+    """The dense code -> row table below the cap gives every row index
+    ``_find`` gives, -1 for an absent context and for a code outside
+    0 .. a**k - 1 included, in the shape of the input."""
+    int64 = np.iinfo(np.int64)
+    gaps = 0
+    for model in _lookup_models():
+        size = model.alphabet.size ** model.order
+        probe = np.concatenate([np.arange(min(size, 6000)), model.codes,
+                                [-1, -size, size, size + 7, int64.max, int64.min]])
+        want = markov._find(model.codes, probe)
+        gaps += bool((want[:min(size, 6000)] < 0).any())
+        for _ in range(2):  # the table is built on the first call
+            assert np.array_equal(model.lookup(probe), want)
+        assert np.array_equal(model.lookup(probe[:4].reshape(2, 2)), want[:4].reshape(2, 2))
+        assert model.lookup(np.int64(size)) == -1
+    assert gaps == 4  # orders 2 and 3, the empty model and the 257-symbol one
 
 
 def test_row_sums_validated(ab_alphabet):

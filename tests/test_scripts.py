@@ -29,3 +29,18 @@ def test_script_runs_and_writes_its_output(tmp_path, script, args, outputs):
             assert json.loads(text)
         else:
             assert len(text.splitlines()) > 1
+
+
+def test_train_scale_times_a_fresh_train(tmp_path):
+    """The script trains on a corpus of exactly ``--chars`` characters that
+    visits all 17**2 order-2 contexts, and reports the child's time and peak
+    memory."""
+    done = subprocess.run([sys.executable, str(SCRIPTS / "train_scale.py"), "--chars", "20000",
+                           "--seed", "3", "--out", "s.json"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    record = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))
+    assert record["tokens"] == 20000
+    assert record["distinct_contexts"] == 17 ** 2
+    assert record["seconds"] > 0 and record["peak_rss_mb"] > 0
+    assert "train --order 2 on 20000 characters" in done.stdout
