@@ -161,7 +161,7 @@ class ApproxRow(JsonRecord):
 
 
 @dataclass
-class ApproxExperiment:
+class ApproxExperiment(JsonRecord):
     rows: list[ApproxRow]
     window: int
     n_windows: int
@@ -170,14 +170,7 @@ class ApproxExperiment:
     config_digest: str
 
     def to_json(self) -> dict:
-        return {
-            "rows": [r.to_json() for r in self.rows],
-            "window": self.window,
-            "n_windows": self.n_windows,
-            "seed": self.seed,
-            "profile": self.profile.to_json(),
-            "config_digest": self.config_digest,
-        }
+        return {**super().to_json(), "profile": self.profile.to_json()}
 
 
 def approx_experiment(
@@ -351,6 +344,11 @@ class ProbeReport(JsonRecord):
     def __post_init__(self):
         if self.sup_ratio < 0:
             raise ValueError("sup ratio cannot be negative")
+
+    def to_json(self) -> dict:
+        # the points are flat records of scalars, so they are written without
+        # the deep copy ``dataclasses.asdict`` makes of each
+        return {**vars(self), "points": [vars(p) for p in self.points]}
 
     def scatter_csv(self) -> str:
         lines = ["qmin,dbar,kl,ratio"]

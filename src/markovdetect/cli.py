@@ -14,9 +14,10 @@ outputs as ``resolved_config.json`` and wall-clock metadata in a separate
 Exit codes: 0 success; 2 bad arguments or bad values (``--method exact``
 where no exact table applies included); 3 I/O failure; 4 data-contract
 violation (malformed inputs, files that are not UTF-8 included, a model with
-no tokenizer scheme given text to score, unseen contexts, atom budgets, two
-models over different alphabets); 5 numerical failure (non-convergence, an
-inapplicable bound, or a decay fit with too few informative grid points).
+no tokenizer scheme given text to score, an empty text, unseen contexts, atom
+budgets, two models over different alphabets); 5 numerical failure
+(non-convergence, an inapplicable bound, or a decay fit with too few
+informative grid points).
 """
 from __future__ import annotations
 
@@ -161,6 +162,15 @@ def _text_model(path) -> MarkovModel:
     return model
 
 
+def _text_tokens(path, model: MarkovModel):
+    """The text at ``path`` coded under ``model``'s scheme and alphabet; an
+    empty file raises :class:`DataContractError` naming it."""
+    text = read_text(path)
+    if not text:
+        raise DataContractError(f"{path}: the text is empty, so there is nothing to score")
+    return tokenize(text, model.scheme, alphabet=model.alphabet)[0]
+
+
 def _load_weights(path) -> list[float]:
     data = load_json(path)
     if isinstance(data, dict):
@@ -216,7 +226,7 @@ def cmd_train(cfg, out) -> None:
           text=Setting(required=True, help="text file to score"))
 def cmd_score(cfg, out) -> None:
     model = _text_model(cfg["model"])
-    seq, _ = tokenize(read_text(cfg["text"]), model.scheme, alphabet=model.alphabet)
+    seq = _text_tokens(cfg["text"], model)
     ll = log_likelihood(model, seq)
     ce = -ll / len(seq)
     record = {
@@ -246,7 +256,7 @@ _NP_TEST = {
 def cmd_detect(cfg, out) -> None:
     p_model = _text_model(cfg["model_p"])
     q_model = MarkovModel.load(cfg["model_q"])
-    seq, _ = tokenize(read_text(cfg["text"]), p_model.scheme, alphabet=p_model.alphabet)
+    seq = _text_tokens(cfg["text"], p_model)
     n = len(seq)
     flags = []
     try:

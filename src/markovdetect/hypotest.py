@@ -196,14 +196,20 @@ def _log_weighted(counts: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _iid_scores(p_model, q_model, counts):
+    """(lp, lq): each row of symbol ``counts`` times each model's log order-0
+    row.  The i.i.d. lattice, :func:`class_statistic` and the all-order-0
+    walk all score here, so their statistics agree bit for bit."""
+    return tuple(_log_weighted(counts, _log_matrix(m.row(()))) for m in (p_model, q_model))
+
+
 def _table_iid(p_model, q_model, n):
     from scipy.special import gammaln
     lg = gammaln(np.arange(n + 2))  # lg[k] = gammaln(k)
     counts = _compositions(n, p_model.alphabet.size)
     log_coef = lg[n + 1] - lg[counts + 1].sum(axis=1)
     counts = np.asfortranarray(counts, dtype=float)  # contiguous columns for _log_weighted
-    num_p = _log_weighted(counts, _log_matrix(p_model.row(())))
-    num_q = _log_weighted(counts, _log_matrix(q_model.row(())))
+    num_p, num_q = _iid_scores(p_model, q_model, counts)
     return _clean_table(_llr_stats(num_p, num_q, n), log_coef + num_p, log_coef + num_q)
 
 
@@ -309,8 +315,7 @@ def class_statistic(p_model: MarkovModel, q_model: MarkovModel, seq,
         lq = li_q[tokens[0]] + _log_weighted(counts, lr_q)
     else:  # the i.i.d. lattice or the all-order-0 walk
         counts = np.bincount(tokens, minlength=p_model.alphabet.size)[None]
-        lp = _log_weighted(counts, _log_matrix(p_model.row(())))
-        lq = _log_weighted(counts, _log_matrix(q_model.row(())))
+        lp, lq = _iid_scores(p_model, q_model, counts)
     return float(_checked_stats(lp, lq, n)[0])
 
 
@@ -368,9 +373,7 @@ def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
     big_k = max(k, p_model.order, q_model.order)
     if big_k == 0:
         counts = rng.multinomial(n, sample_model.row(()), size=trials)
-        lp = _log_weighted(counts, _log_matrix(p_model.row(())))
-        lq = _log_weighted(counts, _log_matrix(q_model.row(())))
-        return _checked_stats(lp, lq, n)
+        return _checked_stats(*_iid_scores(p_model, q_model, counts), n)
     walk = ChainWalk.of(sample_model)
     length = min(n, big_k)
     u = np.stack([rng.random(trials) for _ in range(1 + max(length - k, 0))], axis=1)

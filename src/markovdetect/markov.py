@@ -223,6 +223,8 @@ class MarkovModel:
             return cls.from_json(obj)
         except (KeyError, TypeError) as exc:
             raise DataContractError(f"{path}: not a markovdetect model ({exc!r})") from exc
+        except ValueError as exc:  # a law that is not a distribution, or a bad number
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def check_shared_alphabet(p_model: MarkovModel, q_model: MarkovModel) -> None:

@@ -75,9 +75,7 @@ _BLOCK_BYTES = 256 * 1024
 
 def tv(p, q) -> float:
     """Total variation distance, half the L1 difference."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return 0.5 * float(np.abs(p - q).sum())
+    return 0.5 * l1_distance(p, q)
 
 
 def l1_distance(p, q) -> float:

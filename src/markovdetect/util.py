@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 from pathlib import Path
@@ -147,25 +146,7 @@ class JsonRecord:
     """Mixin for plain dataclass records whose JSON form is their fields."""
 
     def to_json(self) -> dict:
-        return _plain(self)
-
-
-@functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def _plain(value):
-    """``value`` as ``dataclasses.asdict`` gives it, without its deep copy:
-    dataclasses become dicts and lists, tuples and dicts are rebuilt, while
-    every other value, a JSON scalar in a record, is kept as it is."""
-    if isinstance(value, (list, tuple)):
-        return type(value)(map(_plain, value))
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if dataclasses.is_dataclass(value):
-        return {name: _plain(getattr(value, name)) for name in _field_names(type(value))}
-    return value
+        return dataclasses.asdict(self)
 
 
 def dump_json(path: str | Path, obj) -> None:

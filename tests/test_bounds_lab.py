@@ -21,7 +21,7 @@ from markovdetect.bounds_lab import (
     _close_gaps,
     _mix,
 )
-from markovdetect.corpus import tokenize
+from markovdetect.corpus import Alphabet, tokenize
 from markovdetect.errors import BoundInapplicableError, SupportViolationWarning
 from markovdetect.infometrics import ContinuityProfile, kl
 from markovdetect.markov import HiddenMarkovSource, fit_empirical, sample
@@ -298,6 +298,19 @@ def test_close_gaps_completes_final_context(ab_alphabet):
     assert added >= 1
     toks = sample(closed, 30, seed=0).tokens
     assert len(toks) == 30
+
+
+def test_close_gaps_sorts_a_completed_context_that_comes_first():
+    # order 1 on "...110": the final context "0" never continues, and its code
+    # sorts before the one fitted context "1"
+    alphabet = Alphabet(("0", "1"))
+    seq, _ = tokenize("1110", "char", alphabet=alphabet)
+    model = fit_empirical(seq, 1, alphabet)
+    closed, added = _close_gaps(model)
+    assert added == 1
+    assert closed.codes.tolist() == [0, 1]
+    assert closed.rows.tolist() == [[0.5, 0.5], model.rows[0].tolist()]
+    assert closed.row((1,)).tolist() == model.row((1,)).tolist()
 
 
 def test_close_gaps_noop_when_closed(ab_alphabet):

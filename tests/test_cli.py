@@ -466,6 +466,82 @@ def test_exit_code_nan_in_model(trained, texts, tmp_path, capsys, command):
     assert not (out / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("flaw", ["row", "init"])
+@pytest.mark.parametrize("command", ["score", "detect-p", "detect-q"])
+def test_a_model_whose_law_is_not_a_distribution_exits_2_naming_it(
+        trained, texts, tmp_path, capsys, command, flaw):
+    """A transition row summing to 0.9 or a negative initial mass fails to
+    load: exit 2, and the message names the file, as detect loads two."""
+    p_model, q_model = trained
+    _, _, sample = texts
+    obj = load_json(p_model)
+    if flaw == "row":
+        obj["transitions"][0][1] = ["0.5", "0.4"]
+    else:
+        obj["init"] = [[[], "-0.5"]]  # the order-0 law's one atom
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    argv = {"score": ["score", "--model", str(bad)],
+            "detect-p": ["detect", "--model-p", str(bad), "--model-q", str(q_model)],
+            "detect-q": ["detect", "--model-p", str(p_model), "--model-q", str(bad)]}[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--text", str(sample), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    cause = ("transition row for () is not a distribution" if flaw == "row"
+             else "initial probabilities must be >= 0 and sum to 1")
+    assert f"bad value: {bad}: {cause}" in err
+    assert PRIMARY(out) == []
+
+
+@pytest.mark.parametrize("scheme", ["byte", "char", "word"])
+@pytest.mark.parametrize("command", ["score", "detect"])
+def test_an_empty_text_exits_4_naming_it(tmp_path, capsys, scheme, command):
+    """Under every scheme an empty text file is refused before scoring:
+    exit 4, the message names the file, and no primary artifact is written."""
+    train = tmp_path / "train.txt"
+    train.write_text("the cat sat on the mat " * 20, encoding="utf-8")
+    model = tmp_path / "model" / "model.json"
+    assert main(["train", "--input", str(train), "--scheme", scheme, "--order", "0",
+                 "--out", str(model.parent)]) == 0
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    argv = (["score", "--model", str(model)] if command == "score"
+            else ["detect", "--model-p", str(model), "--model-q", str(model)])
+    out = tmp_path / "out"
+    assert main(argv + ["--text", str(empty), "--out", str(out)]) == 4
+    assert f"{empty}: the text is empty" in capsys.readouterr().err
+    assert PRIMARY(out) == []
+
+
+@pytest.mark.parametrize("null_text, alt_text, stat, flag, verdict", [
+    ("ab", "aabb", -math.inf, "support_violation_null", "generated"),
+    ("aabb", "ab", math.inf, "support_violation_alternative", "authentic"),
+])
+def test_detect_flags_a_transition_only_one_model_allows(
+        tmp_path, null_text, alt_text, stat, flag, verdict):
+    """Unsmoothed order-1 fits on "abab..." (a and b always alternate) and
+    "aabb..." (every transition occurs): text holding "aa" is impossible
+    under the first, so its statistic is infinite and the verdict forced."""
+    models = {}
+    for name, unit in (("p", null_text), ("q", alt_text)):
+        src = tmp_path / f"{name}.txt"
+        src.write_text(unit * 50, encoding="utf-8")
+        shared = ["--alphabet-from", str(models["p"])] if models else []
+        assert main(["train", "--input", str(src), "--order", "1", *shared,
+                     "--out", str(tmp_path / name)]) == 0
+        models[name] = tmp_path / name / "model.json"
+    text = tmp_path / "text.txt"
+    text.write_text("abaabab", encoding="utf-8")
+    out = tmp_path / "det"
+    assert main(["detect", "--model-p", str(models["p"]), "--model-q", str(models["q"]),
+                 "--text", str(text), "--out", str(out)]) == 0
+    rec = load_json(out / "detect.json")
+    assert rec["statistic"] == stat
+    assert rec["flags"] == [flag]
+    assert rec["forced"] is True
+    assert rec["verdict"] == verdict
+
+
 def test_exit_code_io_failure(tmp_path, capsys):
     assert main(["score", "--model", str(tmp_path / "nope.json"),
                  "--text", str(tmp_path / "also-nope.txt")]) == 3

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1109,3 +1111,14 @@ def test_whittle_runtime_allows_long_sequences(fair_vs_biased):
     out = miss_probability(p, q, 600, t, epsilon=0.5)
     assert out.method == "exact"
     assert 0.0 < out.beta_hat < 1.0
+
+
+def test_readme_session_prints_the_values_it_quotes(capsys):
+    """The README's three-line session, run as written, prints the fitted
+    slope and the divergence rate its comment quotes, to the 4 places quoted."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A three-line session:\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    slope, theory = map(float, capsys.readouterr().out.split())
+    quoted = re.search(r"# (\S+) vs (\S+) nats/token", block).groups()
+    assert (round(slope, 4), round(theory, 4)) == tuple(map(float, quoted))

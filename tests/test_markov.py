@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -402,6 +403,24 @@ def test_model_round_trip_is_exact(tmp_path, rng):
     assert (again.init_probs == model.init_probs).all()
     model.save(tmp_path / "model2.json")
     assert path.read_bytes() == (tmp_path / "model2.json").read_bytes()
+
+
+def test_model_file_with_contexts_out_of_code_order_loads_the_same(tmp_path):
+    """A model file may list its transitions and initial law in any order:
+    the loaded model sorts them by code, rows and masses following."""
+    seq, alphabet = tokenize("the cat sat on the mat; a bat ate the hat. " * 5, "char")
+    model = fit_empirical(seq, 2, alphabet, smoothing=0.1, scheme="char")
+    obj = model.to_json()
+    shuffle = np.random.default_rng(7).permutation
+    for key in ("transitions", "init"):
+        obj[key] = [obj[key][i] for i in shuffle(len(obj[key])).tolist()]
+    assert obj["transitions"] != model.to_json()["transitions"]
+    assert obj["init"] != model.to_json()["init"]
+    path = tmp_path / "shuffled.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    again = MarkovModel.load(path)
+    assert again.to_json() == model.to_json()
+    assert log_likelihood(again, seq) == log_likelihood(model, seq)
 
 
 @given(st.integers(0, 2 ** 31 - 1))
