@@ -164,10 +164,13 @@ def _text_model(path) -> MarkovModel:
 
 def _text_tokens(path, model: MarkovModel):
     """The text at ``path`` coded under ``model``'s scheme and alphabet; an
-    empty file raises :class:`DataContractError` naming it."""
+    empty file, or one of only whitespace under the word scheme, raises
+    :class:`DataContractError` naming it."""
     text = read_text(path)
     if not text:
         raise DataContractError(f"{path}: the text is empty, so there is nothing to score")
+    if model.scheme == "word" and not text.split():
+        raise DataContractError(f"{path}: the text has no words, so there is nothing to score")
     return tokenize(text, model.scheme, alphabet=model.alphabet)[0]
 
 

@@ -25,7 +25,12 @@ pair of orders, whose statistics equal :func:`lrt_statistic` of the sampled
 sequences (for all-order-0 pairs, :func:`class_statistic` of their symbol
 counts).  It draws by :class:`markovdetect.markov.ChainWalk`, the guide
 table (Chen & Asau 1974) search that all samplers share: it returns the same
-symbol as a comparison against the whole cumulative row.
+symbol as a comparison against the whole cumulative row.  A step of the walk
+is one ``rng.random(trials)``, a gather of guide cells (most of which hold
+their answer, the rest needing one comparison or, rarely, a short scan), a
+gather of the next states, kept as guide offsets, and one gather that reads
+both models' log-probabilities into a ``(trials, 2)`` sum.  A context without
+a row is checked once, when the walk ends.
 
 ``_engine``, the one selector, gives each calibration one of two engines:
 ``"exact"`` reads the table that applies unless the method is ``"mc"``, else
@@ -330,30 +335,52 @@ def _checked_stats(lp, lq, n):
     return stats
 
 
-def _step_reader(model: MarkovModel, sample_model: MarkovModel, drawn: np.ndarray):
-    """``(read, gaps)``: ``read(flat)`` is the log-probability under ``model``
-    of each step drawn at ``flat = row * a + symbol`` of the sample model,
-    NaN (only if ``gaps``) at a context ``model`` has no row for.  A model of
-    order at most the sample model's reads the suffix ``code % a**k`` of its
-    context; a higher-order one walks its own contexts from ``drawn``.
-    """
+def _follower(model: MarkovModel, w: np.ndarray, drawn: np.ndarray):
+    """``read(sym)``: the log-probability ``w[state * a + sym]`` under
+    ``model``, of order above the sample model's, of each next symbol,
+    walking its own contexts from the windows ``drawn``."""
     a, k = model.alphabet.size, model.order
-    # index -1, a context with no row, reads the appended row of NaN
-    w = np.vstack([_log_matrix(model.rows), np.full(a, np.nan)])
-    if k <= sample_model.order:
-        w = w[model.lookup(sample_model.codes % a ** k)].ravel()
-        return (lambda flat: w[flat]), bool(np.isnan(w).any())
-    w = w.ravel()
     succ = np.vstack([model.lookup(model.successors(model.codes)),
                       np.full(a, -1, dtype=np.int64)]).ravel()
     state = model.lookup(drawn % a ** k)
 
-    def read(flat):
+    def read(sym):
         nonlocal state
-        j = state * a + flat % a
+        j = state * a + sym
         state = succ[j]
         return w[j]
-    return read, True
+    return read
+
+
+def _step_reader(models, sample_model: MarkovModel, drawn: np.ndarray):
+    """``(read, gaps)``: ``read(flat)`` is the ``(trials, 2)`` log-probabilities
+    under the two ``models`` of each step drawn at ``flat = row * a + symbol``
+    of the sample model, NaN (only if ``gaps``) at a context a model has no
+    row for.  A model of order at most the sample model's reads the suffix
+    ``code % a**k`` of its context from one ``(rows * a + 1, 2)`` table, so
+    one gather reads both; its last entry, the walk's sentinel draw, reads 0.
+    A higher-order model fills its column by a :func:`_follower`.
+    """
+    a = sample_model.alphabet.size
+    table = np.zeros((sample_model.rows.size + 1, 2))
+    followers = []
+    for col, model in enumerate(models):
+        # index -1, a context with no row, reads the appended row of NaN
+        w = np.vstack([_log_matrix(model.rows), np.full(a, np.nan)])
+        if model.order > sample_model.order:
+            followers.append((col, _follower(model, w.ravel(), drawn)))
+        else:
+            table[:-1, col] = w[model.lookup(sample_model.codes % a ** model.order)].ravel()
+    gaps = bool(followers) or bool(np.isnan(table).any())
+    if not followers:
+        return (lambda flat: np.take(table, flat, axis=0)), gaps
+
+    def read(flat):
+        step, sym = np.take(table, flat, axis=0), flat % a
+        for col, follow in followers:
+            step[:, col] = follow(sym)
+        return step
+    return read, gaps
 
 
 def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
@@ -366,8 +393,9 @@ def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
     initial k-gram and then each symbol, one ``rng.random(trials)`` per
     step.  The first min(n, K) symbols, K the largest order, are drawn as
     windows and scored by :func:`window_log_likelihood`, each later one by
-    :func:`_step_reader` rows, in sequence order; a step without a row keeps
-    a -inf sum and raises on a finite one.
+    one :func:`_step_reader` row of both models, added in sequence order to
+    a ``(trials, 2)`` sum; a step without a row keeps a -inf sum and raises
+    on a finite one.
     """
     a, k = sample_model.alphabet.size, sample_model.order
     big_k = max(k, p_model.order, q_model.order)
@@ -378,24 +406,22 @@ def _mc_stats(sample_model, p_model, q_model, n, trials, rng):
     length = min(n, big_k)
     u = np.stack([rng.random(trials) for _ in range(1 + max(length - k, 0))], axis=1)
     drawn = encode(walk.windows(length, u), a)
-    state = sample_model.lookup(drawn % a ** k)
     codes, which = np.unique(drawn, return_inverse=True)
     windows = decode(codes, a, length)
-    lp = window_log_likelihood(p_model, windows)[which]
-    lq = window_log_likelihood(q_model, windows)[which]
-    readers = [(acc, *_step_reader(model, sample_model, drawn))
-               for acc, model in ((lp, p_model), (lq, q_model))]
-    for _ in range(n - length):
-        flat, state = walk.step(state, rng.random(trials))
-        for acc, read, gaps in readers:
-            step = read(flat)
-            if gaps:  # a zero factor that came first decides
-                step[np.isneginf(acc)] = 0.0
-            acc += step
+    acc = np.empty((trials, 2))
+    for col, model in enumerate((p_model, q_model)):
+        acc[:, col] = window_log_likelihood(model, windows)[which]
+    read, gaps = _step_reader((p_model, q_model), sample_model, drawn)
+    rows = sample_model.lookup(drawn % a ** k)
+    for flat in walk.steps(rows, (rng.random(trials) for _ in range(n - length))):
+        step = read(flat)
+        if gaps:  # a zero factor that came first decides
+            step[np.isneginf(acc)] = 0.0
+        acc += step
     # a step scored at a context with no row leaves nan in its trial's sum
-    if np.isnan(lp).any() or np.isnan(lq).any():
+    if np.isnan(acc).any():
         raise UnseenContextError("walk reached a context one model cannot score")
-    return _checked_stats(lp, lq, n)
+    return _checked_stats(acc[:, 0], acc[:, 1], n)
 
 
 def _exact_lookup(lookup, p_model, q_model, n, method):

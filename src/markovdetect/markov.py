@@ -554,47 +554,84 @@ class InverseCDF:
 
     ``draw(row, u)`` is the flat index ``row * a + j`` of
     ``j = #{j : cum[row, j] < u or cum[row, j] <= 0}`` clamped to ``a - 1``
-    (which differs from ``cum < u`` only at ``u = 0``): a guide table (Chen &
-    Asau 1974), shrunk toward ``GUIDE_CELL_CAP`` cells, gives the count at
-    the edge of ``u``'s cell and a short scan finishes it.  ``cum`` holds the
-    cumulative rows flat, the last column +inf (the clamp), and ``total``
-    each row's true last sum.
+    (which differs from ``cum < u`` only at ``u = 0``).  A guide table (Chen &
+    Asau 1974) of ``g + 1`` cells a row, ``g`` four times the least power of
+    two >= ``a`` and shrunk toward ``GUIDE_CELL_CAP`` cells, holds the count
+    at the lower edge of each cell.  A cell with no cumulative sum in it holds
+    the answer and compares nothing; a cell with sums in it is marked, its
+    entry stored as ``~entry``, and places ``u`` by one comparison with its
+    first sum; only a cell with several sums (:attr:`several`) scans on past
+    that.  The entries are held in the least signed integer type that fits
+    them, which keeps the table in cache.  ``cum`` holds the cumulative rows
+    flat, the last column +inf (the clamp), and ``total`` each row's true
+    last sum.
+
+    Rows are addressed by guide offsets ``row * cells`` (:meth:`offsets`),
+    which :meth:`at` draws from.  One row past the last is a sentinel that
+    stands for a context with no row: every cell of it draws the flat index
+    ``stuck``, which is ``n * a``.
     """
 
     def __init__(self, rows):
         cum = np.cumsum(rows, axis=1)
         n, a = cum.shape
         self.total = cum[:, -1].copy()
-        self.g = 1 << max(a - 1, 0).bit_length()  # the least power of two >= a
+        self.g = 4 << max(a - 1, 0).bit_length()  # four times the least power of two >= a
         while self.g > 1 and n * self.g > GUIDE_CELL_CAP:
             self.g //= 2
-        offsets = np.arange(n, dtype=np.int64) * a
-        self.guide = (np.minimum(_guide_table(cum, self.g), a - 1) + offsets[:, None]).ravel()
+        self.cells, self.stuck = self.g + 1, n * a
+        counts = np.minimum(_guide_table(cum, self.g), a - 1)
+        # the sums in a cell: the count at its upper edge less the one at its own
+        inside = np.diff(counts, axis=1, append=np.full((n, 1), a - 1))
+        entry = counts + (np.arange(n, dtype=np.int64) * a)[:, None]
+        guide = np.append(np.where(inside > 0, ~entry, entry), np.full(self.cells, self.stuck))
+        self.guide = guide.astype(np.min_scalar_type(~self.stuck))
+        self.several = np.append(inside > 1, np.zeros(self.cells, dtype=bool))
         cum[:, -1] = np.inf
         self.cum = cum.ravel()
 
-    def __call__(self, row, u) -> np.ndarray:
-        idx = self.guide[row * (self.g + 1) + (u * self.g).astype(np.int64)]
-        scan = np.flatnonzero(u > self.cum[idx])
-        while scan.size:
-            idx[scan] += 1
-            scan = scan[u[scan] > self.cum[idx[scan]]]
+    def offsets(self, rows) -> np.ndarray:
+        """Guide offsets of ``rows``; a row of -1, no row, is the sentinel."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return np.where(rows < 0, len(self.total), rows) * self.cells
+
+    def at(self, offset, u) -> np.ndarray:
+        """Flat draws for the uniforms ``u`` from the rows at guide offsets ``offset``."""
+        cell = (u * self.g).astype(np.int64)
+        cell += offset
+        idx = np.take(self.guide, cell).astype(np.int64)
+        marked = np.flatnonzero(idx < 0)
+        if marked.size:
+            first = ~idx[marked]
+            past = u[marked] > self.cum[first]
+            first += past
+            idx[marked] = first
+            scan = marked[past & self.several[cell[marked]]]
+            while scan.size:
+                scan = scan[u[scan] > self.cum[idx[scan]]]
+                idx[scan] += 1
         return idx
+
+    def __call__(self, row, u) -> np.ndarray:
+        return self.at(np.asarray(row) * self.cells, u)
 
 
 class ChainWalk:
     """Paths over the rows of a matrix.  The start atom drawn from
     ``start_probs`` gives the first tokens (its row of ``start_tokens``) and
     row ``start_rows[atom]``; each column ``j`` then drawn from row ``s`` is a
-    token and moves the walk to row ``succ[s, j]``.  A draw from row -1, a
-    context with no row, raises :class:`UnseenContextError`.
+    token and moves the walk to row ``succ[s, j]``.  Rows are carried as guide
+    offsets of :attr:`draw`, so a step is a draw and one successor gather.
+    Row -1, a context with no row, is the sentinel, which draws itself again;
+    a walk that drew from it raises :class:`UnseenContextError` at its end.
     """
 
     def __init__(self, rows, succ, start_probs, start_rows, start_tokens):
         self.law = InverseCDF(start_probs[None])
         self.starts, self.tokens = start_rows, start_tokens
         self.draw = InverseCDF(rows)
-        self.succ = succ.ravel()
+        # successors by flat draw, the sentinel's draw last
+        self.succ = self.draw.offsets(np.append(succ.ravel(), -1))
         self.a = rows.shape[1]
 
     @classmethod
@@ -604,42 +641,48 @@ class ChainWalk:
         return cls(model.rows, model.lookup(model.successors(model.codes)), model.init_probs,
                    model.lookup(model.init_codes), decode(model.init_codes, a, k))
 
-    def step(self, state, u) -> tuple[np.ndarray, np.ndarray]:
-        """Flat draws ``state * a + token`` and the states they move to."""
-        if (state < 0).any():
+    def steps(self, rows, draws):
+        """Walk from ``rows``: for each array of uniforms in ``draws`` yield
+        the flat draws ``row * a + token``.  A draw from the sentinel is the
+        sentinel's, from then on, so the last draws tell whether the walk drew
+        from a context with no row."""
+        state, flat = self.draw.offsets(rows), None
+        for u in draws:
+            flat = self.draw.at(state, u)
+            state = np.take(self.succ, flat)
+            yield flat
+        if flat is not None and (flat == self.draw.stuck).any():
             raise UnseenContextError(_NO_ROW)
-        flat = self.draw(state, u)
-        return flat, self.succ[flat]
 
     def windows(self, width: int, u) -> np.ndarray:
         """``(len(u), width)`` tokens: ``u[i, 0]`` draws row ``i``'s start
         tokens (cut to ``width``), each later ``u[i, j]`` one more token."""
         k = self.tokens.shape[1]
         pick = self.law(0, u[:, 0] * self.law.total[0])
-        state = self.starts[pick]
         out = np.empty((len(u), width), dtype=np.int64)
         out[:, :k] = self.tokens[pick][:, :width]
-        for t in range(k, width):
-            flat, state = self.step(state, u[:, 1 + t - k])
+        steps = self.steps(self.starts[pick], u[:, 1:1 + max(width - k, 0)].T)
+        for t, flat in enumerate(steps, k):
             out[:, t] = flat % self.a
         return out
 
     def path(self, n: int, u) -> np.ndarray:
         """The ``n`` tokens :meth:`windows` draws from the values ``u``."""
-        a = self.a
+        a, cells = self.a, self.draw.cells
         pick = int(self.law(0, u[:1] * self.law.total[0])[0])
         out = self.tokens[pick][:n].tolist()
-        state = int(self.starts[pick])
+        state = int(self.draw.offsets(self.starts[pick]))
         seen: dict[int, tuple[list[float], list[int]]] = {}
         # bisect_left counts the sums below v; the least positive float in
         # place of a 0 counts the zero sums too, as the guide's cell 0 does
         for v in np.maximum(u[1:], _LEAST_POSITIVE).tolist():
-            if state < 0:
-                raise UnseenContextError(_NO_ROW)
             row = seen.get(state)
             if row is None:
-                at = slice(state * a, (state + 1) * a)
-                row = seen[state] = (self.draw.cum[at].tolist(), self.succ[at].tolist())
+                at = state // cells * a
+                if at == self.draw.stuck:
+                    raise UnseenContextError(_NO_ROW)
+                row = seen[state] = (self.draw.cum[at:at + a].tolist(),
+                                     self.succ[at:at + a].tolist())
             sym = bisect.bisect_left(row[0], v)
             out.append(sym)
             state = row[1][sym]

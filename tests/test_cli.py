@@ -513,6 +513,26 @@ def test_an_empty_text_exits_4_naming_it(tmp_path, capsys, scheme, command):
     assert PRIMARY(out) == []
 
 
+@pytest.mark.parametrize("command", ["score", "detect"])
+def test_a_text_without_words_exits_4_naming_it(tmp_path, capsys, command):
+    """A word model given a text of only whitespace is refused like an empty
+    text: exit 4, the message names the file, and no primary artifact is
+    written."""
+    train = tmp_path / "train.txt"
+    train.write_text("the cat sat on the mat " * 20, encoding="utf-8")
+    model = tmp_path / "model" / "model.json"
+    assert main(["train", "--input", str(train), "--scheme", "word", "--order", "0",
+                 "--out", str(model.parent)]) == 0
+    blank = tmp_path / "blank.txt"
+    blank.write_text("   \n ", encoding="utf-8")
+    argv = (["score", "--model", str(model)] if command == "score"
+            else ["detect", "--model-p", str(model), "--model-q", str(model)])
+    out = tmp_path / "out"
+    assert main(argv + ["--text", str(blank), "--out", str(out)]) == 4
+    assert f"{blank}: the text has no words" in capsys.readouterr().err
+    assert PRIMARY(out) == []
+
+
 @pytest.mark.parametrize("null_text, alt_text, stat, flag, verdict", [
     ("ab", "aabb", -math.inf, "support_violation_null", "generated"),
     ("aabb", "ab", math.inf, "support_violation_alternative", "authentic"),

@@ -697,6 +697,62 @@ def test_inverse_cdf_draws_equal_full_comparisons():
             assert np.array_equal(draw(np.full(len(values), row), values) - 4 * row, want)
 
 
+def _cell_kind_rows(a, rng):
+    """Rows of ``a`` columns that put every kind of guide cell to work: a
+    Dirichlet row; masses of 1e-12 beside one large mass, so several sums
+    share the first and the last cells; zero-mass columns at the start, in
+    the middle and at the end; a row summing 4e-10 below 1 (the clamp) and
+    one 4e-10 above it (an initial law within tolerance); and dyadic masses,
+    whose sums fall on cell edges."""
+    if a == 1:
+        return np.array([[1.0], [1.0 - 4e-10], [1.0 + 4e-10]])
+    rows = [rng.dirichlet(np.ones(a))]
+    tiny = np.full(a, 1e-12)
+    tiny[a // 2] = 1.0 - (a - 1) * 1e-12
+    rows.append(tiny)
+    for zero in ([0, a // 2, a - 1] if a > 2 else [[0], [1]]):
+        row = rng.dirichlet(np.ones(a))
+        row[zero] = 0.0
+        rows.append(row / row.sum())
+    for shift in (-4e-10, 4e-10):
+        row = rng.dirichlet(np.ones(a))
+        row[np.argmax(row)] += shift
+        rows.append(row)
+    dyadic = np.full(a, 2.0 ** -(a - 1).bit_length())
+    dyadic[-1] = 1.0 - dyadic[:-1].sum()
+    rows.append(dyadic)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("guide_cap", [markov.GUIDE_CELL_CAP, 1])
+@pytest.mark.parametrize("a", [1, 2, 17, 103])
+def test_inverse_cdf_cell_kinds_equal_full_comparisons(monkeypatch, a, guide_cap):
+    """Cells with no sum, one sum and several sums inside, for uniforms of 0,
+    equal to a cumulative sum, on a cell edge, just beside a sum, the
+    largest double below 1, and scaled by a row's total as an initial law's
+    are: every draw is the count of cumulative sums below the value or equal
+    to 0, clamped to the last column."""
+    monkeypatch.setattr(markov, "GUIDE_CELL_CAP", guide_cap)
+    rng = np.random.default_rng(a)
+    rows = _cell_kind_rows(a, rng)
+    cum = np.cumsum(rows, axis=1)
+    draw = InverseCDF(rows)
+    kinds = set()
+    for row in range(len(rows)):
+        sums = cum[row][cum[row] < 1.0]
+        u = np.concatenate([rng.random(3000), [0.0, np.nextafter(1.0, 0.0)], sums,
+                            np.nextafter(sums, 0.0), np.nextafter(sums, 1.0),
+                            np.arange(draw.g) / draw.g])
+        for values in (u, u * draw.total[row]):
+            want = np.minimum(((values[:, None] > cum[row]) | (cum[row] <= 0)).sum(axis=1), a - 1)
+            assert np.array_equal(draw(np.full(len(values), row), values) - a * row, want), row
+            cell = row * draw.cells + (values * draw.g).astype(np.int64)
+            kinds |= set(np.where(draw.guide[cell] >= 0, "easy",
+                                  np.where(draw.several[cell], "several", "one")).tolist())
+    if guide_cap > 1 and a > 2:
+        assert kinds == {"easy", "one", "several"}
+
+
 def test_zero_uniform_draws_the_first_column_with_mass():
     """A uniform of exactly 0 skips one or two leading zero-mass columns, in
     the guide table draw and in a walk's start pick and steps, by path and by

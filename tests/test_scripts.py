@@ -44,3 +44,18 @@ def test_train_scale_times_a_fresh_train(tmp_path):
     assert record["distinct_contexts"] == 17 ** 2
     assert record["seconds"] > 0 and record["peak_rss_mb"] > 0
     assert "train --order 2 on 20000 characters" in done.stdout
+
+
+def test_detect_scale_times_a_fresh_detect(tmp_path):
+    """The script runs detect on a document of exactly ``--chars`` characters
+    from the null chain of its trained pair, and reports the child's time and
+    peak memory."""
+    done = subprocess.run([sys.executable, str(SCRIPTS / "detect_scale.py"), "--chars", "300",
+                           "--seed", "3", "--out", "d.json"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=180)
+    assert done.returncode == 0, done.stderr
+    record = json.loads((tmp_path / "d.json").read_text(encoding="utf-8"))
+    assert record["tokens"] == 300
+    assert record["verdict"] in ("authentic", "generated")
+    assert record["seconds"] > 0 and record["peak_rss_mb"] > 0
+    assert "detect on 300 characters" in done.stdout
