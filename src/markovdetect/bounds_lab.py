@@ -38,7 +38,7 @@ from .markov import (
     window_log_likelihood,
 )
 from .transport import DBAR_ATOM_CAP, dbar_empirical, dbar_value, dbar_values, l1_distance, tv
-from .util import JsonRecord, config_hash, seed_state, spawn_draws
+from .util import JsonRecord, config_hash, seed_state, spawn_draws, spawn_uniforms
 
 _SLACK = 1e-12
 
@@ -247,8 +247,8 @@ def _mix(seed: int, tag: int, m):
 def _model_windows(model: MarkovModel, n_windows: int, width: int, seed: int) -> np.ndarray:
     """Window ``i`` is ``markov.sample(model, width, seed=_mix(seed, 34, i))``."""
     draws = 1 + max(width - model.order, 0)
-    us = spawn_draws(lambda rng: rng.random(draws), _mix(seed, 34, np.arange(n_windows)), 0)
-    return ChainWalk.of(model).windows(width, np.array(us).reshape(n_windows, draws))
+    us = spawn_uniforms(draws, _mix(seed, 34, np.arange(n_windows)), 0)
+    return ChainWalk.of(model).windows(width, us)
 
 
 # -- theorem-backed inequality checks ---------------------------------------

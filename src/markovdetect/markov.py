@@ -28,8 +28,10 @@ negative and NaN masses, and a source whose matrices do not fit its states.
 
 Every sampler draws by one inverse-CDF rule, ``cum`` a cumulative law: an
 initial law gives ``#{j : cum[j] < u * cum[-1]}`` for a uniform ``u``, a
-row ``#{j : cum[s, j] < u}``, clamped to the last index; sums of 0 count
-too, so a uniform of exactly 0 skips the leading zero-mass columns.
+row ``#{j : cum[s, j] < u}``, clamped to the row's last column with mass,
+so a uniform above a row's total (a row may sum up to 1e-9 below one) never
+draws a zero-mass column; sums of 0 count too, so a uniform of exactly 0
+skips the leading zero-mass columns.
 :class:`ChainWalk` walks contexts or hidden states by it, :class:`InverseCDF`
 draws symbols.
 """
@@ -553,8 +555,9 @@ class InverseCDF:
     """Vectorized inverse-CDF draws from the rows of an ``(n, a)`` matrix.
 
     ``draw(row, u)`` is the flat index ``row * a + j`` of
-    ``j = #{j : cum[row, j] < u or cum[row, j] <= 0}`` clamped to ``a - 1``
-    (which differs from ``cum < u`` only at ``u = 0``).  A guide table (Chen &
+    ``j = #{j : cum[row, j] < u or cum[row, j] <= 0}`` clamped to the row's
+    last column with mass (the count differs from ``cum < u`` only at
+    ``u = 0``).  A guide table (Chen &
     Asau 1974) of ``g + 1`` cells a row, ``g`` four times the least power of
     two >= ``a`` and shrunk toward ``GUIDE_CELL_CAP`` cells, holds the count
     at the lower edge of each cell.  A cell with no cumulative sum in it holds
@@ -563,8 +566,9 @@ class InverseCDF:
     first sum; only a cell with several sums (:attr:`several`) scans on past
     that.  The entries are held in the least signed integer type that fits
     them, which keeps the table in cache.  ``cum`` holds the cumulative rows
-    flat, the last column +inf (the clamp), and ``total`` each row's true
-    last sum.
+    flat, +inf from each row's last column with mass on (the clamp: entries
+    are clamped there at build time, so no draw compares past it), and
+    ``total`` each row's true last sum.
 
     Rows are addressed by guide offsets ``row * cells`` (:meth:`offsets`),
     which :meth:`at` draws from.  One row past the last is a sentinel that
@@ -580,14 +584,16 @@ class InverseCDF:
         while self.g > 1 and n * self.g > GUIDE_CELL_CAP:
             self.g //= 2
         self.cells, self.stuck = self.g + 1, n * a
-        counts = np.minimum(_guide_table(cum, self.g), a - 1)
+        # each row's last column with mass: the clamp
+        last = (a - 1 - np.argmax(rows[:, ::-1] > 0, axis=1))[:, None]
+        counts = np.minimum(_guide_table(cum, self.g), last)
         # the sums in a cell: the count at its upper edge less the one at its own
-        inside = np.diff(counts, axis=1, append=np.full((n, 1), a - 1))
+        inside = np.diff(counts, axis=1, append=last)
         entry = counts + (np.arange(n, dtype=np.int64) * a)[:, None]
         guide = np.append(np.where(inside > 0, ~entry, entry), np.full(self.cells, self.stuck))
         self.guide = guide.astype(np.min_scalar_type(~self.stuck))
         self.several = np.append(inside > 1, np.zeros(self.cells, dtype=bool))
-        cum[:, -1] = np.inf
+        cum[np.arange(a) >= last] = np.inf
         self.cum = cum.ravel()
 
     def offsets(self, rows) -> np.ndarray:

@@ -29,8 +29,10 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# the PCG64 multiplier as (high, low) uint64 words
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+_U32, _U64 = np.uint64(32), np.uint64(64)
+_LOW32 = np.uint64(_MASK32)
 
 
 def _entropy_words(seed, key) -> np.ndarray:
@@ -105,6 +107,39 @@ def seed_state(seed, *key, words: int) -> np.ndarray:
     return out
 
 
+def _add128(x, z):
+    """``x + z`` mod 2**128 for (high, low) pairs of uint64 arrays."""
+    lo = x[1] + z[1]
+    return x[0] + z[0] + (lo < z[1]).astype(np.uint64), lo
+
+
+def _mul_add128(x, y, z):
+    """``x * y + z`` mod 2**128 for (high, low) pairs of uint64 arrays (``y``
+    may be a pair of scalars): the low words' 128-bit product from four
+    32-bit products, every other term wrapping mod 2**64 as uint64 does."""
+    (x_hi, x_lo), (y_hi, y_lo) = x, y
+    x0, x1, y0, y1 = x_lo & _LOW32, x_lo >> _U32, y_lo & _LOW32, y_lo >> _U32
+    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = x1 * y1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32) + x_hi * y_lo + x_lo * y_hi
+    return _add128((hi, x_lo * y_lo), z)
+
+
+def _pcg_seeded(seed, *key):
+    """The PCG64 ``(state, inc)`` of ``spawn_rng(seed_i, *key_i)`` for every
+    row i, each a (high, low) pair of uint64 arrays.
+
+    ``SeedSequence.generate_state(4, uint64)`` gives (state hi, state lo,
+    inc hi, inc lo), word j being lo | hi << 32 of uint32 words 2j, 2j + 1;
+    PCG64 then makes ``inc`` odd, ``inc = seq << 1 | 1``, and steps twice
+    from 0, adding the state word in between: ``(inc + s) * mult + inc``.
+    """
+    w = seed_state(seed, *key, words=8).astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = (w[:, 2 * j] | w[:, 2 * j + 1] << _U32 for j in range(4))
+    inc = (i_hi << np.uint64(1) | i_lo >> np.uint64(63), i_lo << np.uint64(1) | np.uint64(1))
+    return _mul_add128(_add128(inc, (s_hi, s_lo)), _PCG_MULT, inc), inc
+
+
 def spawn_draws(draw, seed, *key) -> list:
     """``[draw(spawn_rng(seed_i, *key_i)) for each row i]``, bit for bit,
     where ``seed`` and the keys are ints or 1-D arrays of one-word keys as
@@ -115,16 +150,35 @@ def spawn_draws(draw, seed, *key) -> list:
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bits = rng.bit_generator
-    # generate_state(4, uint64): word j is lo | hi << 32 of uint32 words 2j, 2j + 1
-    w = seed_state(seed, *key, words=8).astype(np.uint64)
-    seed_words = [(w[:, 2 * j] | w[:, 2 * j + 1] << 32).tolist() for j in range(4)]
+    (s_hi, s_lo), (i_hi, i_lo) = _pcg_seeded(seed, *key)
     out = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*seed_words):
-        inc = (i_hi << 64 | i_lo) << 1 & _MASK128 | 1
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+    for state_hi, state_lo, inc_hi, inc_lo in zip(s_hi.tolist(), s_lo.tolist(),
+                                                  i_hi.tolist(), i_lo.tolist()):
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
                       "has_uint32": 0, "uinteger": 0}
         out.append(draw(rng))
+    return out
+
+
+def spawn_uniforms(draws: int, seed, *key) -> np.ndarray:
+    """``[spawn_rng(seed_i, *key_i).random(draws) for each row i]`` as one
+    (rows, draws) array, bit for bit, with ``seed`` and the keys as
+    :func:`spawn_draws` takes them.
+
+    Every row's generator runs at once in uint64 arithmetic: a draw steps the
+    128-bit LCG, ``state * mult + inc``, and outputs its XSL-RR word (the
+    high and low halves xored, rotated right by the top six bits; O'Neill
+    2014), whose top 53 bits times 2**-53 are ``random()``'s double.
+    """
+    state, inc = _pcg_seeded(seed, *key)
+    out = np.empty((len(inc[0]), draws))
+    for t in range(draws):
+        state = _mul_add128(state, _PCG_MULT, inc)
+        hi, lo = state
+        word, rot = hi ^ lo, hi >> np.uint64(58)
+        word = word >> rot | word << (_U64 - rot & np.uint64(63))
+        out[:, t] = (word >> np.uint64(11)) * (1.0 / 9007199254740992.0)
     return out
 
 

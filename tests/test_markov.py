@@ -731,7 +731,7 @@ def test_inverse_cdf_cell_kinds_equal_full_comparisons(monkeypatch, a, guide_cap
     equal to a cumulative sum, on a cell edge, just beside a sum, the
     largest double below 1, and scaled by a row's total as an initial law's
     are: every draw is the count of cumulative sums below the value or equal
-    to 0, clamped to the last column."""
+    to 0, clamped to the row's last column with mass."""
     monkeypatch.setattr(markov, "GUIDE_CELL_CAP", guide_cap)
     rng = np.random.default_rng(a)
     rows = _cell_kind_rows(a, rng)
@@ -739,18 +739,36 @@ def test_inverse_cdf_cell_kinds_equal_full_comparisons(monkeypatch, a, guide_cap
     draw = InverseCDF(rows)
     kinds = set()
     for row in range(len(rows)):
+        last = np.flatnonzero(rows[row] > 0)[-1]
         sums = cum[row][cum[row] < 1.0]
         u = np.concatenate([rng.random(3000), [0.0, np.nextafter(1.0, 0.0)], sums,
                             np.nextafter(sums, 0.0), np.nextafter(sums, 1.0),
                             np.arange(draw.g) / draw.g])
         for values in (u, u * draw.total[row]):
-            want = np.minimum(((values[:, None] > cum[row]) | (cum[row] <= 0)).sum(axis=1), a - 1)
+            want = np.minimum(((values[:, None] > cum[row]) | (cum[row] <= 0)).sum(axis=1), last)
             assert np.array_equal(draw(np.full(len(values), row), values) - a * row, want), row
             cell = row * draw.cells + (values * draw.g).astype(np.int64)
             kinds |= set(np.where(draw.guide[cell] >= 0, "easy",
                                   np.where(draw.several[cell], "several", "one")).tolist())
     if guide_cap > 1 and a > 2:
         assert kinds == {"easy", "one", "several"}
+
+
+def test_a_uniform_above_the_total_draws_the_last_column_with_mass():
+    """A row that sums a little below 1 and ends in zero-mass columns draws
+    its last column with mass for a uniform above its total, in the guide
+    table draw and in a walk, by path and by windows alike; it never draws a
+    column without mass."""
+    rows = np.array([[0.5, 0.5 - 4e-10, 0.0], [0.3, 0.0, 0.7 - 4e-10], [0.0, 1.0 - 4e-10, 0.0]])
+    u = np.array([1 - 1e-12])
+    assert InverseCDF(rows[:1])(np.array([0]), u).tolist() == [1]
+    assert (InverseCDF(rows)(np.arange(3), np.repeat(u, 3)) % 3).tolist() == [1, 2, 1]
+    states = np.arange(3)
+    walk = ChainWalk(rows, np.broadcast_to(states, rows.shape), np.array([1.0, 0.0, 0.0]),
+                     states, states[:, None])
+    # 0 -> 1 -> 2 -> 1 -> 2
+    assert walk.path(5, np.full(5, 1 - 1e-12)).tolist() == [0, 1, 2, 1, 2]
+    assert walk.windows(5, np.full((2, 5), 1 - 1e-12)).tolist() == [[0, 1, 2, 1, 2]] * 2
 
 
 def test_zero_uniform_draws_the_first_column_with_mass():

@@ -59,3 +59,18 @@ def test_detect_scale_times_a_fresh_detect(tmp_path):
     assert record["verdict"] in ("authentic", "generated")
     assert record["seconds"] > 0 and record["peak_rss_mb"] > 0
     assert "detect on 300 characters" in done.stdout
+
+
+def test_dbar_scale_times_a_fresh_dbar_on_both_pairs(tmp_path):
+    """The script solves the Dirichlet and the product-law pair on the 2^4
+    cube, each in a child, and reports the engine, time and peak memory."""
+    done = subprocess.run([sys.executable, str(SCRIPTS / "dbar_scale.py"), "--window", "4",
+                           "--seed", "3", "--out", "d.json"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=180)
+    assert done.returncode == 0, done.stderr
+    record = json.loads((tmp_path / "d.json").read_text(encoding="utf-8"))
+    assert record["window"] == 4 and [r["law"] for r in record["runs"]] == ["dirichlet", "product"]
+    for run in record["runs"]:
+        assert run["engine"] == "hamming-flow"
+        assert 0 < run["value"] < 1 and run["seconds"] > 0 and run["peak_rss_mb"] > 0
+    assert "dbar on the product pair at window 4: hamming-flow" in done.stdout

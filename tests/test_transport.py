@@ -296,6 +296,19 @@ def test_empirical_converges_to_exact(rng):
     assert est.estimate == pytest.approx(tv(p, q), abs=0.02)
 
 
+@pytest.mark.parametrize("shape, low, high", [((500, 4), -3, 3), ((400, 6), 0, 2), ((1, 5), -2, 2),
+                                               ((300, 1), -5, 5), ((1, 1), -1, 0)])
+def test_empirical_atoms_equal_unique_rows(shape, low, high):
+    """``_empirical`` gives ``np.unique(axis=0)``'s atoms in their
+    lexicographic order, negative letters included, and each one's share."""
+    rows = np.random.default_rng(shape[0]).integers(low, high, size=shape)
+    for sample in (rows, np.repeat(rows[:3], 4, axis=0)):
+        atoms, counts = np.unique(sample, axis=0, return_counts=True)
+        got_atoms, got_weights = transport._empirical(sample)
+        assert np.array_equal(got_atoms, atoms) and got_atoms.dtype == atoms.dtype
+        assert np.array_equal(got_weights, counts / counts.sum())
+
+
 def _refuse_to_solve(monkeypatch):
     def refuse(*args):
         raise AssertionError("reached a solve")
