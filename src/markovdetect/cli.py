@@ -178,7 +178,8 @@ def _load_weights(path) -> list[float]:
     data = load_json(path)
     if isinstance(data, dict):
         data = data.get("weights")
-    if not isinstance(data, list) or not all(isinstance(x, (int, float, str)) for x in data):
+    # exact types: a JSON boolean is a Python int, and must not read as 1 or 0
+    if not isinstance(data, list) or not set(map(type, data)) <= {int, float, str}:
         raise DataContractError(f"{path}: expected a JSON list of numbers or {{'weights': [...]}}")
     return [float(x) for x in data]
 

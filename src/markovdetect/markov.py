@@ -38,6 +38,7 @@ draws symbols.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Alphabet, TokenSeq
 from .errors import AtomBudgetError, DataContractError, NonConvergenceError, UnseenContextError
-from .util import check_code_length, decode, dump_json, encode, fmt17, load_json, spawn_rng
+from .util import (check_code_length, decode, dump_json, encode, fmt17, fmt17_list, load_json,
+                   spawn_rng)
 
 DEFAULT_ATOM_CAP = 65536
 STATIONARY_TOL = 1e-15
@@ -172,13 +174,13 @@ class MarkovModel:
             "scheme": self.scheme,
             "smoothing": fmt17(self.smoothing),
             "transitions": [
-                [ctx, [fmt17(p) for p in row]]
+                [ctx, fmt17_list(row)]
                 for ctx, row in zip(decode(self.codes, a, k).tolist(), self.rows.tolist())
             ],
             "init": [
-                [ctx, fmt17(p)]
+                [ctx, p]
                 for ctx, p in zip(decode(self.init_codes, a, k).tolist(),
-                                  self.init_probs.tolist())
+                                  fmt17_list(self.init_probs.tolist()))
             ],
         }
 
@@ -194,23 +196,35 @@ class MarkovModel:
             return obj[key]
 
         def codes(pairs):
-            if not all(isinstance(ctx, list) and len(ctx) == k for ctx, _ in pairs):
+            ctxs = [ctx for ctx, _ in pairs]
+            if not all(isinstance(ctx, list) and len(ctx) == k for ctx in ctxs):
                 raise TypeError(f"contexts must be lists of {k} symbols")
-            ctxs = np.array([ctx for ctx, _ in pairs], dtype=np.int64).reshape(len(pairs), k)
+            # exact ints: ``np.array`` would take a boolean as 0 or 1 and cut 0.5 to 0
+            if not set(map(type, itertools.chain.from_iterable(ctxs))) <= {int}:
+                raise TypeError("context symbols must be integer codes")
+            ctxs = np.array(ctxs, dtype=np.int64).reshape(len(pairs), k)
             if ((ctxs < 0) | (ctxs >= alphabet.size)).any():
                 raise TypeError(f"context symbols must be codes below {alphabet.size}")
             return encode(ctxs, alphabet.size)
 
+        def masses(values, flat):
+            # checked first: ``np.array`` would read null as NaN, a nested
+            # list as one more axis and a boolean as 0 or 1
+            if not set(map(type, flat)) <= {str, int, float}:
+                raise TypeError("masses must be numbers or number strings")
+            return np.array(values, dtype=float)
+
         transitions, init = pairs("transitions"), pairs("init")
-        if not all(isinstance(row, list) and len(row) == alphabet.size for _, row in transitions):
+        rows, probs = [row for _, row in transitions], [p for _, p in init]
+        if not all(isinstance(row, list) and len(row) == alphabet.size for row in rows):
             raise TypeError(f"transition rows must be lists of {alphabet.size} masses")
         return cls(
             order=k,
             alphabet=alphabet,
             codes=codes(transitions),
-            rows=[[float(p) for p in row] for _, row in transitions],
+            rows=masses(rows, itertools.chain.from_iterable(rows)),
             init_codes=codes(init),
-            init_probs=[float(p) for _, p in init],
+            init_probs=masses(probs, probs),
             scheme=obj.get("scheme"),
             smoothing=float(obj.get("smoothing", 0.0)),
         )

@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AtomBudgetError, NonConvergenceError
-from .util import JsonRecord, decode, encode, fmt17, spawn_rng
+from .util import JsonRecord, decode, encode, fmt17, fmt17_list, spawn_rng
 
 DBAR_ATOM_CAP = 4096
 _CERT_TOL = 1e-9
@@ -132,8 +132,8 @@ class Coupling:
         # adding 0.0 writes a zero price as "0", never as "-0"
         return {
             "value": fmt17(self.value),
-            "dual_x": [fmt17(v) for v in self.dual_x + 0.0],
-            "dual_y": [fmt17(v) for v in self.dual_y + 0.0],
+            "dual_x": fmt17_list((self.dual_x + 0.0).tolist()),
+            "dual_y": fmt17_list((self.dual_y + 0.0).tolist()),
             "dual_value": fmt17(
                 float(self.weights_x @ self.dual_x + self.weights_y @ self.dual_y)
             ),
@@ -149,9 +149,10 @@ class Coupling:
         ``fmt17`` float."""
         words_x = self.atoms_x.tolist()
         words_y = self.atoms_y.tolist()
+        i, j, mass = _entry_columns(sorted(self.entries))
         lines = ["atom_x,atom_y,mass"]
-        lines += [f"{''.join(map(str, words_x[i]))},{''.join(map(str, words_y[j]))},{fmt17(mass)}"
-                  for i, j, mass in sorted(self.entries)]
+        lines += [f"{''.join(map(str, words_x[x]))},{''.join(map(str, words_y[y]))},{text}"
+                  for x, y, text in zip(i.tolist(), j.tolist(), fmt17_list(mass.tolist()))]
         with open(path, "w", newline="") as fh:
             fh.write("\r\n".join(lines) + "\r\n")
 

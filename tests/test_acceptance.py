@@ -328,8 +328,8 @@ def test_c9_probe_reproducibility(accept):
     assert passed
 
 
-def test_c10_cli_reruns_byte_identical(accept, tmp_path):
-    """C10: every command's primary artifacts are byte-identical on rerun."""
+def _c10_commands(tmp_path) -> list[list[str]]:
+    """The inputs and argv of C10's eight commands, one run of each."""
     text = tmp_path / "corpus.txt"
     text.write_text("aab" * 300, encoding="utf-8")
     alt_text = tmp_path / "alt.txt"
@@ -343,7 +343,7 @@ def test_c10_cli_reruns_byte_identical(accept, tmp_path):
                               0.081, 0.009, 0.009, 0.001]), encoding="utf-8")
     p_dir, q_dir = tmp_path / "p", tmp_path / "q"
     nu_exp = 1.0 / math.log(10_000)
-    commands = [
+    return [
         ["train", "--input", str(text), "--order", "0", "--out", str(p_dir)],
         ["train", "--input", str(alt_text), "--order", "0",
          "--alphabet-from", str(p_dir / "model.json"), "--out", str(q_dir)],
@@ -364,6 +364,11 @@ def test_c10_cli_reruns_byte_identical(accept, tmp_path):
         ["probe", "--alphabet-size", "2", "--window", "1", "--instances",
          "100", "--seed", "3", "--out", str(tmp_path / "probe")],
     ]
+
+
+def test_c10_cli_reruns_byte_identical(accept, tmp_path):
+    """C10: every command's primary artifacts are byte-identical on rerun."""
+    commands = _c10_commands(tmp_path)
     for argv in commands:
         assert cli_main(argv) == 0
     before = {
@@ -385,3 +390,15 @@ def test_c10_cli_reruns_byte_identical(accept, tmp_path):
            f"{'byte-identical' if identical else 'DIFFER'} across reruns "
            f"of {len(commands)} commands")
     assert passed
+
+
+def test_c10_json_artifacts_have_the_stdlib_layout(tmp_path):
+    """Every JSON file C10's commands write is the text ``json.dumps`` gives
+    its own value with sorted keys and an indent of 2."""
+    for argv in _c10_commands(tmp_path):
+        assert cli_main(argv) == 0
+    written = [p for p in tmp_path.rglob("*.json") if p.parent != tmp_path]
+    assert len({p.name for p in written}) >= 10
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path

@@ -349,8 +349,10 @@ def test_train_has_no_seed_setting(texts, tmp_path, capsys):
     assert "unknown config keys: seed" in capsys.readouterr().err
 
 
-# edits that turn a model file into one that is not a model; all but the
-# first used to exit 2 with a numpy or unpacking message and no file name
+# edits that turn a model file into one that is not a model; the context and
+# width edits used to exit 2 with a numpy or unpacking message and no file
+# name, boolean masses and symbols used to load as 1 and 0, and a symbol of
+# 0.5 as 0
 _MODEL_EDITS = {
     "no alphabet": lambda obj: obj.pop("alphabet"),
     "entry without its row": lambda obj: obj.update(transitions=[[[0]]]),
@@ -360,6 +362,15 @@ _MODEL_EDITS = {
         order=1, transitions=[[[0], ["0.5", "0.5"]], [[5], ["0.5", "0.5"]]],
         init=[[[0], "1"]]),
     "row of the wrong width": lambda obj: obj["transitions"][0][1].pop(),
+    "null mass": lambda obj: obj["transitions"][0][1].__setitem__(0, None),
+    "mass that is a list": lambda obj: obj["transitions"][0][1].__setitem__(0, [0.5]),
+    "boolean row": lambda obj: obj["transitions"][0].__setitem__(1, [True, False]),
+    "boolean initial mass": lambda obj: obj["init"][0].__setitem__(1, True),
+    "boolean context symbol": lambda obj: obj.update(
+        order=1, transitions=[[[False], ["0.5", "0.5"]], [[True], ["0.5", "0.5"]]],
+        init=[[[0], "1"]]),
+    "fractional context symbol": lambda obj: obj.update(
+        order=1, transitions=[[[0.5], ["0.5", "0.5"]]], init=[[[0], "1"]]),
 }
 
 
@@ -383,6 +394,20 @@ def test_file_that_is_not_a_model_exits_4(trained, texts, tmp_path, capsys, comm
     }[command]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 4
     assert str(bad) in capsys.readouterr().err
+
+
+def test_a_mass_that_is_not_a_number_exits_2_naming_the_file(trained, texts, tmp_path, capsys):
+    p_model, _ = trained
+    _, _, sample = texts
+    obj = load_json(p_model)
+    obj["transitions"][0][1][0] = "abc"
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["score", "--model", str(bad), "--text", str(sample), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad value: {bad}: " in err and "'abc'" in err
+    assert PRIMARY(out) == []
 
 
 @pytest.mark.parametrize("flag", ["--config", "--model", "--model-p", "--model-q",
@@ -410,7 +435,7 @@ def test_json_syntax_error_exits_4_naming_the_file(trained, texts, tmp_path, cap
 
 
 @pytest.mark.parametrize("content", ["[null, 0.5, 0.25, 0.25]", "[[0.25], 0.25, 0.25, 0.25]",
-                                     '{"weights": [0.5, null]}'])
+                                     '{"weights": [0.5, null]}', "[true, false, false, false]"])
 def test_dbar_weights_that_are_not_numbers_exit_4(tmp_path, capsys, content):
     mu = tmp_path / "mu.json"
     mu.write_text(content, encoding="utf-8")
@@ -418,7 +443,7 @@ def test_dbar_weights_that_are_not_numbers_exit_4(tmp_path, capsys, content):
     out = tmp_path / "dbar"
     assert main(["dbar", "--mu", str(mu), "--nu", str(tmp_path / "nu.json"),
                  "--window", "2", "--out", str(out)]) == 4
-    assert str(mu) in capsys.readouterr().err
+    assert f"{mu}: expected a JSON list of numbers" in capsys.readouterr().err
     assert not (out / "dbar.json").exists()
 
 
