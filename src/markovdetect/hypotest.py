@@ -132,13 +132,16 @@ class BayesErrorEstimate(JsonRecord):
 # -- exact statistic tables -------------------------------------------------
 
 
-def _llr_stats(lp, lq, n):
+def _llr_stats(lp, lq, n, out=None):
     """Per-token statistic (lp - lq) / n: +inf where only lq is -inf, -inf
-    where only lp is, and nan where both are."""
+    where only lp is, and nan where both are; written into ``out`` if given."""
     fp, fq = np.isfinite(lp), np.isfinite(lq)
+    stats = np.empty(len(lp)) if out is None else out
     if fp.all() and fq.all():
-        return (lp - lq) / n
-    stats = np.full(len(lp), np.nan)
+        np.subtract(lp, lq, out=stats)
+        stats /= n
+        return stats
+    stats[...] = np.nan
     stats[fp & fq] = (lp[fp & fq] - lq[fp & fq]) / n
     stats[fp & ~fq] = np.inf
     stats[~fp & fq] = -np.inf
@@ -146,16 +149,21 @@ def _llr_stats(lp, lq, n):
 
 
 def _clean_table(stats, lp, lq):
-    """Drop impossible classes, order by statistic."""
-    stats = np.asarray(stats, dtype=float)
-    lp = np.asarray(lp, dtype=float)
-    lq = np.asarray(lq, dtype=float)
-    impossible = (lp == -np.inf) & (lq == -np.inf)
-    if impossible.any():
-        keep = ~impossible
-        stats, lp, lq = stats[keep], lp[keep], lq[keep]
+    """Drop impossible classes, order by statistic.
+
+    The three arrays, which the caller gives up, are permuted by one stable
+    order: each is gathered into the buffer of the one before it, so a
+    single new array is made.  An impossible class (both masses -inf) is
+    exactly one whose statistic :func:`_llr_stats` made NaN, which the sort
+    puts after every other."""
     order = np.argsort(stats, kind="stable")
-    return stats[order], lp[order], lq[order]
+    kept = len(order) - int(np.count_nonzero(np.isnan(stats)))
+    order = order[:kept]
+    sorted_stats = stats[order]
+    # "clip" writes straight into out, where "raise" would buffer it; no index is out of range
+    np.take(lp, order, out=stats[:kept], mode="clip")
+    np.take(lq, order, out=lp[:kept], mode="clip")
+    return sorted_stats, stats[:kept], lp[:kept]
 
 
 def _log_matrix(rows: np.ndarray) -> np.ndarray:
@@ -172,30 +180,33 @@ def _table_sequences(p_model, q_model, n):
     return _clean_table(_llr_stats(lp, lq, n), lp, lq)
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
+def _compositions(total: int, parts: int, dtype=np.int64) -> np.ndarray:
     """Every way to write ``total`` as ``parts`` ordered counts >= 0, one row
     each, in lexicographic order: the C(total + parts - 1, parts - 1) classes
     of stars and bars.  Columns are filled left to right, each row so far
     repeated once for every value its next count can take, 0 up to what it
     has left; the last count takes the rest."""
-    rows = np.empty((1, 0), dtype=np.int64)
+    rows = np.empty((1, 0), dtype=dtype)
     rest = np.array([total], dtype=np.int64)
     for _ in range(parts - 1):
         reps = rest + 1
         prefix = np.repeat(np.arange(len(rest)), reps)
         first = np.arange(len(prefix)) - np.repeat(np.cumsum(reps) - reps, reps)
-        rows = np.column_stack([rows[prefix], first])
+        rows = np.column_stack([rows[prefix], first.astype(dtype)])
         rest = rest[prefix] - first
-    return np.column_stack([rows, rest])
+    return np.column_stack([rows, rest.astype(dtype)])
 
 
-def _log_weighted(counts: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
-    """sum_i counts_i * log_probs_i with the 0 * (-inf) = 0 convention."""
-    counts = np.asarray(counts, dtype=float)
-    out, term = np.zeros(len(counts)), np.empty(len(counts))
-    for c, lw in zip(counts.T, log_probs):
+def _log_weighted(columns, log_probs: np.ndarray, out=None) -> np.ndarray:
+    """sum_i columns[i] * log_probs[i] with the 0 * (-inf) = 0 convention,
+    into ``out`` if given.  Integer counts convert to float exactly inside
+    each product, so they need no float copy."""
+    out = np.empty(len(columns[0])) if out is None else out
+    out[...] = 0.0
+    term = np.empty(len(out))
+    for c, lw in zip(columns, log_probs):
         if np.isfinite(lw):
-            out += np.multiply(c, lw, out=term)
+            out += np.multiply(c, lw, out=term, dtype=np.float64)
         else:
             out[c > 0] = -np.inf
     return out
@@ -205,17 +216,23 @@ def _iid_scores(p_model, q_model, counts):
     """(lp, lq): each row of symbol ``counts`` times each model's log order-0
     row.  The i.i.d. lattice, :func:`class_statistic` and the all-order-0
     walk all score here, so their statistics agree bit for bit."""
-    return tuple(_log_weighted(counts, _log_matrix(m.row(()))) for m in (p_model, q_model))
+    return tuple(_log_weighted(counts.T, _log_matrix(m.row(()))) for m in (p_model, q_model))
 
 
 def _table_iid(p_model, q_model, n):
     from scipy.special import gammaln
     lg = gammaln(np.arange(n + 2))  # lg[k] = gammaln(k)
-    counts = _compositions(n, p_model.alphabet.size)
+    # int16 while every count + 1 fits it
+    counts = _compositions(n, p_model.alphabet.size,
+                           np.int16 if n < np.iinfo(np.int16).max else np.int64)
     log_coef = lg[n + 1] - lg[counts + 1].sum(axis=1)
-    counts = np.asfortranarray(counts, dtype=float)  # contiguous columns for _log_weighted
-    num_p, num_q = _iid_scores(p_model, q_model, counts)
-    return _clean_table(_llr_stats(num_p, num_q, n), log_coef + num_p, log_coef + num_q)
+    lp, lq = _iid_scores(p_model, q_model, counts)
+    del counts  # before the statistics are allocated: it lowers peak memory
+    stats = _llr_stats(lp, lq, n)
+    lp += log_coef
+    lq += log_coef
+    del log_coef
+    return _clean_table(stats, lp, lq)
 
 
 def _chain_logs(model):
@@ -237,40 +254,54 @@ def _table_binary_chain(p_model, q_model, n):
     runs of their symbol, any number to a run, so the class holds
     ``C(stay_x + runs_x - 1, runs_x - 1) * C(stay_o + runs_o - 1, runs_o - 1)``
     sequences (1 for the second factor when s = 0 and so stay_o = 0).  The
-    classes of both first symbols share one array of (s, stay_x, stay_o).
+    classes of both first symbols share one array of (s, stay_x, stay_o),
+    held as int16 (n <= CHAIN_LATTICE_NMAX), and each half of the table is
+    written straight into the output arrays.
     """
     from scipy.special import gammaln
     (li_p, lr_p), (li_q, lr_q) = _chain_logs(p_model), _chain_logs(q_model)
     lg = gammaln(np.arange(n + 2))  # lg[k] = gammaln(k)
     # with s switches stay_x runs from low to n - 1 - s: from 0, except that
     # s = 0 leaves no run of o to hold stays, so stay_x = n - 1
-    by_s = np.arange(n)
-    low = np.where(by_s > 0, 0, n - 1)
-    sizes = n - by_s - low
+    by_s = np.arange(n, dtype=np.int16)
+    sizes = np.where(by_s > 0, n - by_s.astype(np.int64), 1)
+    size = int(sizes.sum())
+    # (n00, n01, n10, n11) = (stay_x, runs_o, runs_x - 1, stay_o) for x = 0,
+    # as contiguous int16 rows; reversed, the same rows serve x = 1.  stay_x
+    # is a cumulative sum of ones that drops back to 0 where each s > 0 starts.
+    counts = np.empty((4, size), dtype=np.int16)
+    stay_x, runs_o, runs_x1, stay_o = counts
+    stay_x[:] = 1
+    stay_x[0] = n - 1
+    stay_x[np.cumsum(sizes)[:-1]] = by_s[1:] - n
+    np.cumsum(stay_x, out=stay_x)
     s = np.repeat(by_s, sizes)
-    stay_x = np.arange(len(s)) - np.repeat(np.cumsum(sizes) - sizes - low, sizes)
-    stay_o = n - 1 - s - stay_x
-    runs_x, runs_o = s // 2 + 1, (s + 1) // 2
+    np.add(s, 1, out=runs_o)
+    runs_o >>= 1
+    np.right_shift(s, 1, out=runs_x1)
+    np.subtract(n - 1, s, out=stay_o)
+    stay_o -= stay_x
+    del s
     some_o = np.maximum(runs_o, 1)
-    log_count = (lg[stay_x + runs_x] - lg[stay_x + 1] - lg[runs_x]
-                 + lg[stay_o + some_o] - lg[stay_o + 1] - lg[some_o])
-    # (n00, n01, n10, n11) for x = 0, as contiguous float columns; reversed,
-    # the same columns serve x = 1
-    counts = np.empty((4, len(s)))
-    counts[0], counts[1], counts[2], counts[3] = stay_x, runs_o, runs_x - 1, stay_o
-    counts = counts.T
-    # free the class arrays before the outputs are allocated: it lowers peak memory
-    del by_s, low, sizes, s, stay_x, stay_o, runs_x, runs_o, some_o
-    size = len(log_count)
+    # log of the class count, its six terms taken left to right in one buffer
+    log_count = lg[stay_x + runs_x1 + 1]
+    log_count -= lg[stay_x + 1]
+    log_count -= np.repeat(lg[by_s // 2 + 1], sizes)  # lg[runs_x]
+    log_count += lg[stay_o + some_o]
+    log_count -= lg[stay_o + 1]
+    log_count -= lg[some_o]
+    del some_o
     stats, lp, lq = np.empty(2 * size), np.empty(2 * size), np.empty(2 * size)
-    for x, by_x in ((0, counts), (1, counts[:, ::-1])):
-        tp = li_p[x] + _log_weighted(by_x, lr_p)
-        tq = li_q[x] + _log_weighted(by_x, lr_q)
+    for x, by_x in ((0, counts), (1, counts[::-1])):
         half = slice(x * size, (x + 1) * size)
-        stats[half] = _llr_stats(tp, tq, n)
-        np.add(log_count, tp, out=lp[half])
-        np.add(log_count, tq, out=lq[half])
-    del counts, by_x, log_count, tp, tq
+        for out, li, lr in ((lp[half], li_p[x], lr_p), (lq[half], li_q[x], lr_q)):
+            _log_weighted(by_x, lr, out=out)
+            out += li
+        _llr_stats(lp[half], lq[half], n, out=stats[half])
+        lp[half] += log_count
+        lq[half] += log_count
+    # free the class arrays before the sort: it lowers peak memory
+    del counts, stay_x, runs_o, runs_x1, stay_o, by_x, log_count
     return _clean_table(stats, lp, lq)
 
 
@@ -314,7 +345,7 @@ def class_statistic(p_model: MarkovModel, q_model: MarkovModel, seq,
         return lrt_statistic(p_model, q_model, seq)
     tokens = seq.tokens
     if build is _table_binary_chain:
-        counts = np.bincount(2 * tokens[:-1] + tokens[1:], minlength=4)[None]
+        counts = np.bincount(2 * tokens[:-1] + tokens[1:], minlength=4)[:, None]
         (li_p, lr_p), (li_q, lr_q) = _chain_logs(p_model), _chain_logs(q_model)
         lp = li_p[tokens[0]] + _log_weighted(counts, lr_p)
         lq = li_q[tokens[0]] + _log_weighted(counts, lr_q)
@@ -449,39 +480,64 @@ class _TableEngine:
     def threshold(self, epsilon):
         """Largest statistic value whose classes below it carry P-mass <= epsilon.
 
-        The P-mass below each class is summed a chunk at a time, each chunk
-        carrying on from the last sum of the one before, so the sums are those
-        of one sequential pass.  Sums never decrease, so the scan stops once
-        one is too far above log(epsilon) for exp's rounding to bring it back:
-        no class after it can pass the test."""
+        The P-mass below each class is summed a chunk at a time into one
+        buffer, each chunk carrying on from the last sum of the one before, so
+        the sums are those of one sequential pass.  Sums never decrease, so the
+        scan stops once one is too far above log(epsilon) for exp's rounding to
+        bring it back: no class after it can pass the test."""
         stats, lp = self.stats, self.lp
         stop = math.log(epsilon + _TIE_TOL) + 1e-9
-        parts, carry = [np.array([-np.inf])], lp[:0]
+        below = np.empty(len(lp))  # below[i]: log of the P-mass of classes before i
+        below[0], scanned = -np.inf, 1
         for start in range(0, len(lp), _SCAN_CHUNK):
-            chunk = np.concatenate([carry, lp[start:start + _SCAN_CHUNK]])
-            parts.append(np.logaddexp.accumulate(chunk)[len(carry):])
-            carry = parts[-1][-1:]
-            if carry[0] > stop:
+            chunk = lp[start:start + _SCAN_CHUNK]
+            if start:
+                chunk = np.concatenate([below[start:start + 1], chunk])
+            sums = np.logaddexp.accumulate(chunk)[1 if start else 0:]
+            scanned = min(start + 1 + len(sums), len(lp))
+            below[start + 1:scanned] = sums[:scanned - start - 1]
+            if sums[-1] > stop:
                 break
-        cum = np.concatenate(parts)[:len(stats)]
-        first = np.flatnonzero(np.concatenate([[True], stats[1:len(cum)] != stats[:len(cum) - 1]]))
-        valid = np.flatnonzero(np.exp(cum[first]) <= epsilon + _TIE_TOL)
+        # the first class of each statistic value whose P-mass below is <= epsilon
+        passes = np.empty(scanned, dtype=bool)
+        passes[0] = True
+        np.not_equal(stats[1:scanned], stats[:scanned - 1], out=passes[1:])
+        passes &= np.exp(below[:scanned], out=below[:scanned]) <= epsilon + _TIE_TOL
         if stats[0] == stats[-1]:
             warnings.warn("all statistic classes coincide", DegenerateStatisticWarning)
-        return float(stats[first[valid[-1]]])
+        return float(stats[scanned - 1 - np.argmax(passes[::-1])])
 
     def miss(self, threshold):
-        from scipy.special import logsumexp
         start = np.searchsorted(self.stats, threshold)  # the sorted tail is >= threshold
-        log_beta = float(logsumexp(self.lq[start:])) if start < len(self.stats) else -math.inf
+        log_beta = _logsumexp(self.lq[start:]) if start < len(self.stats) else -math.inf
         beta = math.exp(log_beta)
         return TestOutcome(self.n, self.epsilon, threshold, beta, log_beta, beta, beta, 0,
                            self.name)
 
     def bayes(self, prior):
-        from scipy.special import logsumexp
-        joint = np.minimum(math.log(prior) + self.lp, math.log(1.0 - prior) + self.lq)
-        return float(np.exp(logsumexp(joint))), 0.0
+        joint = np.add(self.lp, math.log(prior))
+        np.minimum(joint, np.add(self.lq, math.log(1.0 - prior)), out=joint)
+        return float(np.exp(_logsumexp(joint))), 0.0
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a non-empty 1-D float array, bit for bit what
+    ``scipy.special.logsumexp`` (scipy >= 1.15) returns, with one scratch copy
+    of ``a`` where scipy makes about five.  As there, the largest entry m and
+    its k ties are split out of the sum, which gives
+    log1p(sum(exp(a - m) over the rest) / k) + log(k) + m, and a result that
+    is not finite is replaced by log(sum(exp(a)))."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a)
+        rest = np.subtract(a, top)
+        ties = rest == 0  # a == top, as a - top == 0 only there
+        np.exp(rest, out=rest)
+        rest[ties] = 0.0
+        k = np.float64(np.count_nonzero(ties))
+        out = np.log1p(rest.sum() / k) + np.log(k) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
 
 
 class _WalkEngine:

@@ -214,6 +214,10 @@ class MarkovModel:
                 raise TypeError("masses must be numbers or number strings")
             return np.array(values, dtype=float)
 
+        smoothing = obj.get("smoothing", 0.0)
+        # as for masses: a boolean would read as 0 or 1, and null is no number
+        if type(smoothing) not in {str, int, float}:
+            raise TypeError("smoothing must be a number or a number string")
         transitions, init = pairs("transitions"), pairs("init")
         rows, probs = [row for _, row in transitions], [p for _, p in init]
         if not all(isinstance(row, list) and len(row) == alphabet.size for row in rows):
@@ -226,7 +230,7 @@ class MarkovModel:
             init_codes=codes(init),
             init_probs=masses(probs, probs),
             scheme=obj.get("scheme"),
-            smoothing=float(obj.get("smoothing", 0.0)),
+            smoothing=float(smoothing),
         )
 
     def save(self, path) -> None:

@@ -371,6 +371,8 @@ _MODEL_EDITS = {
         init=[[[0], "1"]]),
     "fractional context symbol": lambda obj: obj.update(
         order=1, transitions=[[[0.5], ["0.5", "0.5"]]], init=[[[0], "1"]]),
+    "boolean smoothing": lambda obj: obj.update(smoothing=True),
+    "null smoothing": lambda obj: obj.update(smoothing=None),
 }
 
 

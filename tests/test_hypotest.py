@@ -1,10 +1,13 @@
 import math
 import re
+import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.special import gammaln
 
 from markovdetect import hypotest, markov
@@ -24,6 +27,7 @@ from markovdetect.hypotest import (
     _compositions,
     _llr_stats,
     _log_matrix,
+    _logsumexp,
     _mc_stats,
     _table_binary_chain,
     _table_iid,
@@ -235,6 +239,14 @@ ONE_PASS_CASES = {
         _table_iid, onepass_table_iid,
         lambda rng: (iid_model([0.5, 0.2, 0.3, 0.0]), iid_model([0.25, 0.0, 0.25, 0.5])),
         (1, 2, 10, 128)),
+    # the largest chain length, whose counts still fit the builder's int16 classes
+    "binary order 1 at the length cap": (_table_binary_chain, onepass_table_binary_chain,
+                                         lambda rng: _dirichlet_pair(rng, (1, 1)),
+                                         (CHAIN_LATTICE_NMAX,)),
+    # wide enough that numpy's pairwise sum groups a row's log-factorials
+    "9 symbols": (_table_iid, onepass_table_iid,
+                  lambda rng: (iid_model(rng.dirichlet(np.ones(9))),
+                               iid_model(rng.dirichlet(np.ones(9)))), (1, 2, 9, 12)),
 }
 
 
@@ -356,6 +368,76 @@ def test_threshold_scan_of_coincident_statistics_warns_once(rng):
     got = _threshold_and_warning(lambda: _TableEngine(len(stats), 0.3, (stats, lp, lq)).threshold(0.3))
     assert got == (stats[0], [DegenerateStatisticWarning])
     assert got == _threshold_and_warning(lambda: full_scan_threshold(stats, lp, 0.3))
+
+
+def _traced_peak(call):
+    """(result, peak bytes allocated while ``call()`` ran beyond those held
+    when it started), from tracemalloc, to which numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build, pair, n", [
+    (_table_binary_chain, ([[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.5], [0.5, 0.5]]), 512),
+    (_table_iid, ([0.5, 0.3, 0.2], [0.4, 0.4, 0.2]), 892),  # 399,171 classes
+])
+def test_exact_tables_are_built_and_read_without_full_size_copies(build, pair, n):
+    """Building a table peaks at no more than 1.8 times its bytes (its three
+    columns, the sort order and one gathered column); the threshold scan and
+    a miss over the whole table each add at most 0.6 times them."""
+    make = chain_model if build is _table_binary_chain else iid_model
+    p, q = make(pair[0]), make(pair[1])
+    build(p, q, 20)  # imports and caches outside the traced calls
+    table, peak = _traced_peak(lambda: build(p, q, n))
+    size = sum(column.nbytes for column in table)
+    assert peak <= 1.8 * size, peak / size
+    engine = _TableEngine(n, 0.5, table)
+    _, peak = _traced_peak(lambda: engine.threshold(0.5))
+    assert peak <= 0.6 * size, peak / size
+    _, peak = _traced_peak(lambda: engine.miss(table[0][0]))
+    assert peak <= 0.6 * size, peak / size
+
+
+def _logsumexp_cases(rng, count):
+    """1-D arrays spanning up to +-1e3, with -inf entries, ties at the
+    maximum, entries all -inf and single entries."""
+    for trial in range(count):
+        size = 1 if trial % 7 == 0 else int(rng.integers(2, 400))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        a = rng.uniform(-scale, scale, size) + rng.uniform(-scale, scale)
+        if trial % 3 == 1:
+            a[rng.random(size) < 0.3] = -np.inf
+        if trial % 4 == 2:
+            a[rng.integers(0, size, int(rng.integers(1, 4)))] = a.max()
+        if trial % 5 == 3:
+            a = np.round(a, 1)  # many ties, the maximum's among them
+        if trial % 50 == 4:
+            a[:] = -np.inf
+        yield a
+
+
+@pytest.mark.skipif(tuple(int(v) for v in scipy.__version__.split(".")[:2]) < (1, 15),
+                    reason="scipy before 1.15 sums without splitting out the maximum")
+def test_logsumexp_is_scipys_bit_for_bit(rng):
+    from scipy.special import logsumexp
+    for a in _logsumexp_cases(rng, 1200):
+        got, want = _logsumexp(a), float(logsumexp(a))
+        assert struct.pack("<d", got) == struct.pack("<d", want), (a, got, want)
+
+
+def test_logsumexp_matches_an_exactly_rounded_sum(rng):
+    for a in _logsumexp_cases(rng, 1200):
+        top = float(a.max())
+        if top == -math.inf:
+            assert _logsumexp(a) == -math.inf
+            continue
+        want = top + math.log(math.fsum(math.exp(float(x) - top) for x in a))
+        assert _logsumexp(a) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_table_masses_sum_to_one(fair_vs_biased):

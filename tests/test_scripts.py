@@ -74,3 +74,17 @@ def test_dbar_scale_times_a_fresh_dbar_on_both_pairs(tmp_path):
         assert run["engine"] == "hamming-flow"
         assert 0 < run["value"] < 1 and run["seconds"] > 0 and run["peak_rss_mb"] > 0
     assert "dbar on the product pair at window 4: hamming-flow" in done.stdout
+
+
+def test_table_scale_times_a_fresh_exact_exponent(tmp_path):
+    """The script fits the benchmark's binary-chain pair on the grid N/4,
+    N/2, N by the exact lattice in a child, and reports the engine, time and
+    peak memory."""
+    done = subprocess.run([sys.executable, str(SCRIPTS / "table_scale.py"), "--n", "64",
+                           "--out", "t.json"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=180)
+    assert done.returncode == 0, done.stderr
+    record = json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))
+    assert record["n_grid"] == [16, 32, 64] and record["engine"] == "exact"
+    assert record["slope"] > 0 and record["seconds"] > 0 and record["peak_rss_mb"] > 0
+    assert "exponent on the chain pair at n = 16,32,64: exact" in done.stdout
