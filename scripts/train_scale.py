@@ -1,13 +1,18 @@
-"""Time a fresh-process ``markovdetect train --order 2`` on a large corpus.
+"""Time a fresh-process ``markovdetect train`` on a large corpus.
 
-Writes a seeded order-2 character corpus of ``--chars`` characters over 16
-letters and a space, then runs ``markovdetect train --order 2 --smoothing
-0.01`` on it in a child interpreter and prints the child's wall time and peak
-resident memory (``getrusage(RUSAGE_CHILDREN)``).  Generating the corpus is
-not timed.
+With ``--scheme char`` (the default) it writes a seeded order-2 character
+corpus of ``--chars`` characters over 16 letters and a space; with
+``--scheme word`` a seeded text of ``--words`` words drawn from a Zipf law
+(mass proportional to 1/rank) over ``--vocab`` distinct words.  It then runs
+``markovdetect train --scheme S --order k --smoothing 0.01`` on it in a
+child interpreter (``--order`` defaults to 2 for characters and 1 for
+words) and prints the child's wall time, its peak resident memory
+(``getrusage(RUSAGE_CHILDREN)``) and the size of the ``model.json`` it
+wrote.  Generating the corpus is not timed.
 
     python3 scripts/train_scale.py
     python3 scripts/train_scale.py --chars 200000 --seed 3 --out scale.json
+    python3 scripts/train_scale.py --scheme word --vocab 2000 --order 1
 """
 import argparse
 import json
@@ -45,35 +50,70 @@ def order2_corpus(chars: int, seed: int) -> str:
     return np.frombuffer(SYMBOLS, dtype=np.uint8)[codes].tobytes().decode("ascii")
 
 
+def zipf_words(words: int, vocab: int, seed: int) -> str:
+    """``words`` space-separated words ``w0 .. w{vocab - 1}``, drawn
+    independently with mass proportional to 1 / (rank + 1)."""
+    rng = np.random.default_rng(seed)
+    law = 1.0 / np.arange(1, vocab + 1)
+    names = np.array([f"w{i}" for i in range(vocab)])
+    return " ".join(names[rng.choice(vocab, words, p=law / law.sum())].tolist())
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--chars", type=int, default=10_200_000)
+    ap.add_argument("--scheme", choices=("char", "word"), default="char")
+    ap.add_argument("--chars", type=int, default=10_200_000,
+                    help="corpus length under --scheme char")
+    ap.add_argument("--words", type=int, default=200_000,
+                    help="corpus length under --scheme word")
+    ap.add_argument("--vocab", type=int, default=2000,
+                    help="distinct words under --scheme word")
+    ap.add_argument("--order", type=int, default=None,
+                    help="model order (default 2 for char, 1 for word)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path, default=None,
                     help="optional JSON file for the timing")
     args = ap.parse_args()
-    if args.chars < 2:
-        ap.error("--chars must be at least 2")
+    word = args.scheme == "word"
+    order = args.order if args.order is not None else 1 if word else 2
+    length = args.words if word else args.chars
+    if length < order + 1:
+        ap.error(f"--{'words' if word else 'chars'} must be at least the order plus one")
+    if word and args.vocab < 2:
+        ap.error("--vocab must be at least 2")
+    if order < 0:
+        ap.error("--order must be at least 0")
+    unit = "words" if word else "characters"
 
     with tempfile.TemporaryDirectory() as work:
         corpus = Path(work) / "corpus.txt"
-        corpus.write_text(order2_corpus(args.chars, args.seed), encoding="utf-8")
+        text = (zipf_words(length, args.vocab, args.seed) if word
+                else order2_corpus(length, args.seed))
+        corpus.write_text(text, encoding="utf-8")
+        del text
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         argv = [sys.executable, "-m", "markovdetect", "train", "--input", str(corpus),
-                "--order", "2", "--smoothing", "0.01", "--out", str(Path(work) / "model")]
+                "--scheme", args.scheme, "--order", str(order), "--smoothing", "0.01",
+                "--out", str(Path(work) / "model")]
         start = time.perf_counter()
         done = subprocess.run(argv, env=env, capture_output=True, text=True)
         seconds = time.perf_counter() - start
         if done.returncode:
             sys.exit(f"train exited {done.returncode}: {done.stderr.strip()}")
         summary = json.loads((Path(work) / "model" / "train_summary.json").read_text())
+        model_bytes = (Path(work) / "model" / "model.json").stat().st_size
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-    record = {"chars": args.chars, "seed": args.seed, "tokens": summary["tokens"],
+    record = {"scheme": args.scheme, "order": order, "words" if word else "chars": length,
+              "seed": args.seed, "tokens": summary["tokens"],
+              "alphabet_size": summary["alphabet_size"],
               "distinct_contexts": summary["distinct_contexts"],
-              "seconds": seconds, "peak_rss_mb": peak_mb}
-    print(f"train --order 2 on {args.chars} characters: {seconds:.2f} s, "
-          f"peak RSS {peak_mb:.0f} MB ({summary['distinct_contexts']} contexts)")
+              "seconds": seconds, "peak_rss_mb": peak_mb, "model_bytes": model_bytes}
+    if word:
+        record["vocab"] = args.vocab
+    print(f"train --order {order} on {length} {unit}: {seconds:.2f} s, "
+          f"peak RSS {peak_mb:.0f} MB, model.json {model_bytes / 1e6:.1f} MB "
+          f"({summary['alphabet_size']} symbols, {summary['distinct_contexts']} contexts)")
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -64,7 +64,11 @@ class Alphabet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Alphabet":
-        return cls(tuple(obj["symbols"]), obj.get("oov_policy", "error"))
+        symbols = obj["symbols"]
+        # exact types: a symbol of another type would be written back as it came
+        if type(symbols) is not list or not set(map(type, symbols)) <= {str}:
+            raise TypeError("alphabet symbols must be a list of strings")
+        return cls(tuple(symbols), obj.get("oov_policy", "error"))
 
 
 @dataclass

@@ -183,18 +183,35 @@ def _table_sequences(p_model, q_model, n):
 def _compositions(total: int, parts: int, dtype=np.int64) -> np.ndarray:
     """Every way to write ``total`` as ``parts`` ordered counts >= 0, one row
     each, in lexicographic order: the C(total + parts - 1, parts - 1) classes
-    of stars and bars.  Columns are filled left to right, each row so far
-    repeated once for every value its next count can take, 0 up to what it
-    has left; the last count takes the rest."""
-    rows = np.empty((1, 0), dtype=dtype)
+    of stars and bars, as a C-ordered ``dtype`` array.
+
+    The prefixes of j counts are built level by level, each repeated once
+    for every value its next count can take, 0 up to the r it leaves; the
+    table's column j repeats each prefix's last count once for each of the
+    C(r + m, m) ways to end it, m = parts - j - 1.  The last two columns are
+    0..r and r..0 for each prefix of parts - 2 counts, made in ``dtype`` by
+    a running sum of ones that drops back to 0 where each prefix starts, so
+    no temporary of the table's length is wider than ``dtype``.
+    """
+    if parts == 1:
+        return np.full((1, 1), total, dtype=dtype)
+    out = np.empty((math.comb(total + parts - 1, parts - 1), parts), dtype=dtype)
     rest = np.array([total], dtype=np.int64)
-    for _ in range(parts - 1):
+    for j in range(parts - 2):
         reps = rest + 1
-        prefix = np.repeat(np.arange(len(rest)), reps)
-        first = np.arange(len(prefix)) - np.repeat(np.cumsum(reps) - reps, reps)
-        rows = np.column_stack([rows[prefix], first.astype(dtype)])
-        rest = rest[prefix] - first
-    return np.column_stack([rows, rest.astype(dtype)])
+        first = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rest = np.repeat(rest, reps) - first
+        ends = np.ones_like(rest)  # C(rest + m, m) by its product formula
+        for i in range(1, parts - j - 1):
+            ends = ends * (rest + i) // i
+        out[:, j] = np.repeat(first.astype(dtype), ends)
+    ramp = np.ones(len(out), dtype=dtype)
+    ramp[0] = 0
+    ramp[np.cumsum(rest[:-1] + 1)] = -rest[:-1]
+    np.cumsum(ramp, out=ramp)
+    out[:, -2] = ramp
+    np.subtract(np.repeat(rest.astype(dtype), rest + 1), ramp, out=out[:, -1])
+    return out
 
 
 def _log_weighted(columns, log_probs: np.ndarray, out=None) -> np.ndarray:
@@ -222,11 +239,17 @@ def _iid_scores(p_model, q_model, counts):
 def _table_iid(p_model, q_model, n):
     from scipy.special import gammaln
     lg = gammaln(np.arange(n + 2))  # lg[k] = gammaln(k)
-    # int16 while every count + 1 fits it
-    counts = _compositions(n, p_model.alphabet.size,
-                           np.int16 if n < np.iinfo(np.int16).max else np.int64)
-    log_coef = lg[n + 1] - lg[counts + 1].sum(axis=1)
+    # the least of int8, int16 and int64 that holds every count + 1
+    dtype = next(t for t in (np.int8, np.int16, np.int64) if n < np.iinfo(t).max)
+    counts = _compositions(n, p_model.alphabet.size, dtype)
     lp, lq = _iid_scores(p_model, q_model, counts)
+    # log n! / prod(c_i!), the row sums taken _SCAN_CHUNK rows at a time: a
+    # row's sum reads that row alone, so the blocks give the bits of one sum
+    log_coef = np.empty(len(counts))
+    for start in range(0, len(counts), _SCAN_CHUNK):
+        block = slice(start, start + _SCAN_CHUNK)
+        lg[counts[block] + 1].sum(axis=1, out=log_coef[block])
+    np.subtract(lg[n + 1], log_coef, out=log_coef)
     del counts  # before the statistics are allocated: it lowers peak memory
     stats = _llr_stats(lp, lq, n)
     lp += log_coef

@@ -47,7 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Alphabet, TokenSeq
 from .errors import AtomBudgetError, DataContractError, NonConvergenceError, UnseenContextError
-from .util import (check_code_length, decode, dump_json, encode, fmt17, fmt17_list, load_json,
+from .util import (check_code_length, decode, encode, fmt17, fmt17_list, json_text, load_json,
                    spawn_rng)
 
 DEFAULT_ATOM_CAP = 65536
@@ -56,6 +56,9 @@ STATIONARY_STALL_TOL = 1e-10
 STATIONARY_STALL_SWEEPS = 64
 STATIONARY_MAX_ITER = 10 ** 6
 GUIDE_CELL_CAP = 1 << 20
+SAVE_BLOCK_MASSES = 1 << 16
+# how json.dumps(..., indent=2) starts each item and ends a list inside a model file's entry
+_ITEM, _END = "\n        ", "\n      ]"
 _LEAST_POSITIVE = np.finfo(float).smallest_subnormal
 _NO_ROW = "sampling walked into a context with no row; refit with smoothing or more data"
 
@@ -165,14 +168,23 @@ class MarkovModel:
 
     # -- serialization ---------------------------------------------------
 
-    def to_json(self) -> dict:
-        a, k = self.alphabet.size, self.order
+    def _head(self) -> dict:
+        """The model file's keys other than its two lists of entries."""
         return {
-            "format": "markovdetect-model",
-            "order": k,
             "alphabet": self.alphabet.to_json(),
+            "format": "markovdetect-model",
+            "order": self.order,
             "scheme": self.scheme,
             "smoothing": fmt17(self.smoothing),
+        }
+
+    def to_json(self) -> dict:
+        """The model file's value: each entry of ``transitions`` is
+        ``[context symbols, row of mass strings]`` and each of ``init``
+        ``[k-gram symbols, mass string]``, masses at 17 digits."""
+        a, k = self.alphabet.size, self.order
+        return {
+            **self._head(),
             "transitions": [
                 [ctx, fmt17_list(row)]
                 for ctx, row in zip(decode(self.codes, a, k).tolist(), self.rows.tolist())
@@ -234,7 +246,35 @@ class MarkovModel:
         )
 
     def save(self, path) -> None:
-        dump_json(path, self.to_json())
+        """Write the model file, ``json.dumps(self.to_json(), sort_keys=True,
+        indent=2) + "\\n"`` byte for byte, as a stream.
+
+        :func:`fmt17_list` formats each distinct mass once: ``np.unique`` of
+        the masses' bit patterns (bits, not values, keep 0.0 and -0.0 apart)
+        gives every mass the index of its text.  Each ``init`` and
+        ``transitions`` entry is then one ``%`` template of its context
+        symbols and its mass texts, each list joined by the text that
+        separates its items, written in blocks of at most
+        ``SAVE_BLOCK_MASSES`` masses, so neither a string per mass nor the
+        file's whole text is ever held.  The other keys go through
+        :func:`json_text`.
+        """
+        a, k = self.alphabet.size, self.order
+        masses = np.concatenate([self.init_probs, self.rows.reshape(-1)])
+        # a flat array, so that the inverse is flat on every numpy version
+        bits, which = np.unique(masses.view(np.uint64), return_inverse=True)
+        texts = np.array(fmt17_list(bits.view(np.float64).tolist()), dtype=object)
+        head = {key: json_text(value, "  ") for key, value in self._head().items()}
+        n_init = len(self.init_probs)
+        with open(path, "w") as out:
+            out.write(f'{{\n  "alphabet": {head["alphabet"]},\n  "format": {head["format"]},\n'
+                      '  "init": ')
+            _write_entries(out, a, k, self.init_codes, '"%s"', texts, which[:n_init, None])
+            out.write(f',\n  "order": {head["order"]},\n  "scheme": {head["scheme"]},\n'
+                      f'  "smoothing": {head["smoothing"]},\n  "transitions": ')
+            _write_entries(out, a, k, self.codes, f'[{_ITEM}"%s"{_END}', texts,
+                           which[n_init:].reshape(-1, a))
+            out.write("\n}\n")
 
     @classmethod
     def load(cls, path) -> "MarkovModel":
@@ -245,6 +285,29 @@ class MarkovModel:
             raise DataContractError(f"{path}: not a markovdetect model ({exc!r})") from exc
         except ValueError as exc:  # a law that is not a distribution, or a bad number
             raise ValueError(f"{path}: {exc}") from exc
+
+
+def _write_entries(out, a: int, k: int, codes, value: str, texts, which) -> None:
+    """Write a model file's list of ``[context, value]`` entries as
+    ``json.dumps(..., indent=2)`` lays it out one level in, at most
+    ``SAVE_BLOCK_MASSES`` masses to a block.  Entry i holds the ``k``
+    symbols of context code ``codes[i]`` and the ``value`` template filled
+    with the mass texts ``texts[which[i]]``, joined as quoted list items."""
+    if not len(codes):
+        out.write("[]")
+        return
+    symbols = np.array(list(map(str, range(a))), dtype=object)
+    context = f"[{_ITEM}%s{_END}" if k else "[%s]"
+    template = f"[\n      {context},\n      {value}\n    ]"
+    step = max(1, SAVE_BLOCK_MASSES // which.shape[1])
+    sep = "[\n    "
+    for start in range(0, len(codes), step):
+        block = slice(start, start + step)
+        contexts = map(f",{_ITEM}".join, symbols[decode(codes[block], a, k)].tolist())
+        values = map(f'",{_ITEM}"'.join, texts[which[block]].tolist())
+        out.write(sep + ",\n    ".join(map(template.__mod__, zip(contexts, values))))
+        sep = ",\n    "
+    out.write("\n  ]")
 
 
 def check_shared_alphabet(p_model: MarkovModel, q_model: MarkovModel) -> None:

@@ -259,8 +259,8 @@ def _json_text(obj, indent: str) -> str | None:
     to reach them.  A dict holding a list that takes neither path is written
     by ``json.dumps`` whole, as is every other value, and re-indented: a raw
     newline in that text is always layout, because strings escape theirs.
-    Re-indenting the big lists of other shapes (a model's rows) would cost
-    more than the walk saves, hence the whole dict.
+    Lists of other shapes are small in every artifact (a model's rows are
+    written by ``MarkovModel.save``), so the whole dict costs little.
     """
     inner = indent + "  "
     kind = type(obj)
@@ -288,19 +288,31 @@ def _json_text(obj, indent: str) -> str | None:
     return text.replace("\n", "\n" + indent) if indent else text
 
 
+def json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` with every line after
+    the first shifted right by ``indent``, as for a value nested at that depth.
+
+    :func:`_json_text` writes it without the pure-Python encoder, which
+    ``indent`` selects, wherever the value holds lists of numbers, strings or
+    flat records.
+    """
+    try:
+        text = _json_text(obj, indent)
+    except RecursionError:  # a dict that holds itself, which json.dumps names
+        text = None
+    if text is None:
+        text = json.dumps(obj, sort_keys=True, indent=2)
+        text = text.replace("\n", "\n" + indent) if indent else text
+    return text
+
+
 def dump_json(path: str | Path, obj) -> None:
     """Write JSON deterministically: sorted keys, fixed layout, trailing newline.
 
-    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``;
-    :func:`_json_text` writes them without the pure-Python encoder, which
-    ``indent`` selects, wherever an artifact holds lists of numbers, strings
-    or flat records.
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``,
+    written by :func:`json_text`.
     """
-    try:
-        text = _json_text(obj, "")
-    except RecursionError:  # a dict that holds itself, which json.dumps names
-        text = None
-    Path(path).write_text((text or json.dumps(obj, sort_keys=True, indent=2)) + "\n")
+    Path(path).write_text(json_text(obj) + "\n")
 
 
 def read_text(path: str | Path) -> str:

@@ -351,10 +351,11 @@ def test_train_has_no_seed_setting(texts, tmp_path, capsys):
 
 # edits that turn a model file into one that is not a model; the context and
 # width edits used to exit 2 with a numpy or unpacking message and no file
-# name, boolean masses and symbols used to load as 1 and 0, and a symbol of
-# 0.5 as 0
+# name, boolean masses and symbols used to load as 1 and 0, a symbol of
+# 0.5 as 0, and an alphabet given as one string as its characters
 _MODEL_EDITS = {
     "no alphabet": lambda obj: obj.pop("alphabet"),
+    "alphabet symbols as one string": lambda obj: obj["alphabet"].update(symbols="ab"),
     "entry without its row": lambda obj: obj.update(transitions=[[[0]]]),
     "init entry of three": lambda obj: obj.update(init=[[[], 1.0, 0]]),
     "context of the wrong length": lambda obj: obj["transitions"][0][0].append(0),
@@ -396,6 +397,32 @@ def test_file_that_is_not_a_model_exits_4(trained, texts, tmp_path, capsys, comm
     }[command]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 4
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["score", "detect", "train"])
+def test_a_model_whose_symbols_are_not_all_strings_exits_4_naming_it(tmp_path, capsys, command):
+    """A symbol 7 in place of "k" used to load: text without a "k" scored and
+    was detected, and ``train --alphabet-from`` wrote the integer back."""
+    text, sample = tmp_path / "text.txt", tmp_path / "sample.txt"
+    text.write_text("kayak and banana " * 20, encoding="utf-8")
+    sample.write_text("banana and a nab", encoding="utf-8")
+    assert main(["train", "--input", str(text), "--smoothing", "0.1",
+                 "--out", str(tmp_path / "p")]) == 0
+    obj = load_json(tmp_path / "p" / "model.json")
+    symbols = obj["alphabet"]["symbols"]
+    symbols[symbols.index("k")] = 7
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    argv = {
+        "score": ["score", "--model", str(bad), "--text", str(sample)],
+        "detect": ["detect", "--model-p", str(bad), "--model-q", str(bad),
+                   "--text", str(sample), "--trials", "1000"],
+        "train": ["train", "--input", str(sample), "--alphabet-from", str(bad)],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 4
+    assert f"{bad}: not a markovdetect model" in capsys.readouterr().err
+    assert PRIMARY(out) == []
 
 
 def test_a_mass_that_is_not_a_number_exits_2_naming_the_file(trained, texts, tmp_path, capsys):

@@ -423,6 +423,56 @@ def test_model_file_with_contexts_out_of_code_order_loads_the_same(tmp_path):
     assert log_likelihood(again, seq) == log_likelihood(model, seq)
 
 
+_SYMBOLS = st.one_of(st.sampled_from(['"', "\\", 'a"b\\c', "é", "☃", "\U0001f600", "%s", "%",
+                                      "\x00\n", "\ud800", ""]), st.text(max_size=3))
+# masses a row may hold besides its free ones: both zeros, the least subnormal
+_SPECIAL_MASSES = [0.0, -0.0, 5e-324]
+
+
+def _law(rng, width):
+    """A mass vector of ``width`` summing to one up to rounding, holding
+    0.0, -0.0, 5e-324 and repeated masses at times."""
+    special = rng.random(width) < rng.choice([0.0, 0.3, 0.7])
+    special[rng.integers(width)] = False
+    free = int((~special).sum())
+    law = np.empty(width)
+    law[special] = rng.choice(_SPECIAL_MASSES, int(special.sum()))
+    law[~special] = (np.full(free, 1.0 / free) if rng.random() < 0.4
+                     else rng.dirichlet(np.ones(free)))
+    return law
+
+
+@given(k=st.integers(0, 3), a=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+       symbols=st.lists(_SYMBOLS, min_size=40, max_size=40, unique=True), oov=st.booleans(),
+       scheme=st.sampled_from([None, "char", "word"]),
+       smoothing=st.one_of(st.just(0.0), st.floats(5e-324, 1.0)),
+       block=st.sampled_from([1, 7, 64, markov.SAVE_BLOCK_MASSES]))
+@settings(max_examples=150, deadline=None)
+def test_save_writes_the_bytes_of_json_dumps_and_loads_bit_for_bit(
+        tmp_path_factory, k, a, seed, symbols, oov, scheme, smoothing, block):
+    rng = np.random.default_rng(seed)
+    symbols = symbols[:a - 1] + ["<oov>" if oov else symbols[a - 1]]
+    if oov and len(set(symbols)) < a:
+        symbols[symbols.index("<oov>")] = "<not oov>"
+    alphabet = Alphabet(tuple(symbols), "map" if oov else "error")
+    contexts = min(a ** k, 12)
+    codes = np.sort(rng.choice(a ** k, contexts, replace=False))
+    init_codes = np.sort(rng.choice(a ** k, int(rng.integers(1, contexts + 1)), replace=False))
+    model = MarkovModel(k, alphabet, codes, np.array([_law(rng, a) for _ in codes]),
+                        init_codes, _law(rng, len(init_codes)), scheme, smoothing)
+    path = tmp_path_factory.getbasetemp() / "save_oracle.json"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(markov, "SAVE_BLOCK_MASSES", block)
+        model.save(path)
+    assert path.read_bytes() == (json.dumps(model.to_json(), sort_keys=True, indent=2)
+                                 + "\n").encode("ascii")
+    again = MarkovModel.load(path)
+    assert (again.order, again.alphabet, again.scheme) == (k, alphabet, scheme)
+    bits = lambda m: [np.asarray(x).view(np.uint64).tolist() for x in
+                      (m.codes, m.rows, m.init_codes, m.init_probs, m.smoothing)]
+    assert bits(again) == bits(model)
+
+
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_sample_seed_stability(seed):

@@ -46,6 +46,22 @@ def test_train_scale_times_a_fresh_train(tmp_path):
     assert "train --order 2 on 20000 characters" in done.stdout
 
 
+def test_train_scale_times_a_fresh_word_train(tmp_path):
+    """Under ``--scheme word`` the script trains on ``--words`` Zipf words
+    over at most ``--vocab`` distinct ones, and reports the model's bytes."""
+    done = subprocess.run([sys.executable, str(SCRIPTS / "train_scale.py"), "--scheme", "word",
+                           "--vocab", "40", "--words", "3000", "--order", "1", "--seed", "3",
+                           "--out", "w.json"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    record = json.loads((tmp_path / "w.json").read_text(encoding="utf-8"))
+    assert record["tokens"] == record["words"] == 3000
+    assert record["scheme"] == "word" and record["order"] == 1 and record["vocab"] == 40
+    assert 2 <= record["alphabet_size"] <= 40
+    assert record["model_bytes"] > 0 and record["seconds"] > 0
+    assert "train --order 1 on 3000 words" in done.stdout
+
+
 def test_detect_scale_times_a_fresh_detect(tmp_path):
     """The script runs detect on a document of exactly ``--chars`` characters
     from the null chain of its trained pair, and reports the child's time and
