@@ -3,7 +3,9 @@
 For each window size, samples distribution pairs, solves the exact transport
 problem, and reports the largest KL / dbar^2 ratio seen, with the boundary
 -biased sampler pushing mass toward the simplex edges where the ratio blows
-up.  Scatter CSVs feed straight into gnuplot.
+up.  Each run's report goes to probe_w<m>_<sampler>.json, as ``markovdetect
+probe`` writes probe.json, and its scatter CSV, which feeds straight into
+gnuplot, to scatter_w<m>_<sampler>.csv.
 
     python3 scripts/ratio_probe_sweep.py
     python3 scripts/ratio_probe_sweep.py --windows 1,2,3,4 --instances 5000
@@ -40,9 +42,9 @@ def main():
                                              seed=args.seed)
             print(f"{m:>6} {sampler:>18} {rep.sup_ratio:>10.4f} "
                   f"{rep.excluded:>9} {rep.violations:>10}")
-            name = f"scatter_w{m}_{sampler.replace('-', '_')}.csv"
-            (args.out_dir / name).write_text(rep.scatter_csv(), encoding="utf-8")
-    print(f"wrote scatter files to {args.out_dir}")
+            name = f"w{m}_{sampler.replace('-', '_')}"
+            rep.write(args.out_dir / f"probe_{name}.json", args.out_dir / f"scatter_{name}.csv")
+    print(f"wrote probe reports and scatter files to {args.out_dir}")
 
 
 if __name__ == "__main__":

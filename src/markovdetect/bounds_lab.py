@@ -14,8 +14,10 @@ of their sampler settings so runs can be told apart after the fact.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -350,11 +352,34 @@ class ProbeReport(JsonRecord):
         # the deep copy ``dataclasses.asdict`` makes of each
         return {**vars(self), "points": [vars(p) for p in self.points]}
 
-    def scatter_csv(self) -> str:
-        lines = ["qmin,dbar,kl,ratio"]
-        for p in self.points:
-            lines.append(f"{p.qmin!r},{p.dbar!r},{p.divergence!r},{p.ratio!r}")
-        return "\n".join(lines) + "\n"
+    def write(self, json_path: str | Path, csv_path: str | Path) -> None:
+        """Write the report, ``json.dumps(self.to_json(), sort_keys=True,
+        indent=2) + "\\n"`` byte for byte, and its scatter CSV: a
+        ``qmin,dbar,kl,ratio`` header and one line per point.
+
+        Each point column is formatted once, by ``repr`` as ``json`` writes
+        a finite number (the probe excludes every pair whose numbers are not
+        finite), and both files are filled from those texts, each point of
+        ``points`` through one ``%`` template of its sorted keys.  The other
+        keys go through ``json.dumps``.
+        """
+        texts = {name: list(map(kind.__repr__, [getattr(p, name) for p in self.points]))
+                 for name, kind in _POINT_COLUMNS}
+        points = ",\n    ".join(map(_POINT_TEMPLATE.__mod__, zip(*texts.values())))
+        text = json.dumps({**vars(self), "points": []}, sort_keys=True, indent=2)
+        if points:
+            text = text.replace('\n  "points": []', f'\n  "points": [\n    {points}\n  ]', 1)
+        Path(json_path).write_text(text + "\n")
+        rows = zip(texts["qmin"], texts["dbar"], texts["divergence"], texts["ratio"])
+        Path(csv_path).write_text("\n".join(["qmin,dbar,kl,ratio", *map(",".join, rows)]) + "\n",
+                                  encoding="utf-8")
+
+
+# a probe point's keys in sorted order, each with the type whose ``repr`` writes it
+_POINT_COLUMNS = (("dbar", float), ("divergence", float), ("index", int), ("qmin", float),
+                  ("ratio", float))
+_POINT_TEMPLATE = ("{\n      " + ",\n      ".join(f'"{name}": %s' for name, _ in _POINT_COLUMNS)
+                   + "\n    }")
 
 
 def divergence_transport_probe(
@@ -369,8 +394,10 @@ def divergence_transport_probe(
     The question probed: can KL be bounded by a constant times the squared
     per-letter transport distance, uniformly in the pair?  Near-degenerate
     pairs (transport below 1e-9) carry no ratio information and are excluded
-    but counted.  The boundary-biased sampler pushes q-mass floors toward
-    zero to stress any support dependence of the would-be constant.
+    but counted, as are pairs whose divergence is not finite, so every number
+    of every point is finite.  The boundary-biased sampler pushes q-mass
+    floors toward zero to stress any support dependence of the would-be
+    constant.
 
     Instance i draws its pair from ``spawn_rng(seed, 20, i)`` (see
     :func:`_probe_laws`); the pairs are then stacked and their divergences,
@@ -393,7 +420,7 @@ def divergence_transport_probe(
     # Python floats, so that each ratio is computed as for a single pair
     qmins = nus.min(axis=1).tolist()
     for i, (div, value) in enumerate(zip(divs.tolist(), values.tolist())):
-        if value < 1e-9 or math.isinf(div):
+        if value < 1e-9 or not math.isfinite(div):
             excluded += 1
             continue
         ratio = div / value ** 2

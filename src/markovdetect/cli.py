@@ -374,8 +374,7 @@ def cmd_probe(cfg, out) -> None:
         cfg["alphabet_size"], cfg["window"], cfg["instances"],
         sampler=cfg["sampler"], seed=cfg["seed"],
     )
-    dump_json(out / "probe.json", report.to_json())
-    (out / "probe_scatter.csv").write_text(report.scatter_csv(), encoding="utf-8")
+    report.write(out / "probe.json", out / "probe_scatter.csv")
     print(f"probed {report.instance_count} pairs: sup ratio {report.sup_ratio:.6f}, "
           f"{report.excluded} excluded, {report.violations} gate violations")
 

@@ -147,11 +147,11 @@ class Coupling:
         by CR LF as ``csv.writer`` ends them.  No field needs quoting: a word
         is its letters' digits (and minus signs) run together, a mass an
         ``fmt17`` float."""
-        words_x = self.atoms_x.tolist()
-        words_y = self.atoms_y.tolist()
+        words_x = ["".join(map(str, word)) for word in self.atoms_x.tolist()]
+        words_y = ["".join(map(str, word)) for word in self.atoms_y.tolist()]
         i, j, mass = _entry_columns(sorted(self.entries))
         lines = ["atom_x,atom_y,mass"]
-        lines += [f"{''.join(map(str, words_x[x]))},{''.join(map(str, words_y[y]))},{text}"
+        lines += [f"{words_x[x]},{words_y[y]},{text}"
                   for x, y, text in zip(i.tolist(), j.tolist(), fmt17_list(mass.tolist()))]
         with open(path, "w", newline="") as fh:
             fh.write("\r\n".join(lines) + "\r\n")

@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -256,25 +257,61 @@ def test_probe_boundary_bias_raises_ratios():
     assert flat.violations == edge.violations == 0
 
 
-def test_probe_report_fields():
+def test_probe_report_fields(tmp_path):
     rep = divergence_transport_probe(2, 2, 120, "dirichlet-uniform", seed=9)
     assert rep.instance_count == 120
     assert rep.excluded + len(rep.points) == 120
     assert rep.argmax["kl"] == pytest.approx(rep.sup_ratio * rep.argmax["dbar"] ** 2, rel=1e-9)
-    csv = rep.scatter_csv()
+    rep.write(tmp_path / "probe.json", tmp_path / "probe_scatter.csv")
+    csv = (tmp_path / "probe_scatter.csv").read_text(encoding="utf-8")
     assert csv.splitlines()[0] == "qmin,dbar,kl,ratio"
     assert len(csv.splitlines()) == 1 + len(rep.points)
     assert rep.config_digest
 
 
+def _probe_of_pairs(monkeypatch, keep):
+    """A probe of 100 8-atom pairs in which only the pairs ``keep`` differ:
+    every other pair is one law twice, at transport 0, and is excluded."""
+    gen = np.random.default_rng(8)
+    mus = gen.dirichlet(np.ones(8), size=100)
+    nus = mus.copy()
+    nus[keep] = gen.dirichlet(np.ones(8), size=len(keep))
+    monkeypatch.setattr(bounds_lab, "_probe_laws", lambda *args: (mus, nus))
+    return divergence_transport_probe(2, 3, 100, seed=0)
+
+
+@pytest.mark.parametrize("report", ["no points", "one point", "golden"])
+def test_probe_writer_writes_json_dumps_and_the_scatter_lines(monkeypatch, tmp_path, report):
+    """``ProbeReport.write`` gives probe.json the bytes of ``json.dumps`` of
+    ``to_json`` and probe_scatter.csv one ``repr`` line per point, for a
+    report with every instance excluded, one with a single point and the
+    100-instance report whose files are pinned by digest."""
+    if report == "golden":
+        rep = divergence_transport_probe(2, 3, 100, "boundary-biased", seed=0)
+    else:
+        rep = _probe_of_pairs(monkeypatch, [] if report == "no points" else [37])
+    assert len(rep.points) == {"no points": 0, "one point": 1, "golden": 100}[report]
+    assert rep.excluded == 100 - len(rep.points)
+    if not rep.points:
+        assert rep.argmax == {} and rep.sup_ratio == 0.0
+    rep.write(tmp_path / "probe.json", tmp_path / "probe_scatter.csv")
+    want = json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "probe.json").read_text() == want
+    lines = ["qmin,dbar,kl,ratio"]
+    lines += [f"{p.qmin!r},{p.dbar!r},{p.divergence!r},{p.ratio!r}" for p in rep.points]
+    assert (tmp_path / "probe_scatter.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_ratio_probe_sweep_script(tmp_path):
-    """The sweep script writes one scatter file per window and sampler."""
+    """The sweep script writes one report and one scatter file per window
+    and sampler."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "ratio_probe_sweep.py"
     subprocess.run([sys.executable, str(script), "--windows", "1,2", "--instances", "100",
                     "--out-dir", str(tmp_path)], check=True, capture_output=True)
     for m in (1, 2):
         for sampler in ("dirichlet_uniform", "boundary_biased"):
             assert (tmp_path / f"scatter_w{m}_{sampler}.csv").is_file()
+            assert json.loads((tmp_path / f"probe_w{m}_{sampler}.json").read_text())["window"] == m
 
 
 def test_probe_argument_validation():

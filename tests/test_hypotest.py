@@ -417,8 +417,9 @@ def test_iid_tables_of_wider_alphabets_are_built_without_full_size_copies(monkey
 ])
 def test_exact_tables_are_built_and_read_without_full_size_copies(build, pair, n):
     """Building a table peaks at no more than 1.8 times its bytes (its three
-    columns, the sort order and one gathered column); the threshold scan and
-    a miss over the whole table each add at most 0.6 times them."""
+    columns, the sort order and one gathered column); the threshold scan, a
+    miss over the whole table and a Bayes error each add at most 0.6 times
+    them, the Bayes error with the bits of its two-column form."""
     make = chain_model if build is _table_binary_chain else iid_model
     p, q = make(pair[0]), make(pair[1])
     build(p, q, 20)  # imports and caches outside the traced calls
@@ -430,6 +431,12 @@ def test_exact_tables_are_built_and_read_without_full_size_copies(build, pair, n
     assert peak <= 0.6 * size, peak / size
     _, peak = _traced_peak(lambda: engine.miss(table[0][0]))
     assert peak <= 0.6 * size, peak / size
+    error, peak = _traced_peak(lambda: engine.bayes(0.5))
+    assert peak <= 0.6 * size, peak / size
+    _, lp, lq = table
+    for prior in (0.5, 0.05):
+        joint = np.minimum(lp + math.log(prior), lq + math.log(1.0 - prior))
+        assert engine.bayes(prior) == (float(np.exp(_logsumexp(joint))), 0.0)
 
 
 def _logsumexp_cases(rng, count):
