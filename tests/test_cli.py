@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import markovdetect
+from markovdetect import hypotest
 from markovdetect.cli import main
 from markovdetect.corpus import Alphabet
 from markovdetect.hypotest import class_statistic, lrt_statistic, np_threshold
-from markovdetect.markov import chain_model, iid_model, sample
+from markovdetect.markov import MarkovModel, chain_model, iid_model, sample
 from markovdetect.util import load_json
 
 PRIMARY = lambda d: sorted(
@@ -810,15 +811,25 @@ def _run_fresh(*groups):
 
 
 def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
-    """train, score, detect on Monte Carlo calibration, and probe and dbar on
-    the 8-atom cube (tree enumeration) never load scipy; exponent, a probe on
-    the 16-atom cube and a dbar on 32 atoms (both HiGHS) load it on demand and
-    write the bytes an interpreter that imported scipy up front writes."""
+    """train, score, detect on Monte Carlo calibration, probe and dbar on the
+    8-atom cube (tree enumeration), and exact exponent and detect on the
+    binary-chain and i.i.d. lattices never load scipy; a Monte Carlo
+    exponent (its Clopper-Pearson interval), a probe on the 16-atom cube and
+    a dbar on 32 atoms (both HiGHS) load it on demand, and every command
+    writes the bytes an interpreter that imported scipy up front writes."""
     p_text, q_text = tmp_path / "authentic.txt", tmp_path / "generated.txt"
     p_text.write_text("abcacbbca" * 40, encoding="utf-8")
     q_text.write_text("aabbcabcc" * 40, encoding="utf-8")
     sample = tmp_path / "sample.txt"
     sample.write_text("abcabcaabbcc" * 3, encoding="utf-8")
+    # symbol counts unlike p_text's, for an order-0 pair of the i.i.d. lattice
+    skewed = tmp_path / "skewed.txt"
+    skewed.write_text("aabacabca" * 40, encoding="utf-8")
+    # a binary pair whose order-1 tables at n >= 13 are the chain lattice
+    p_bin, q_bin, bin_sample = (tmp_path / f"{name}.txt" for name in ("p_bin", "q_bin", "s_bin"))
+    p_bin.write_text("aab" * 300, encoding="utf-8")
+    q_bin.write_text("abbb" * 200, encoding="utf-8")
+    bin_sample.write_text("aabaaabaabaaaabaabab", encoding="utf-8")
     fair = [1 / 32] * 32
     biased = [0.9 ** (5 - bin(i).count("1")) * 0.1 ** bin(i).count("1") for i in range(32)]
     (tmp_path / "mu.json").write_text(json.dumps(fair), encoding="utf-8")
@@ -829,6 +840,8 @@ def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
 
     def runs(root):
         p, q = root / "p", root / "q"
+        models = {name: str(root / name / "model.json") for name in ("p0", "q0", "pb", "qb")}
+        lattices = ["--method", "exact", "--epsilon", "0.5", "--n-grid", "20,40,80"]
         light = [
             ["train", "--input", str(p_text), "--order", "1", "--smoothing", "0.1",
              "--out", str(p)],
@@ -842,6 +855,24 @@ def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
              "--out", str(root / "probe3")],
             ["dbar", "--mu", str(tmp_path / "mu3.json"), "--nu", str(tmp_path / "nu3.json"),
              "--window", "3", "--out", str(root / "dbar3")],
+            ["train", "--input", str(p_text), "--order", "0", "--out", str(root / "p0")],
+            ["train", "--input", str(skewed), "--order", "0",
+             "--alphabet-from", models["p0"], "--out", str(root / "q0")],
+            ["exponent", "--model-p", models["p0"], "--model-q", models["q0"], *lattices,
+             "--out", str(root / "exponent_iid")],
+            ["train", "--input", str(p_bin), "--order", "1", "--smoothing", "0.1",
+             "--out", str(root / "pb")],
+            ["train", "--input", str(q_bin), "--order", "1", "--smoothing", "0.1",
+             "--alphabet-from", models["pb"], "--out", str(root / "qb")],
+            ["exponent", "--model-p", models["pb"], "--model-q", models["qb"], *lattices,
+             "--out", str(root / "exponent_chain")],
+            ["detect", "--model-p", models["pb"], "--model-q", models["qb"],
+             "--text", str(bin_sample), "--out", str(root / "detect_chain")],
+        ]
+        special = [
+            ["exponent", "--model-p", models["p0"], "--model-q", models["q0"], "--method", "mc",
+             "--trials", "1000", "--epsilon", "0.5", "--n-grid", "4,8,12",
+             "--out", str(root / "exponent_mc")],
         ]
         heavy = [
             ["exponent", "--model-p", str(p / "model.json"), "--model-q", str(q / "model.json"),
@@ -851,17 +882,24 @@ def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
             ["dbar", "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
              "--window", "5", "--out", str(root / "dbar")],
         ]
-        return light, heavy
+        return light, special, heavy
 
-    without, loaded = _run_fresh(*runs(tmp_path / "fresh"))
+    without, special, loaded = _run_fresh(*runs(tmp_path / "fresh"))
     assert without == []
+    assert "scipy.special" in special
     assert {"scipy.special", "scipy.optimize", "scipy.sparse"} <= set(loaded)
+    pair0, pair_bin = ([MarkovModel.load(tmp_path / "fresh" / name / "model.json")
+                        for name in names] for names in (("p0", "q0"), ("pb", "qb")))
+    assert hypotest._table_engine(*pair0, 20) is hypotest._table_iid
+    assert hypotest._table_engine(*pair_bin, 20) is hypotest._table_binary_chain
 
     import scipy.optimize  # noqa: F401  (the in-process runs find scipy loaded)
     import scipy.special  # noqa: F401
     for argv in sum(runs(tmp_path / "warm"), []):
         assert main(argv) == 0
-    for name in ("p", "q", "score", "detect", "probe", "probe3", "dbar3", "exponent", "dbar"):
+    for name in ("p", "q", "score", "detect", "probe", "probe3", "dbar3", "p0", "q0",
+                 "exponent_iid", "pb", "qb", "exponent_chain", "detect_chain", "exponent_mc",
+                 "exponent", "dbar"):
         fresh, warm = snapshot(tmp_path / "fresh" / name), snapshot(tmp_path / "warm" / name)
         for files in (fresh, warm):  # it records the output path
             del files["resolved_config.json"]

@@ -1,4 +1,5 @@
 import math
+import platform
 import re
 import struct
 import tracemalloc
@@ -25,6 +26,7 @@ from markovdetect.hypotest import (
     _TableEngine,
     _clopper_pearson,
     _compositions,
+    _gammaln_range,
     _llr_stats,
     _log_matrix,
     _logsumexp,
@@ -464,6 +466,21 @@ def test_logsumexp_is_scipys_bit_for_bit(rng):
     for a in _logsumexp_cases(rng, 1200):
         got, want = _logsumexp(a), float(logsumexp(a))
         assert struct.pack("<d", got) == struct.pack("<d", want), (a, got, want)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 13, 14, 1000, 1001, CHAIN_LATTICE_NMAX + 2,
+                                   IID_LATTICE_CAP + 2])
+def test_gammaln_range_is_scipys_bit_for_bit(count):
+    """The lattices' log-factorial lookup has gammaln's bits at every integer
+    they can ask for; the counts are the edges of its branches and of both
+    lattices' domains."""
+    got, want = _gammaln_range(count), gammaln(np.arange(count))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert differ.size == 0, (
+        f"gammaln of {differ.size} integers below {count} differs from scipy "
+        f"{scipy.__version__} on {platform.machine()} ({platform.system()}), first at "
+        f"k = {differ[:5].tolist()}; a platform that fuses multiply-adds changes cephes' bits")
 
 
 def test_logsumexp_matches_an_exactly_rounded_sum(rng):

@@ -104,3 +104,20 @@ def test_table_scale_times_a_fresh_exact_exponent(tmp_path):
     assert record["n_grid"] == [16, 32, 64] and record["engine"] == "exact"
     assert record["slope"] > 0 and record["seconds"] > 0 and record["peak_rss_mb"] > 0
     assert "exponent on the chain pair at n = 16,32,64: exact" in done.stdout
+
+
+def test_table_scale_times_the_iid_pair_and_refuses_a_grid_past_the_cap(tmp_path):
+    """``--pair iid`` fits the benchmark's 3-symbol i.i.d. pair by the exact
+    lattice, and refuses an N whose C(N + 2, 2) classes exceed
+    IID_LATTICE_CAP (N = 893) before starting a child."""
+    script = [sys.executable, str(SCRIPTS / "table_scale.py"), "--pair", "iid"]
+    done = subprocess.run([*script, "--n", "40", "--out", "t.json"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=180)
+    assert done.returncode == 0, done.stderr
+    record = json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))
+    assert record["n_grid"] == [10, 20, 40] and record["engine"] == "exact"
+    assert record["slope"] > 0 and record["seconds"] > 0 and record["peak_rss_mb"] > 0
+    assert "exponent on the iid pair at n = 10,20,40: exact" in done.stdout
+    refused = subprocess.run([*script, "--n", "893"], cwd=tmp_path,
+                             capture_output=True, text=True, timeout=60)
+    assert refused.returncode == 2 and "--n must lie in 12..892 on the iid pair" in refused.stderr
