@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,18 +95,25 @@ class TokenSeq:
 
 
 def _word_alphabet(words: list[str], vocab_limit: int | None) -> Alphabet:
-    counts = Counter(words)
-    first_seen: dict[str, int] = {}
-    for i, w in enumerate(words):
-        first_seen.setdefault(w, i)
-    ordered = sorted(first_seen, key=first_seen.get)
+    ordered = list(dict.fromkeys(words))  # in order of first appearance
     if vocab_limit is not None and len(ordered) > vocab_limit:
         # keep the most frequent (limit - 1) words, reserving one slot for <oov>;
-        # rarest first to go, ties broken toward later first appearance
-        keep = sorted(ordered, key=lambda w: (-counts[w], first_seen[w]))[: vocab_limit - 1]
-        keep = sorted(keep, key=first_seen.get)
-        return Alphabet(tuple(keep) + (OOV_SYMBOL,), oov_policy="map")
+        # rarest first to go, ties (the sort is stable) toward later first appearance
+        counts = Counter(words)
+        keep = set(sorted(ordered, key=lambda w: -counts[w])[: vocab_limit - 1])
+        return Alphabet(tuple(w for w in ordered if w in keep) + (OOV_SYMBOL,),
+                        oov_policy="map")
     return Alphabet(tuple(ordered))
+
+
+def _word_codes(words: list[str], alphabet: Alphabet) -> np.ndarray:
+    """Codes of ``words`` under ``alphabet`` by one pass of its dict, applying
+    its OOV policy to the first word it lacks, in text order."""
+    miss = alphabet.index(OOV_SYMBOL) if alphabet.oov_policy == "map" else -1
+    codes = np.fromiter(map(alphabet._index.get, words, repeat(miss)), np.int64, len(words))
+    if miss < 0 and (codes < 0).any():
+        raise TokenizerError(f"symbol {words[int(np.argmax(codes < 0))]!r} not in alphabet")
+    return codes
 
 
 def _first_seen(points: np.ndarray) -> np.ndarray:
@@ -163,7 +171,7 @@ def tokenize(
     text is coded in whole-array passes: the UTF-8 bytes, or the code points
     of ``text.encode("utf-32-le", "surrogatepass")`` (so a lone surrogate is
     one symbol, as in ``list(text)``), go through one code-point table.
-    Words are coded one by one through the alphabet's dict.
+    Words are coded by one pass of the alphabet's dict.
     """
     if scheme not in SCHEMES:
         raise TokenizerError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -178,7 +186,7 @@ def tokenize(
     if scheme == "word":
         if alphabet is None:
             alphabet = _word_alphabet(parts, vocab_limit)
-        return TokenSeq(np.array([alphabet.index(p) for p in parts], dtype=np.int64)), alphabet
+        return TokenSeq(_word_codes(parts, alphabet)), alphabet
     points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     if alphabet is None:
         seen = _first_seen(points)

@@ -23,7 +23,7 @@ from collections import Counter
 import numpy as np
 from scipy.special import gammaln
 
-from markovdetect.corpus import _BYTE_SYMBOLS, Alphabet, TokenSeq
+from markovdetect.corpus import _BYTE_SYMBOLS, OOV_SYMBOL, Alphabet, TokenSeq
 from markovdetect.errors import (
     DegenerateStatisticWarning,
     NonConvergenceError,
@@ -86,17 +86,36 @@ def counter_fit_json(seq, k, alphabet, smoothing=0.0, scheme=None):
     }
 
 
-def loop_tokenize(text, scheme="char", alphabet=None):
-    """Char and byte tokenizing one symbol at a time through the alphabet's
-    dict, distinct characters in order of first appearance."""
+def loop_word_alphabet(words, vocab_limit):
+    """The word alphabet from first-seen indices: at most ``vocab_limit``
+    symbols, the most frequent words and ``<oov>``, ties toward earlier
+    first appearance."""
+    counts = Counter(words)
+    first_seen = {}
+    for i, w in enumerate(words):
+        first_seen.setdefault(w, i)
+    ordered = sorted(first_seen, key=first_seen.get)
+    if vocab_limit is not None and len(ordered) > vocab_limit:
+        keep = sorted(ordered, key=lambda w: (-counts[w], first_seen[w]))[: vocab_limit - 1]
+        keep = sorted(keep, key=first_seen.get)
+        return Alphabet(tuple(keep) + (OOV_SYMBOL,), oov_policy="map")
+    return Alphabet(tuple(ordered))
+
+
+def loop_tokenize(text, scheme="char", alphabet=None, vocab_limit=None):
+    """Tokenizing one symbol at a time through the alphabet's dict, distinct
+    characters in order of first appearance, words by
+    :func:`loop_word_alphabet`."""
     if scheme == "byte":
         if alphabet is None:
             alphabet = Alphabet(_BYTE_SYMBOLS)
         codes = [alphabet.index(chr(b)) for b in text.encode("utf-8")]
         return TokenSeq(np.array(codes, dtype=np.int64)), alphabet
-    parts = list(text)
+    parts = text.split() if scheme == "word" else list(text)
     if not parts:
         raise TokenizerError(f"scheme {scheme!r} needs nonempty text")
+    if scheme == "word" and alphabet is None:
+        alphabet = loop_word_alphabet(parts, vocab_limit)
     if alphabet is None:
         seen = {}
         for ch in parts:

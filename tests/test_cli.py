@@ -780,6 +780,20 @@ def test_cli_import_leaves_scipy_out():
     assert [json.loads(line) for line in _fresh_python(code).splitlines()] == [[], []]
 
 
+def test_monte_carlo_exponent_fit_leaves_scipy_out():
+    """A Monte Carlo exponent fit keeps only log miss frequencies, so it never
+    computes the Clopper-Pearson interval whose betaincinv loads
+    scipy.special; miss_probability, which reports that interval, does."""
+    code = ("import json, sys\n"
+            "from markovdetect import exponent_fit, iid_model, miss_probability\n"
+            "p, q = iid_model([0.5, 0.5]), iid_model([0.7, 0.3])\n"
+            "fit = exponent_fit(p, q, 0.5, [4, 8, 12], trials=1000, method='mc')\n"
+            "print(fit.method, json.dumps(%s))\n"
+            "miss_probability(p, q, 8, 0.0, trials=1000, method='mc')\n"
+            "print('scipy.special' in sys.modules)\n" % _SCIPY_LOADED)
+    assert _fresh_python(code).split() == ["mc", "[]", "True"]
+
+
 def test_python_dash_m_runs_the_cli():
     """``python -m markovdetect`` reaches ``cli.main`` through ``__main__``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -812,11 +826,12 @@ def _run_fresh(*groups):
 
 def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
     """train, score, detect on Monte Carlo calibration, probe and dbar on the
-    8-atom cube (tree enumeration), and exact exponent and detect on the
-    binary-chain and i.i.d. lattices never load scipy; a Monte Carlo
-    exponent (its Clopper-Pearson interval), a probe on the 16-atom cube and
-    a dbar on 32 atoms (both HiGHS) load it on demand, and every command
-    writes the bytes an interpreter that imported scipy up front writes."""
+    8-atom cube (tree enumeration), exact exponent and detect on the
+    binary-chain and i.i.d. lattices, and a Monte Carlo exponent (which
+    needs no Clopper-Pearson interval) never load scipy; a probe on the
+    16-atom cube and a dbar on 32 atoms (both HiGHS) load it on demand, and
+    every command writes the bytes an interpreter that imported scipy up
+    front writes."""
     p_text, q_text = tmp_path / "authentic.txt", tmp_path / "generated.txt"
     p_text.write_text("abcacbbca" * 40, encoding="utf-8")
     q_text.write_text("aabbcabcc" * 40, encoding="utf-8")
@@ -868,8 +883,6 @@ def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
              "--out", str(root / "exponent_chain")],
             ["detect", "--model-p", models["pb"], "--model-q", models["qb"],
              "--text", str(bin_sample), "--out", str(root / "detect_chain")],
-        ]
-        special = [
             ["exponent", "--model-p", models["p0"], "--model-q", models["q0"], "--method", "mc",
              "--trials", "1000", "--epsilon", "0.5", "--n-grid", "4,8,12",
              "--out", str(root / "exponent_mc")],
@@ -882,11 +895,10 @@ def test_commands_load_scipy_only_in_the_engines_that_call_it(tmp_path):
             ["dbar", "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
              "--window", "5", "--out", str(root / "dbar")],
         ]
-        return light, special, heavy
+        return light, heavy
 
-    without, special, loaded = _run_fresh(*runs(tmp_path / "fresh"))
+    without, loaded = _run_fresh(*runs(tmp_path / "fresh"))
     assert without == []
-    assert "scipy.special" in special
     assert {"scipy.special", "scipy.optimize", "scipy.sparse"} <= set(loaded)
     pair0, pair_bin = ([MarkovModel.load(tmp_path / "fresh" / name / "model.json")
                         for name in names] for names in (("p0", "q0"), ("pb", "qb")))

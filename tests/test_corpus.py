@@ -135,6 +135,31 @@ def test_tokenize_equals_the_per_character_loop_on_any_text(text, scheme, alphab
             == _outcome(text, scheme, alphabet, loop_tokenize))
 
 
+WORD_TEXTS = ["the cat sat on the mat the cat", "b a b", "  a\tb\n a  c b \u00e9 a ",
+              "one", "x y z x y x w v u", "", "   "]
+WORD_ALPHABETS = [None, Alphabet(("the", "cat", "a", "b")),
+                  Alphabet(("the", "cat", "x", OOV_SYMBOL), oov_policy="map")]
+
+
+def _word_outcome(text, alphabet, vocab_limit, tokenizer):
+    try:
+        seq, used = tokenizer(text, "word", alphabet=alphabet, vocab_limit=vocab_limit)
+    except (TokenizerError, ValueError) as exc:  # one distinct word: too few symbols
+        return type(exc), str(exc)
+    return seq.tokens.dtype, seq.tokens.tolist(), used
+
+
+@pytest.mark.parametrize("vocab_limit", [None, 2, 3, 4, 100])
+@pytest.mark.parametrize("alphabet", WORD_ALPHABETS, ids=["none", "error", "map"])
+@pytest.mark.parametrize("text", WORD_TEXTS)
+def test_word_tokenize_equals_the_per_word_loop(text, alphabet, vocab_limit):
+    """The word alphabet (first-seen order, the vocabulary cap and its
+    ties), the codes and the refusal of the first word outside an explicit
+    alphabet, in text order, are those of the per-word loop."""
+    assert (_word_outcome(text, alphabet, vocab_limit, tokenize)
+            == _word_outcome(text, alphabet, vocab_limit, loop_tokenize))
+
+
 def test_first_seen_order_reaches_past_the_first_block():
     """A symbol that first appears deep in a long text still takes its place
     in first-seen order."""

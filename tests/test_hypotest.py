@@ -332,6 +332,37 @@ def logaddexp_reads(monkeypatch):
     return counter
 
 
+class _CountingCumsum:
+    """``np.cumsum`` that counts the values it reads."""
+
+    def __init__(self):
+        self.func, self.read = np.cumsum, 0
+
+    def __call__(self, values, *args, **kwargs):
+        self.read += len(values)
+        return self.func(values, *args, **kwargs)
+
+
+@pytest.fixture
+def cumsum_reads(monkeypatch):
+    counter = _CountingCumsum()
+    monkeypatch.setattr(hypotest.np, "cumsum", counter)
+    return counter
+
+
+@pytest.fixture
+def log_scans(monkeypatch):
+    """The calls of the log-domain threshold scan, the screen's fallback."""
+    calls = []
+    scan = hypotest._log_scan_threshold
+
+    def counted(*args):
+        calls.append(args[-1])
+        return scan(*args)
+    monkeypatch.setattr(hypotest, "_log_scan_threshold", counted)
+    return calls
+
+
 def _scan_both(table, eps):
     got = _TableEngine(len(table[0]), eps, table).threshold(eps)
     assert got == full_scan_threshold(table[0], table[1], eps)
@@ -339,9 +370,9 @@ def _scan_both(table, eps):
 
 
 def test_threshold_scan_stops_at_a_run_whose_mass_below_is_epsilon(rng, logaddexp_reads):
-    """epsilon equal to the P-mass below a run early in the second chunk:
-    that run is the answer, as in the full scan, and the scan stops after
-    that chunk."""
+    """epsilon equal to the P-mass below a run early in the second chunk,
+    inside the screen's band: that run is the answer, as in the full scan,
+    and the log-domain scan stops after that chunk."""
     stats, lp, lq = table = _long_table(rng)
     below = np.concatenate([[-np.inf], logaddexp_reads.ufunc.accumulate(lp)[:-1]])
     start = int(np.flatnonzero(stats[_SCAN_CHUNK + 1:] != stats[_SCAN_CHUNK:-1])[0]) + _SCAN_CHUNK + 1
@@ -357,14 +388,16 @@ def test_threshold_scan_below_the_first_class_mass(rng):
     assert _scan_both(table, float(np.exp(lp[0])) / 2) == stats[0]
 
 
-def test_threshold_scan_runs_to_the_last_class(rng, logaddexp_reads):
+def test_threshold_scan_runs_to_the_last_class(rng, logaddexp_reads, cumsum_reads):
     """With half the P-mass on the last class, epsilon above the rest makes
-    the scan read every chunk and answer the last statistic."""
+    the screen read every chunk and answer the last statistic, with no
+    log-domain scan."""
     stats, lp, lq = _long_table(rng)
     stats[-1] = stats[-2] + 1.0
     lp = np.log(np.append(np.exp(lp[:-1]) / np.exp(lp[:-1]).sum() / 2, 0.5))
     assert _TableEngine(len(stats), 0.6, (stats, lp, lq)).threshold(0.6) == stats[-1]
-    assert logaddexp_reads.read == len(stats) + 3  # four chunks, three carried sums
+    assert cumsum_reads.read == len(stats)  # four chunks, each carried sum added in place
+    assert logaddexp_reads.read == 0
     assert full_scan_threshold(stats, lp, 0.6) == stats[-1]
 
 
@@ -380,6 +413,94 @@ def test_threshold_scan_of_coincident_statistics_warns_once(rng):
     got = _threshold_and_warning(lambda: _TableEngine(len(stats), 0.3, (stats, lp, lq)).threshold(0.3))
     assert got == (stats[0], [DegenerateStatisticWarning])
     assert got == _threshold_and_warning(lambda: full_scan_threshold(stats, lp, 0.3))
+
+
+def _run_start_table(rng, classes, start):
+    """A long table with a run of tied statistics starting at ``start`` and
+    the mass the full scan finds below it, as that scan computes it."""
+    stats, lp, lq = _long_table(rng, classes, runs=max(2, classes // 4))
+    stats[start:] += 0.5  # no run straddles start
+    below = np.exp(np.logaddexp.accumulate(lp)[start - 1])
+    return (stats, lp, lq), float(below)
+
+
+def _screen_offsets(mass, classes):
+    """epsilon at ``mass``, one ulp and half a screen margin either side, and
+    two margins either side, each as (label, epsilon, inside the band)."""
+    margin = hypotest._screen_margin(classes, mass)
+    return [("at", mass, True), ("ulp up", np.nextafter(mass, 1.0), True),
+            ("ulp down", np.nextafter(mass, 0.0), True),
+            ("half margin up", mass * (1 + margin / 2), True),
+            ("half margin down", mass * (1 - margin / 2), True),
+            ("two margins up", mass * (1 + 2 * margin), False),
+            ("two margins down", mass * (1 - 2 * margin), False)]
+
+
+@pytest.mark.parametrize("start", [_SCAN_CHUNK - 1, _SCAN_CHUNK, _SCAN_CHUNK + 1])
+def test_threshold_screen_at_the_mass_below_a_run_start(rng, log_scans, start):
+    """epsilon at the P-mass below a run that starts across a chunk
+    boundary, within an ulp or half a margin of it, falls in the screen's
+    band and takes the log-domain scan; two margins off, the screen decides
+    alone.  Each answer and warning is the full scan's."""
+    table, mass = _run_start_table(rng, 2 * _SCAN_CHUNK + 3, start)
+    stats, lp, _ = table
+    answers = set()
+    for label, eps, inside in _screen_offsets(mass - hypotest._TIE_TOL, len(stats)):
+        log_scans.clear()
+        got = _threshold_and_warning(lambda: _TableEngine(len(stats), eps, table).threshold(eps))
+        assert got == _threshold_and_warning(lambda: full_scan_threshold(stats, lp, eps)), label
+        assert len(log_scans) == inside, label
+        answers.add(got[0])
+    assert answers == {stats[start - 1], stats[start]}  # both sides of the run are answered
+
+
+def test_threshold_screen_on_a_one_class_table(log_scans):
+    stats, lp = np.array([0.25]), np.array([-1e-17])
+    for eps in (1e-12, 0.5, np.nextafter(1.0, 0.0)):
+        got = _threshold_and_warning(lambda: _TableEngine(1, eps, (stats, lp, lp)).threshold(eps))
+        assert got == (0.25, [DegenerateStatisticWarning])
+        assert got == _threshold_and_warning(lambda: full_scan_threshold(stats, lp, eps))
+    assert log_scans == []
+
+
+def test_threshold_screen_as_epsilon_nears_one(rng, log_scans):
+    """epsilon a few ulp below 1 on a table with every mass tiny near the
+    top: the answer is the full scan's, whichever path gives it."""
+    stats, lp, lq = table = _long_table(rng, 2 * _SCAN_CHUNK + 3)
+    for eps in (0.999, 1 - 1e-9, 1 - 1e-12, np.nextafter(1.0, 0.0)):
+        got = _threshold_and_warning(lambda: _TableEngine(len(stats), eps, table).threshold(eps))
+        assert got == _threshold_and_warning(lambda: full_scan_threshold(stats, lp, eps)), eps
+
+
+def test_threshold_screen_where_masses_underflow(rng, log_scans, monkeypatch):
+    """Classes whose masses underflow to 0 or subnormals in the linear sums,
+    at epsilon down to a subnormal, answer as the full scan does; a bound
+    below the normal range (with no tie tolerance) takes the log scan."""
+    stats, lp, lq = _long_table(rng, _SCAN_CHUNK + 7, runs=50)
+    lp[:3000] = rng.uniform(-760, -700, 3000)  # exp underflows or goes subnormal
+    lp[3000:] -= np.logaddexp.reduce(lp[3000:])  # the rest carries all the mass
+    table = (stats, lp, lq)
+    for eps in (5e-324, 1e-310, 1e-300, 1e-16, 1e-3, 0.5):
+        got = _threshold_and_warning(lambda: _TableEngine(len(stats), eps, table).threshold(eps))
+        assert got == _threshold_and_warning(lambda: full_scan_threshold(stats, lp, eps)), eps
+    monkeypatch.setattr(hypotest, "_TIE_TOL", 0.0)
+    want = hypotest._log_scan_threshold(stats, lp, 1e-310)
+    log_scans.clear()
+    assert _TableEngine(len(stats), 1e-310, table).threshold(1e-310) == want
+    assert log_scans == [1e-310]
+
+
+def test_threshold_screen_needs_no_log_scan_on_the_benchmark_pairs(log_scans):
+    """The exponent-exact benchmark's tables at epsilon = 0.5 are decided by
+    the screen alone."""
+    chain = (chain_model([[0.7, 0.3], [0.4, 0.6]]), chain_model([[0.5, 0.5], [0.5, 0.5]]))
+    iid = (iid_model([0.5, 0.3, 0.2]), iid_model([0.4, 0.4, 0.2]))
+    for (p, q), grid in ((chain, (128, 256, 512)), (iid, (50, 100, 150, 200))):
+        for n in grid:
+            stats, lp, lq = table = exact_statistic_table(p, q, n)
+            got = _TableEngine(n, 0.5, table).threshold(0.5)
+            assert got == full_scan_threshold(stats, lp, 0.5), n
+    assert log_scans == []
 
 
 def _traced_peak(call):
@@ -1177,6 +1298,9 @@ class _StubEngine:
 
     def threshold(self, epsilon):
         return 0.25
+
+    def log_miss(self, threshold):
+        return -self.n / 10
 
     def miss(self, threshold):
         beta = math.exp(-self.n / 10)
