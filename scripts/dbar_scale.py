@@ -13,15 +13,12 @@ of that child).  Writing the laws is not timed.
 """
 import argparse
 import json
-import os
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from detect_scale import _run
-from train_scale import SRC
+from train_scale import run_cli, write_record
 
 MAX_WINDOW = 12  # 2**12 words, the exact-transport atom cap
 
@@ -51,25 +48,19 @@ def main():
     runs = []
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         for law, (mu, nu) in law_pairs(args.window, args.seed).items():
             for name, weights in (("mu", mu), ("nu", nu)):
                 (work / f"{name}.json").write_text(json.dumps(weights.tolist()), encoding="utf-8")
-            argv = [sys.executable, "-m", "markovdetect", "dbar", "--mu", str(work / "mu.json"),
-                    "--nu", str(work / "nu.json"), "--window", str(args.window),
-                    "--alphabet-size", "2", "--out", str(work / law)]
-            seconds, peak_mb = _run(argv, env, work / "dbar.log")
+            seconds, peak_mb = run_cli(["dbar", "--mu", str(work / "mu.json"),
+                                        "--nu", str(work / "nu.json"),
+                                        "--window", str(args.window), "--alphabet-size", "2",
+                                        "--out", str(work / law)], work)
             result = json.loads((work / law / "dbar.json").read_text())
             runs.append({"law": law, "engine": result["engine"], "value": float(result["value"]),
                          "seconds": seconds, "peak_rss_mb": peak_mb})
             print(f"dbar on the {law} pair at window {args.window}: {result['engine']}, "
                   f"{seconds:.2f} s, peak RSS {peak_mb:.0f} MB")
-    if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        record = {"window": args.window, "seed": args.seed, "runs": runs}
-        args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
+    write_record(args.out, {"window": args.window, "seed": args.seed, "runs": runs})
 
 
 if __name__ == "__main__":

@@ -13,30 +13,12 @@ grows with ``--chars``.  Training and generating are not timed.
 """
 import argparse
 import json
-import os
-import subprocess
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-from train_scale import SRC, order2_corpus
+from train_scale import order2_corpus, run_cli, write_record
 
 TRAIN_CHARS = 60_000
-
-
-def _run(argv, env, log: Path) -> tuple[float, float]:
-    """Run ``argv`` and return its wall seconds and peak RSS in MB; exit on failure."""
-    with log.open("w", encoding="utf-8") as err:
-        start = time.perf_counter()
-        child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
-        _, status, usage = os.wait4(child.pid, 0)
-        seconds = time.perf_counter() - start
-    # reaped here, so tell the Popen object how the child ended
-    child.returncode = os.waitstatus_to_exitcode(status)
-    if child.returncode:
-        sys.exit(f"{argv[3]} exited {child.returncode}: {log.read_text().strip()}")
-    return seconds, usage.ru_maxrss / 1024.0
 
 
 def main():
@@ -51,32 +33,25 @@ def main():
 
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        cli = [sys.executable, "-m", "markovdetect"]
         for name, seed in (("p", args.seed), ("q", args.seed + 1)):
             corpus = work / f"{name}.txt"
             corpus.write_text(order2_corpus(TRAIN_CHARS, seed), encoding="utf-8")
-            argv = cli + ["train", "--input", str(corpus), "--order", "2", "--smoothing", "0.01",
-                          "--out", str(work / name)]
+            argv = ["train", "--input", str(corpus), "--order", "2", "--smoothing", "0.01",
+                    "--out", str(work / name)]
             if name == "q":
                 argv += ["--alphabet-from", str(work / "p" / "model.json")]
-            _run(argv, env, work / "train.log")
+            run_cli(argv, work)
         doc = work / "doc.txt"
         doc.write_text(order2_corpus(args.chars, args.seed), encoding="utf-8")
-        argv = cli + ["detect", "--model-p", str(work / "p" / "model.json"),
-                      "--model-q", str(work / "q" / "model.json"), "--text", str(doc),
-                      "--out", str(work / "detect")]
-        seconds, peak_mb = _run(argv, env, work / "detect.log")
+        seconds, peak_mb = run_cli(["detect", "--model-p", str(work / "p" / "model.json"),
+                                    "--model-q", str(work / "q" / "model.json"),
+                                    "--text", str(doc), "--out", str(work / "detect")], work)
         result = json.loads((work / "detect" / "detect.json").read_text())
     record = {"chars": args.chars, "seed": args.seed, "tokens": result["tokens"],
               "verdict": result["verdict"], "seconds": seconds, "peak_rss_mb": peak_mb}
     print(f"detect on {args.chars} characters: {seconds:.2f} s, peak RSS {peak_mb:.0f} MB "
           f"(verdict {result['verdict']})")
-    if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
+    write_record(args.out, record)
 
 
 if __name__ == "__main__":

@@ -18,13 +18,11 @@ to the largest.  Writing the models is not timed.
 import argparse
 import json
 import math
-import os
 import sys
 import tempfile
 from pathlib import Path
 
-from detect_scale import _run
-from train_scale import SRC
+from train_scale import SRC, run_cli, write_record
 
 sys.path.insert(0, str(SRC))
 
@@ -59,24 +57,18 @@ def main():
 
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         for name, rows in zip("pq", masses):
             make(rows).save(work / f"{name}.json")
-        argv = [sys.executable, "-m", "markovdetect", "exponent",
-                "--model-p", str(work / "p.json"), "--model-q", str(work / "q.json"),
-                "--method", "exact", "--epsilon", "0.5",
-                "--n-grid", grid_text, "--out", str(work / "exponent")]
-        seconds, peak_mb = _run(argv, env, work / "exponent.log")
+        seconds, peak_mb = run_cli(["exponent", "--model-p", str(work / "p.json"),
+                                    "--model-q", str(work / "q.json"), "--method", "exact",
+                                    "--epsilon", "0.5", "--n-grid", grid_text,
+                                    "--out", str(work / "exponent")], work)
         fit = json.loads((work / "exponent" / "exponent.json").read_text())
     record = {"n_grid": grid, "engine": fit["method"], "slope": fit["slope"],
               "seconds": seconds, "peak_rss_mb": peak_mb}
     print(f"exponent on the {args.pair} pair at n = {grid_text}: {fit['method']}, "
           f"{seconds:.2f} s, peak RSS {peak_mb:.0f} MB")
-    if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
+    write_record(args.out, record)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ corpus of ``--chars`` characters over 16 letters and a space; with
 ``markovdetect train --scheme S --order k --smoothing 0.01`` on it in a
 child interpreter (``--order`` defaults to 2 for characters and 1 for
 words) and prints the child's wall time, its peak resident memory
-(``getrusage(RUSAGE_CHILDREN)``) and the size of the ``model.json`` it
-wrote.  Generating the corpus is not timed.
+(``os.wait4`` of that child) and the size of the ``model.json`` it wrote.
+Generating the corpus is not timed.  :func:`run_cli` and
+:func:`write_record` are the child runner and the ``--out`` writer of all
+four ``scripts/*_scale.py``.
 
     python3 scripts/train_scale.py
     python3 scripts/train_scale.py --chars 200000 --seed 3 --out scale.json
@@ -17,7 +19,6 @@ wrote.  Generating the corpus is not timed.
 import argparse
 import json
 import os
-import resource
 import subprocess
 import sys
 import tempfile
@@ -29,6 +30,35 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 SYMBOLS = b"abcdefghijklmnop "
 STRAND_LEN = 1000
+
+
+def run_cli(args: list[str], work: Path) -> tuple[float, float]:
+    """Run ``markovdetect *args`` in a child interpreter that imports ``SRC``,
+    logging its stderr to ``work/<command>.log``; return its wall seconds and
+    its own peak RSS in MB (``os.wait4`` of that child), and exit with its
+    stderr if it fails."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    log = work / f"{args[0]}.log"
+    with log.open("w", encoding="utf-8") as err:
+        start = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "markovdetect", *args], env=env,
+                                 stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        seconds = time.perf_counter() - start
+    # reaped here, so tell the Popen object how the child ended
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        sys.exit(f"{args[0]} exited {child.returncode}: {log.read_text().strip()}")
+    return seconds, usage.ru_maxrss / 1024.0
+
+
+def write_record(path: Path | None, record: dict) -> None:
+    """Write ``record`` to ``path`` as key-sorted JSON, if a path was given."""
+    if path:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
 
 
 def order2_corpus(chars: int, seed: int) -> str:
@@ -86,24 +116,17 @@ def main():
     unit = "words" if word else "characters"
 
     with tempfile.TemporaryDirectory() as work:
-        corpus = Path(work) / "corpus.txt"
+        work = Path(work)
+        corpus = work / "corpus.txt"
         text = (zipf_words(length, args.vocab, args.seed) if word
                 else order2_corpus(length, args.seed))
         corpus.write_text(text, encoding="utf-8")
         del text
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        argv = [sys.executable, "-m", "markovdetect", "train", "--input", str(corpus),
-                "--scheme", args.scheme, "--order", str(order), "--smoothing", "0.01",
-                "--out", str(Path(work) / "model")]
-        start = time.perf_counter()
-        done = subprocess.run(argv, env=env, capture_output=True, text=True)
-        seconds = time.perf_counter() - start
-        if done.returncode:
-            sys.exit(f"train exited {done.returncode}: {done.stderr.strip()}")
-        summary = json.loads((Path(work) / "model" / "train_summary.json").read_text())
-        model_bytes = (Path(work) / "model" / "model.json").stat().st_size
-    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        seconds, peak_mb = run_cli(["train", "--input", str(corpus), "--scheme", args.scheme,
+                                    "--order", str(order), "--smoothing", "0.01",
+                                    "--out", str(work / "model")], work)
+        summary = json.loads((work / "model" / "train_summary.json").read_text())
+        model_bytes = (work / "model" / "model.json").stat().st_size
     record = {"scheme": args.scheme, "order": order, "words" if word else "chars": length,
               "seed": args.seed, "tokens": summary["tokens"],
               "alphabet_size": summary["alphabet_size"],
@@ -114,10 +137,7 @@ def main():
     print(f"train --order {order} on {length} {unit}: {seconds:.2f} s, "
           f"peak RSS {peak_mb:.0f} MB, model.json {model_bytes / 1e6:.1f} MB "
           f"({summary['alphabet_size']} symbols, {summary['distinct_contexts']} contexts)")
-    if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
+    write_record(args.out, record)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from .bounds_lab import (
     divergence_transport_probe,
 )
 from .corpus import SCHEMES, tokenize
-from .errors import DataContractError, MarkovDetectError
+from .errors import DataContractError, MarkovDetectError, TokenizerError
 from .hypotest import METHODS, class_statistic, exponent_fit, lrt_statistic, np_threshold
 from .infometrics import ContinuityProfile, kl_rate
 from .markov import MarkovModel, fit_empirical, log_likelihood
@@ -162,16 +162,20 @@ def _text_model(path) -> MarkovModel:
     return model
 
 
-def _text_tokens(path, model: MarkovModel):
-    """The text at ``path`` coded under ``model``'s scheme and alphabet; an
-    empty file, or one of only whitespace under the word scheme, raises
+def _text_tokens(path, scheme: str, alphabet=None, vocab_limit=None):
+    """The text at ``path`` coded by :func:`corpus.tokenize`: the codes and
+    the alphabet.  An empty file, one of only whitespace under the word
+    scheme, and every :class:`TokenizerError` raise a
     :class:`DataContractError` naming it."""
     text = read_text(path)
     if not text:
-        raise DataContractError(f"{path}: the text is empty, so there is nothing to score")
-    if model.scheme == "word" and not text.split():
-        raise DataContractError(f"{path}: the text has no words, so there is nothing to score")
-    return tokenize(text, model.scheme, alphabet=model.alphabet)[0]
+        raise DataContractError(f"{path}: the text is empty")
+    if scheme == "word" and not text.split():
+        raise DataContractError(f"{path}: the text has no words")
+    try:
+        return tokenize(text, scheme, alphabet=alphabet, vocab_limit=vocab_limit)
+    except TokenizerError as exc:
+        raise TokenizerError(f"{path}: {exc}") from exc
 
 
 def _load_weights(path) -> list[float]:
@@ -195,7 +199,6 @@ def _load_weights(path) -> list[float]:
           vocab_limit=Setting(int),
           alphabet_from=Setting(help="reuse the alphabet of an existing model file"))
 def cmd_train(cfg, out) -> None:
-    text = read_text(cfg["input"])
     shared = None
     if cfg["alphabet_from"] is not None:
         donor = MarkovModel.load(cfg["alphabet_from"])
@@ -204,8 +207,7 @@ def cmd_train(cfg, out) -> None:
                 f"--alphabet-from model uses scheme {donor.scheme!r}, not {cfg['scheme']!r}"
             )
         shared = donor.alphabet
-    seq, alphabet = tokenize(text, cfg["scheme"], alphabet=shared,
-                             vocab_limit=cfg["vocab_limit"])
+    seq, alphabet = _text_tokens(cfg["input"], cfg["scheme"], shared, cfg["vocab_limit"])
     try:
         model = fit_empirical(seq, cfg["order"], alphabet,
                               smoothing=cfg["smoothing"], scheme=cfg["scheme"])
@@ -230,7 +232,7 @@ def cmd_train(cfg, out) -> None:
           text=Setting(required=True, help="text file to score"))
 def cmd_score(cfg, out) -> None:
     model = _text_model(cfg["model"])
-    seq = _text_tokens(cfg["text"], model)
+    seq, _ = _text_tokens(cfg["text"], model.scheme, model.alphabet)
     ll = log_likelihood(model, seq)
     ce = -ll / len(seq)
     record = {
@@ -260,7 +262,7 @@ _NP_TEST = {
 def cmd_detect(cfg, out) -> None:
     p_model = _text_model(cfg["model_p"])
     q_model = MarkovModel.load(cfg["model_q"])
-    seq = _text_tokens(cfg["text"], p_model)
+    seq, _ = _text_tokens(cfg["text"], p_model.scheme, p_model.alphabet)
     n = len(seq)
     flags = []
     try:

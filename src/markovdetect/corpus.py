@@ -25,6 +25,7 @@ OOV_SYMBOL = "<oov>"
 SCHEMES = ("byte", "char", "word")
 
 _BYTE_SYMBOLS = tuple(chr(b) for b in range(256))
+_TOO_FEW = "text uses fewer than 2 distinct symbols; pass an explicit alphabet"
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,12 @@ class TokenSeq:
 
 
 def _word_alphabet(words: list[str], vocab_limit: int | None) -> Alphabet:
+    if vocab_limit is not None and vocab_limit < 2:
+        raise ValueError(f"vocab_limit {vocab_limit} is below 2: an alphabet needs "
+                         "at least one word and <oov>")
     ordered = list(dict.fromkeys(words))  # in order of first appearance
+    if len(ordered) < 2:
+        raise TokenizerError(_TOO_FEW)
     if vocab_limit is not None and len(ordered) > vocab_limit:
         # keep the most frequent (limit - 1) words, reserving one slot for <oov>;
         # rarest first to go, ties (the sort is stable) toward later first appearance
@@ -171,7 +177,10 @@ def tokenize(
     text is coded in whole-array passes: the UTF-8 bytes, or the code points
     of ``text.encode("utf-32-le", "surrogatepass")`` (so a lone surrogate is
     one symbol, as in ``list(text)``), go through one code-point table.
-    Words are coded by one pass of the alphabet's dict.
+    Words are coded by one pass of the alphabet's dict.  Built from a char or
+    word text with fewer than 2 distinct symbols, the alphabet is refused
+    (:class:`TokenizerError`), and so is a word ``vocab_limit`` below 2
+    (``ValueError``).
     """
     if scheme not in SCHEMES:
         raise TokenizerError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -191,9 +200,7 @@ def tokenize(
     if alphabet is None:
         seen = _first_seen(points)
         if len(seen) < 2:
-            raise TokenizerError(
-                "text uses fewer than 2 distinct symbols; pass an explicit alphabet"
-            )
+            raise TokenizerError(_TOO_FEW)
         alphabet = Alphabet(tuple(map(chr, seen.tolist())))
     return TokenSeq(_code_points(points, alphabet)), alphabet
 

@@ -95,6 +95,8 @@ def loop_word_alphabet(words, vocab_limit):
     for i, w in enumerate(words):
         first_seen.setdefault(w, i)
     ordered = sorted(first_seen, key=first_seen.get)
+    if len(ordered) < 2:
+        raise TokenizerError("text uses fewer than 2 distinct symbols; pass an explicit alphabet")
     if vocab_limit is not None and len(ordered) > vocab_limit:
         keep = sorted(ordered, key=lambda w: (-counts[w], first_seen[w]))[: vocab_limit - 1]
         keep = sorted(keep, key=first_seen.get)

@@ -394,8 +394,24 @@ def test_c10_cli_reruns_byte_identical(accept, tmp_path):
 
 def test_c10_json_artifacts_have_the_stdlib_layout(tmp_path):
     """Every JSON file C10's commands write is the text ``json.dumps`` gives
-    its own value with sorted keys and an indent of 2."""
-    for argv in _c10_commands(tmp_path):
+    its own value with sorted keys and an indent of 2, and so is every file
+    of an order-2 model whose symbols JSON must escape (a non-ASCII letter,
+    a quote, a backslash) and of a smoothed order-1 pair's exact exponent,
+    which reads the binary-chain lattice."""
+    escaped = tmp_path / "escaped.txt"
+    escaped.write_text('a "naïve" back\\slash café, ' * 60, encoding="utf-8")
+    p1, q1 = tmp_path / "p1" / "model.json", tmp_path / "q1" / "model.json"
+    order1 = ["--order", "1", "--smoothing", "0.1"]
+    commands = _c10_commands(tmp_path) + [
+        ["train", "--input", str(escaped), "--order", "2", "--smoothing", "0.01",
+         "--out", str(tmp_path / "escaped")],
+        ["train", "--input", str(tmp_path / "corpus.txt"), *order1, "--out", str(p1.parent)],
+        ["train", "--input", str(tmp_path / "alt.txt"), *order1, "--alphabet-from", str(p1),
+         "--out", str(q1.parent)],
+        ["exponent", "--model-p", str(p1), "--model-q", str(q1), "--epsilon", "0.5",
+         "--n-grid", "20,40,80", "--method", "exact", "--out", str(tmp_path / "exp1")],
+    ]
+    for argv in commands:
         assert cli_main(argv) == 0
     written = [p for p in tmp_path.rglob("*.json") if p.parent != tmp_path]
     assert len({p.name for p in written}) >= 10

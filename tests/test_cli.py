@@ -548,11 +548,20 @@ def test_a_model_whose_law_is_not_a_distribution_exits_2_naming_it(
     assert PRIMARY(out) == []
 
 
+def _text_argv(command, model, text, scheme="word"):
+    """``command``'s argv reading the text file ``text``, scored under ``model``."""
+    return {"train": ["train", "--scheme", scheme, "--input", str(text)],
+            "score": ["score", "--model", str(model), "--text", str(text)],
+            "detect": ["detect", "--model-p", str(model), "--model-q", str(model),
+                       "--text", str(text)]}[command]
+
+
 @pytest.mark.parametrize("scheme", ["byte", "char", "word"])
-@pytest.mark.parametrize("command", ["score", "detect"])
+@pytest.mark.parametrize("command", ["train", "score", "detect"])
 def test_an_empty_text_exits_4_naming_it(tmp_path, capsys, scheme, command):
-    """Under every scheme an empty text file is refused before scoring:
-    exit 4, the message names the file, and no primary artifact is written."""
+    """Under every scheme an empty text file is refused before training or
+    scoring: exit 4, the message names the file, and no primary artifact is
+    written."""
     train = tmp_path / "train.txt"
     train.write_text("the cat sat on the mat " * 20, encoding="utf-8")
     model = tmp_path / "model" / "model.json"
@@ -560,15 +569,13 @@ def test_an_empty_text_exits_4_naming_it(tmp_path, capsys, scheme, command):
                  "--out", str(model.parent)]) == 0
     empty = tmp_path / "empty.txt"
     empty.write_text("", encoding="utf-8")
-    argv = (["score", "--model", str(model)] if command == "score"
-            else ["detect", "--model-p", str(model), "--model-q", str(model)])
     out = tmp_path / "out"
-    assert main(argv + ["--text", str(empty), "--out", str(out)]) == 4
+    assert main(_text_argv(command, model, empty, scheme) + ["--out", str(out)]) == 4
     assert f"{empty}: the text is empty" in capsys.readouterr().err
     assert PRIMARY(out) == []
 
 
-@pytest.mark.parametrize("command", ["score", "detect"])
+@pytest.mark.parametrize("command", ["train", "score", "detect"])
 def test_a_text_without_words_exits_4_naming_it(tmp_path, capsys, command):
     """A word model given a text of only whitespace is refused like an empty
     text: exit 4, the message names the file, and no primary artifact is
@@ -580,11 +587,47 @@ def test_a_text_without_words_exits_4_naming_it(tmp_path, capsys, command):
                  "--out", str(model.parent)]) == 0
     blank = tmp_path / "blank.txt"
     blank.write_text("   \n ", encoding="utf-8")
-    argv = (["score", "--model", str(model)] if command == "score"
-            else ["detect", "--model-p", str(model), "--model-q", str(model)])
     out = tmp_path / "out"
-    assert main(argv + ["--text", str(blank), "--out", str(out)]) == 4
+    assert main(_text_argv(command, model, blank) + ["--out", str(out)]) == 4
     assert f"{blank}: the text has no words" in capsys.readouterr().err
+    assert PRIMARY(out) == []
+
+
+@pytest.mark.parametrize("command, scheme, content, cause", [
+    ("train", "word", "one one one", "text uses fewer than 2 distinct symbols"),
+    ("train", "char", "aaaa", "text uses fewer than 2 distinct symbols"),
+    ("score", "word", "one one one", "symbol 'one' not in alphabet"),
+    ("detect", "word", "one one one", "symbol 'one' not in alphabet"),
+])
+def test_a_text_the_tokenizer_refuses_exits_4_naming_it(tmp_path, capsys, command, scheme,
+                                                        content, cause):
+    """A text with one distinct symbol cannot make an alphabet, and a model
+    cannot code a word it lacks: exit 4, the message names the file, and no
+    primary artifact is written."""
+    train = tmp_path / "train.txt"
+    train.write_text("the cat sat on the mat " * 20, encoding="utf-8")
+    model = tmp_path / "model" / "model.json"
+    assert main(["train", "--input", str(train), "--scheme", "word", "--order", "0",
+                 "--out", str(model.parent)]) == 0
+    text = tmp_path / "text.txt"
+    text.write_text(content, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(_text_argv(command, model, text, scheme) + ["--out", str(out)]) == 4
+    assert f"{text}: {cause}" in capsys.readouterr().err
+    assert PRIMARY(out) == []
+
+
+@pytest.mark.parametrize("limit", ["1", "0", "-2"])
+def test_train_refuses_a_vocabulary_cap_below_2(tmp_path, capsys, limit):
+    """A word alphabet needs one word and ``<oov>``, so a cap below 2 is a
+    bad value: exit 2 naming the cap, and no primary artifact is written
+    (a cap of 0 or -2 once sliced from the end and trained 6 or 4 symbols)."""
+    text = tmp_path / "text.txt"
+    text.write_text("a b c d a b a e f a b c", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train", "--input", str(text), "--scheme", "word", "--order", "0",
+                 "--vocab-limit", limit, "--out", str(out)]) == 2
+    assert f"bad value: vocab_limit {limit} is below 2" in capsys.readouterr().err
     assert PRIMARY(out) == []
 
 

@@ -144,7 +144,7 @@ WORD_ALPHABETS = [None, Alphabet(("the", "cat", "a", "b")),
 def _word_outcome(text, alphabet, vocab_limit, tokenizer):
     try:
         seq, used = tokenizer(text, "word", alphabet=alphabet, vocab_limit=vocab_limit)
-    except (TokenizerError, ValueError) as exc:  # one distinct word: too few symbols
+    except TokenizerError as exc:
         return type(exc), str(exc)
     return seq.tokens.dtype, seq.tokens.tolist(), used
 
